@@ -6,12 +6,9 @@ from .dist import (
     BucketHistogram,
     GrainDistribution,
     bucket_index,
-    cdf,
     default_grains,
     exact_histogram,
     point_mass,
-    quantile,
-    sample,
     tv_distance,
     uniform,
 )
@@ -24,15 +21,11 @@ from .commitment import (
     extract,
     gen,
     open_element,
-    quantile_open,
     verify_opening,
 )
 from .testers import (
     DSampler,
-    GranularizedView,
     IdentityResult,
-    LocalOracle,
-    RefOracle,
     identity_test,
     uniformity_test,
 )

@@ -8,6 +8,7 @@ They measure soundness against fixed strategies; no collision search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,7 +20,12 @@ from .wire import BackendData, BackendSelect, OpeningBatch, QuerySet
 
 
 class AdversaryScript(HonestProver):
-    """Base: honest behavior plus a strategy label; subclasses deviate."""
+    """Base: honest behavior plus a strategy label; subclasses deviate.
+
+    cli_params() turns command-line strings into the parameters that
+    from_params() takes; `dist_spec` parses a distribution spec and `dist`
+    builds a distribution from one.
+    """
 
     strategy = "honest"
 
@@ -28,8 +34,13 @@ class AdversaryScript(HonestProver):
         self.seed = seed
         self._calls = 0
 
-    def describe(self) -> str:
-        return self.strategy
+    @classmethod
+    def from_params(cls, q: GrainDistribution, seed: int, dist, *params) -> AdversaryScript:
+        return cls(q, *params, seed=seed)
+
+    @staticmethod
+    def cli_params(args: list[str], dist_spec) -> tuple:
+        return ()
 
 
 class FarCommitAdversary(AdversaryScript):
@@ -40,10 +51,6 @@ class FarCommitAdversary(AdversaryScript):
     """
 
     strategy = "far-commit"
-
-
-def far_commit_adversary(q_far: GrainDistribution, seed: int = 0) -> FarCommitAdversary:
-    return FarCommitAdversary(q_far, seed)
 
 
 class InconsistentOpeningAdversary(AdversaryScript):
@@ -58,11 +65,13 @@ class InconsistentOpeningAdversary(AdversaryScript):
 
     def __init__(self, q: GrainDistribution, flip_prob, seed: int = 0):
         super().__init__(q, seed)
-        from fractions import Fraction
-
         self.flip_prob = Fraction(flip_prob)
         if not 0 <= self.flip_prob <= 1:
             raise ValueError("flip probability out of range")
+
+    @staticmethod
+    def cli_params(args, dist_spec) -> tuple:
+        return (Fraction(args[0]) if args else Fraction(1, 100),)
 
     def _flip_mask(self, count: int, stream: str) -> np.ndarray:
         rng = rng_from(self.seed, "flip", stream, self._calls)
@@ -107,6 +116,10 @@ class SelectiveRefusalAdversary(AdversaryScript):
         super().__init__(q, seed)
         self.blocked = frozenset(int(x) for x in blocked)
 
+    @staticmethod
+    def cli_params(args, dist_spec) -> tuple:
+        return (tuple(int(a) for a in args) or (1,),)
+
     def answer_queries(self, qs: QuerySet) -> OpeningBatch:
         batch = super().answer_queries(qs)
         if not self.blocked:
@@ -137,10 +150,31 @@ class BackendSwapAdversary(AdversaryScript):
         super().__init__(commit_q, seed)
         self.reveal_q = reveal_q
 
+    @classmethod
+    def from_params(cls, q, seed, dist, reveal) -> BackendSwapAdversary:
+        return cls(q, dist(reveal) if dist else reveal, seed)
+
+    @staticmethod
+    def cli_params(args, dist_spec) -> tuple:
+        return (dist_spec(args[0]) if args else ("uniform",),)
+
     def backend_payload(self, select: BackendSelect) -> BackendData:
         from .argument import backend_by_id
 
         return BackendData(backend_by_id(select.backend_id).honest_blob(self.reveal_q))
+
+
+# strategy name -> script class
+ADVERSARIES: dict[str, type[AdversaryScript]] = {
+    cls.strategy: cls
+    for cls in (
+        AdversaryScript,
+        FarCommitAdversary,
+        InconsistentOpeningAdversary,
+        SelectiveRefusalAdversary,
+        BackendSwapAdversary,
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -150,32 +184,16 @@ class AdversarySpec:
     strategy: str
     params: tuple = ()
 
-    def build(self, q: GrainDistribution, seed: int) -> AdversaryScript:
-        return build_adversary(self.strategy, q, seed, *self.params)
+    def build(self, q: GrainDistribution, seed: int, dist=None) -> AdversaryScript:
+        """The script committing to q; `dist` builds a distribution from a
+        spec parameter (None: such parameters already are distributions)."""
+        return build_adversary(self.strategy, q, seed, *self.params, dist=dist)
 
 
-def build_adversary(strategy: str, q: GrainDistribution, seed: int, *params) -> AdversaryScript:
-    if strategy == "honest":
-        return AdversaryScript(q, seed)
-    if strategy == "far-commit":
-        return FarCommitAdversary(q, seed)
-    if strategy == "inconsistent-opening":
-        (flip_prob,) = params
-        return InconsistentOpeningAdversary(q, flip_prob, seed)
-    if strategy == "selective-refusal":
-        (blocked,) = params
-        return SelectiveRefusalAdversary(q, blocked, seed)
-    if strategy == "backend-swap":
-        (reveal_q,) = params
-        return BackendSwapAdversary(q, reveal_q, seed)
-    raise ValueError(f"unknown adversary strategy: {strategy}")
-
-
-def adversary_registry() -> tuple[str, ...]:
-    return (
-        "honest",
-        "far-commit",
-        "inconsistent-opening",
-        "selective-refusal",
-        "backend-swap",
-    )
+def build_adversary(
+    strategy: str, q: GrainDistribution, seed: int, *params, dist=None
+) -> AdversaryScript:
+    cls = ADVERSARIES.get(strategy)
+    if cls is None:
+        raise ValueError(f"unknown adversary strategy: {strategy}")
+    return cls.from_params(q, seed, dist, *params)

@@ -29,7 +29,7 @@ from .constants import Constants, get_constants
 from .dist import GrainDistribution
 from .exactmath import frac_ceil
 from .properties import GeneralProperty
-from .protocol import SessionResult, VerifiedOracleSession, VerifierConfig
+from .protocol import SessionResult, VerifiedOracleSession, VerifierConfig, run_session
 from .representation import (
     RepresentationString,
     build_representation,
@@ -39,9 +39,6 @@ from .rngutil import rng_from
 from .rscode import element_code
 from .testers import DSampler
 from .wire import BackendData, BackendSelect, QuerySet, Reason
-
-FULL_REVEAL_ID = 1
-SPOT_CHECK_ID = 2
 
 
 @dataclass
@@ -60,8 +57,12 @@ class ProximityBackend:
     session's verified openings.
     """
 
-    backend_id: int
+    backend_id: int  # wire code in BackendSelect
     name: str
+
+    def __init__(self, probe_budget: int | None = None, constants: Constants | None = None):
+        self.probe_budget = probe_budget  # query probes to spend; None: the default
+        self.cons = constants or get_constants()
 
     def select_msg(self) -> BackendSelect:
         return BackendSelect(self.backend_id)
@@ -86,7 +87,7 @@ def distance_threshold(delta_c: Fraction, delta_f: Fraction) -> Fraction:
 
 
 class FullRevealBackend(ProximityBackend):
-    backend_id = FULL_REVEAL_ID
+    backend_id = 1
     name = "full-reveal"
 
     def honest_blob(self, q: GrainDistribution) -> bytes:
@@ -116,12 +117,8 @@ class SpotCheckBackend(ProximityBackend):
     disagrees with the committed representation on a fraction f of blocks
     escapes the probes with probability (1-f)^k."""
 
-    backend_id = SPOT_CHECK_ID
+    backend_id = 2
     name = "spot-check"
-
-    def __init__(self, probe_budget: int | None = None, constants: Constants | None = None):
-        self.probe_budget = probe_budget
-        self.cons = constants or get_constants()
 
     def budget(self, delta_c: Fraction, delta_f: Fraction) -> int:
         if self.probe_budget is not None:
@@ -175,15 +172,16 @@ class SpotCheckBackend(ProximityBackend):
         )
 
 
-def backend_registry() -> dict[str, type]:
-    return {"full-reveal": FullRevealBackend, "spot-check": SpotCheckBackend}
+# name -> backend class; constructed as cls(probe_budget)
+BACKENDS: dict[str, type[ProximityBackend]] = {
+    cls.name: cls for cls in (FullRevealBackend, SpotCheckBackend)
+}
 
 
 def backend_by_id(backend_id: int) -> ProximityBackend:
-    if backend_id == FULL_REVEAL_ID:
-        return FullRevealBackend()
-    if backend_id == SPOT_CHECK_ID:
-        return SpotCheckBackend()
+    for cls in BACKENDS.values():
+        if cls.backend_id == backend_id:
+            return cls()
     raise ValueError(f"unknown backend id {backend_id}")
 
 
@@ -232,18 +230,15 @@ def run_general_argument(
         constants=constants,
         record_payloads=record_payloads,
     )
-    session = VerifiedOracleSession(config, prover, d_sampler, seed)
-    if not session.establish():
-        return GeneralArgumentResult(
-            False, session.reason, session.conclude(False, session.reason)
+
+    def check(session):
+        data = session.backend_exchange(backend.select_msg())
+        if data is None:
+            return None
+        outcome = backend.verify(
+            data.blob, session, prop, delta_c, delta_f, rng_from(seed, "backend")
         )
-    data = session.backend_exchange(backend.select_msg())
-    if data is None:
-        return GeneralArgumentResult(
-            False, session.reason, session.conclude(False, session.reason)
-        )
-    outcome = backend.verify(
-        data.blob, session, prop, delta_c, delta_f, rng_from(seed, "backend")
-    )
-    result = session.conclude(outcome.accept, outcome.reason)
-    return GeneralArgumentResult(outcome.accept, outcome.reason, result, outcome)
+        return outcome.accept, outcome.reason, None, outcome
+
+    result, outcome = run_session(config, prover, d_sampler, seed, check)
+    return GeneralArgumentResult(result.accept, result.reason, result, outcome)

@@ -15,7 +15,7 @@ from multiprocessing import get_context
 
 from . import __version__
 from .adversaries import AdversarySpec
-from .argument import FullRevealBackend, SpotCheckBackend, run_general_argument
+from .argument import BACKENDS, run_general_argument
 from .constants import Constants, get_constants
 from .dist import (
     GrainDistribution,
@@ -25,15 +25,10 @@ from .dist import (
     shift_mass,
     uniform,
 )
-from .properties import (
-    make_fixed_target,
-    make_support_size,
-    make_uniformity,
-    run_label_invariant_argument,
-)
+from .properties import LABEL_INVARIANT, make_fixed_target, run_label_invariant_argument
 from .protocol import VerifierConfig, empty_generator, run_oracle_session
 from .rngutil import derive_key, rng_from
-from .testers import DSampler, LocalOracle, identity_test
+from .testers import DSampler, identity_test
 
 # -- distribution specs ----------------------------------------------------------
 
@@ -112,10 +107,18 @@ class OracleTrialSpec:
     amplification: int = 1
 
 
+def _prover(ts, q: GrainDistribution):
+    """The trial's prover, committing to q; distribution-spec parameters of
+    the adversary are built like the trial's own distributions."""
+    return ts.adversary.build(
+        q, ts.seed, lambda spec: make_dist(spec, ts.n, ts.grains, ts.seed)
+    )
+
+
 def oracle_trial(ts: OracleTrialSpec) -> dict:
     d = make_dist(ts.d_spec, ts.n, ts.grains, ts.seed)
     q = make_dist(ts.q_spec, ts.n, ts.grains, ts.seed)
-    prover = ts.adversary.build(q, ts.seed)
+    prover = _prover(ts, q)
     cfg = VerifierConfig(
         ts.n, ts.epsilon, kappa=ts.kappa, generator=empty_generator(),
         amplification=ts.amplification,
@@ -147,7 +150,7 @@ def identity_trial(ts: IdentityTrialSpec) -> dict:
     d = make_dist(ts.d_spec, ts.n, ts.grains, ts.seed)
     q = make_dist(ts.q_spec, ts.n, ts.grains, ts.seed)
     res = identity_test(
-        LocalOracle(q), DSampler(d), ts.n, ts.epsilon, rng_from(ts.seed, "idt")
+        q, DSampler(d), ts.n, ts.epsilon, rng_from(ts.seed, "idt")
     )
     return {
         "accept": res.accept,
@@ -172,18 +175,17 @@ class LabelTrialSpec:
 
 
 def _label_property(name: str, params: tuple):
-    if name == "uniformity":
-        return make_uniformity()
-    if name == "support-size":
-        return make_support_size(int(params[0]))
-    raise ValueError(f"unknown label-invariant property {name}")
+    make = LABEL_INVARIANT.get(name)
+    if make is None:
+        raise ValueError(f"unknown label-invariant property {name}")
+    return make(*params)
 
 
 def label_trial(ts: LabelTrialSpec) -> dict:
     prop = _label_property(ts.property_name, ts.property_params)
     d = make_dist(ts.d_spec, ts.n, ts.grains, ts.seed)
     q = make_dist(ts.q_spec, ts.n, ts.grains, ts.seed)
-    prover = ts.adversary.build(q, ts.seed)
+    prover = _prover(ts, q)
     res = run_label_invariant_argument(
         prop, ts.n, ts.delta_c, ts.delta_f, DSampler(d), prover, ts.seed
     )
@@ -217,18 +219,8 @@ def general_trial(ts: GeneralTrialSpec) -> dict:
     prop = make_fixed_target(target)
     d = make_dist(ts.d_spec, ts.n, ts.grains, ts.seed)
     q = make_dist(ts.q_spec, ts.n, ts.grains, ts.seed)
-    if ts.adversary.strategy == "backend-swap":
-        from .adversaries import BackendSwapAdversary
-
-        reveal = make_dist(ts.adversary.params[0], ts.n, ts.grains, ts.seed)
-        prover = BackendSwapAdversary(q, reveal, ts.seed)
-    else:
-        prover = ts.adversary.build(q, ts.seed)
-    backend = (
-        FullRevealBackend()
-        if ts.backend == "full-reveal"
-        else SpotCheckBackend(ts.spot_budget)
-    )
+    prover = _prover(ts, q)
+    backend = BACKENDS[ts.backend](ts.spot_budget)
     res = run_general_argument(
         prop, ts.n, ts.delta_c, ts.delta_f, DSampler(d), prover, backend, ts.seed
     )
@@ -376,7 +368,7 @@ def _calibration_trial(args) -> bool:
     else:
         d = shift_mass(q, far_delta, rng_from(s, "far"))
     res = identity_test(
-        LocalOracle(q), DSampler(d), n, epsilon, rng_from(s, "cal"), cons
+        q, DSampler(d), n, epsilon, rng_from(s, "cal"), cons
     )
     return res.accept
 
@@ -431,7 +423,3 @@ class Report:
             lines.append(f"check {label} {'PASS' if ok else 'FAIL'}")
         lines.append(f"result {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines) + "\n"
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .properties import uniformity_decide
 from .representation import build_representation, hamming_block_distance, hamming_symbol_distance
 from .rngutil import rng_from
 from .rscode import element_code
-from .testers import _slot_counts
 
 
 def enumerate_distributions(n: int, grains: int):
@@ -35,10 +33,6 @@ def enumerate_distributions(n: int, grains: int):
 
     for counts in rec((), grains, n):
         yield GrainDistribution(n, grains, counts)
-
-
-def count_distributions(n: int, grains: int) -> int:
-    return comb(grains + n - 1, n - 1)
 
 
 # -- representation bound ------------------------------------------------------------
@@ -109,13 +103,6 @@ def check_mixing_coordinates(n_max: int = 6, g_max: int = 24) -> dict:
                     return {"ok": False, "theta_at": (n, g, c)}
                 theta_checked += 1
     return {"ok": True, "mix_coords": checked, "theta_coords": theta_checked}
-
-
-def check_granularization(q: GrainDistribution) -> bool:
-    """Slot counts sum exactly to m = 6N, overflow included."""
-    slots = _slot_counts(np.asarray(q.counts, dtype=np.int64), q.n, q.grains)
-    overflow = 6 * q.n - int(slots.sum())
-    return overflow >= 0 and int(slots.sum()) + overflow == 6 * q.n
 
 
 def check_pair_distance_chain(

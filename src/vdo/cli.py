@@ -11,7 +11,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .adversaries import AdversarySpec
+from .adversaries import ADVERSARIES, AdversarySpec
+from .argument import BACKENDS
 from .bench import (
     GeneralTrialSpec,
     LabelTrialSpec,
@@ -28,6 +29,7 @@ from .bench import (
     trial_seed,
 )
 from .bruteforce import run_brute_force_suite
+from .properties import LABEL_INVARIANT
 
 
 def parse_dist_spec(text: str) -> tuple:
@@ -53,19 +55,9 @@ def parse_dist_spec(text: str) -> tuple:
 
 
 def parse_adversary(name: str, params: list[str]) -> AdversarySpec:
-    if name in (None, "", "honest"):
-        return AdversarySpec("honest")
-    if name == "far-commit":
-        return AdversarySpec("far-commit")
-    if name == "inconsistent-opening":
-        return AdversarySpec("inconsistent-opening", (Fraction(params[0]) if params else Fraction(1, 100),))
-    if name == "selective-refusal":
-        blocked = tuple(int(p) for p in params) or (1,)
-        return AdversarySpec("selective-refusal", (blocked,))
-    if name == "backend-swap":
-        reveal = parse_dist_spec(params[0]) if params else ("uniform",)
-        return AdversarySpec("backend-swap", (reveal,))
-    raise argparse.ArgumentTypeError(f"unknown adversary: {name}")
+    if name not in ADVERSARIES:
+        raise argparse.ArgumentTypeError(f"unknown adversary: {name}")
+    return AdversarySpec(name, ADVERSARIES[name].cli_params(params, parse_dist_spec))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,11 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=int, default=128)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--property", dest="property_name", default="uniformity")
+    p.add_argument(
+        "--property", dest="property_name", default="uniformity", choices=list(LABEL_INVARIANT)
+    )
     p.add_argument("--property-param", action="append", default=[])
-    p.add_argument("--adversary", default="honest")
+    p.add_argument("--adversary", default="honest", choices=list(ADVERSARIES))
     p.add_argument("--adversary-param", action="append", default=[])
-    p.add_argument("--backend", default="full-reveal", choices=["full-reveal", "spot-check"])
+    p.add_argument("--backend", default="full-reveal", choices=list(BACKENDS))
     p.add_argument("--d-dist", type=parse_dist_spec, default=("uniform",))
     p.add_argument("--q-dist", type=parse_dist_spec, default=None)
     p.add_argument("--target", type=parse_dist_spec, default=("uniform",))

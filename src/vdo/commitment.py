@@ -22,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.random import Generator
 
+from .constants import get_constants
 from .dist import GrainDistribution
 from .exactmath import frac_ceil
 
@@ -291,46 +292,7 @@ def verify_opening(x: int, proof: OpeningProof, key: HashKey, d: Digest) -> bool
     return root_hash == d.root.digest
 
 
-def quantile_open(
-    mu: Fraction, key: HashKey, d: Digest, aux: TreeAux
-) -> tuple[int, OpeningProof]:
-    """Open the smallest x with cdf(x) >= mu."""
-    mu = Fraction(mu)
-    if not 0 < mu <= 1:
-        raise ValueError("quantile argument must lie in (0, 1]")
-    g = frac_ceil(mu * d.denominator)
-    return quantile_open_grain(g, key, d, aux)
-
-
-def quantile_open_grain(
-    g: int, key: HashKey, d: Digest, aux: TreeAux
-) -> tuple[int, OpeningProof]:
-    """Quantile opening for the grain-grid mass g/G; walks the mass tree."""
-    if not 1 <= g <= d.denominator:
-        raise ValueError("grain index out of range")
-    idx = 1
-    remaining = g
-    while idx < aux.padded:
-        left = 2 * idx
-        lm = int(aux.masses[left])
-        if remaining <= lm:
-            idx = left
-        else:
-            remaining -= lm
-            idx = left + 1
-    x = idx - aux.padded + 1
-    return x, open_element(x, key, d, aux)
-
-
-def quantile_valid(g: int, proof: OpeningProof) -> bool:
-    """Receiver-side check that the opened element covers mass g/G:
-    cdf - pdf < g <= cdf (half-open grain interval)."""
-    return proof.claimed_cdf - proof.claimed_pdf < g <= proof.claimed_cdf
-
-
 # -- extraction ----------------------------------------------------------------
-
-EXTRACT_RUN_COEFF = 8
 
 
 def canonical_distribution(n: int, grains: int) -> GrainDistribution:
@@ -395,7 +357,7 @@ def extract(
 ) -> ExtractReport:
     """Recover the unique distribution a replayable opener is bound to.
 
-    Runs the adversary ceil(8*N/eta) times with fresh run indices, keeps
+    Runs the adversary ceil(c_ext*N/eta) times with fresh run indices, keeps
     openings that verify, and assembles node labels. Mass of maximal
     subtrees that were never pinned is spread evenly over their in-range
     leaves (leftmost leaves take the remainder; subtrees consisting only
@@ -403,7 +365,7 @@ def extract(
     hash collision: the report carries the evidence and a canonical output.
     """
     n = d.domain_size
-    runs = frac_ceil(Fraction(EXTRACT_RUN_COEFF * n) / Fraction(eta))
+    runs = frac_ceil(Fraction(get_constants().c_ext * n) / Fraction(eta))
     known: dict[tuple[int, int], NodeLabel] = {}
     depth = d.padded_size.bit_length() - 1
     seen = 0

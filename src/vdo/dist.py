@@ -18,8 +18,6 @@ from numpy.random import Generator
 
 from .exactmath import frac_ceil
 
-Rational = Fraction
-
 
 def default_grains(n: int) -> int:
     """Denominator used when none is given: 2^ceil(2*log2 N) >= N^2."""
@@ -101,14 +99,17 @@ class GrainDistribution:
             raise ValueError("grain index out of range")
         return int(np.searchsorted(self._cum, g, side="left")) + 1
 
-    def sample(self, rng: Generator) -> int:
-        """One draw; marginal is exactly this distribution."""
-        g = int(rng.integers(1, self.grains + 1))
-        return self.quantile_grain(g)
-
     def sample_batch(self, k: int, rng: Generator) -> np.ndarray:
         gs = rng.integers(1, self.grains + 1, size=k, dtype=np.int64)
+        return self.quantile_grain_batch(gs)
+
+    def quantile_grain_batch(self, gs: np.ndarray) -> np.ndarray:
+        """quantile_grain of each grain index in gs (unchecked)."""
         return np.searchsorted(self._cum, gs, side="left").astype(np.int64) + 1
+
+    def pdf_grains_batch(self, xs: np.ndarray) -> np.ndarray:
+        """pdf_grains of each element in xs (unchecked)."""
+        return self._counts_arr[np.asarray(xs, dtype=np.int64) - 1]
 
     # -- serialization ------------------------------------------------------
 
@@ -265,18 +266,6 @@ def tv_distance(p: GrainDistribution, q: GrainDistribution) -> Fraction:
         p._counts_arr.astype(object) * lp - q._counts_arr.astype(object) * lq
     ).sum()
     return Fraction(int(diff), 2 * p.grains * lp)
-
-
-def cdf(d: GrainDistribution, x: int) -> Fraction:
-    return d.cdf(x)
-
-
-def quantile(d: GrainDistribution, mu: Fraction) -> int:
-    return d.quantile(mu)
-
-
-def sample(d: GrainDistribution, rng: Generator) -> int:
-    return d.sample(rng)
 
 
 # -- bucket histograms --------------------------------------------------------

@@ -10,15 +10,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def frac_ceil(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
-
-
-def frac_floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
 
 
 def ceil_sqrt_int(a: int) -> int:

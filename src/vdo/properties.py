@@ -32,11 +32,11 @@ from .dist import (
 from .exactmath import frac_ceil, geometric_mean
 from .protocol import (
     SessionResult,
-    VerifiedOracleSession,
     VerifierConfig,
     quantile_sampling_generator,
+    query_phase,
+    run_session,
 )
-from .rngutil import rng_from
 from .testers import DSampler
 from .wire import Reason
 
@@ -239,20 +239,13 @@ def make_fixed_target(target: GrainDistribution) -> GeneralProperty:
     )
 
 
-# -- registries -------------------------------------------------------------------------
+# -- the label-invariant property table ---------------------------------------------------
 
-
-def label_invariant_registry() -> dict[str, Callable[..., LabelInvariantProperty]]:
-    return {
-        "uniformity": lambda **kw: make_uniformity(),
-        "support-size": lambda s_bound, **kw: make_support_size(int(s_bound)),
-    }
-
-
-def general_registry() -> dict[str, Callable[..., GeneralProperty]]:
-    return {
-        "fixed-target": lambda target, **kw: make_fixed_target(target),
-    }
+# name -> constructor from the property's parameters (strings or values)
+LABEL_INVARIANT: dict[str, Callable[..., LabelInvariantProperty]] = {
+    "uniformity": lambda *params: make_uniformity(),
+    "support-size": lambda s_bound, *params: make_support_size(int(s_bound)),
+}
 
 
 # -- the label-invariant argument ---------------------------------------------------------
@@ -264,7 +257,6 @@ class ArgumentResult:
     reason: Reason
     session: SessionResult
     histogram: BucketHistogram | None = None
-    measured: Fraction | None = None
 
 
 def argument_parameters(delta_c: Fraction, delta_f: Fraction) -> tuple[Fraction, Fraction]:
@@ -299,16 +291,15 @@ def run_label_invariant_argument(
         constants=cons,
         record_payloads=record_payloads,
     )
-    session = VerifiedOracleSession(config, prover, d_sampler, seed)
-    if not session.establish():
-        return ArgumentResult(False, session.reason, session.conclude(False, session.reason))
-    qs = config.generator.probes(n, epsilon, session.digest.denominator, rng_from(seed, "gen"))
-    answered = session.query_set(qs)
-    if answered is None:
-        return ArgumentResult(False, session.reason, session.conclude(False, session.reason))
-    pdfs = np.asarray([a.pdf_grains for a in answered], dtype=np.int64)
-    hist = estimate_histogram(pdfs, session.digest.denominator, tau, n)
-    ok = prop.decide(tau, n, hist)
-    reason = Reason.ACCEPT if ok else Reason.PROPERTY_REJECT
-    result = session.conclude(ok, reason, answered)
-    return ArgumentResult(ok, reason, result, hist)
+
+    def decide(session):
+        answered = query_phase(session)
+        if answered is None:
+            return None
+        pdfs = np.asarray([a.pdf_grains for a in answered], dtype=np.int64)
+        hist = estimate_histogram(pdfs, session.digest.denominator, tau, n)
+        ok = prop.decide(tau, n, hist)
+        return ok, Reason.ACCEPT if ok else Reason.PROPERTY_REJECT, answered, hist
+
+    result, hist = run_session(config, prover, d_sampler, seed, decide)
+    return ArgumentResult(result.accept, result.reason, result, hist)

@@ -4,13 +4,20 @@ A session establishes query access to whatever distribution the digest
 binds the prover to, guaranteed close to the unknown sampled distribution:
 
   1. verifier sends a fresh hash key; prover replies with a digest
-     (rejected unless the root mass equals the declared denominator);
+     (rejected unless the root mass equals the declared denominator and
+     that denominator is at most max_grains(N), the int64 bound of the
+     identity test);
   2. the verifier ships one batch holding its quantile draws (reference
      samples) and every element probe of the identity test, the prover
      answers positionally, and the identity verdict is computed locally —
      four messages total;
-  3. the query phase sends the generator's probes and returns verified
-     (pdf, cdf) answers.
+  3. a second phase: the oracle session's query phase sends the
+     generator's probes and returns verified (pdf, cdf) answers; the
+     label-invariant argument decides on a histogram of such answers; the
+     general argument runs a backend exchange.
+
+run_session is the one skeleton behind all three protocols: establish,
+the second phase, conclude, with every rejection ending in a Reason.
 
 Rejection is immediate and terminal per message. All randomness comes from
 streams derived from the session seed, so a session replays byte-exactly.
@@ -29,7 +36,7 @@ from . import commitment as cm
 from .constants import Constants, get_constants
 from .dist import GrainDistribution
 from .rngutil import rng_from
-from .testers import DSampler, IdentityResult, IdentityTestRun
+from .testers import DSampler, IdentityResult, IdentityTestRun, max_grains
 from .wire import (
     BackendData,
     BackendSelect,
@@ -43,8 +50,6 @@ from .wire import (
     Verdict,
 )
 
-MAX_DENOMINATOR = 1 << 61
-
 
 @dataclass
 class QueryGenerator:
@@ -52,7 +57,6 @@ class QueryGenerator:
 
     name: str
     make: Callable[[int, Fraction, int, Generator], QuerySet]
-    time_budget: str = "poly(log N) per probe"
 
     def probes(self, n: int, epsilon: Fraction, denominator: int, rng: Generator) -> QuerySet:
         return self.make(n, epsilon, denominator, rng)
@@ -68,14 +72,14 @@ def quantile_sampling_generator(count: int) -> QueryGenerator:
         gs = rng.integers(1, denominator + 1, size=count, dtype=np.int64)
         return QuerySet.quantiles(gs)
 
-    return QueryGenerator("quantile-sampling", make, "O(count) random grains")
+    return QueryGenerator("quantile-sampling", make)
 
 
 def empty_generator() -> QueryGenerator:
     def make(n, epsilon, denominator, rng):
         return QuerySet.elements(np.empty(0, dtype=np.int64))
 
-    return QueryGenerator("empty", make, "O(1)")
+    return QueryGenerator("empty", make)
 
 
 @dataclass
@@ -116,10 +120,6 @@ class SessionResult:
     identity: IdentityResult | None = None
     verified_openings: frozenset[tuple[int, int, int]] = frozenset()
 
-    @property
-    def denominator(self) -> int | None:
-        return self.digest.denominator if self.digest else None
-
 
 class HonestProver:
     """Prover that commits to a fixed distribution and answers faithfully."""
@@ -147,7 +147,7 @@ class HonestProver:
         return p
 
     def _quantile_elements(self, grains: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.q._cum, grains, side="left").astype(np.int64) + 1
+        return self.q.quantile_grain_batch(grains)
 
     def resolve_queries(self, qs: QuerySet) -> np.ndarray:
         """Element answered at each probe position."""
@@ -194,8 +194,8 @@ class SessionRejected(Exception):
 
 
 class VerifiedOracleSession:
-    """Verifier-side session driver. Use establish(), then query_set()/backend
-    exchanges, then conclude()."""
+    """Verifier-side session driver: establish(), then query_set()/backend
+    exchanges, then conclude(), in the order run_session keeps."""
 
     def __init__(
         self,
@@ -297,7 +297,7 @@ class VerifiedOracleSession:
             if (
                 d.domain_size != cfg.n
                 or d.denominator < 1
-                or d.denominator > MAX_DENOMINATOR
+                or d.denominator > max_grains(cfg.n)
                 or d.padded_size < 1
                 or d.padded_size & (d.padded_size - 1)
                 or not d.padded_size // 2 < d.domain_size <= d.padded_size
@@ -393,6 +393,35 @@ class VerifiedOracleSession:
         )
 
 
+def run_session(
+    config: VerifierConfig,
+    prover,
+    d_sampler: DSampler,
+    seed: int,
+    phase: Callable[[VerifiedOracleSession], tuple | None],
+) -> tuple[SessionResult, object]:
+    """The skeleton every protocol shares: establish(), the second phase,
+    conclude(). phase(session) returns (accept, reason, answered, extra), or
+    None when an exchange rejected with session.reason. Returns the session
+    result and the phase's extra value (None on rejection)."""
+    session = VerifiedOracleSession(config, prover, d_sampler, seed)
+    out = phase(session) if session.establish() else None
+    if out is None:
+        return session.conclude(False, session.reason), None
+    accept, reason, answered, extra = out
+    return session.conclude(accept, reason, answered), extra
+
+
+def query_phase(session: VerifiedOracleSession) -> list[ProbeAnswer] | None:
+    """Send the configured generator's probes and return the verified
+    answers; None means the session rejected."""
+    cfg = session.config
+    qs = (cfg.generator or empty_generator()).probes(
+        cfg.n, cfg.epsilon, session.digest.denominator, rng_from(session.seed, "gen")
+    )
+    return session.query_set(qs)
+
+
 def run_oracle_session(
     config: VerifierConfig,
     prover,
@@ -401,14 +430,9 @@ def run_oracle_session(
 ) -> SessionResult:
     """The full oracle protocol: establish, run the generator's probes,
     output verified (probe, pdf, cdf) answers."""
-    session = VerifiedOracleSession(config, prover, d_sampler, seed)
-    if not session.establish():
-        return session.conclude(False, session.reason)
-    generator = config.generator or empty_generator()
-    qs = generator.probes(
-        config.n, config.epsilon, session.digest.denominator, rng_from(seed, "gen")
-    )
-    answered = session.query_set(qs)
-    if answered is None:
-        return session.conclude(False, session.reason)
-    return session.conclude(True, Reason.ACCEPT, answered)
+
+    def phase(session):
+        answered = query_phase(session)
+        return None if answered is None else (True, Reason.ACCEPT, answered, None)
+
+    return run_session(config, prover, d_sampler, seed, phase)[0]

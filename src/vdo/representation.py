@@ -31,14 +31,6 @@ class RepresentationString:
     code: BlockCode
     blocks: np.ndarray  # uint8 matrix, shape (G, n_c)
 
-    @property
-    def block_count(self) -> int:
-        return self.grains
-
-    @property
-    def granularity(self) -> Fraction:
-        return Fraction(1, self.grains)
-
     def block(self, j: int) -> bytes:
         if not 1 <= j <= self.grains:
             raise ValueError("block index out of range")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
 from numpy.random import Generator, Philox
 
 
@@ -26,21 +25,3 @@ def derive_key(seed: int, *labels: object) -> int:
 def rng_from(seed: int, *labels: object) -> Generator:
     """Counter-based generator for the stream named by (seed, labels)."""
     return Generator(Philox(key=derive_key(seed, *labels)))
-
-
-def rand_below(rng: Generator, n: int) -> int:
-    """Exact uniform integer in [0, n). Handles n beyond int64."""
-    if n <= 0:
-        raise ValueError("empty range")
-    if n <= (1 << 62):
-        return int(rng.integers(0, n))
-    # rejection sampling on whole 64-bit words
-    bits = n.bit_length()
-    words = (bits + 63) // 64
-    while True:
-        v = 0
-        for w in map(int, rng.integers(0, 1 << 62, size=words, dtype=np.int64)):
-            v = (v << 62) | w
-        v &= (1 << bits) - 1
-        if v < n:
-            return v

@@ -88,15 +88,6 @@ class BlockCode:
     def encode_int(self, value: int) -> bytes:
         return self.encode_message(value.to_bytes(self.message_symbols, "big"))
 
-    def decode_block(self, block: bytes) -> int | None:
-        """Message value if block is exactly a codeword, else None."""
-        if len(block) != self.codeword_symbols:
-            return None
-        msg = bytes(block[: self.message_symbols])
-        if self._parity(msg) != bytes(block[self.message_symbols :]):
-            return None
-        return int.from_bytes(msg, "big")
-
     def encode_table(self, max_value: int) -> np.ndarray:
         """Row v holds the codeword of value v, for v in [0, max_value]."""
         rows = [self.encode_int(v) for v in range(max_value + 1)]

@@ -49,7 +49,6 @@ def write_frame(stream, seq: int, msg) -> None:
 def serve_prover(reader, writer, prover) -> None:
     """Answer framed verifier messages until a verdict arrives."""
     seq_out = 0
-    depth = 0
     while True:
         try:
             _, mtype, payload = read_frame(reader)
@@ -58,7 +57,6 @@ def serve_prover(reader, writer, prover) -> None:
         if mtype == MsgType.KEY:
             key = HashKey.from_bytes(payload)
             reply = prover.receive_key(key)
-            depth = reply.digest.padded_size.bit_length() - 1
         elif mtype == MsgType.QUERY_SET:
             reply = prover.answer_queries(QuerySet.from_payload(payload))
         elif mtype == MsgType.BACKEND_SELECT:

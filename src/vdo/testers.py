@@ -1,4 +1,4 @@
-"""Identity testing against a reference-distribution oracle.
+"""Identity testing of a sampled distribution against a reference one.
 
 The identity tester reduces "is D equal to the committed Q" to uniformity
 over a pair domain. The reference distribution is mixed half-and-half with
@@ -7,9 +7,11 @@ uniform (full support), snapped down to the grid of multiples of 1/(6N)
 Q the pair stream is exactly uniform over a set of size 6N; a collision
 count then separates uniform from far-from-uniform.
 
-All probability arithmetic is exact. The oracle abstraction lets the same
-code run against a local distribution or against verified openings from
-the commitment protocol; only integer grain counts cross the interface.
+All probability arithmetic is exact. IdentityTestRun is the one
+implementation: plan() fixes every probe up front and complete() decides
+from the reference pdfs of those probes, given as integer grain counts.
+The protocol answers the probes with verified openings; identity_test
+answers them from an in-memory GrainDistribution.
 """
 
 from __future__ import annotations
@@ -25,87 +27,12 @@ from .dist import GrainDistribution
 from .exactmath import ceil_mul_sqrt, frac_ceil, round_to_unit
 
 
-class RefOracle:
-    """Query access to a reference distribution, in grains over a shared G.
-
-    pdf/cdf return exact rationals; the grain variants are the hot path.
-    sample() draws from the reference distribution itself.
-    """
-
-    @property
-    def denominator(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def domain_size(self) -> int:
-        raise NotImplementedError
-
-    def pdf_grains(self, x: int) -> int:
-        return int(self.pdf_grains_batch(np.asarray([x], dtype=np.int64))[0])
-
-    def cdf_grains(self, x: int) -> int:
-        raise NotImplementedError
-
-    def pdf(self, x: int) -> Fraction:
-        return Fraction(self.pdf_grains(x), self.denominator)
-
-    def cdf(self, x: int) -> Fraction:
-        return Fraction(self.cdf_grains(x), self.denominator)
-
-    def pdf_grains_batch(self, xs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def sample(self, rng: Generator) -> int:
-        raise NotImplementedError
-
-    def sample_batch(self, k: int, rng: Generator) -> np.ndarray:
-        return np.asarray([self.sample(rng) for _ in range(k)], dtype=np.int64)
-
-
-class LocalOracle(RefOracle):
-    """Oracle backed by an in-memory distribution."""
-
-    def __init__(self, q: GrainDistribution):
-        self.q = q
-
-    @property
-    def denominator(self) -> int:
-        return self.q.grains
-
-    @property
-    def domain_size(self) -> int:
-        return self.q.n
-
-    def pdf_grains(self, x: int) -> int:
-        return self.q.pdf_grains(x)
-
-    def cdf_grains(self, x: int) -> int:
-        return self.q.cdf_grains(x)
-
-    def pdf_grains_batch(self, xs: np.ndarray) -> np.ndarray:
-        return self.q._counts_arr[np.asarray(xs, dtype=np.int64) - 1]
-
-    def sample(self, rng: Generator) -> int:
-        return self.q.sample(rng)
-
-    def sample_batch(self, k: int, rng: Generator) -> np.ndarray:
-        return self.q.sample_batch(k, rng)
-
-
 class DSampler:
     """Declared sampler for the unknown distribution; counts every draw."""
 
     def __init__(self, d: GrainDistribution):
         self._d = d
         self.draws = 0
-
-    @property
-    def domain_size(self) -> int:
-        return self._d.n
-
-    def draw(self, rng: Generator) -> int:
-        self.draws += 1
-        return self._d.sample(rng)
 
     def draw_batch(self, k: int, rng: Generator) -> np.ndarray:
         self.draws += k
@@ -115,20 +42,9 @@ class DSampler:
 # -- mixing and granularization ------------------------------------------------
 
 
-def mix_half_uniform_pdf(oracle: RefOracle, x: int) -> Fraction:
-    """pdf of x under the half-uniform mixture: pdf(x)/2 + 1/(2N)."""
-    n = oracle.domain_size
-    return Fraction(oracle.pdf_grains(x), 2 * oracle.denominator) + Fraction(1, 2 * n)
-
-
-def mixed_sample(d_sampler: DSampler, n: int, rng: Generator) -> int:
-    """One draw from the half-uniform mixture of the unknown distribution."""
-    if rng.integers(0, 2) == 0:
-        return d_sampler.draw(rng)
-    return int(rng.integers(1, n + 1))
-
-
 def mixed_sample_batch(d_sampler: DSampler, n: int, k: int, rng: Generator) -> np.ndarray:
+    """k draws from the half-uniform mixture of D: a fair coin per draw picks
+    a D-sample or a uniform element of [N]."""
     coins = rng.integers(0, 2, size=k)
     take = int(coins.sum())
     out = rng.integers(1, n + 1, size=k, dtype=np.int64)
@@ -137,119 +53,45 @@ def mixed_sample_batch(d_sampler: DSampler, n: int, k: int, rng: Generator) -> n
     return out
 
 
-def granularity_ratio(q_prime_x: Fraction, m: int) -> Fraction:
-    """Ratio by which a mixture probability shrinks onto the 1/m grid:
-    floor(p*m)/(m*p). Equals 1 exactly when p is a multiple of 1/m."""
-    q_prime_x = Fraction(q_prime_x)
-    if q_prime_x <= 0:
-        raise ValueError("mixture probability must be positive")
-    floored = (q_prime_x * m).numerator // (q_prime_x * m).denominator
-    return Fraction(floored, 1) / (m * q_prime_x)
+def max_grains(n: int) -> int:
+    """Largest denominator G with 3*G*(N+1) < 2^63.
+
+    Every integer the granular filter forms, 3*(N*c + G) and slots(x)*G for
+    0 <= c <= G, is at most 3*G*(N+1), so below this bound all of them are
+    exact in int64.
+    """
+    return ((1 << 63) - 1) // (3 * (n + 1))
 
 
 def _slot_counts(pdf_grains: np.ndarray, n: int, grains: int) -> np.ndarray:
-    """slots(x) = floor(6N * mixed_pdf(x)) = floor(3*(N*c + G)/G), exact in int64
-    for N*G below 2^61; falls back to object math above that."""
+    """slots(x) = floor(6N * mixed_pdf(x)) = floor(3*(N*c + G)/G), exact in
+    int64 for G <= max_grains(N)."""
     c = np.asarray(pdf_grains, dtype=np.int64)
-    if n * grains < (1 << 61):
-        return (3 * (n * c + grains)) // grains
-    big = 3 * (n * c.astype(object) + grains)
-    return np.asarray([int(v) // grains for v in big], dtype=np.int64)
+    return (3 * (n * c + grains)) // grains
 
 
-@dataclass
-class GranularizedView:
-    """Granular reduction parameters for one reference distribution.
+def _granular_pairs(
+    xs: np.ndarray, pdf_grains: np.ndarray, n: int, grains: int, tail_slots: int, rng: Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Granular filter and pair lifting of mixture samples xs, given their
+    reference pdfs in grains: (element, slot) per sample.
 
-    m = 6N slots in total; element x keeps slots(x) = floor(m * mixed_pdf(x))
-    of them and the remainder collects in an overflow element N+1 whose slot
-    count is only known up to the tail estimate.
+    x is kept with probability theta(x) = slots(x)*G / (3*(N*c + G)) and gets
+    a uniform slot in [1, slots(x)]; otherwise it becomes the overflow
+    element N+1 with a uniform slot in [1, max(1, tail_slots)].
     """
-
-    n: int
-    grains: int
-    tail_slots: int  # estimated slots of the overflow element, in [0, m]
-    tail_exact: bool = False
-
-    @property
-    def m(self) -> int:
-        return 6 * self.n
-
-    @property
-    def tail_estimate(self) -> Fraction:
-        return Fraction(self.tail_slots, self.m)
-
-    def slots(self, pdf_grains: int) -> int:
-        if not 0 <= pdf_grains <= self.grains:
-            raise ValueError("pdf grains out of range")
-        return int(_slot_counts(np.asarray([pdf_grains]), self.n, self.grains)[0])
-
-    def theta(self, pdf_grains: int) -> Fraction:
-        """Keep-probability of an element with the given reference pdf."""
-        return Fraction(
-            self.slots(pdf_grains) * self.grains,
-            3 * (self.n * pdf_grains + self.grains),
-        )
+    c = np.asarray(pdf_grains, dtype=np.int64)
+    slots = _slot_counts(c, n, grains)
+    kept = rng.integers(0, 3 * (n * c + grains)) < slots * grains
+    elements = np.where(kept, xs, n + 1)
+    bound = np.where(kept, slots, max(1, tail_slots))
+    return elements, 1 + rng.integers(0, bound)
 
 
 def exact_tail_slots(pdf_grains_all: np.ndarray, n: int, grains: int) -> int:
     """Overflow slot count m - sum_x slots(x), exact from all N pdf values."""
     slots = _slot_counts(pdf_grains_all, n, grains)
     return 6 * n - int(slots.sum())
-
-
-def estimate_tail_mass(oracle: RefOracle, s: int, rng: Generator) -> Fraction:
-    """Estimate the granularization overflow mass, rounded to the 1/m grid.
-
-    Draws s samples from the half-uniform mixture (a fair coin picks an
-    oracle sample or a uniform element) and averages 1 - theta over them;
-    the average is clamped to [0,1] and rounded to the nearest multiple of
-    1/m. When s is at least N the estimate is replaced by the exact overflow
-    mass computed from all N probabilities, which the same query budget
-    affords.
-    """
-    n = oracle.domain_size
-    g = oracle.denominator
-    m = 6 * n
-    if s < 1:
-        raise ValueError("sample budget must be positive")
-    if s >= n:
-        all_pdf = oracle.pdf_grains_batch(np.arange(1, n + 1, dtype=np.int64))
-        return Fraction(exact_tail_slots(all_pdf, n, g), m)
-    coins = rng.integers(0, 2, size=s)
-    take = int(coins.sum())
-    xs = rng.integers(1, n + 1, size=s, dtype=np.int64)
-    if take:
-        xs[coins == 1] = oracle.sample_batch(take, rng)
-    pdfs = oracle.pdf_grains_batch(xs)
-    # sum of (1 - theta) grouped by distinct pdf value keeps the rationals small
-    acc = Fraction(0)
-    vals, cnts = np.unique(pdfs, return_counts=True)
-    slots = _slot_counts(vals, n, g)
-    for c, cnt, sl in zip(vals.tolist(), cnts.tolist(), slots.tolist()):
-        denom = 3 * (n * int(c) + g)
-        acc += cnt * Fraction(denom - int(sl) * g, denom)
-    est = acc / s
-    est = min(max(est, Fraction(0)), Fraction(1))
-    return round_to_unit(est, m)
-
-
-def pair_map(x: int, view: GranularizedView, rng: Generator, pdf_grains: int | None = None) -> tuple[int, int]:
-    """Lift an element of the granular distribution to a pair (x, slot).
-
-    Over x drawn from the granular distribution the output is uniform on a
-    set of size m. x = N+1 uses the (estimated) overflow slot count;
-    an estimate of zero degenerates to slot 1.
-    """
-    if x == view.n + 1:
-        m_x = max(1, view.tail_slots)
-    else:
-        if pdf_grains is None:
-            raise ValueError("pdf grain count required for in-range elements")
-        m_x = view.slots(pdf_grains)
-        if m_x == 0:
-            raise ArithmeticError("sampled element has zero slots; corrupt input")
-    return x, 1 + int(rng.integers(0, m_x))
 
 
 # -- uniformity test -------------------------------------------------------------
@@ -273,15 +115,12 @@ def uniformity_test(samples, m: int, epsilon: Fraction) -> UniformityResult:
     """Collision-count uniformity test over a domain of size m.
 
     Accepts iff the fraction of colliding pairs is at most (1 + eps^2/2)/m.
-    Samples may be any hashable values or an integer-encoded array.
     """
     epsilon = Fraction(epsilon)
     arr = np.asarray(samples)
     s = arr.shape[0]
     if s < 2:
         raise ValueError("need at least two samples")
-    if arr.ndim == 2:  # pair rows -> single integer key
-        arr = arr[:, 0].astype(np.int64) * (int(arr[:, 1].max()) + 1) + arr[:, 1]
     _, cnt = np.unique(arr, return_counts=True)
     cnt = cnt[cnt > 1]
     collisions = int((cnt * (cnt - 1) // 2).sum())
@@ -370,15 +209,13 @@ class IdentityTestRun:
         n = self.n
         if self.tail_exact:
             tail_xs = np.arange(1, n + 1, dtype=np.int64)
-            self._tail_uniform = np.empty(0, dtype=np.int64)
             self._tail_coins = None
         else:
             coins = self.rng_tail.integers(0, 2, size=self.s_tail)
             self._tail_coins = coins
-            self._tail_uniform = self.rng_tail.integers(
+            tail_xs = self.rng_tail.integers(
                 1, n + 1, size=int((coins == 0).sum()), dtype=np.int64
             )
-            tail_xs = self._tail_uniform
         self._mixed = mixed_sample_batch(d_sampler, n, self.s_d, rng_mix)
         self._tail_probe_count = tail_xs.shape[0]
         self._planned = True
@@ -395,6 +232,11 @@ class IdentityTestRun:
         if not self._planned:
             raise RuntimeError("plan() must run first")
         n, m = self.n, 6 * self.n
+        if grains > max_grains(n):
+            raise ValueError(
+                f"denominator {grains} exceeds {max_grains(n)}, the largest the "
+                f"identity test handles exactly at N={n}"
+            )
         probe_pdfs = np.asarray(probe_pdfs, dtype=np.int64)
         k = self._tail_probe_count
         tail_pdfs, mixed_pdfs = probe_pdfs[:k], probe_pdfs[k:]
@@ -413,17 +255,10 @@ class IdentityTestRun:
                 tail_pdfs, q_sample_elements, q_sample_pdfs, grains
             )
             tail_slots = int(tail * m)
-        view = GranularizedView(n, grains, tail_slots, self.tail_exact)
 
-        # granular filter: keep x with probability theta(x), else overflow
-        slots = _slot_counts(mixed_pdfs, n, grains)
-        denom = 3 * (n * mixed_pdfs.astype(np.int64) + grains)
-        keep_num = slots * grains
-        u = self.rng_pairs.integers(0, denom)
-        kept = u < keep_num
-        elements = np.where(kept, self._mixed, n + 1)
-        slot_bound = np.where(kept, slots, max(1, tail_slots))
-        pair_slot = 1 + self.rng_pairs.integers(0, slot_bound)
+        elements, pair_slot = _granular_pairs(
+            self._mixed, mixed_pdfs, n, grains, tail_slots, self.rng_pairs
+        )
         keys = elements * np.int64(m + 2) + pair_slot
 
         unif = uniformity_test(keys, m, self.epsilon / 3)
@@ -457,16 +292,16 @@ class IdentityTestRun:
 
 
 def identity_test(
-    oracle: RefOracle,
+    q: GrainDistribution,
     d_sampler: DSampler,
     n: int,
     epsilon: Fraction,
     rng: Generator,
     constants: Constants | None = None,
 ) -> IdentityResult:
-    """Standalone identity test: accept when D equals the reference, reject
-    w.h.p. when their TV distance exceeds epsilon. Draws its reference
-    samples directly from the oracle."""
+    """Standalone identity test: accept when D equals q, reject w.h.p. when
+    their TV distance exceeds epsilon. Draws its reference samples directly
+    from q."""
     from .rngutil import rng_from
 
     seed = int(rng.integers(0, 1 << 62))
@@ -478,13 +313,12 @@ def identity_test(
         constants,
     )
     probes = run.plan(d_sampler, rng_from(seed, "mix"))
-    probe_pdfs = oracle.pdf_grains_batch(probes)
     if run.tail_exact:
         q_elems = np.empty(0, dtype=np.int64)
-        q_pdfs = np.empty(0, dtype=np.int64)
     else:
-        q_elems = oracle.sample_batch(run.s_tail, rng_from(seed, "qsamples"))
-        q_pdfs = oracle.pdf_grains_batch(q_elems)
-    res = run.complete(probe_pdfs, q_elems, q_pdfs, oracle.denominator)
+        q_elems = q.sample_batch(run.s_tail, rng_from(seed, "qsamples"))
+    res = run.complete(
+        q.pdf_grains_batch(probes), q_elems, q.pdf_grains_batch(q_elems), q.grains
+    )
     res.counters.q_samples = 0 if run.tail_exact else run.s_tail
     return res

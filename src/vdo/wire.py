@@ -29,7 +29,6 @@ class MsgType(IntEnum):
     KEY = 1
     DIGEST = 2
     QUERY_SET = 3
-    OPENING = 4
     OPENING_BATCH = 5
     BACKEND_SELECT = 6
     BACKEND_DATA = 7
@@ -128,19 +127,6 @@ class QuerySet:
         )
 
 
-@dataclass(frozen=True)
-class OpeningMsg:
-    proof: OpeningProof
-
-    TYPE = MsgType.OPENING
-
-    def payload(self) -> bytes:
-        return self.proof.to_bytes()
-
-    def payload_len(self) -> int:
-        return OpeningProof.encoded_len(len(self.proof.path))
-
-
 class OpeningBatch:
     """Positional answers to a QuerySet.
 
@@ -159,24 +145,6 @@ class OpeningBatch:
 
     def __len__(self) -> int:
         return int(self.index.shape[0])
-
-    @classmethod
-    def from_proof_list(cls, proofs: list[OpeningProof | None], depth: int) -> "OpeningBatch":
-        distinct: list[OpeningProof] = []
-        where: dict[int, int] = {}
-        index = np.empty(len(proofs), dtype=np.int64)
-        for i, p in enumerate(proofs):
-            if p is None:
-                index[i] = -1
-                continue
-            k = id(p)
-            j = where.get(k)
-            if j is None:
-                j = len(distinct)
-                where[k] = j
-                distinct.append(p)
-            index[i] = j
-        return cls(distinct, index, depth)
 
     def record_len(self) -> int:
         return OpeningProof.encoded_len(self.depth)
@@ -259,18 +227,6 @@ class Verdict:
         return 2
 
 
-Message = (
-    KeyMsg
-    | DigestMsg
-    | QuerySet
-    | OpeningMsg
-    | OpeningBatch
-    | BackendSelect
-    | BackendData
-    | Verdict
-)
-
-
 def frame(seq: int, msg) -> bytes:
     payload = msg.payload()
     return (
@@ -305,9 +261,7 @@ class SessionTranscript:
     q_samples: int = 0
     bytes_sent: int = 0  # verifier -> prover
     bytes_received: int = 0  # prover -> verifier
-    rounds: int = 0
     _next_seq: int = 0
-    _last_sender: str | None = None
 
     def log(self, sender: str, msg) -> int:
         seq = self._next_seq
@@ -321,9 +275,6 @@ class SessionTranscript:
             self.bytes_sent += length
         else:
             self.bytes_received += length
-        if sender != self._last_sender:
-            self.rounds += 1
-            self._last_sender = sender
         return seq
 
     @property

@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -117,6 +118,43 @@ class TestCli:
         assert parse_dist_spec("uniform") == ("uniform",)
         assert parse_dist_spec("point:3") == ("point", 3)
         assert parse_dist_spec("shift:uniform:3/10") == ("shift", ("uniform",), "3/10")
+
+    def test_every_adversary_builds_from_cli_flags(self):
+        from vdo.adversaries import ADVERSARIES
+        from vdo.cli import parse_adversary
+        from vdo.dist import GrainDistribution
+
+        q = uniform(4, 16)
+        for name in ADVERSARIES:
+            spec = parse_adversary(name, [])
+            adv = spec.build(q, 1, lambda s: make_dist(s, 4, 16, 1))
+            assert adv.strategy == name and adv.q == q
+        swap = parse_adversary("backend-swap", ["point:2"]).build(
+            q, 1, lambda s: make_dist(s, 4, 16, 1)
+        )
+        assert isinstance(swap.reveal_q, GrainDistribution)
+        assert swap.reveal_q.counts == (0, 16, 0, 0)
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_adversary("no-such-strategy", [])
+
+    def test_names_come_from_the_tables(self, capsys):
+        from vdo.adversaries import ADVERSARIES
+        from vdo.argument import BACKENDS
+        from vdo.bench import _label_property
+        from vdo.properties import LABEL_INVARIANT
+
+        assert _label_property("support-size", ("3",)).name == "support-size-3"
+        with pytest.raises(ValueError):
+            _label_property("no-such-property", ())
+        for flag, table in (
+            ("--adversary", ADVERSARIES),
+            ("--property", LABEL_INVARIANT),
+            ("--backend", BACKENDS),
+        ):
+            with pytest.raises(SystemExit):
+                main(["--mode", "oracle-session", flag, "no-such-name"])
+            listed = capsys.readouterr().err.split("choose from ")[1]
+            assert all(repr(name) in listed for name in table)
 
     def test_oracle_session_mode(self, tmp_path, capsys):
         out = tmp_path / "report.txt"

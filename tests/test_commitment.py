@@ -1,5 +1,4 @@
-from fractions import Fraction as F
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,14 +12,12 @@ from vdo.commitment import (
     extract,
     gen,
     open_element,
-    quantile_open,
-    quantile_open_grain,
-    quantile_valid,
     verify_opening,
 )
 from vdo.dist import GrainDistribution, random_distribution, uniform
 from vdo.protocol import HonestProver
 from vdo.rngutil import rng_from
+from vdo.wire import QuerySet
 
 KEY = HashKey(bytes(range(16)), 128)
 SMALL = GrainDistribution(4, 16, (4, 4, 8, 0))
@@ -171,37 +168,46 @@ class TestOpenVerify:
             assert len(p.to_bytes()) <= (1 + depth) * node_record + 25
 
 
+def _quantile_openings(q: GrainDistribution, grains: list[int]):
+    """The honest prover's openings answering quantile probes g/G, in order."""
+    prover = HonestProver(q)
+    d = prover.receive_key(KEY).digest
+    batch = prover.answer_queries(QuerySet.quantiles(np.asarray(grains)))
+    return d, [batch.proofs[j] for j in batch.index]
+
+
+def _covers(g: int, p) -> bool:
+    """Grain g lies in the opened element's run (cdf - pdf, cdf]."""
+    return p.claimed_cdf - p.claimed_pdf < g <= p.claimed_cdf
+
+
 class TestQuantileOpen:
     def test_example(self):
-        d, aux = digest(KEY, SMALL)
-        x, p = quantile_open(F(5, 16), KEY, d, aux)
-        assert x == 2
+        d, (p,) = _quantile_openings(SMALL, [5])
+        assert p.element == 2
         assert verify_opening(2, p, KEY, d)
-        assert quantile_valid(5, p)
+        assert _covers(5, p)
 
     def test_mu_one_last_positive(self):
-        d, aux = digest(KEY, SMALL)
-        x, _ = quantile_open(F(1), KEY, d, aux)
-        assert x == 3
+        _, (p,) = _quantile_openings(SMALL, [16])
+        assert p.element == 3
 
     def test_every_grain_yields_valid_opening(self):
         q = GrainDistribution(6, 24, (3, 0, 9, 6, 0, 6))
-        d, aux = digest(KEY, q)
-        for g in range(1, 25):
-            x, p = quantile_open_grain(g, KEY, d, aux)
-            assert verify_opening(x, p, KEY, d)
-            assert quantile_valid(g, p)
-            assert q.pdf_grains(x) > 0
+        d, proofs = _quantile_openings(q, list(range(1, 25)))
+        for g, p in zip(range(1, 25), proofs):
+            assert verify_opening(p.element, p, KEY, d)
+            assert _covers(g, p)
+            assert q.pdf_grains(p.element) > 0
 
     def test_uniform_mu_samples_committed_distribution(self):
         # exact: grain g covers element quantile(g/G), counting grains per
         # element reproduces the counts
         q = GrainDistribution(5, 20, (2, 6, 0, 10, 2))
-        d, aux = digest(KEY, q)
+        _, proofs = _quantile_openings(q, list(range(1, 21)))
         hits = [0] * 5
-        for g in range(1, 21):
-            x, _ = quantile_open_grain(g, KEY, d, aux)
-            hits[x - 1] += 1
+        for p in proofs:
+            hits[p.element - 1] += 1
         assert tuple(hits) == q.counts
 
 

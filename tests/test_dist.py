@@ -15,7 +15,6 @@ from vdo.dist import (
     from_weights,
     num_buckets,
     point_mass,
-    quantile,
     random_distribution,
     tv_distance,
     uniform,
@@ -101,13 +100,13 @@ class TestCdfQuantile:
             small_dist.cdf(5)
 
     def test_quantile_examples(self, small_dist):
-        assert quantile(small_dist, F(5, 16)) == 2
-        assert quantile(small_dist, F(1)) == 3  # last positive-mass element
-        assert quantile(small_dist, F(4, 16)) == 1  # boundary hits cdf exactly
+        assert small_dist.quantile(F(5, 16)) == 2
+        assert small_dist.quantile(F(1)) == 3  # last positive-mass element
+        assert small_dist.quantile(F(4, 16)) == 1  # boundary hits cdf exactly
         with pytest.raises(ValueError):
-            quantile(small_dist, F(0))
+            small_dist.quantile(F(0))
         with pytest.raises(ValueError):
-            quantile(small_dist, F(17, 16))
+            small_dist.quantile(F(17, 16))
 
     @given(small_dists())
     @settings(max_examples=100, deadline=None)
@@ -127,11 +126,21 @@ class TestCdfQuantile:
         for g in range(1, d.grains + 1):
             assert d.pdf_grains(d.quantile_grain(g)) > 0
 
+    @given(small_dists())
+    @settings(max_examples=50, deadline=None)
+    def test_batch_lookups_match_counts(self, d):
+        # grain g belongs to the x whose run of grains (cdf - pdf, cdf] holds it
+        owner = [x + 1 for x, c in enumerate(d.counts) for _ in range(c)]
+        gs = np.arange(1, d.grains + 1, dtype=np.int64)
+        assert d.quantile_grain_batch(gs).tolist() == owner
+        xs = np.arange(d.n, 0, -1, dtype=np.int64)
+        assert d.pdf_grains_batch(xs).tolist() == list(reversed(d.counts))
+
 
 class TestSampling:
     def test_point_mass_always_atom(self, rng):
         d = point_mass(8, 5)
-        assert all(d.sample(rng) == 5 for _ in range(50))
+        assert (d.sample_batch(50, rng) == 5).all()
 
     def test_fixed_seed_reproducible(self):
         d = random_distribution(32, rng_from(1, "d"))

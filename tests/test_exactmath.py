@@ -7,7 +7,6 @@ from vdo.exactmath import (
     ceil_mul_sqrt,
     ceil_sqrt_int,
     frac_ceil,
-    frac_floor,
     geometric_mean,
     round_to_unit,
 )
@@ -44,7 +43,6 @@ def test_geometric_mean_brackets(x):
 def test_frac_ceil_floor():
     assert frac_ceil(F(5, 2)) == 3
     assert frac_ceil(F(-5, 2)) == -2
-    assert frac_floor(F(5, 2)) == 2
     assert frac_ceil(F(4, 2)) == 2
 
 

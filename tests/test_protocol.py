@@ -9,7 +9,7 @@ from vdo.adversaries import (
     InconsistentOpeningAdversary,
     SelectiveRefusalAdversary,
 )
-from vdo.commitment import HashKey
+from vdo.commitment import Digest, HashKey, NodeLabel
 from vdo.dist import GrainDistribution, point_mass, random_distribution, uniform
 from vdo.protocol import (
     HonestProver,
@@ -20,7 +20,7 @@ from vdo.protocol import (
 )
 from vdo.rngutil import rng_from
 from vdo.streams import RemoteProver, serve_prover
-from vdo.testers import DSampler
+from vdo.testers import DSampler, max_grains
 from vdo.wire import (
     DigestMsg,
     KeyMsg,
@@ -147,8 +147,6 @@ class TestSession:
         class WrongMass(HonestProver):
             def receive_key(self, key):
                 msg = super().receive_key(key)
-                from vdo.commitment import Digest, NodeLabel
-
                 d = msg.digest
                 bad = Digest(
                     NodeLabel(d.root.mass + 1, d.root.digest),
@@ -160,6 +158,34 @@ class TestSession:
 
         res = _session(prover=WrongMass(uniform(64)))
         assert not res.accept and res.reason == Reason.BAD_DIGEST
+
+    def test_denominator_beyond_int64_bound_rejected(self):
+        # N = 2^21 at the default G = 2^42: 3*G*(N+1) overflows int64. The
+        # prover claims a well-formed point-mass digest (building the real
+        # 2^22-node tree takes seconds); the verifier must stop at the digest.
+        n, g = 1 << 21, 1 << 42
+        assert g > max_grains(n)
+
+        class BigDigest:
+            def receive_key(self, key):
+                return DigestMsg(Digest(NodeLabel(g, bytes(32)), n, n, g))
+
+            def answer_queries(self, qs):
+                raise AssertionError("the digest check must reject first")
+
+        d = point_mass(n, 1)
+        res = run_oracle_session(VerifierConfig(n, F(1, 2)), BigDigest(), DSampler(d), 3)
+        assert not res.accept and res.reason == Reason.BAD_DIGEST
+        assert res.transcript.d_samples == 0
+
+    def test_denominator_at_int64_bound_accepts(self):
+        for n in (2, 64):
+            g = max_grains(n)
+            q = point_mass(n, 1, g)
+            res = _session(n=n, d=q, q=q, seed=6)
+            assert res.accept and res.digest.denominator == g
+            res = _session(n=n, d=point_mass(n, 1, g + 1), q=point_mass(n, 1, g + 1), seed=6)
+            assert not res.accept and res.reason == Reason.BAD_DIGEST
 
     def test_far_commit_rejected_by_identity(self):
         n = 64

@@ -27,7 +27,7 @@ def test_build_example():
     q = GrainDistribution(4, 16, (4, 4, 8, 0))
     code = element_code(4)
     rep = build_representation(q, code)
-    assert rep.block_count == 16
+    assert rep.blocks.shape[0] == 16
     for j in range(1, 5):
         assert rep.block(j) == code.encode_int(1)
     for j in range(5, 9):

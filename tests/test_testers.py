@@ -9,18 +9,13 @@ from vdo.dist import GrainDistribution, point_mass, random_distribution, uniform
 from vdo.rngutil import rng_from
 from vdo.testers import (
     DSampler,
-    GranularizedView,
-    LocalOracle,
+    _granular_pairs,
     _slot_counts,
-    estimate_tail_mass,
     exact_tail_slots,
-    granularity_ratio,
     identity_d_budget,
     identity_test,
-    mix_half_uniform_pdf,
-    mixed_sample,
+    max_grains,
     mixed_sample_batch,
-    pair_map,
     tail_sample_budget,
     uniformity_test,
 )
@@ -28,25 +23,48 @@ from vdo.testers import (
 from conftest import enum_dists
 
 
+def _mixed_slots(c: int, g: int, n: int) -> int:
+    """floor(6N * (c/(2G) + 1/(2N))), by direct Fraction arithmetic."""
+    scaled = (F(c, 2 * g) + F(1, 2 * n)) * 6 * n
+    return scaled.numerator // scaled.denominator
+
+
+def _slots(c: int, g: int, n: int) -> int:
+    """The package's slot count for one pdf value."""
+    return int(_slot_counts(np.asarray([c]), n, g)[0])
+
+
+def _theta(c: int, g: int, n: int) -> F:
+    """Keep probability slots/(m q') with q' = c/(2G) + 1/(2N)."""
+    return F(_slots(c, g, n)) / (6 * n * (F(c, 2 * g) + F(1, 2 * n)))
+
+
+def _exact_tail(q: GrainDistribution) -> F:
+    """Overflow mass 1 - sum_x slots(x)/m, by direct Fraction arithmetic."""
+    m = 6 * q.n
+    return 1 - sum((F(_mixed_slots(c, q.grains, q.n), m) for c in q.counts), F(0))
+
+
 class TestMixing:
+    # an exact multiple of 1/m keeps all m*q' slots, so the slot count reads
+    # the mixture probability q' = pdf/2 + 1/(2N) off exactly
     def test_pdf_zero(self):
         q = point_mass(4, 1, 16)
-        assert mix_half_uniform_pdf(LocalOracle(q), 2) == F(1, 8)
+        assert F(_slots(q.pdf_grains(2), 16, 4), 24) == F(1, 8)
 
     def test_pdf_one(self):
         q = point_mass(4, 1, 16)
-        assert mix_half_uniform_pdf(LocalOracle(q), 1) == F(1, 2) + F(1, 8)
+        assert F(_slots(q.pdf_grains(1), 16, 4), 24) == F(1, 2) + F(1, 8)
 
     def test_fixed_point(self):
         q = GrainDistribution(2, 4, (2, 2))
-        assert mix_half_uniform_pdf(LocalOracle(q), 1) == F(1, 2)
+        assert F(_slots(q.pdf_grains(1), 4, 2), 12) == F(1, 2)
 
     def test_point_mass_mixture_probability(self):
         # D = point mass on 1 over [2]: element 2 only from the uniform coin
         d = point_mass(2, 1, 4)
-        rng = rng_from(5, "mix")
-        draws = [mixed_sample(DSampler(d), 2, rng) for _ in range(40_000)]
-        frac2 = draws.count(2) / len(draws)
+        draws = mixed_sample_batch(DSampler(d), 2, 40_000, rng_from(5, "mix"))
+        frac2 = float((draws == 2).mean())
         assert abs(frac2 - 0.25) < 0.012  # ~5 sigma
 
     def test_uniform_stays_uniform_chi2(self):
@@ -75,65 +93,68 @@ class TestMixing:
 
 class TestGranularityRatio:
     def test_exact_multiple_gives_one(self):
-        assert granularity_ratio(F(3, 12), 12) == 1
+        # N = 2, G = 4, c = 1: q' = 3/8 is not a multiple of 1/12; c = 2 is
+        assert _theta(2, 4, 2) == 1
+        assert _theta(1, 4, 2) < 1
 
     def test_direct_value(self):
-        # m = 12, q' = 0.7: floor(8.4)/12 / 0.7 = 20/21
-        assert granularity_ratio(F(7, 10), 12) == F(20, 21)
+        # m = 12, q' = 0.7 (N = 2, c/G = 9/10): floor(8.4)/12 / 0.7 = 20/21
+        assert _theta(9, 10, 2) == F(20, 21)
 
     def test_minimum_mixture_probability(self):
-        # q' = 1/(2N) = 3/m exactly, so the ratio is 1
-        n = 2
-        assert granularity_ratio(F(1, 2 * n), 6 * n) == 1
+        # c = 0 gives q' = 1/(2N) = 3/m exactly: three slots, ratio 1
+        for n in (1, 2, 7, 64):
+            for g in (1, 5, 4096):
+                assert _slots(0, g, n) == 3
+                assert _theta(0, g, n) == 1
 
     @given(st.integers(1, 64), st.integers(1, 64), st.integers(1, 16))
     @settings(max_examples=200, deadline=None)
     def test_range_for_mixture_probs(self, c, g, n):
         if c > g:
             return
-        q_prime = F(c, 2 * g) + F(1, 2 * n)
-        theta = granularity_ratio(q_prime, 6 * n)
-        assert F(2, 3) <= theta <= 1
+        assert F(2, 3) <= _theta(c, g, n) <= 1
 
     @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 12))
     @settings(max_examples=200, deadline=None)
     def test_slot_counts_match_fraction_floor(self, c, g, n):
         if c > g:
             return
-        q_prime = F(c, 2 * g) + F(1, 2 * n)
-        m = 6 * n
-        direct = (q_prime * m).numerator // (q_prime * m).denominator
-        got = int(_slot_counts(np.asarray([c]), n, g)[0])
-        assert got == direct
+        assert _slots(c, g, n) == _mixed_slots(c, g, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 1000, 1 << 21, (1 << 40) - 1])
+    def test_slot_counts_exact_at_the_grain_bound(self, n):
+        g = max_grains(n)
+        assert 3 * g * (n + 1) < 1 << 63 <= 3 * (g + 1) * (n + 1)
+        for c in (0, 1, g // 3, g - 1, g):
+            assert _slots(c, g, n) == _mixed_slots(c, g, n)
 
 
 class TestTailEstimate:
     def test_uniform_tail_zero(self):
+        # s_tail = 64 >= N takes the exact path
         q = uniform(8)
-        est = estimate_tail_mass(LocalOracle(q), 200, rng_from(4, "t"))
-        assert est == 0
+        assert identity_test(q, DSampler(q), 8, F(1, 2), rng_from(4, "t")).tail == 0
 
     def test_exact_mode_matches_summation(self):
-        # budget >= N triggers the exact path; compare with direct summation
         q = GrainDistribution(4, 16, (7, 5, 3, 1))
-        est = estimate_tail_mass(LocalOracle(q), 100, rng_from(4, "t2"))
-        m = 24
-        exact = 1 - sum((F((((F(c, 16) / 2 + F(1, 8)) * m).numerator // ((F(c, 16) / 2 + F(1, 8)) * m).denominator), m)) for c in q.counts)
-        assert est == exact
+        res = identity_test(q, DSampler(q), 4, F(1, 2), rng_from(4, "t2"))
+        assert res.tail == _exact_tail(q) > 0
 
     def test_sampled_mode_concentrates(self):
-        # force the Monte Carlo path with a budget below N
-        n = 256
+        # N = 256 at eps = 1/2: s_tail = 64 < N takes the Monte Carlo path
+        n, eps = 256, F(1, 2)
+        assert tail_sample_budget(eps) < n
         q = random_distribution(n, rng_from(11, "q"))
-        slots = _slot_counts(np.asarray(q.counts, dtype=np.int64), n, q.grains)
-        exact = F(6 * n - int(slots.sum()), 6 * n)
+        exact = _exact_tail(q)
         errs = []
         for i in range(20):
-            est = estimate_tail_mass(LocalOracle(q), 128, rng_from(i, "mc"))
-            errs.append(abs(est - exact))
-        # Hoeffding at s=128: err ~ 1/(2 sqrt(s)) = 0.044; allow 3x
-        assert sorted(errs)[len(errs) // 2] < F(9, 66)
-        assert all(e <= 1 for e in errs)
+            res = identity_test(q, DSampler(q), n, eps, rng_from(i, "mc"))
+            assert res.tail.denominator <= 6 * n  # rounded to the 1/m grid
+            errs.append(abs(res.tail - exact))
+        # Hoeffding at s=64 with 1 - theta in [0, 1/3]: err ~ 1/48; allow 3x
+        assert sorted(errs)[len(errs) // 2] < F(1, 16)
+        assert len(set(errs)) > 1  # really sampled, not the exact sweep
 
     def test_overflow_plus_slots_is_m_exhaustive(self):
         for q in enum_dists(3, 9):
@@ -143,26 +164,32 @@ class TestTailEstimate:
             assert overflow >= 0
 
 
+def _pairs(xs, pdfs, n, g, tail_slots, rng):
+    return _granular_pairs(
+        np.asarray(xs, dtype=np.int64), np.asarray(pdfs, dtype=np.int64), n, g, tail_slots, rng
+    )
+
+
 class TestPairMap:
     def test_single_slot(self):
-        view = GranularizedView(2, 4, tail_slots=0)
-        q_grain = 0  # pdf 0 -> q' = 1/4 -> slots = 3
-        x, slot = pair_map(1, view, rng_from(1, "p"), pdf_grains=q_grain)
-        assert 1 <= slot <= view.slots(q_grain)
+        # pdf 0 on [2] with G = 4: q' = 1/4, three slots, always kept
+        elements, slots = _pairs([1] * 200, [0] * 200, 2, 4, 0, rng_from(1, "p"))
+        assert (elements == 1).all()
+        assert ((1 <= slots) & (slots <= 3)).all()
 
     def test_overflow_element_with_zero_estimate(self):
-        view = GranularizedView(2, 4, tail_slots=0)
-        x, slot = pair_map(3, view, rng_from(2, "p"))
-        assert (x, slot) == (3, 1)
+        # c/G = 9/10 on [2] keeps with probability 20/21; the rest overflow
+        # to element 3, whose slot is 1 when the tail estimate is zero
+        elements, slots = _pairs([1] * 2000, [9] * 2000, 2, 10, 0, rng_from(2, "p"))
+        overflow = elements == 3
+        assert overflow.any() and (elements[~overflow] == 1).all()
+        assert (slots[overflow] == 1).all()
 
     def test_three_slots_uniform_chi2(self):
         from scipy.stats import chisquare
 
-        view = GranularizedView(2, 4, tail_slots=0)
-        rng = rng_from(3, "p3")
-        # q' = 1/4 on a zero-count element of [2] gives exactly 3 slots
-        assert view.slots(0) == 3
-        slots = [pair_map(1, view, rng, pdf_grains=0)[1] for _ in range(30_000)]
+        assert _slots(0, 4, 2) == 3
+        _, slots = _pairs([1] * 30_000, [0] * 30_000, 2, 4, 0, rng_from(3, "p3"))
         _, pval = chisquare(np.bincount(slots)[1:])
         assert pval > 1e-3
 
@@ -236,7 +263,7 @@ class TestIdentityTest:
     def test_epsilon_floor_enforced(self):
         with pytest.raises(ValueError):
             identity_test(
-                LocalOracle(uniform(1024)),
+                uniform(1024),
                 DSampler(uniform(1024)),
                 1024,
                 F(1, 100),
@@ -249,7 +276,7 @@ class TestIdentityTest:
         accepts = 0
         for i in range(30):
             res = identity_test(
-                LocalOracle(q), DSampler(q), n, F(1, 2), rng_from(i, "eq")
+                q, DSampler(q), n, F(1, 2), rng_from(i, "eq")
             )
             accepts += res.accept
         assert accepts >= 27
@@ -261,7 +288,7 @@ class TestIdentityTest:
         rejects = 0
         for i in range(30):
             res = identity_test(
-                LocalOracle(q), DSampler(d), n, F(1, 2), rng_from(i, "far")
+                q, DSampler(d), n, F(1, 2), rng_from(i, "far")
             )
             rejects += not res.accept
         assert rejects >= 27
@@ -272,7 +299,7 @@ class TestIdentityTest:
         accepts = 0
         for i in range(30):
             res = identity_test(
-                LocalOracle(q), DSampler(q), 2, F(1, 2), rng_from(i, "pm")
+                q, DSampler(q), 2, F(1, 2), rng_from(i, "pm")
             )
             accepts += res.accept
         assert accepts >= 27
@@ -283,15 +310,25 @@ class TestIdentityTest:
         assert tail_sample_budget(eps) > identity_d_budget(2, eps)
 
     def test_view_theta_matches_ratio(self):
-        view = GranularizedView(4, 16, tail_slots=0)
+        # the filter's integer keep test u < slots*G over u < 3(Nc + G)
+        # realizes theta = floor(m q')/(m q') exactly
         for c in (0, 3, 16):
             q_prime = F(c, 32) + F(1, 8)
-            assert view.theta(c) == granularity_ratio(q_prime, 24)
+            keep = F(_slots(c, 16, 4) * 16, 3 * (4 * c + 16))
+            assert keep == F(_mixed_slots(c, 16, 4)) / (24 * q_prime)
+
+    def test_denominator_beyond_int64_bound_raises(self):
+        # 3*G*(N+1) at N = 2^21, G = 2^42 overflows int64
+        n = 1 << 21
+        q = point_mass(n, 1)
+        assert q.grains == 1 << 42 > max_grains(n)
+        with pytest.raises(ValueError, match="exceeds"):
+            identity_test(q, DSampler(q), n, F(1, 2), rng_from(1, "big"))
 
     def test_counters_within_budgets(self):
         n = 32
         q = random_distribution(n, rng_from(43, "q"))
-        res = identity_test(LocalOracle(q), DSampler(q), n, F(1, 2), rng_from(9, "b"))
+        res = identity_test(q, DSampler(q), n, F(1, 2), rng_from(9, "b"))
         s_d = identity_d_budget(n, F(1, 2))
         s_tail = tail_sample_budget(F(1, 2))
         assert res.counters.d_samples == s_d
