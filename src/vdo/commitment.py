@@ -8,9 +8,16 @@ an opening authenticates one element's pdf and cdf with a leaf-to-root
 sibling path.
 
 Hashing is domain-separated: 0x00 for leaf labels, 0x01 for internal
-nodes, 0x02 for the digest header, with the session salt prepended.
+nodes, 0x02 for the digest header, with the session salt prepended. An
+internal node hashes its children's encoded labels (mass, then hash).
 The cdf is not hashed anywhere; it is checked arithmetically against the
 masses of left siblings on the path, which the hashes do bind.
+
+The committer builds every node label once and keeps them in TreeAux, so
+an opening only reads labels. Verification is per opening: the leaf hash,
+one node hash per level, then the header hash once the mass and cdf checks
+pass. A committed tree costs 2 * padded hashes (padded leaves, padded - 1
+nodes, one header).
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 from numpy.random import Generator
 
 from .constants import get_constants
@@ -160,28 +166,26 @@ class OpeningProof:
 
 
 class TreeAux:
-    """All node labels of a committed tree, heap-indexed (root at 1)."""
+    """Every node label of a committed tree, heap-indexed: labels[1] is the
+    root, node i has children 2i and 2i+1, and element x's leaf is
+    labels[padded + x - 1] (padding leaves carry mass 0). digest builds each
+    label once; open_element only reads them."""
 
-    __slots__ = ("padded", "depth", "masses", "hashes")
+    __slots__ = ("padded", "labels")
 
-    def __init__(self, padded: int, masses: np.ndarray, hashes: list[bytes]):
+    def __init__(self, padded: int, labels: list[NodeLabel]):
         self.padded = padded
-        self.depth = padded.bit_length() - 1
-        self.masses = masses
-        self.hashes = hashes
-
-    def label(self, idx: int) -> NodeLabel:
-        return NodeLabel(int(self.masses[idx]), self.hashes[idx])
+        self.labels = labels
 
 
 def _hash_leaf(salt: bytes, mass: int) -> bytes:
     return hashlib.sha256(salt + _LEAF_TAG + mass.to_bytes(8, "little")).digest()
 
 
-def _hash_node(salt: bytes, left: NodeLabel, right: NodeLabel) -> bytes:
-    return hashlib.sha256(
-        salt + _NODE_TAG + left.to_bytes() + right.to_bytes()
-    ).digest()
+def _hash_node(salt: bytes, left: bytes, right: bytes) -> bytes:
+    """Hash of an internal node from its children's encoded labels
+    (NodeLabel.to_bytes())."""
+    return hashlib.sha256(salt + _NODE_TAG + left + right).digest()
 
 
 def _hash_header(salt: bytes, n: int, grains: int, padded: int, root_hash: bytes) -> bytes:
@@ -206,89 +210,89 @@ def gen(kappa: int, n: int, rng: Generator) -> HashKey:
 def digest(key: HashKey, q: GrainDistribution) -> tuple[Digest, TreeAux]:
     """Commit to q. Deterministic in (key, q); aux holds every node label."""
     padded = 1 if q.n == 1 else 1 << (q.n - 1).bit_length()
-    size = 2 * padded
-    masses = np.zeros(size, dtype=object)
-    masses[padded : padded + q.n] = q.counts
-    for i in range(padded - 1, 0, -1):
-        masses[i] = masses[2 * i] + masses[2 * i + 1]
     salt = key.salt
-    hashes: list[bytes] = [b""] * size
-    for i in range(padded, size):
-        hashes[i] = _hash_leaf(salt, int(masses[i]))
+    labels: list[NodeLabel] = [None] * (2 * padded)  # slot 0 unused
+    for i, mass in enumerate(q.counts + (0,) * (padded - q.n), padded):
+        labels[i] = NodeLabel(mass, _hash_leaf(salt, mass))
     for i in range(padded - 1, 0, -1):
-        left = NodeLabel(int(masses[2 * i]), hashes[2 * i])
-        right = NodeLabel(int(masses[2 * i + 1]), hashes[2 * i + 1])
-        hashes[i] = _hash_node(salt, left, right)
-    aux = TreeAux(padded, masses, hashes)
-    root_hash = _hash_header(salt, q.n, q.grains, padded, hashes[1])
-    d = Digest(NodeLabel(int(masses[1]), root_hash), padded, q.n, q.grains)
-    return d, aux
+        left, right = labels[2 * i], labels[2 * i + 1]
+        labels[i] = NodeLabel(
+            left.mass + right.mass, _hash_node(salt, left.to_bytes(), right.to_bytes())
+        )
+    root = labels[1]
+    root_hash = _hash_header(salt, q.n, q.grains, padded, root.digest)
+    d = Digest(NodeLabel(root.mass, root_hash), padded, q.n, q.grains)
+    return d, TreeAux(padded, labels)
 
 
 def open_element(x: int, key: HashKey, d: Digest, aux: TreeAux) -> OpeningProof:
     """Opening for element x: pdf, cdf and the sibling path."""
     if not 1 <= x <= d.domain_size:
         raise ValueError(f"element {x} outside [1, {d.domain_size}]")
+    labels = aux.labels
     idx = aux.padded + x - 1
-    pdf = int(aux.masses[idx])
-    path = []
+    pdf = labels[idx].mass
     cdf = pdf
+    path = []
     while idx > 1:
-        sib = idx ^ 1
-        sib_is_left = sib < idx
-        label = aux.label(sib)
+        sib = labels[idx ^ 1]
+        sib_is_left = bool(idx & 1)
         if sib_is_left:
-            cdf += label.mass
-        path.append((label, sib_is_left))
-        idx //= 2
+            cdf += sib.mass
+        path.append((sib, sib_is_left))
+        idx >>= 1
     return OpeningProof(x, pdf, cdf, tuple(path))
 
 
 def verify_opening(x: int, proof: OpeningProof, key: HashKey, d: Digest) -> bool:
     """Accept iff the path reproduces the digest, every level is mass-additive,
     and the claimed cdf equals the leaf mass plus all left-sibling masses.
+
+    Hashes the leaf, one node per level, and the header only once the root
+    mass and cdf checks pass: depth + 2 hashes to accept, depth + 1 for a
+    mass or cdf rejection.
     """
-    if d.denominator < 1 or d.padded_size < 1:
+    denom = d.denominator
+    if denom < 1 or d.padded_size < 1:
         return False
     if d.padded_size & (d.padded_size - 1):
         return False
     if not d.padded_size // 2 < d.domain_size <= d.padded_size:
         return False
-    if d.root.mass != d.denominator:
+    if d.root.mass != denom:
         return False
     if not 1 <= x <= d.domain_size or proof.element != x:
         return False
-    depth = d.padded_size.bit_length() - 1
-    if len(proof.path) != depth:
+    path = proof.path
+    if len(path) != d.padded_size.bit_length() - 1:
         return False
-    if not 0 <= proof.claimed_pdf <= d.denominator:
+    if not 0 <= proof.claimed_pdf <= denom:
         return False
     # direction bits must match the element's position
     leaf_pos = x - 1
-    for level, (_, sib_is_left) in enumerate(proof.path):
-        expect_left = (leaf_pos >> level) & 1 == 1
-        if sib_is_left != expect_left:
+    for level, (_, sib_is_left) in enumerate(path):
+        if sib_is_left != ((leaf_pos >> level) & 1 == 1):
             return False
-    mass = proof.claimed_pdf
-    node_hash = _hash_leaf(key.salt, mass)
-    cdf = proof.claimed_pdf
-    for label, sib_is_left in proof.path:
-        if not 0 <= label.mass <= d.denominator:
+    salt = key.salt
+    mass = cdf = proof.claimed_pdf
+    node_hash = _hash_leaf(salt, mass)
+    for label, sib_is_left in path:
+        sib_mass = label.mass
+        if not 0 <= sib_mass <= denom:
             return False
-        cur = NodeLabel(mass, node_hash)
+        sib = sib_mass.to_bytes(8, "little") + label.digest
+        cur = mass.to_bytes(8, "little") + node_hash
         if sib_is_left:
-            cdf += label.mass
-            node_hash = _hash_node(key.salt, label, cur)
+            cdf += sib_mass
+            node_hash = _hash_node(salt, sib, cur)
         else:
-            node_hash = _hash_node(key.salt, cur, label)
-        mass += label.mass
+            node_hash = _hash_node(salt, cur, sib)
+        mass += sib_mass
     if mass != d.root.mass:
         return False
     if cdf != proof.claimed_cdf:
         return False
-    root_hash = _hash_header(
-        key.salt, d.domain_size, d.denominator, d.padded_size, node_hash
-    )
+    root_hash = _hash_header(salt, d.domain_size, denom, d.padded_size, node_hash)
     return root_hash == d.root.digest
 
 
@@ -336,9 +340,9 @@ def _record_path(
             elif prev != lab:
                 raise CollisionEvidence((level, p), prev, lab)
         if sib_is_left:
-            node_hash = _hash_node(salt, sib, cur)
+            node_hash = _hash_node(salt, sib.to_bytes(), cur.to_bytes())
         else:
-            node_hash = _hash_node(salt, cur, sib)
+            node_hash = _hash_node(salt, cur.to_bytes(), sib.to_bytes())
         mass += sib.mass
         pos //= 2
     root = NodeLabel(mass, node_hash)

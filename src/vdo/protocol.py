@@ -161,10 +161,18 @@ class HonestProver:
 
     def answer_queries(self, qs: QuerySet) -> OpeningBatch:
         elements = self.resolve_queries(qs)
+        n = self.q.n
+        if elements.size and (elements.min() < 1 or elements.max() > n):
+            raise ValueError(f"resolved element outside [1, {n}]")
+        # elements lie in [1, N]: mark them, and number the marks in order
+        # (the sorted distinct elements and inverse of np.unique, without a sort)
+        seen = np.zeros(n + 1, dtype=bool)
+        seen[elements] = True
+        distinct = np.flatnonzero(seen)
+        inverse = (np.cumsum(seen) - 1)[elements]
         depth = self.digest.padded_size.bit_length() - 1
-        distinct, inverse = np.unique(elements, return_inverse=True)
-        proofs = [self._proof_for(int(x)) for x in distinct]
-        return OpeningBatch(proofs, inverse.astype(np.int64), depth)
+        proofs = [self._proof_for(x) for x in distinct.tolist()]
+        return OpeningBatch(proofs, inverse, depth)
 
     def backend_payload(self, select: BackendSelect) -> BackendData:
         from .argument import honest_backend_payload
@@ -246,10 +254,17 @@ class VerifiedOracleSession:
         if len(qs) == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty.copy(), empty.copy()
-        if (batch.index < 0).any():  # refusal / malformed record
+        # refusal / malformed record, or an index past the distinct proofs
+        if (batch.index < 0).any() or (batch.index >= len(batch.proofs)).any():
             raise SessionRejected(Reason.MALFORMED)
         for p in batch.proofs:
-            if not cm.verify_opening(p.element, p, self.key, self.digest):
+            if not isinstance(p, cm.OpeningProof):
+                raise SessionRejected(Reason.MALFORMED)
+            try:
+                ok = cm.verify_opening(p.element, p, self.key, self.digest)
+            except Exception:  # e.g. a path entry that is not a (label, side) pair
+                raise SessionRejected(Reason.MALFORMED)
+            if not ok:
                 raise SessionRejected(Reason.INVALID_OPENING)
             self.verified_openings.add((p.element, p.claimed_pdf, p.claimed_cdf))
         pe = np.asarray([p.element for p in batch.proofs], dtype=np.int64)

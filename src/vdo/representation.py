@@ -103,22 +103,6 @@ def decode_blocks(blocks: np.ndarray, code: BlockCode, n: int) -> np.ndarray | N
     return vals
 
 
-def query_block(j: int, quantile_fn, cdf_fn, code: BlockCode, grains: int) -> bytes:
-    """Block j via one quantile query and one cdf query.
-
-    quantile_fn maps a grain index g to the smallest element whose cdf
-    (in grains) reaches g; cdf_fn returns cumulative grains. The cdf call
-    locates j inside the element's run and validates j <= cdf(x).
-    """
-    if not 1 <= j <= grains:
-        raise ValueError("block index out of range")
-    x = quantile_fn(j)
-    hi = cdf_fn(x)
-    if not j <= hi:
-        raise ValueError("quantile answer does not cover the block")
-    return code.encode_int(x)
-
-
 def hamming_block_distance(a: RepresentationString, b: RepresentationString) -> Fraction:
     """Fraction of block positions that differ."""
     if a.grains != b.grains or a.code != b.code:

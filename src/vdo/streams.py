@@ -8,8 +8,9 @@ socketpair or pipes between processes.
 
 from __future__ import annotations
 
-from .commitment import Digest, HashKey
+from .commitment import Digest, HashKey, OpeningProof
 from .wire import (
+    HEADER_LEN,
     BackendData,
     BackendSelect,
     DigestMsg,
@@ -23,22 +24,45 @@ from .wire import (
 )
 
 
-def _read_exact(stream, count: int) -> bytes:
-    buf = b""
-    while len(buf) < count:
-        chunk = stream.read(count - len(buf))
+# largest single read of a body whose length the reader did not expect: such
+# a body is read in chunks, so its declared length allocates memory only as
+# bytes actually arrive
+_READ_CHUNK = 1 << 20
+
+
+def _read_exact(stream, count: int, max_read: int) -> bytes:
+    """Exactly count bytes, asking the stream for at most max_read at a time.
+    One read (max_read >= count) returns the stream's buffer uncopied."""
+    chunks = []
+    while count:
+        chunk = stream.read(min(count, max_read))
         if not chunk:
             raise EOFError("stream closed mid-frame")
-        buf += chunk
-    return buf
+        chunks.append(chunk)
+        count -= len(chunk)
+    return b"".join(chunks)
 
 
-def read_frame(stream) -> tuple[int, int, bytes]:
-    head = _read_exact(stream, 9)
-    seq = int.from_bytes(head[0:4], "little")
-    mtype = head[4]
-    length = int.from_bytes(head[5:9], "little")
-    return seq, mtype, _read_exact(stream, length)
+def read_frame(
+    stream, *, seq: int | None = None, mtype: int | None = None, length: int | None = None
+) -> tuple[int, int, bytes]:
+    """Read one frame as (seq, type, payload). Each of seq, mtype and length
+    that is given must match the frame header, or ValueError is raised
+    before the body is read. A body of the expected length is read at once;
+    without an expected length it is read in chunks of at most 1 MiB."""
+    head = _read_exact(stream, HEADER_LEN, HEADER_LEN)
+    got_seq = int.from_bytes(head[0:4], "little")
+    got_type = head[4]
+    got_len = int.from_bytes(head[5:9], "little")
+    for name, want, got in (
+        ("sequence number", seq, got_seq),
+        ("message type", mtype, got_type),
+        ("payload length", length, got_len),
+    ):
+        if want is not None and got != want:
+            raise ValueError(f"frame {name} {got}, expected {want}")
+    max_read = got_len if length is not None else _READ_CHUNK
+    return got_seq, got_type, _read_exact(stream, got_len, max_read)
 
 
 def write_frame(stream, seq: int, msg) -> None:
@@ -80,31 +104,28 @@ class RemoteProver:
         self._seq = 0
         self._depth = 0
 
-    def _roundtrip(self, msg) -> tuple[int, bytes]:
-        write_frame(self.writer, self._seq, msg)
+    def _roundtrip(self, msg, mtype: int, length: int | None = None) -> bytes:
+        """Send msg and return the reply's payload. The reply must carry the
+        request's sequence number and type mtype, and, when length is given,
+        declare exactly that many payload bytes; otherwise ValueError."""
+        seq = self._seq
+        write_frame(self.writer, seq, msg)
         self._seq += 1
-        _, mtype, payload = read_frame(self.reader)
-        return mtype, payload
+        return read_frame(self.reader, seq=seq, mtype=mtype, length=length)[2]
 
     def receive_key(self, key: HashKey) -> DigestMsg:
-        mtype, payload = self._roundtrip(KeyMsg(key))
-        if mtype != MsgType.DIGEST:
-            raise ValueError("expected digest")
+        payload = self._roundtrip(KeyMsg(key), MsgType.DIGEST, Digest.ENCODED_LEN)
         msg = DigestMsg(Digest.from_bytes(payload))
         self._depth = msg.digest.padded_size.bit_length() - 1
         return msg
 
     def answer_queries(self, qs: QuerySet) -> OpeningBatch:
-        mtype, payload = self._roundtrip(qs)
-        if mtype != MsgType.OPENING_BATCH:
-            raise ValueError("expected opening batch")
+        length = 4 + len(qs) * OpeningProof.encoded_len(self._depth)
+        payload = self._roundtrip(qs, MsgType.OPENING_BATCH, length)
         return OpeningBatch.from_payload(payload, self._depth)
 
     def backend_payload(self, select: BackendSelect) -> BackendData:
-        mtype, payload = self._roundtrip(select)
-        if mtype != MsgType.BACKEND_DATA:
-            raise ValueError("expected backend data")
-        return BackendData(bytes(payload))
+        return BackendData(bytes(self._roundtrip(select, MsgType.BACKEND_DATA)))
 
     def close(self) -> None:
         write_frame(self.writer, self._seq, Verdict(True, Reason.ACCEPT))

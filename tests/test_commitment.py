@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vdo.commitment as cm
 from vdo.commitment import (
     Digest,
     HashKey,
+    NodeLabel,
     OpeningProof,
     canonical_distribution,
     digest,
@@ -166,6 +170,98 @@ class TestOpenVerify:
             depth = d.padded_size.bit_length() - 1
             node_record = 8 + 32 + 1
             assert len(p.to_bytes()) <= (1 + depth) * node_record + 25
+
+
+def _count_hashes(monkeypatch) -> dict[str, int]:
+    """Count calls to the three hash functions from here on, by kind."""
+    counts = {"leaf": 0, "node": 0, "header": 0}
+    for kind in counts:
+        raw = getattr(cm, f"_hash_{kind}")
+
+        def counted(*args, _raw=raw, _kind=kind):
+            counts[_kind] += 1
+            return _raw(*args)
+
+        monkeypatch.setattr(cm, f"_hash_{kind}", counted)
+    return counts
+
+
+class TestHashCount:
+    """Hashes computed per call: 2 * padded per digest, depth + 2 per
+    accepted opening, depth + 1 when the root-mass or cdf check rejects."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 100])
+    def test_closed_form(self, monkeypatch, n):
+        q = random_distribution(n, rng_from(n, "hash-count"))
+        counts = _count_hashes(monkeypatch)
+        d, aux = digest(KEY, q)
+        padded = d.padded_size
+        depth = padded.bit_length() - 1
+        assert counts == {"leaf": padded, "node": padded - 1, "header": 1}
+        for x in range(1, n + 1):
+            p = open_element(x, KEY, d, aux)
+            pdf = p.claimed_pdf + 1 if p.claimed_pdf < q.grains else p.claimed_pdf - 1
+            # the inconsistent-opening adversary's flip: the root mass is off
+            mass_off = dataclasses.replace(p, claimed_pdf=pdf, claimed_cdf=p.claimed_cdf + 1)
+            cdf_off = dataclasses.replace(p, claimed_cdf=p.claimed_cdf + 1)
+            cases = ((p, True, depth + 2), (mass_off, False, depth + 1), (cdf_off, False, depth + 1))
+            for proof, verdict, hashes in cases:
+                for kind in counts:
+                    counts[kind] = 0
+                assert verify_opening(x, proof, KEY, d) is verdict
+                assert sum(counts.values()) == hashes
+                assert counts["header"] == (1 if verdict else 0)
+
+
+_PROP_KEY = gen(128, 64, rng_from(41, "prop-key"))
+_PROP_TREES = {
+    n: digest(_PROP_KEY, random_distribution(n, rng_from(n, "prop"), grains=1000))
+    for n in (1, 2, 5, 64)
+}
+_U64 = st.integers(0, 2**64 - 1)
+
+
+def _near(value: int):
+    """The honest value, one next to it, or any 64-bit value."""
+    return st.one_of(st.integers(max(0, value - 2), value + 2), _U64)
+
+
+class TestVerifyProperty:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_accepts_exactly_the_honest_opening(self, data):
+        n = data.draw(st.sampled_from(sorted(_PROP_TREES)), label="n")
+        d, aux = _PROP_TREES[n]
+        x = data.draw(st.integers(1, n), label="x")
+        honest = open_element(x, _PROP_KEY, d, aux)
+        path = list(honest.path)
+        kinds = ["pdf", "cdf", "element", "length"]
+        if path:
+            kinds += ["mass", "hash", "side"]
+        kind = data.draw(st.sampled_from(kinds), label="kind")
+        if kind == "pdf":
+            mutated = dataclasses.replace(honest, claimed_pdf=data.draw(_near(honest.claimed_pdf)))
+        elif kind == "cdf":
+            mutated = dataclasses.replace(honest, claimed_cdf=data.draw(_near(honest.claimed_cdf)))
+        elif kind == "element":
+            mutated = dataclasses.replace(honest, element=data.draw(st.integers(0, n + 1)))
+        elif kind == "length":
+            size = data.draw(st.integers(0, len(path) + 2))
+            filler = [(NodeLabel(0, bytes(32)), False)] * max(0, size - len(path))
+            mutated = dataclasses.replace(honest, path=tuple((path + filler)[:size]))
+        else:
+            level = data.draw(st.integers(0, len(path) - 1), label="level")
+            label, side = path[level]
+            if kind == "mass":
+                path[level] = (NodeLabel(data.draw(_near(label.mass)), label.digest), side)
+            elif kind == "hash":
+                h = bytearray(label.digest)
+                h[data.draw(st.integers(0, len(h) - 1))] = data.draw(st.integers(0, 255))
+                path[level] = (NodeLabel(label.mass, bytes(h)), side)
+            else:
+                path[level] = (label, data.draw(st.booleans()))
+            mutated = dataclasses.replace(honest, path=tuple(path))
+        assert verify_opening(x, mutated, _PROP_KEY, d) == (mutated == honest)
 
 
 def _quantile_openings(q: GrainDistribution, grains: list[int]):

@@ -1,15 +1,17 @@
+import dataclasses
 import socket
 import threading
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 
 from vdo.adversaries import (
     FarCommitAdversary,
     InconsistentOpeningAdversary,
     SelectiveRefusalAdversary,
 )
-from vdo.commitment import Digest, HashKey, NodeLabel
+from vdo.commitment import Digest, HashKey, NodeLabel, OpeningProof
 from vdo.dist import GrainDistribution, point_mass, random_distribution, uniform
 from vdo.protocol import (
     HonestProver,
@@ -19,9 +21,10 @@ from vdo.protocol import (
     run_oracle_session,
 )
 from vdo.rngutil import rng_from
-from vdo.streams import RemoteProver, serve_prover
+from vdo.streams import RemoteProver, read_frame, serve_prover
 from vdo.testers import DSampler, max_grains
 from vdo.wire import (
+    HEADER_LEN,
     DigestMsg,
     KeyMsg,
     MsgType,
@@ -231,6 +234,86 @@ class TestSession:
         assert 0 < res.transcript.d_samples <= identity_d_budget(64, F(1, 2))
 
 
+class _BatchTamper(HonestProver):
+    """Honest prover whose opening batches pass through tamper(batch)."""
+
+    def __init__(self, q, tamper):
+        super().__init__(q)
+        self.tamper = tamper
+
+    def answer_queries(self, qs):
+        batch = super().answer_queries(qs)
+        self.tamper(batch)
+        return batch
+
+
+def _set_last_index_past_proofs(batch):
+    batch.index[-1] = len(batch.proofs)
+
+
+def _set_first_proof_none(batch):
+    batch.proofs[0] = None
+
+
+def _set_first_path_entry_unpackable(batch):
+    p = batch.proofs[0]
+    batch.proofs[0] = dataclasses.replace(p, path=(None,) + p.path[1:])
+
+
+class TestMalformedBatch:
+    """A batch the verifier cannot use ends the session in MALFORMED
+    instead of raising out of it."""
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [_set_last_index_past_proofs, _set_first_proof_none, _set_first_path_entry_unpackable],
+    )
+    def test_rejected_as_malformed(self, tamper):
+        n = 64
+        cfg = VerifierConfig(n, F(1, 2), generator=quantile_sampling_generator(20))
+        prover = _BatchTamper(uniform(n), tamper)
+        res = run_oracle_session(cfg, prover, DSampler(uniform(n)), 7)
+        assert not res.accept and res.reason == Reason.MALFORMED
+
+
+class TestDedup:
+    """answer_queries numbers the distinct elements exactly as np.unique does."""
+
+    N = 50
+
+    @pytest.fixture
+    def prover(self):
+        q = random_distribution(self.N, rng_from(5, "dedup"), grains=1000)
+        prover = HonestProver(q)
+        prover.receive_key(HashKey(bytes(16), 128))
+        return prover
+
+    @pytest.mark.parametrize("case", ["random", "all-equal", "full-domain", "mixed"])
+    def test_matches_unique(self, prover, case):
+        rng = rng_from(9, "dedup", case)
+        n, g = self.N, prover.q.grains
+        if case == "random":
+            qs = QuerySet.elements(rng.integers(1, n + 1, size=500))
+        elif case == "all-equal":
+            qs = QuerySet.elements(np.full(300, 17))
+        elif case == "full-domain":
+            qs = QuerySet.elements(rng.permutation(np.arange(1, n + 1)))
+        else:
+            qs = QuerySet.concat(
+                QuerySet.quantiles(rng.integers(1, g + 1, size=200)),
+                QuerySet.elements(rng.integers(1, n + 1, size=200)),
+            )
+        distinct, inverse = np.unique(prover.resolve_queries(qs), return_inverse=True)
+        batch = prover.answer_queries(qs)
+        assert [p.element for p in batch.proofs] == distinct.tolist()
+        assert batch.index.tolist() == inverse.tolist()
+
+    @pytest.mark.parametrize("element", [0, N + 1, -1])
+    def test_out_of_domain_element_raises(self, prover, element):
+        with pytest.raises(ValueError):
+            prover.answer_queries(QuerySet.elements(np.asarray([3, element, 5])))
+
+
 class TestStreams:
     def test_stream_transport_equals_in_process(self):
         n = 32
@@ -257,3 +340,125 @@ class TestStreams:
         assert res_remote.transcript.to_text() == res_local.transcript.to_text()
         for s in (left, right):
             s.close()
+
+
+class _RecordingReader:
+    """Byte reader that records the size of every read request."""
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.requests: list[int] = []
+
+    def read(self, size):
+        self.requests.append(size)
+        return self.raw.read(size)
+
+
+def _fake_server_session(reply):
+    """Oracle session at N = 16 against a fake server. For each frame it
+    reads, the server writes reply(seq, type, payload) as raw bytes; when
+    reply returns None it closes its end."""
+    left, right = socket.socketpair()
+    left.settimeout(10)  # a verifier that waits for a body the server never sends fails
+    lr, lw = left.makefile("rb"), left.makefile("wb")
+    rr, rw = right.makefile("rb"), right.makefile("wb")
+
+    def serve():
+        try:
+            while (out := reply(*read_frame(rr))) is not None:
+                rw.write(out)
+                rw.flush()
+        except (EOFError, OSError):
+            pass  # the verifier hung up
+        finally:
+            right.shutdown(socket.SHUT_WR)
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    reader = _RecordingReader(lr)
+    cfg = VerifierConfig(16, F(1, 2))
+    try:
+        res = run_oracle_session(cfg, RemoteProver(reader, lw), DSampler(uniform(16)), 3)
+    finally:
+        for f in (lr, lw, left):  # hang up, so a server blocked in a write stops
+            f.close()
+        server.join(timeout=5)
+        for f in (rr, rw, right):
+            f.close()
+    assert not server.is_alive()
+    return res, reader.requests
+
+
+def _raw_frame(seq, mtype, length, body=b""):
+    return seq.to_bytes(4, "little") + bytes([mtype]) + length.to_bytes(4, "little") + body
+
+
+def _honest_reply(tamper=None, seq_shift=0, mtype=None, length=None):
+    """Reply function serving an honest prover, frame by frame. The reply to
+    the frame of type `tamper` gets its header rewritten: the sequence number
+    shifted by seq_shift, and the type or declared length replaced when
+    given."""
+    prover = HonestProver(uniform(16))
+
+    def reply(seq, got_type, payload):
+        if got_type == MsgType.KEY:
+            msg = prover.receive_key(HashKey.from_bytes(payload))
+        elif got_type == MsgType.QUERY_SET:
+            msg = prover.answer_queries(QuerySet.from_payload(payload))
+        else:
+            return None
+        if got_type != tamper:
+            return frame(seq, msg)
+        body = msg.payload()
+        declared = len(body) if length is None else length
+        return _raw_frame(seq + seq_shift, mtype or msg.TYPE, declared, body)
+
+    return reply
+
+
+class TestRemoteFailsClosed:
+    """RemoteProver checks each reply's header before reading its body; a
+    bad reply ends the session in MALFORMED."""
+
+    def test_honest_fake_server_accepts(self):
+        res, _ = _fake_server_session(_honest_reply())
+        assert res.accept
+
+    def test_wrong_sequence_number(self):
+        res, requests = _fake_server_session(_honest_reply(MsgType.KEY, seq_shift=1))
+        assert not res.accept and res.reason == Reason.MALFORMED
+        assert requests == [HEADER_LEN]
+
+    def test_wrong_message_type(self):
+        reply = _honest_reply(MsgType.KEY, mtype=MsgType.OPENING_BATCH)
+        res, requests = _fake_server_session(reply)
+        assert not res.accept and res.reason == Reason.MALFORMED
+        assert requests == [HEADER_LEN]
+
+    def test_oversized_digest_length_rejected_before_the_body(self):
+        res, requests = _fake_server_session(_honest_reply(MsgType.KEY, length=(1 << 32) - 1))
+        assert not res.accept and res.reason == Reason.MALFORMED
+        assert requests == [HEADER_LEN]  # the declared 4 GiB body is never requested
+
+    def test_oversized_batch_length_rejected_before_the_body(self):
+        reply = _honest_reply(MsgType.QUERY_SET, length=(1 << 32) - 1)
+        res, requests = _fake_server_session(reply)
+        assert not res.accept and res.reason == Reason.MALFORMED
+        assert requests[-1] == HEADER_LEN  # the batch's header, then nothing
+
+    def test_body_read_in_bounded_chunks(self):
+        # with no expected length (as for backend data) the body is read in
+        # chunks, so a declared 4 GiB allocates only what arrives
+        left, right = socket.socketpair()
+        try:
+            left.sendall(_raw_frame(0, MsgType.BACKEND_DATA, (1 << 32) - 1, b"abc"))
+            left.shutdown(socket.SHUT_WR)
+            with right.makefile("rb") as raw:
+                reader = _RecordingReader(raw)
+                with pytest.raises(EOFError):
+                    read_frame(reader)
+            assert max(reader.requests) <= 1 << 20
+        finally:
+            left.close()
+            right.close()
+

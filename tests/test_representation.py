@@ -9,7 +9,6 @@ from vdo.representation import (
     build_representation,
     hamming_block_distance,
     hamming_symbol_distance,
-    query_block,
     reconstruct_distribution,
     representation_test,
 )
@@ -18,9 +17,11 @@ from vdo.rscode import element_code
 from conftest import enum_dists, tv_oracle
 
 
-def local_quantile_fn(q: GrainDistribution):
-    cum = np.cumsum(q.counts)
-    return lambda g: int(np.searchsorted(cum, g, side="left")) + 1
+def spot_check_blocks(q: GrainDistribution, code, js) -> list[bytes]:
+    """Blocks j as the spot-check backend reads them off verified openings:
+    the codeword of the element answering quantile probe j."""
+    table = code.encode_table(q.n)
+    return [row.tobytes() for row in table[q.quantile_grain_batch(np.asarray(js))]]
 
 
 def test_build_example():
@@ -59,22 +60,20 @@ class TestQueryBlock:
     def test_example(self):
         q = GrainDistribution(4, 16, (4, 4, 8, 0))
         code = element_code(4)
-        got = query_block(5, local_quantile_fn(q), q.cdf_grains, code, 16)
-        assert got == code.encode_int(2)
+        assert spot_check_blocks(q, code, [5]) == [code.encode_int(2)]
 
     def test_first_block(self):
         q = GrainDistribution(4, 16, (0, 4, 4, 8))
         code = element_code(4)
-        assert query_block(1, local_quantile_fn(q), q.cdf_grains, code, 16) == code.encode_int(2)
+        assert spot_check_blocks(q, code, [1]) == [code.encode_int(2)]
 
     def test_exhaustive_agreement_small_domains(self):
         for n, g in ((4, 12), (8, 16)):
             code = element_code(n)
             for q in enum_dists(n, g) if n == 4 else [uniform(n, g)]:
                 rep = build_representation(q, code)
-                qf = local_quantile_fn(q)
-                for j in range(1, g + 1):
-                    assert query_block(j, qf, q.cdf_grains, code, g) == rep.block(j)
+                js = list(range(1, g + 1))
+                assert spot_check_blocks(q, code, js) == [rep.block(j) for j in js]
 
 
 class TestHamming:
