@@ -29,7 +29,13 @@ from .constants import Constants, get_constants
 from .dist import GrainDistribution
 from .exactmath import frac_ceil
 from .properties import GeneralProperty
-from .protocol import SessionResult, VerifiedOracleSession, VerifierConfig, run_session
+from .protocol import (
+    SessionRejected,
+    SessionResult,
+    VerifiedOracleSession,
+    VerifierConfig,
+    run_session,
+)
 from .representation import (
     RepresentationString,
     build_representation,
@@ -86,6 +92,12 @@ def distance_threshold(delta_c: Fraction, delta_f: Fraction) -> Fraction:
     return Fraction(delta_c) + (Fraction(delta_f) - Fraction(delta_c)) / 2
 
 
+def backend_slack(delta_c: Fraction, delta_f: Fraction) -> Fraction:
+    """(delta_f - delta_c)/20: the distance approximator's slack rho, and
+    the block-error rate the spot-check's probe budget is sized for."""
+    return (Fraction(delta_f) - Fraction(delta_c)) / 20
+
+
 class FullRevealBackend(ProximityBackend):
     backend_id = 1
     name = "full-reveal"
@@ -103,8 +115,7 @@ class FullRevealBackend(ProximityBackend):
         recomputed, _ = cm.digest(session.key, q)
         if recomputed != session.digest:
             return BackendOutcome(False, Reason.BACKEND_MISMATCH)
-        rho = (Fraction(delta_f) - Fraction(delta_c)) / 20
-        delta = prop.dist(q.n, q, rho)
+        delta = prop.dist(q.n, q, backend_slack(delta_c, delta_f))
         ok = delta <= distance_threshold(delta_c, delta_f)
         return BackendOutcome(
             ok, Reason.ACCEPT if ok else Reason.BACKEND_REJECT, delta
@@ -123,8 +134,7 @@ class SpotCheckBackend(ProximityBackend):
     def budget(self, delta_c: Fraction, delta_f: Fraction) -> int:
         if self.probe_budget is not None:
             return self.probe_budget
-        eps_prime = (Fraction(delta_f) - Fraction(delta_c)) / 20
-        return frac_ceil(Fraction(self.cons.c_spot) / eps_prime)
+        return frac_ceil(Fraction(self.cons.c_spot) / backend_slack(delta_c, delta_f))
 
     def honest_blob(self, q: GrainDistribution) -> bytes:
         return build_representation(q).to_bytes()
@@ -141,18 +151,18 @@ class SpotCheckBackend(ProximityBackend):
             return BackendOutcome(False, Reason.BACKEND_MISMATCH)
         k = self.budget(delta_c, delta_f)
         probes = rng.integers(1, grains + 1, size=k, dtype=np.int64)
-        answered = session.query_set(QuerySet.quantiles(probes))
-        if answered is None:
-            return BackendOutcome(False, session.reason)
-        table = code.encode_table(n)
-        opened = table[np.asarray([a.element for a in answered], dtype=np.int64)]
+        try:
+            elements, _, _ = session.query_set(QuerySet.quantiles(probes))
+        except SessionRejected as rej:
+            return BackendOutcome(False, rej.reason)
+        opened = code.encode_table(n)[elements]
         sent = rep.blocks[probes - 1]
         mismatch = bool((opened != sent).any())
         if mismatch:
             return BackendOutcome(
                 False, Reason.BACKEND_MISMATCH, probe_mismatch=True
             )
-        rho = (Fraction(delta_f) - Fraction(delta_c)) / 20
+        rho = backend_slack(delta_c, delta_f)
         ok, delta = representation_test(
             rep.blocks,
             code,
@@ -233,8 +243,6 @@ def run_general_argument(
 
     def check(session):
         data = session.backend_exchange(backend.select_msg())
-        if data is None:
-            return None
         outcome = backend.verify(
             data.blob, session, prop, delta_c, delta_f, rng_from(seed, "backend")
         )

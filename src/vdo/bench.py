@@ -26,7 +26,7 @@ from .dist import (
     uniform,
 )
 from .properties import LABEL_INVARIANT, make_fixed_target, run_label_invariant_argument
-from .protocol import VerifierConfig, empty_generator, run_oracle_session
+from .protocol import SessionResult, VerifierConfig, empty_generator, run_oracle_session
 from .rngutil import derive_key, rng_from
 from .testers import DSampler, identity_test
 
@@ -115,6 +115,19 @@ def _prover(ts, q: GrainDistribution):
     )
 
 
+def _session_row(res: SessionResult) -> dict:
+    """The trial-row fields every protocol shares: the session's verdict
+    and its transcript counters."""
+    t = res.transcript
+    return {
+        "accept": res.accept,
+        "reason": res.reason.name,
+        "d_samples": t.d_samples,
+        "q_probes": t.q_probes,
+        "bytes": t.total_bytes(),
+    }
+
+
 def oracle_trial(ts: OracleTrialSpec) -> dict:
     d = make_dist(ts.d_spec, ts.n, ts.grains, ts.seed)
     q = make_dist(ts.q_spec, ts.n, ts.grains, ts.seed)
@@ -125,15 +138,7 @@ def oracle_trial(ts: OracleTrialSpec) -> dict:
     )
     res = run_oracle_session(cfg, prover, DSampler(d), ts.seed)
     t = res.transcript
-    return {
-        "accept": res.accept,
-        "reason": res.reason.name,
-        "d_samples": t.d_samples,
-        "q_probes": t.q_probes,
-        "q_samples": t.q_samples,
-        "bytes": t.total_bytes(),
-        "messages": t.message_count,
-    }
+    return {**_session_row(res), "q_samples": t.q_samples, "messages": t.message_count}
 
 
 @dataclass(frozen=True)
@@ -189,14 +194,7 @@ def label_trial(ts: LabelTrialSpec) -> dict:
     res = run_label_invariant_argument(
         prop, ts.n, ts.delta_c, ts.delta_f, DSampler(d), prover, ts.seed
     )
-    t = res.session.transcript
-    return {
-        "accept": res.accept,
-        "reason": res.reason.name,
-        "d_samples": t.d_samples,
-        "q_probes": t.q_probes,
-        "bytes": t.total_bytes(),
-    }
+    return _session_row(res.session)
 
 
 @dataclass(frozen=True)
@@ -224,14 +222,7 @@ def general_trial(ts: GeneralTrialSpec) -> dict:
     res = run_general_argument(
         prop, ts.n, ts.delta_c, ts.delta_f, DSampler(d), prover, backend, ts.seed
     )
-    t = res.session.transcript
-    out = {
-        "accept": res.accept,
-        "reason": res.reason.name,
-        "d_samples": t.d_samples,
-        "q_probes": t.q_probes,
-        "bytes": t.total_bytes(),
-    }
+    out = _session_row(res.session)
     if res.backend is not None:
         out["probe_mismatch"] = res.backend.probe_mismatch
         out["measured"] = (

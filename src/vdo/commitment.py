@@ -373,17 +373,13 @@ def extract(
     known: dict[tuple[int, int], NodeLabel] = {}
     depth = d.padded_size.bit_length() - 1
     seen = 0
-    processed_ids: set[int] = set()
-    retained: list[OpeningProof] = []  # keeps ids stable while deduplicating
+    processed: set[OpeningProof] = set()
     try:
         for r in range(runs):
             for proof in adversary.opening_run(r):
-                if not isinstance(proof, OpeningProof):
+                if not isinstance(proof, OpeningProof) or proof in processed:
                     continue
-                if id(proof) in processed_ids:
-                    continue
-                processed_ids.add(id(proof))
-                retained.append(proof)
+                processed.add(proof)
                 if verify_opening(proof.element, proof, key, d):
                     seen += 1
                     _record_path(known, proof, key.salt)

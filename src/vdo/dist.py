@@ -42,8 +42,8 @@ class GrainDistribution:
         counts = tuple(int(c) for c in counts)
         if n < 1:
             raise ValueError("domain size must be positive")
-        if grains < 1:
-            raise ValueError("denominator must be positive")
+        if not 1 <= grains < 1 << 63:  # so the int64 cumulative counts cannot wrap
+            raise ValueError("denominator must lie in [1, 2^63 - 1]")
         if len(counts) != n:
             raise ValueError(f"expected {n} counts, got {len(counts)}")
         if any(c < 0 for c in counts):

@@ -293,13 +293,10 @@ def run_label_invariant_argument(
     )
 
     def decide(session):
-        answered = query_phase(session)
-        if answered is None:
-            return None
-        pdfs = np.asarray([a.pdf_grains for a in answered], dtype=np.int64)
-        hist = estimate_histogram(pdfs, session.digest.denominator, tau, n)
+        answers = query_phase(session)
+        hist = estimate_histogram(answers[1], session.digest.denominator, tau, n)
         ok = prop.decide(tau, n, hist)
-        return ok, Reason.ACCEPT if ok else Reason.PROPERTY_REJECT, answered, hist
+        return ok, Reason.ACCEPT if ok else Reason.PROPERTY_REJECT, answers, hist
 
     result, hist = run_session(config, prover, d_sampler, seed, decide)
     return ArgumentResult(result.accept, result.reason, result, hist)

@@ -12,12 +12,15 @@ binds the prover to, guaranteed close to the unknown sampled distribution:
      answers positionally, and the identity verdict is computed locally —
      four messages total;
   3. a second phase: the oracle session's query phase sends the
-     generator's probes and returns verified (pdf, cdf) answers; the
-     label-invariant argument decides on a histogram of such answers; the
-     general argument runs a backend exchange.
+     generator's probes and returns the verified (element, pdf, cdf)
+     answers as int64 arrays; the label-invariant argument decides on a
+     histogram of such answers; the general argument runs a backend
+     exchange.
 
 run_session is the one skeleton behind all three protocols: establish,
-the second phase, conclude, with every rejection ending in a Reason.
+the second phase, conclude. Every exchange that rejects raises
+SessionRejected with a Reason, and run_session alone catches it and
+concludes, so each session ends in exactly one verdict.
 
 Rejection is immediate and terminal per message. All randomness comes from
 streams derived from the session seed, so a session replays byte-exactly.
@@ -51,20 +54,16 @@ from .wire import (
 )
 
 
-@dataclass
-class QueryGenerator:
-    """Produces the query-phase probe list from (N, eps, denominator, rng)."""
+# (N, eps, denominator, rng) -> the query-phase probe list
+QueryGenerator = Callable[[int, Fraction, int, Generator], QuerySet]
 
-    name: str
-    make: Callable[[int, Fraction, int, Generator], QuerySet]
-
-    def probes(self, n: int, epsilon: Fraction, denominator: int, rng: Generator) -> QuerySet:
-        return self.make(n, epsilon, denominator, rng)
+# verified (elements, pdf_grains, cdf_grains) per probe, as int64 arrays
+Answers = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def element_generator(xs) -> QueryGenerator:
     fixed = np.asarray(xs, dtype=np.int64)
-    return QueryGenerator("fixed-elements", lambda n, e, g, rng: QuerySet.elements(fixed))
+    return lambda n, e, g, rng: QuerySet.elements(fixed)
 
 
 def quantile_sampling_generator(count: int) -> QueryGenerator:
@@ -72,14 +71,11 @@ def quantile_sampling_generator(count: int) -> QueryGenerator:
         gs = rng.integers(1, denominator + 1, size=count, dtype=np.int64)
         return QuerySet.quantiles(gs)
 
-    return QueryGenerator("quantile-sampling", make)
+    return make
 
 
 def empty_generator() -> QueryGenerator:
-    def make(n, epsilon, denominator, rng):
-        return QuerySet.elements(np.empty(0, dtype=np.int64))
-
-    return QueryGenerator("empty", make)
+    return lambda n, e, g, rng: QuerySet.elements(np.empty(0, dtype=np.int64))
 
 
 @dataclass
@@ -101,19 +97,10 @@ class VerifierConfig:
 
 
 @dataclass
-class ProbeAnswer:
-    kind: int  # ProbeKind
-    probe: int  # element or grain index
-    element: int
-    pdf_grains: int
-    cdf_grains: int
-
-
-@dataclass
 class SessionResult:
     accept: bool
     reason: Reason
-    answered: list[ProbeAnswer]
+    answers: Answers | None  # None when no query phase ran
     transcript: SessionTranscript
     digest: cm.Digest | None = None
     key: cm.HashKey | None = None
@@ -146,9 +133,6 @@ class HonestProver:
             self._opened[x] = p
         return p
 
-    def _quantile_elements(self, grains: np.ndarray) -> np.ndarray:
-        return self.q.quantile_grain_batch(grains)
-
     def resolve_queries(self, qs: QuerySet) -> np.ndarray:
         """Element answered at each probe position."""
         values = np.asarray(qs.values, dtype=np.int64)
@@ -156,7 +140,7 @@ class HonestProver:
         out = values.copy()
         quant = kinds == ProbeKind.QUANTILE
         if quant.any():
-            out[quant] = self._quantile_elements(values[quant])
+            out[quant] = self.q.quantile_grain_batch(values[quant])
         return out
 
     def answer_queries(self, qs: QuerySet) -> OpeningBatch:
@@ -196,6 +180,8 @@ class HonestProver:
 
 
 class SessionRejected(Exception):
+    """Raised by a session exchange that rejects; run_session concludes."""
+
     def __init__(self, reason: Reason):
         super().__init__(reason.name)
         self.reason = reason
@@ -203,7 +189,8 @@ class SessionRejected(Exception):
 
 class VerifiedOracleSession:
     """Verifier-side session driver: establish(), then query_set()/backend
-    exchanges, then conclude(), in the order run_session keeps."""
+    exchanges, then conclude(), in the order run_session keeps. Every
+    exchange that rejects raises SessionRejected."""
 
     def __init__(
         self,
@@ -221,8 +208,6 @@ class VerifiedOracleSession:
         self.key: cm.HashKey | None = None
         self.digest: cm.Digest | None = None
         self.identity: IdentityResult | None = None
-        self.reason: Reason = Reason.ACCEPT
-        self._concluded = False
         # every (element, pdf, cdf) that passed verification this session
         self.verified_openings: set[tuple[int, int, int]] = set()
 
@@ -232,22 +217,31 @@ class VerifiedOracleSession:
         self.transcript.log("V", msg)
 
     def _receive(self, msg, expected_type) -> None:
-        if msg is None or not isinstance(msg, expected_type):
+        """Log a prover message: MALFORMED unless it has the expected type
+        and can be logged (an unencodable batch, e.g. mixed proof depths)."""
+        if not isinstance(msg, expected_type):
             raise SessionRejected(Reason.MALFORMED)
-        self.transcript.log("P", msg)
-
-    def _exchange_queries(self, qs: QuerySet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Send a QuerySet, verify the positional answers, return per-probe
-        (element, pdf, cdf) arrays."""
-        self._send(qs)
-        self.transcript.q_probes += len(qs)
         try:
-            batch = self.prover.answer_queries(qs)
+            self.transcript.log("P", msg)
         except Exception:
             raise SessionRejected(Reason.MALFORMED)
-        if batch is None or not isinstance(batch, OpeningBatch):
+
+    def _ask(self, msg, answer: Callable[[], object], reply_type):
+        """Send msg, get the prover's reply from answer() and receive it;
+        MALFORMED if the prover raises."""
+        self._send(msg)
+        try:
+            reply = answer()
+        except Exception:
             raise SessionRejected(Reason.MALFORMED)
-        self._receive_batch(batch)
+        self._receive(reply, reply_type)
+        return reply
+
+    def _exchange_queries(self, qs: QuerySet) -> Answers:
+        """Send a QuerySet, verify the positional answers, return per-probe
+        (element, pdf, cdf) arrays."""
+        self.transcript.q_probes += len(qs)
+        batch = self._ask(qs, lambda: self.prover.answer_queries(qs), OpeningBatch)
         depth = self.digest.padded_size.bit_length() - 1
         if len(batch) != len(qs) or batch.depth != depth:
             raise SessionRejected(Reason.MALFORMED)
@@ -287,50 +281,27 @@ class VerifiedOracleSession:
                 raise SessionRejected(Reason.QUANTILE_INVALID)
         return elems, pdfs, cdfs
 
-    def _receive_batch(self, batch: OpeningBatch) -> None:
-        try:
-            self.transcript.log("P", batch)
-        except Exception:  # unencodable batch (e.g. mixed proof depths)
-            raise SessionRejected(Reason.MALFORMED)
-
     # -- phase 1 ------------------------------------------------------------------
 
-    def establish(self) -> bool:
-        """Key/digest exchange plus the interactive identity test. Returns
-        False (with .reason set) on rejection."""
+    def establish(self) -> None:
+        """Key/digest exchange plus the interactive identity test."""
         cfg = self.config
-        try:
-            key = cm.gen(cfg.kappa, cfg.n, rng_from(self.seed, "key"))
-            self.key = key
-            self._send(KeyMsg(key))
-            try:
-                dmsg = self.prover.receive_key(key)
-            except Exception:
-                raise SessionRejected(Reason.MALFORMED)
-            self._receive(dmsg, DigestMsg)
-            d = dmsg.digest
-            if (
-                d.domain_size != cfg.n
-                or d.denominator < 1
-                or d.denominator > max_grains(cfg.n)
-                or d.padded_size < 1
-                or d.padded_size & (d.padded_size - 1)
-                or not d.padded_size // 2 < d.domain_size <= d.padded_size
-                or d.root.mass != d.denominator
-            ):
-                raise SessionRejected(Reason.BAD_DIGEST)
-            self.digest = d
-
-            votes = 0
-            for rep in range(cfg.amplification):
-                if self._identity_round(rep):
-                    votes += 1
-            if 2 * votes <= cfg.amplification:
-                raise SessionRejected(Reason.IDENTITY_FAIL)
-            return True
-        except SessionRejected as rej:
-            self.reason = rej.reason
-            return False
+        self.key = key = cm.gen(cfg.kappa, cfg.n, rng_from(self.seed, "key"))
+        d = self._ask(KeyMsg(key), lambda: self.prover.receive_key(key), DigestMsg).digest
+        if (
+            d.domain_size != cfg.n
+            or d.denominator < 1
+            or d.denominator > max_grains(cfg.n)
+            or d.padded_size < 1
+            or d.padded_size & (d.padded_size - 1)
+            or not d.padded_size // 2 < d.domain_size <= d.padded_size
+            or d.root.mass != d.denominator
+        ):
+            raise SessionRejected(Reason.BAD_DIGEST)
+        self.digest = d
+        votes = sum(self._identity_round(rep) for rep in range(cfg.amplification))
+        if 2 * votes <= cfg.amplification:
+            raise SessionRejected(Reason.IDENTITY_FAIL)
 
     def _identity_round(self, rep: int) -> bool:
         cfg = self.config
@@ -362,44 +333,24 @@ class VerifiedOracleSession:
 
     # -- phase 2 ------------------------------------------------------------------
 
-    def query_set(self, qs: QuerySet) -> list[ProbeAnswer] | None:
-        """Run one query-phase batch; None means the session rejected."""
-        try:
-            elems, pdfs, cdfs = self._exchange_queries(qs)
-        except SessionRejected as rej:
-            self.reason = rej.reason
-            return None
-        values = np.asarray(qs.values, dtype=np.int64)
-        kinds = np.asarray(qs.kinds)
-        return [
-            ProbeAnswer(int(k), int(v), int(e), int(p), int(c))
-            for k, v, e, p, c in zip(kinds, values, elems, pdfs, cdfs)
-        ]
+    def query_set(self, qs: QuerySet) -> Answers:
+        """Run one query-phase batch and return its verified answers. The
+        identity round calls _exchange_queries directly, so a trace of
+        query_set covers only the second phase."""
+        return self._exchange_queries(qs)
 
-    def backend_exchange(self, select: BackendSelect) -> BackendData | None:
-        self._send(select)
-        try:
-            data = self.prover.backend_payload(select)
-        except Exception:
-            self.reason = Reason.MALFORMED
-            return None
-        if data is None or not isinstance(data, BackendData):
-            self.reason = Reason.MALFORMED
-            return None
-        self.transcript.log("P", data)
-        return data
+    def backend_exchange(self, select: BackendSelect) -> BackendData:
+        return self._ask(select, lambda: self.prover.backend_payload(select), BackendData)
 
     # -- conclusion ------------------------------------------------------------------
 
-    def conclude(self, accept: bool, reason: Reason, answered=None) -> SessionResult:
-        if not self._concluded:
-            self._send(Verdict(accept, reason))
-            self._concluded = True
+    def conclude(self, accept: bool, reason: Reason, answers: Answers | None) -> SessionResult:
+        self._send(Verdict(accept, reason))
         self.transcript.d_samples = self.d_sampler.draws
         return SessionResult(
             accept,
             reason,
-            answered or [],
+            answers,
             self.transcript,
             self.digest,
             self.key,
@@ -413,25 +364,26 @@ def run_session(
     prover,
     d_sampler: DSampler,
     seed: int,
-    phase: Callable[[VerifiedOracleSession], tuple | None],
+    phase: Callable[[VerifiedOracleSession], tuple],
 ) -> tuple[SessionResult, object]:
     """The skeleton every protocol shares: establish(), the second phase,
-    conclude(). phase(session) returns (accept, reason, answered, extra), or
-    None when an exchange rejected with session.reason. Returns the session
-    result and the phase's extra value (None on rejection)."""
+    conclude(). phase(session) returns (accept, reason, answers, extra). A
+    SessionRejected from either phase concludes with its reason. Returns the
+    session result and the phase's extra value (None on rejection)."""
     session = VerifiedOracleSession(config, prover, d_sampler, seed)
-    out = phase(session) if session.establish() else None
-    if out is None:
-        return session.conclude(False, session.reason), None
-    accept, reason, answered, extra = out
-    return session.conclude(accept, reason, answered), extra
+    try:
+        session.establish()
+        accept, reason, answers, extra = phase(session)
+    except SessionRejected as rej:
+        accept, reason, answers, extra = False, rej.reason, None, None
+    return session.conclude(accept, reason, answers), extra
 
 
-def query_phase(session: VerifiedOracleSession) -> list[ProbeAnswer] | None:
+def query_phase(session: VerifiedOracleSession) -> Answers:
     """Send the configured generator's probes and return the verified
-    answers; None means the session rejected."""
+    answers."""
     cfg = session.config
-    qs = (cfg.generator or empty_generator()).probes(
+    qs = (cfg.generator or empty_generator())(
         cfg.n, cfg.epsilon, session.digest.denominator, rng_from(session.seed, "gen")
     )
     return session.query_set(qs)
@@ -444,10 +396,9 @@ def run_oracle_session(
     seed: int,
 ) -> SessionResult:
     """The full oracle protocol: establish, run the generator's probes,
-    output verified (probe, pdf, cdf) answers."""
+    output verified (element, pdf, cdf) answers."""
 
     def phase(session):
-        answered = query_phase(session)
-        return None if answered is None else (True, Reason.ACCEPT, answered, None)
+        return True, Reason.ACCEPT, query_phase(session), None
 
     return run_session(config, prover, d_sampler, seed, phase)[0]

@@ -139,11 +139,9 @@ def representation_test(
     """
     if blocks.shape != (grains, code.codeword_symbols):
         return False, None
-    elems = decode_blocks(blocks, code, n)
-    if elems is None:
+    q = reconstruct_distribution(RepresentationString(n, grains, code, blocks))
+    if q is None:
         return False, None
-    counts = np.bincount(elems - 1, minlength=n)
-    q = GrainDistribution(n, grains, counts.tolist())
     delta = dist_fn(q)
     limit = threshold if threshold is not None else Fraction(delta_c) + Fraction(slack)
     return delta <= limit, delta

@@ -502,7 +502,7 @@ def test_c09_general_argument_end_to_end():
     from vdo.representation import RepresentationString, build_representation
 
     session = VerifiedOracleSession(cfg, HonestProver(t_dist), DSampler(t_dist), 42)
-    assert session.establish()
+    session.establish()  # raises SessionRejected if the honest session rejects
     backend = SpotCheckBackend()
     k = backend.budget(dc, df)
     f = F(1, 100)

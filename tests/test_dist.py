@@ -44,6 +44,8 @@ class TestConstruction:
             GrainDistribution(2, 4, (5, -1))
         with pytest.raises(ValueError):
             GrainDistribution(0, 4, ())
+        with pytest.raises(ValueError):  # G >= 2^63 would wrap the int64 cumulative counts
+            GrainDistribution(2, 2**63, (2**62, 2**62))
 
     def test_default_grains_at_least_n_squared(self):
         for n in (2, 3, 100, 1000, 1024):

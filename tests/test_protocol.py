@@ -119,9 +119,11 @@ class TestSession:
         q = random_distribution(n, rng_from(2, "q"))
         res = _session(n=n, q=q, generator=element_generator(np.arange(1, 11)))
         assert res.accept
-        for ans in res.answered:
-            assert ans.pdf_grains == q.pdf_grains(ans.element)
-            assert ans.cdf_grains == q.cdf_grains(ans.element)
+        elements, pdfs, cdfs = res.answers
+        assert elements.tolist() == list(range(1, 11))
+        for x, pdf, cdf in zip(elements.tolist(), pdfs.tolist(), cdfs.tolist()):
+            assert pdf == q.pdf_grains(x)
+            assert cdf == q.cdf_grains(x)
 
     def test_four_messages_before_query_phase(self):
         res = _session()

@@ -1,0 +1,127 @@
+"""Every rejection, whichever exchange raises it, ends the session in
+exactly one verdict that carries its reason."""
+
+import dataclasses
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from vdo.adversaries import (
+    BackendSwapAdversary,
+    FarCommitAdversary,
+    InconsistentOpeningAdversary,
+)
+from vdo.argument import FullRevealBackend, SpotCheckBackend, run_general_argument
+from vdo.commitment import NodeLabel
+from vdo.dist import point_mass, random_distribution, uniform
+from vdo.properties import make_fixed_target
+from vdo.protocol import (
+    HonestProver,
+    VerifierConfig,
+    quantile_sampling_generator,
+    run_oracle_session,
+)
+from vdo.rngutil import rng_from
+from vdo.testers import DSampler
+from vdo.wire import DigestMsg, MsgType, ProbeKind, Reason, Verdict
+
+N = 64
+T = random_distribution(N, rng_from(1, "T"), grains=N * N * 5)
+
+
+class _WrongRootMass(HonestProver):
+    def receive_key(self, key):
+        d = super().receive_key(key).digest
+        return DigestMsg(dataclasses.replace(d, root=NodeLabel(d.root.mass + 1, d.root.digest)))
+
+
+class _KeyRaises(HonestProver):
+    def receive_key(self, key):
+        raise RuntimeError("prover crashed")
+
+
+class _PayloadRaises(HonestProver):
+    def backend_payload(self, select):
+        raise RuntimeError("prover crashed")
+
+
+class _NoPayload(HonestProver):
+    def backend_payload(self, select):
+        return None
+
+
+class _StuckQuantile(HonestProver):
+    """Answers the first `honest_batches` query sets faithfully, then every
+    quantile probe with element 1's opening."""
+
+    def __init__(self, q, honest_batches=0):
+        super().__init__(q)
+        self.honest_batches = honest_batches
+
+    def resolve_queries(self, qs):
+        out = super().resolve_queries(qs)
+        if self.honest_batches:
+            self.honest_batches -= 1
+        else:
+            out[np.asarray(qs.kinds) == ProbeKind.QUANTILE] = 1
+        return out
+
+
+def _oracle(prover, d=None):
+    cfg = VerifierConfig(
+        N, F(1, 2), generator=quantile_sampling_generator(20), record_payloads=True
+    )
+    return run_oracle_session(cfg, prover, DSampler(d or prover.q), 7)
+
+
+def _general(prover, backend=FullRevealBackend):
+    return run_general_argument(
+        make_fixed_target(T), N, F(0), F(3, 5), DSampler(T), prover, backend(), 3,
+        record_payloads=True,
+    )
+
+
+REJECTIONS = {
+    "bad-digest": (Reason.BAD_DIGEST, lambda: _oracle(_WrongRootMass(uniform(N)))),
+    "receive-key-raises": (Reason.MALFORMED, lambda: _oracle(_KeyRaises(uniform(N)))),
+    "backend-payload-raises": (Reason.MALFORMED, lambda: _general(_PayloadRaises(T)).session),
+    "backend-payload-none": (Reason.MALFORMED, lambda: _general(_NoPayload(T)).session),
+    "invalid-opening": (
+        Reason.INVALID_OPENING,
+        lambda: _oracle(InconsistentOpeningAdversary(uniform(N), F(1, 10), seed=3)),
+    ),
+    "quantile-invalid": (Reason.QUANTILE_INVALID, lambda: _oracle(_StuckQuantile(uniform(N)))),
+    "identity-fail": (
+        Reason.IDENTITY_FAIL,
+        lambda: _oracle(FarCommitAdversary(uniform(N)), d=point_mass(N, 1)),
+    ),
+    "backend-mismatch": (
+        Reason.BACKEND_MISMATCH,
+        lambda: _general(BackendSwapAdversary(T, uniform(N))).session,
+    ),
+}
+
+
+def _assert_one_verdict(res, reason):
+    assert not res.accept and res.reason == reason
+    entries = res.transcript.entries
+    assert [e.msg_type for e in entries].count(MsgType.VERDICT) == 1
+    assert entries[-1].msg_type == MsgType.VERDICT
+    assert entries[-1].payload == Verdict(False, reason).payload()
+
+
+@pytest.mark.parametrize("case", list(REJECTIONS))
+def test_rejection_ends_in_one_verdict(case):
+    reason, run = REJECTIONS[case]
+    _assert_one_verdict(run(), reason)
+
+
+def test_spot_check_probe_rejection_reaches_the_backend_outcome():
+    # honest through the identity round, stuck on the spot-check's probes
+    res = _general(_StuckQuantile(T, honest_batches=1), SpotCheckBackend)
+    assert res.backend is not None
+    assert res.backend.reason == Reason.QUANTILE_INVALID
+    assert not res.backend.probe_mismatch and res.backend.measured is None
+    _assert_one_verdict(res.session, Reason.QUANTILE_INVALID)
+    assert res.reason == Reason.QUANTILE_INVALID
