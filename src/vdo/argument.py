@@ -76,6 +76,11 @@ class ProximityBackend:
     def honest_blob(self, q: GrainDistribution) -> bytes:
         raise NotImplementedError
 
+    def blob_len(self, n: int, grains: int) -> int:
+        """Length of the honest blob for a distribution over [n] with
+        denominator grains."""
+        raise NotImplementedError
+
     def verify(
         self,
         blob: bytes,
@@ -104,6 +109,9 @@ class FullRevealBackend(ProximityBackend):
 
     def honest_blob(self, q: GrainDistribution) -> bytes:
         return q.to_bytes()
+
+    def blob_len(self, n: int, grains: int) -> int:
+        return 16 + 8 * n
 
     def verify(self, blob, session, prop, delta_c, delta_f, rng) -> BackendOutcome:
         try:
@@ -138,6 +146,9 @@ class SpotCheckBackend(ProximityBackend):
 
     def honest_blob(self, q: GrainDistribution) -> bytes:
         return build_representation(q).to_bytes()
+
+    def blob_len(self, n: int, grains: int) -> int:
+        return 40 + grains * element_code(n).codeword_symbols
 
     def verify(self, blob, session, prop, delta_c, delta_f, rng) -> BackendOutcome:
         n = session.config.n

@@ -33,10 +33,13 @@ class GrainDistribution:
 
     Instances are immutable after construction and safe to share across
     threads. The cumulative-count array is precomputed for sampling and
-    quantile queries.
+    quantile queries; the guide table of the inverse-CDF lookup is built
+    on the first batch lookup (see quantile_grain_batch), so constructing
+    a distribution costs nothing extra. Two threads racing to build it
+    compute and store the same table.
     """
 
-    __slots__ = ("n", "grains", "counts", "_counts_arr", "_cum")
+    __slots__ = ("n", "grains", "counts", "_counts_arr", "_cum", "_guide")
 
     def __init__(self, n: int, grains: int, counts):
         counts = tuple(int(c) for c in counts)
@@ -59,6 +62,7 @@ class GrainDistribution:
         cum.setflags(write=False)
         self._counts_arr = arr
         self._cum = cum
+        self._guide: tuple[int, np.ndarray] | None = None
 
     # -- exact views ------------------------------------------------------
 
@@ -97,15 +101,67 @@ class GrainDistribution:
         """Quantile of the grain-grid mass g/G, for g in [1, G]."""
         if not 1 <= g <= self.grains:
             raise ValueError("grain index out of range")
-        return int(np.searchsorted(self._cum, g, side="left")) + 1
+        return int(self.quantile_grain_batch(np.array([g], dtype=np.int64))[0])
 
     def sample_batch(self, k: int, rng: Generator) -> np.ndarray:
         gs = rng.integers(1, self.grains + 1, size=k, dtype=np.int64)
         return self.quantile_grain_batch(gs)
 
     def quantile_grain_batch(self, gs: np.ndarray) -> np.ndarray:
-        """quantile_grain of each grain index in gs (unchecked)."""
-        return np.searchsorted(self._cum, gs, side="left").astype(np.int64) + 1
+        """quantile_grain of each grain index in the 1-D int64 array gs.
+
+        Unchecked, and exact for every int64 key: the answer is
+        searchsorted(cum, g, "left") + 1, so a key g <= 0 answers 1 and a
+        key g > G answers N + 1. A guide table (Chen & Asau's indexed
+        search) answers most keys in O(1): the grains are cut into buckets
+        of 2^s grains, and a bucket whose first and last grains fall in the
+        same element answers that element outright. Keys in the other
+        buckets (at most N of them, holding under a quarter of the grains
+        once G > 8N) and keys outside [1, G] fall back to searchsorted on
+        those keys alone.
+        """
+        gs = np.asarray(gs, dtype=np.int64)
+        shift, table = self._guide_table()
+        # (g - 1) >> s is the key's bucket, and table entry 1 + bucket holds
+        # its answer; keys outside [1, G] (including those that wrap when
+        # near int64 max) clip to the zero sentinels at either end
+        idx = gs + ((1 << shift) - 1)
+        idx >>= shift
+        out = np.take(table, idx, mode="clip")
+        miss = np.flatnonzero(out == 0)
+        if miss.size:
+            out[miss] = np.searchsorted(self._cum, gs[miss], side="left") + 1
+        return out
+
+    def _guide_table(self) -> tuple[int, np.ndarray]:
+        """(s, table) of the guide table, built on first use.
+
+        With B = ceil(G / 2^s) buckets, table[1 + b] is the answer of every
+        key in bucket b, or 0 when bucket b is flagged: its first grain
+        (b << s) + 1 and its last grain ((b + 1) << s) have different
+        answers, or b is the last bucket (which may reach past G).
+        table[0] and table[B + 1] are zero sentinels for keys outside
+        [1, G]. s = max(0, bitlen(G - 1) - bitlen(8N - 1)) makes B lie in
+        [4N, 16N) when s > 0 and B = G < 16N otherwise, so the table has
+        fewer than 16N + 1 entries; a flagged bucket other than the last
+        holds an element boundary, so at most N buckets are flagged.
+        Bucket starts and ends are taken below G, so nothing wraps at
+        G = 2^63 - 1.
+        """
+        guide = self._guide
+        if guide is None:
+            n, grains = self.n, self.grains
+            shift = max(0, (grains - 1).bit_length() - (8 * n - 1).bit_length())
+            buckets = ((grains - 1) >> shift) + 1
+            starts = (np.arange(buckets, dtype=np.int64) << shift) + 1
+            first = np.searchsorted(self._cum, starts, side="left")
+            last = np.full(buckets, n, dtype=np.int64)  # n flags the last bucket
+            last[:-1] = np.searchsorted(self._cum, starts[1:] - 1, side="left")
+            table = np.zeros(buckets + 2, dtype=np.int64)
+            table[1:-1] = np.where(first == last, first + 1, 0)
+            table.setflags(write=False)
+            guide = self._guide = (shift, table)
+        return guide
 
     def pdf_grains_batch(self, xs: np.ndarray) -> np.ndarray:
         """pdf_grains of each element in xs (unchecked)."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -42,11 +43,12 @@ def _poly_mul(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-def _generator_poly(nsym: int) -> list[int]:
+@cache  # nsym < 255, so at most 254 entries
+def _generator_poly(nsym: int) -> tuple[int, ...]:
     g = [1]
     for i in range(nsym):
         g = _poly_mul(g, [1, _EXP[i]])
-    return g
+    return tuple(g)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ socketpair or pipes between processes.
 
 from __future__ import annotations
 
+from .argument import backend_by_id
 from .commitment import Digest, HashKey, OpeningProof
 from .wire import (
     HEADER_LEN,
@@ -44,12 +45,18 @@ def _read_exact(stream, count: int, max_read: int) -> bytes:
 
 
 def read_frame(
-    stream, *, seq: int | None = None, mtype: int | None = None, length: int | None = None
+    stream,
+    *,
+    seq: int | None = None,
+    mtype: int | None = None,
+    length: int | None = None,
+    max_length: int | None = None,
 ) -> tuple[int, int, bytes]:
     """Read one frame as (seq, type, payload). Each of seq, mtype and length
-    that is given must match the frame header, or ValueError is raised
-    before the body is read. A body of the expected length is read at once;
-    without an expected length it is read in chunks of at most 1 MiB."""
+    that is given must match the frame header, and a declared length must
+    not exceed max_length when given, or ValueError is raised before the
+    body is read. A body of the expected length is read at once; without
+    an expected length it is read in chunks of at most 1 MiB."""
     head = _read_exact(stream, HEADER_LEN, HEADER_LEN)
     got_seq = int.from_bytes(head[0:4], "little")
     got_type = head[4]
@@ -61,6 +68,8 @@ def read_frame(
     ):
         if want is not None and got != want:
             raise ValueError(f"frame {name} {got}, expected {want}")
+    if max_length is not None and got_len > max_length:
+        raise ValueError(f"frame payload length {got_len}, at most {max_length} expected")
     max_read = got_len if length is not None else _READ_CHUNK
     return got_seq, got_type, _read_exact(stream, got_len, max_read)
 
@@ -102,30 +111,41 @@ class RemoteProver:
         self.reader = reader
         self.writer = writer
         self._seq = 0
-        self._depth = 0
+        self._digest: Digest | None = None
 
-    def _roundtrip(self, msg, mtype: int, length: int | None = None) -> bytes:
+    def _roundtrip(
+        self, msg, mtype: int, length: int | None = None, max_length: int | None = None
+    ) -> bytes:
         """Send msg and return the reply's payload. The reply must carry the
-        request's sequence number and type mtype, and, when length is given,
-        declare exactly that many payload bytes; otherwise ValueError."""
+        request's sequence number and type mtype, and, when given, declare
+        exactly length or at most max_length payload bytes; otherwise
+        ValueError."""
         seq = self._seq
         write_frame(self.writer, seq, msg)
         self._seq += 1
-        return read_frame(self.reader, seq=seq, mtype=mtype, length=length)[2]
+        return read_frame(
+            self.reader, seq=seq, mtype=mtype, length=length, max_length=max_length
+        )[2]
 
     def receive_key(self, key: HashKey) -> DigestMsg:
         payload = self._roundtrip(KeyMsg(key), MsgType.DIGEST, Digest.ENCODED_LEN)
         msg = DigestMsg(Digest.from_bytes(payload))
-        self._depth = msg.digest.padded_size.bit_length() - 1
+        self._digest = msg.digest
         return msg
 
     def answer_queries(self, qs: QuerySet) -> OpeningBatch:
-        length = 4 + len(qs) * OpeningProof.encoded_len(self._depth)
+        depth = self._digest.padded_size.bit_length() - 1
+        length = 4 + len(qs) * OpeningProof.encoded_len(depth)
         payload = self._roundtrip(qs, MsgType.OPENING_BATCH, length)
-        return OpeningBatch.from_payload(payload, self._depth)
+        return OpeningBatch.from_payload(payload, depth)
 
     def backend_payload(self, select: BackendSelect) -> BackendData:
-        return BackendData(bytes(self._roundtrip(select, MsgType.BACKEND_DATA)))
+        """The backend's blob, no longer than the honest blob for the N and
+        G of the digest received; a longer frame is refused unread."""
+        d = self._digest
+        limit = backend_by_id(select.backend_id).blob_len(d.domain_size, d.denominator)
+        payload = self._roundtrip(select, MsgType.BACKEND_DATA, max_length=limit)
+        return BackendData(bytes(payload))
 
     def close(self) -> None:
         write_frame(self.writer, self._seq, Verdict(True, Reason.ACCEPT))

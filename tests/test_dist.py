@@ -139,6 +139,76 @@ class TestCdfQuantile:
         assert d.pdf_grains_batch(xs).tolist() == list(reversed(d.counts))
 
 
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+@st.composite
+def guide_dists(draw):
+    """Distributions with zero-mass runs at either end and inside, point
+    masses, N = 1 and G = 1, at denominators from 1 to 2^63 - 1."""
+    n = draw(st.integers(1, 24))
+    g = draw(st.one_of(st.integers(1, 64), st.integers(65, 1 << 24), st.just(INT64_MAX)))
+    cut = st.one_of(st.just(0), st.just(g), st.integers(0, g))
+    cuts = sorted(draw(st.lists(cut, min_size=n - 1, max_size=n - 1)))
+    bounds = [0] + cuts + [g]
+    return GrainDistribution(n, g, [bounds[i + 1] - bounds[i] for i in range(n)])
+
+
+def _edge_keys(d):
+    """Every key within 1 of a guide-table bucket edge (buckets of 2^s
+    grains, s = max(0, bitlen(G - 1) - bitlen(8N - 1))) or of an element
+    boundary, and keys outside [1, G] down to int64 min and up to max."""
+    s = max(0, (d.grains - 1).bit_length() - (8 * d.n - 1).bit_length())
+    buckets = ((d.grains - 1) >> s) + 1
+    edges = [b << s for b in range(buckets + 1)] + [int(c) for c in np.cumsum(d.counts)]
+    keys = {e + t for e in edges for t in (-1, 0, 1, 2)}
+    keys |= {0, -1, d.grains + 1, INT64_MIN, INT64_MIN + 1, INT64_MAX - 1, INT64_MAX}
+    return np.array(sorted(k for k in keys if INT64_MIN <= k <= INT64_MAX), dtype=np.int64)
+
+
+class TestGuideTable:
+    """quantile_grain_batch answers exactly what searchsorted over the
+    cumulative counts answers, for every int64 key."""
+
+    @staticmethod
+    def _reference(d, gs):
+        return np.searchsorted(np.cumsum(d.counts), gs, "left") + 1
+
+    @given(
+        guide_dists(),
+        st.lists(st.integers(INT64_MIN, INT64_MAX), max_size=20),
+        st.lists(st.integers(1, 1 << 24), max_size=200),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_searchsorted(self, d, wild, inside):
+        in_range = [1 + (x - 1) % d.grains for x in inside]
+        gs = np.concatenate([_edge_keys(d), np.array(wild + in_range, dtype=np.int64)])
+        got = d.quantile_grain_batch(gs)
+        assert got.dtype == np.int64
+        assert got.tolist() == self._reference(d, gs).tolist()
+        assert len(d._guide[1]) < 16 * d.n + 1
+
+    @pytest.mark.parametrize(
+        "counts",
+        [(INT64_MAX,), (0, INT64_MAX), (INT64_MAX, 0), (1, INT64_MAX - 1),
+         (0, INT64_MAX, 0), (2**62, 0, 2**62 - 1), (5, INT64_MAX - 10, 5)],
+    )
+    def test_largest_denominator_keeps_the_table_small(self, counts):
+        d = GrainDistribution(len(counts), INT64_MAX, counts)
+        gs = _edge_keys(d)
+        assert d.quantile_grain_batch(gs).tolist() == self._reference(d, gs).tolist()
+        assert len(d._guide[1]) < 16 * d.n + 1
+
+    def test_uniform_needs_no_search(self, monkeypatch):
+        # aligned buckets answer every key in range from the table
+        d = uniform(1024, 1 << 20)
+        gs = np.arange(1, d.grains - 2048, 7, dtype=np.int64)
+        expected = self._reference(d, gs)
+        d.quantile_grain_batch(gs[:1])  # builds the table
+        monkeypatch.setattr(np, "searchsorted", None)
+        assert d.quantile_grain_batch(gs).tolist() == expected.tolist()
+
+
 class TestSampling:
     def test_point_mass_always_atom(self, rng):
         d = point_mass(8, 5)

@@ -11,8 +11,10 @@ from vdo.adversaries import (
     InconsistentOpeningAdversary,
     SelectiveRefusalAdversary,
 )
+from vdo.argument import FullRevealBackend, SpotCheckBackend, run_general_argument
 from vdo.commitment import Digest, HashKey, NodeLabel, OpeningProof
 from vdo.dist import GrainDistribution, point_mass, random_distribution, uniform
+from vdo.properties import make_fixed_target
 from vdo.protocol import (
     HonestProver,
     VerifierConfig,
@@ -25,6 +27,7 @@ from vdo.streams import RemoteProver, read_frame, serve_prover
 from vdo.testers import DSampler, max_grains
 from vdo.wire import (
     HEADER_LEN,
+    BackendSelect,
     DigestMsg,
     KeyMsg,
     MsgType,
@@ -356,10 +359,29 @@ class _RecordingReader:
         return self.raw.read(size)
 
 
-def _fake_server_session(reply):
-    """Oracle session at N = 16 against a fake server. For each frame it
-    reads, the server writes reply(seq, type, payload) as raw bytes; when
-    reply returns None it closes its end."""
+def _oracle_session(remote):
+    return run_oracle_session(VerifierConfig(16, F(1, 2)), remote, DSampler(uniform(16)), 3)
+
+
+def _general_session(backend):
+    def run(remote):
+        target = make_fixed_target(uniform(16))
+        res = run_general_argument(
+            target, 16, F(0), F(4, 5), DSampler(uniform(16)), remote, backend, 3
+        )
+        return res.session
+
+    return run
+
+
+_BACKENDS = [FullRevealBackend(), SpotCheckBackend()]
+
+
+def _fake_server_session(reply, session=_oracle_session):
+    """session(remote) at N = 16 against a fake server, an oracle session by
+    default. For each frame it reads, the server writes
+    reply(seq, type, payload) as raw bytes; when reply returns None it
+    closes its end."""
     left, right = socket.socketpair()
     left.settimeout(10)  # a verifier that waits for a body the server never sends fails
     lr, lw = left.makefile("rb"), left.makefile("wb")
@@ -378,9 +400,8 @@ def _fake_server_session(reply):
     server = threading.Thread(target=serve, daemon=True)
     server.start()
     reader = _RecordingReader(lr)
-    cfg = VerifierConfig(16, F(1, 2))
     try:
-        res = run_oracle_session(cfg, RemoteProver(reader, lw), DSampler(uniform(16)), 3)
+        res = session(RemoteProver(reader, lw))
     finally:
         for f in (lr, lw, left):  # hang up, so a server blocked in a write stops
             f.close()
@@ -407,6 +428,8 @@ def _honest_reply(tamper=None, seq_shift=0, mtype=None, length=None):
             msg = prover.receive_key(HashKey.from_bytes(payload))
         elif got_type == MsgType.QUERY_SET:
             msg = prover.answer_queries(QuerySet.from_payload(payload))
+        elif got_type == MsgType.BACKEND_SELECT:
+            msg = prover.backend_payload(BackendSelect(payload[0], bytes(payload[1:])))
         else:
             return None
         if got_type != tamper:
@@ -447,6 +470,23 @@ class TestRemoteFailsClosed:
         res, requests = _fake_server_session(reply)
         assert not res.accept and res.reason == Reason.MALFORMED
         assert requests[-1] == HEADER_LEN  # the batch's header, then nothing
+
+    @pytest.mark.parametrize("backend", _BACKENDS, ids=lambda b: b.name)
+    def test_honest_backend_data_accepted(self, backend):
+        res, _ = _fake_server_session(_honest_reply(), _general_session(backend))
+        assert res.accept
+
+    @pytest.mark.parametrize("backend", _BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("excess", [1, None], ids=["one-byte-over", "4GiB"])
+    def test_oversized_backend_data_rejected_before_the_body(self, backend, excess):
+        # the honest blob for N = 16, G = 256 is the longest one accepted
+        limit = backend.blob_len(16, uniform(16).grains)
+        assert limit == len(backend.honest_blob(uniform(16)))
+        length = (1 << 32) - 1 if excess is None else limit + excess
+        reply = _honest_reply(MsgType.BACKEND_SELECT, length=length)
+        res, requests = _fake_server_session(reply, _general_session(backend))
+        assert not res.accept and res.reason == Reason.MALFORMED
+        assert requests[-1] == HEADER_LEN  # the backend data's header, then nothing
 
     def test_body_read_in_bounded_chunks(self):
         # with no expected length (as for backend data) the body is read in
