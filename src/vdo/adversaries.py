@@ -187,13 +187,7 @@ class AdversarySpec:
     def build(self, q: GrainDistribution, seed: int, dist=None) -> AdversaryScript:
         """The script committing to q; `dist` builds a distribution from a
         spec parameter (None: such parameters already are distributions)."""
-        return build_adversary(self.strategy, q, seed, *self.params, dist=dist)
-
-
-def build_adversary(
-    strategy: str, q: GrainDistribution, seed: int, *params, dist=None
-) -> AdversaryScript:
-    cls = ADVERSARIES.get(strategy)
-    if cls is None:
-        raise ValueError(f"unknown adversary strategy: {strategy}")
-    return cls.from_params(q, seed, dist, *params)
+        cls = ADVERSARIES.get(self.strategy)
+        if cls is None:
+            raise ValueError(f"unknown adversary strategy: {self.strategy}")
+        return cls.from_params(q, seed, dist, *self.params)

@@ -116,7 +116,7 @@ class FullRevealBackend(ProximityBackend):
     def verify(self, blob, session, prop, delta_c, delta_f, rng) -> BackendOutcome:
         try:
             q = GrainDistribution.from_bytes(blob)
-        except (ValueError, OverflowError):
+        except ValueError:
             return BackendOutcome(False, Reason.MALFORMED)
         if q.n != session.config.n or q.grains != session.digest.denominator:
             return BackendOutcome(False, Reason.BACKEND_MISMATCH)

@@ -245,21 +245,27 @@ def median_of(rows: list[dict], key: str) -> int:
 # -- scaling ----------------------------------------------------------------------------
 
 
+# bands for the median growth per 4x domain size and per halving of epsilon
+N_BAND = (1.6, 2.8)
+EPS_BAND = (3.0, 6.0)
+
+
 @dataclass
 class ScalingReport:
     per_n: dict[int, dict]
     n_ratios: list[tuple[int, int, float, float]]  # (n_from, n_to, d_ratio, byte_ratio)
     eps_ratio: float
-    n_band: tuple[float, float] = (1.6, 2.8)
-    eps_band: tuple[float, float] = (3.0, 6.0)
+
+    def checks(self):
+        """(label, ok) of every band check, in report order."""
+        lo, hi = N_BAND
+        for a, b, dr, br in self.n_ratios:
+            yield f"d_ratio_{a}_{b}_in_band", lo <= dr <= hi
+            yield f"byte_ratio_{a}_{b}_in_band", lo <= br <= hi
+        yield "eps_ratio_in_band", EPS_BAND[0] <= self.eps_ratio <= EPS_BAND[1]
 
     def passes(self) -> bool:
-        lo, hi = self.n_band
-        for _, _, dr, br in self.n_ratios:
-            if not (lo <= dr <= hi and lo <= br <= hi):
-                return False
-        elo, ehi = self.eps_band
-        return elo <= self.eps_ratio <= ehi
+        return all(ok for _, ok in self.checks())
 
 
 def measure_scaling(

@@ -13,11 +13,14 @@ internal node hashes its children's encoded labels (mass, then hash).
 The cdf is not hashed anywhere; it is checked arithmetically against the
 masses of left siblings on the path, which the hashes do bind.
 
-The committer builds every node label once and keeps them in TreeAux, so
-an opening only reads labels. Verification is per opening: the leaf hash,
-one node hash per level, then the header hash once the mass and cdf checks
-pass. A committed tree costs 2 * padded hashes (padded leaves, padded - 1
-nodes, one header).
+Nodes are heap-indexed: node 1 is the root, node i has children 2i and
+2i+1, and element x's leaf is node padded + x - 1. The committer builds
+every node label once and keeps them in TreeAux, so an opening only reads
+labels. Verification and extraction share one walk per opening: the leaf
+hash, one node hash per level, then the header hash once the mass and cdf
+checks pass; extraction keeps the encoded labels that walk pins, by heap
+index. A committed tree costs 2 * padded hashes (padded leaves, padded - 1
+nodes, one header), a verified opening depth + 2.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ _HEAD_TAG = b"\x02"
 
 
 class CollisionEvidence(Exception):
-    """Two verified openings assigned different labels to one tree node."""
+    """Two verified openings assigned different encoded labels to one tree
+    node (a heap index)."""
 
-    def __init__(self, node: tuple[int, int], first, second):
+    def __init__(self, node: int, first: bytes, second: bytes):
         super().__init__(f"conflicting labels for node {node}")
         self.node = node
         self.first = first
@@ -90,6 +94,20 @@ class Digest:
     padded_size: int
     domain_size: int
     denominator: int
+
+    @property
+    def depth(self) -> int:
+        """Sibling-path length of an opening."""
+        return self.padded_size.bit_length() - 1
+
+    def well_formed(self) -> bool:
+        """padded_size is the power of two the domain needs, and the root
+        mass is the denominator, at least 1."""
+        p = self.padded_size
+        return (
+            p >= 1 and not p & (p - 1) and p // 2 < self.domain_size <= p
+            and 1 <= self.denominator == self.root.mass
+        )
 
     def to_bytes(self) -> bytes:
         return (
@@ -209,7 +227,7 @@ def gen(kappa: int, n: int, rng: Generator) -> HashKey:
 
 def digest(key: HashKey, q: GrainDistribution) -> tuple[Digest, TreeAux]:
     """Commit to q. Deterministic in (key, q); aux holds every node label."""
-    padded = 1 if q.n == 1 else 1 << (q.n - 1).bit_length()
+    padded = 1 << (q.n - 1).bit_length()
     salt = key.salt
     labels: list[NodeLabel] = [None] * (2 * padded)  # slot 0 unused
     for i, mass in enumerate(q.counts + (0,) * (padded - q.n), padded):
@@ -244,29 +262,20 @@ def open_element(x: int, key: HashKey, d: Digest, aux: TreeAux) -> OpeningProof:
     return OpeningProof(x, pdf, cdf, tuple(path))
 
 
-def verify_opening(x: int, proof: OpeningProof, key: HashKey, d: Digest) -> bool:
-    """Accept iff the path reproduces the digest, every level is mass-additive,
-    and the claimed cdf equals the leaf mass plus all left-sibling masses.
-
-    Hashes the leaf, one node per level, and the header only once the root
-    mass and cdf checks pass: depth + 2 hashes to accept, depth + 1 for a
-    mass or cdf rejection.
-    """
+def _walk(
+    x: int, proof: OpeningProof, key: HashKey, d: Digest, pinned: list[bytes] | None = None
+) -> bool:
+    """The checks and hashes of verify_opening. Given a list `pinned`, the
+    walk also appends the encoded labels (NodeLabel.to_bytes()) the path
+    pins, leaf to root: the running node, then its sibling, at each level,
+    and last the root before the header hash; they hold only if the walk
+    accepts. verify_opening passes no list: collecting the labels on every
+    verification made it about 7 % slower."""
     denom = d.denominator
-    if denom < 1 or d.padded_size < 1:
-        return False
-    if d.padded_size & (d.padded_size - 1):
-        return False
-    if not d.padded_size // 2 < d.domain_size <= d.padded_size:
-        return False
-    if d.root.mass != denom:
-        return False
-    if not 1 <= x <= d.domain_size or proof.element != x:
+    if not d.well_formed() or not 1 <= x <= d.domain_size or proof.element != x:
         return False
     path = proof.path
-    if len(path) != d.padded_size.bit_length() - 1:
-        return False
-    if not 0 <= proof.claimed_pdf <= denom:
+    if len(path) != d.depth or not 0 <= proof.claimed_pdf <= denom:
         return False
     # direction bits must match the element's position
     leaf_pos = x - 1
@@ -282,28 +291,45 @@ def verify_opening(x: int, proof: OpeningProof, key: HashKey, d: Digest) -> bool
             return False
         sib = sib_mass.to_bytes(8, "little") + label.digest
         cur = mass.to_bytes(8, "little") + node_hash
+        if pinned is not None:
+            pinned += (cur, sib)
         if sib_is_left:
             cdf += sib_mass
             node_hash = _hash_node(salt, sib, cur)
         else:
             node_hash = _hash_node(salt, cur, sib)
         mass += sib_mass
-    if mass != d.root.mass:
+    if mass != d.root.mass or cdf != proof.claimed_cdf:
         return False
-    if cdf != proof.claimed_cdf:
-        return False
-    root_hash = _hash_header(salt, d.domain_size, denom, d.padded_size, node_hash)
-    return root_hash == d.root.digest
+    if pinned is not None:
+        pinned.append(mass.to_bytes(8, "little") + node_hash)
+    return _hash_header(salt, d.domain_size, denom, d.padded_size, node_hash) == d.root.digest
+
+
+def verify_opening(x: int, proof: OpeningProof, key: HashKey, d: Digest) -> bool:
+    """Accept iff the path reproduces the digest, every level is mass-additive,
+    and the claimed cdf equals the leaf mass plus all left-sibling masses.
+
+    Hashes the leaf, one node per level, and the header only once the root
+    mass and cdf checks pass: depth + 2 hashes to accept, depth + 1 for a
+    mass or cdf rejection.
+    """
+    return _walk(x, proof, key, d)
 
 
 # -- extraction ----------------------------------------------------------------
 
 
+def _even_spread(mass: int, k: int) -> list[int]:
+    """mass split over k slots as evenly as possible, leftmost slots taking
+    the remainder."""
+    base, extra = divmod(mass, k)
+    return [base + 1] * extra + [base] * (k - extra)
+
+
 def canonical_distribution(n: int, grains: int) -> GrainDistribution:
     """Deterministic fallback output: grains spread as evenly as possible."""
-    base, extra = divmod(grains, n)
-    counts = [base + (1 if i < extra else 0) for i in range(n)]
-    return GrainDistribution(n, grains, counts)
+    return GrainDistribution(n, grains, _even_spread(grains, n))
 
 
 @dataclass
@@ -317,42 +343,6 @@ class ExtractReport:
     known_nodes: int
 
 
-def _record_path(
-    known: dict[tuple[int, int], NodeLabel],
-    proof: OpeningProof,
-    salt: bytes,
-) -> None:
-    """Store every node label pinned by a verified opening.
-
-    Nodes are addressed (level, index) with level 0 at the leaves; raises
-    CollisionEvidence when a label contradicts one seen before.
-    """
-    depth = len(proof.path)
-    pos = proof.element - 1
-    mass = proof.claimed_pdf
-    node_hash = _hash_leaf(salt, mass)
-    for level, (sib, sib_is_left) in enumerate(proof.path):
-        cur = NodeLabel(mass, node_hash)
-        for lab, p in ((cur, pos), (sib, pos ^ 1)):
-            prev = known.get((level, p))
-            if prev is None:
-                known[(level, p)] = lab
-            elif prev != lab:
-                raise CollisionEvidence((level, p), prev, lab)
-        if sib_is_left:
-            node_hash = _hash_node(salt, sib.to_bytes(), cur.to_bytes())
-        else:
-            node_hash = _hash_node(salt, cur.to_bytes(), sib.to_bytes())
-        mass += sib.mass
-        pos //= 2
-    root = NodeLabel(mass, node_hash)
-    prev = known.get((depth, 0))
-    if prev is None:
-        known[(depth, 0)] = root
-    elif prev != root:
-        raise CollisionEvidence((depth, 0), prev, root)
-
-
 def extract(
     adversary,
     key: HashKey,
@@ -362,16 +352,17 @@ def extract(
     """Recover the unique distribution a replayable opener is bound to.
 
     Runs the adversary ceil(c_ext*N/eta) times with fresh run indices, keeps
-    openings that verify, and assembles node labels. Mass of maximal
-    subtrees that were never pinned is spread evenly over their in-range
-    leaves (leftmost leaves take the remainder; subtrees consisting only
-    of padding give their mass to element N). Conflicting labels witness a
-    hash collision: the report carries the evidence and a canonical output.
+    openings that verify, and stores the encoded labels their walks pin, by
+    heap index. Mass of maximal subtrees that were never pinned is spread
+    evenly over their in-range leaves (leftmost leaves take the remainder;
+    subtrees consisting only of padding give their mass to element N).
+    Conflicting labels witness a hash collision: the report carries the
+    evidence and a canonical output.
     """
     n = d.domain_size
+    padded = d.padded_size
     runs = frac_ceil(Fraction(get_constants().c_ext * n) / Fraction(eta))
-    known: dict[tuple[int, int], NodeLabel] = {}
-    depth = d.padded_size.bit_length() - 1
+    known: dict[int, bytes] = {}
     seen = 0
     processed: set[OpeningProof] = set()
     try:
@@ -380,9 +371,18 @@ def extract(
                 if not isinstance(proof, OpeningProof) or proof in processed:
                     continue
                 processed.add(proof)
-                if verify_opening(proof.element, proof, key, d):
-                    seen += 1
-                    _record_path(known, proof, key.salt)
+                labels: list[bytes] = []
+                if not _walk(proof.element, proof, key, d, labels):
+                    continue
+                seen += 1
+                leaf = padded + proof.element - 1
+                for j, label in enumerate(labels):
+                    # labels[2l] is the path's node at level l, labels[2l+1]
+                    # its sibling; the last one is the root
+                    node = (leaf >> (j >> 1)) ^ (j & 1)
+                    prev = known.setdefault(node, label)
+                    if prev != label:
+                        raise CollisionEvidence(node, prev, label)
     except CollisionEvidence as ev:
         return ExtractReport(
             canonical_distribution(n, d.denominator), ev, runs, seen, len(known)
@@ -390,31 +390,22 @@ def extract(
 
     counts = [0] * n
 
-    def spread(level: int, pos: int, mass: int) -> None:
-        width = 1 << level
-        first = pos * width  # leaf positions covered, 0-based
-        lo = first
-        hi = min(first + width, n)  # clip padding
+    def fill(node: int, mass: int) -> None:
+        if node < padded:
+            left, right = known.get(2 * node), known.get(2 * node + 1)
+            if left is not None and right is not None:
+                fill(2 * node, int.from_bytes(left[:8], "little"))
+                fill(2 * node + 1, int.from_bytes(right[:8], "little"))
+                return
+        width = padded >> (node.bit_length() - 1)
+        lo = node * width - padded  # first leaf position covered, 0-based
+        hi = min(lo + width, n)  # clip padding
         if hi <= lo:
             counts[n - 1] += mass
             return
-        k = hi - lo
-        base, extra = divmod(mass, k)
-        for i in range(lo, hi):
-            counts[i] += base + (1 if i - lo < extra else 0)
+        for i, c in enumerate(_even_spread(mass, hi - lo), lo):
+            counts[i] += c
 
-    def walk(level: int, pos: int, mass: int) -> None:
-        if level == 0:
-            counts[pos if pos < n else n - 1] += mass
-            return
-        left = known.get((level - 1, 2 * pos))
-        right = known.get((level - 1, 2 * pos + 1))
-        if left is not None and right is not None:
-            walk(level - 1, 2 * pos, left.mass)
-            walk(level - 1, 2 * pos + 1, right.mass)
-        else:
-            spread(level, pos, mass)
-
-    walk(depth, 0, d.denominator)
+    fill(1, d.denominator)
     out = GrainDistribution(n, d.denominator, counts)
     return ExtractReport(out, None, runs, seen, len(known))

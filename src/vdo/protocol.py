@@ -154,9 +154,8 @@ class HonestProver:
         seen[elements] = True
         distinct = np.flatnonzero(seen)
         inverse = (np.cumsum(seen) - 1)[elements]
-        depth = self.digest.padded_size.bit_length() - 1
         proofs = [self._proof_for(x) for x in distinct.tolist()]
-        return OpeningBatch(proofs, inverse, depth)
+        return OpeningBatch(proofs, inverse, self.digest.depth)
 
     def backend_payload(self, select: BackendSelect) -> BackendData:
         from .argument import honest_backend_payload
@@ -242,8 +241,7 @@ class VerifiedOracleSession:
         (element, pdf, cdf) arrays."""
         self.transcript.q_probes += len(qs)
         batch = self._ask(qs, lambda: self.prover.answer_queries(qs), OpeningBatch)
-        depth = self.digest.padded_size.bit_length() - 1
-        if len(batch) != len(qs) or batch.depth != depth:
+        if len(batch) != len(qs) or batch.depth != self.digest.depth:
             raise SessionRejected(Reason.MALFORMED)
         if len(qs) == 0:
             empty = np.empty(0, dtype=np.int64)
@@ -288,15 +286,7 @@ class VerifiedOracleSession:
         cfg = self.config
         self.key = key = cm.gen(cfg.kappa, cfg.n, rng_from(self.seed, "key"))
         d = self._ask(KeyMsg(key), lambda: self.prover.receive_key(key), DigestMsg).digest
-        if (
-            d.domain_size != cfg.n
-            or d.denominator < 1
-            or d.denominator > max_grains(cfg.n)
-            or d.padded_size < 1
-            or d.padded_size & (d.padded_size - 1)
-            or not d.padded_size // 2 < d.domain_size <= d.padded_size
-            or d.root.mass != d.denominator
-        ):
+        if d.domain_size != cfg.n or d.denominator > max_grains(cfg.n) or not d.well_formed():
             raise SessionRejected(Reason.BAD_DIGEST)
         self.digest = d
         votes = sum(self._identity_round(rep) for rep in range(cfg.amplification))

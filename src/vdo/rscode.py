@@ -51,6 +51,16 @@ def _generator_poly(nsym: int) -> tuple[int, ...]:
     return tuple(g)
 
 
+@cache
+def _feedback_table(nsym: int) -> np.ndarray:
+    """Row c holds c times each generator coefficient after the leading 1:
+    what a quotient symbol c subtracts from the remainder."""
+    gen = _generator_poly(nsym)[1:]
+    table = np.array([[_gf_mul(g, c) for g in gen] for c in range(256)], dtype=np.uint8)
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True)
 class BlockCode:
     """Systematic (n, k) Reed-Solomon code over the byte alphabet."""
@@ -91,11 +101,21 @@ class BlockCode:
         return self.encode_message(value.to_bytes(self.message_symbols, "big"))
 
     def encode_table(self, max_value: int) -> np.ndarray:
-        """Row v holds the codeword of value v, for v in [0, max_value]."""
-        rows = [self.encode_int(v) for v in range(max_value + 1)]
-        return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(
-            max_value + 1, self.codeword_symbols
-        )
+        """Row v holds the codeword of value v, for v in [0, max_value]: the
+        k message bytes, big-endian, then the parity bytes of _parity, from
+        one shift-register division run over all rows at once."""
+        k = self.message_symbols
+        values = np.arange(max_value + 1, dtype=np.int64)[:, None]
+        msg = (values >> np.arange(8 * (k - 1), -1, -8)).astype(np.uint8)
+        feedback = _feedback_table(self.parity_symbols)
+        rem = np.zeros((max_value + 1, self.parity_symbols), dtype=np.uint8)
+        for i in range(k):
+            # the next quotient symbol, then shift it times the generator in
+            c = msg[:, i] ^ rem[:, 0]
+            rem[:, :-1] = rem[:, 1:]
+            rem[:, -1] = 0
+            rem ^= feedback[c]
+        return np.concatenate([msg, rem], axis=1)
 
 
 def element_code(n: int) -> BlockCode:

@@ -80,27 +80,26 @@ def write_frame(stream, seq: int, msg) -> None:
 
 
 def serve_prover(reader, writer, prover) -> None:
-    """Answer framed verifier messages until a verdict arrives."""
-    seq_out = 0
+    """Answer framed verifier requests until the stream ends or a verdict
+    arrives. Fails closed: a frame whose sequence number is not the next
+    one, a frame of any other type and a payload its decoder rejects end
+    the loop as well, without a reply; the caller closes the streams."""
+    seq = 0
     while True:
         try:
-            _, mtype, payload = read_frame(reader)
-        except EOFError:
+            _, mtype, payload = read_frame(reader, seq=seq)
+            if mtype == MsgType.KEY:
+                answer, request = prover.receive_key, HashKey.from_bytes(payload)
+            elif mtype == MsgType.QUERY_SET:
+                answer, request = prover.answer_queries, QuerySet.from_payload(payload)
+            elif mtype == MsgType.BACKEND_SELECT:
+                answer, request = prover.backend_payload, BackendSelect.from_payload(payload)
+            else:  # a verdict, or a type no verifier sends
+                return
+        except (EOFError, ValueError):
             return
-        if mtype == MsgType.KEY:
-            key = HashKey.from_bytes(payload)
-            reply = prover.receive_key(key)
-        elif mtype == MsgType.QUERY_SET:
-            reply = prover.answer_queries(QuerySet.from_payload(payload))
-        elif mtype == MsgType.BACKEND_SELECT:
-            sel = BackendSelect(payload[0], bytes(payload[1:]))
-            reply = prover.backend_payload(sel)
-        elif mtype == MsgType.VERDICT:
-            return
-        else:
-            raise ValueError(f"unexpected message type {mtype}")
-        write_frame(writer, seq_out, reply)
-        seq_out += 1
+        write_frame(writer, seq, answer(request))
+        seq += 1
 
 
 class RemoteProver:
@@ -134,7 +133,7 @@ class RemoteProver:
         return msg
 
     def answer_queries(self, qs: QuerySet) -> OpeningBatch:
-        depth = self._digest.padded_size.bit_length() - 1
+        depth = self._digest.depth
         length = 4 + len(qs) * OpeningProof.encoded_len(depth)
         payload = self._roundtrip(qs, MsgType.OPENING_BATCH, length)
         return OpeningBatch.from_payload(payload, depth)

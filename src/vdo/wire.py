@@ -105,6 +105,8 @@ class QuerySet:
     @classmethod
     def from_payload(cls, data: bytes) -> "QuerySet":
         count = int.from_bytes(data[:4], "little")
+        if len(data) != 4 + 9 * count:
+            raise ValueError("query set length mismatch")
         kinds = np.frombuffer(data, dtype="u1", count=count, offset=4)
         values = np.frombuffer(data, dtype="<i8", count=count, offset=4 + count)
         return cls(kinds, values)
@@ -198,6 +200,12 @@ class BackendSelect:
 
     def payload_len(self) -> int:
         return 1 + len(self.params)
+
+    @classmethod
+    def from_payload(cls, data: bytes) -> "BackendSelect":
+        if not data:
+            raise ValueError("empty backend selection")
+        return cls(data[0], bytes(data[1:]))
 
 
 @dataclass(frozen=True)

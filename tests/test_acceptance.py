@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from vdo.adversaries import AdversarySpec, build_adversary
+from vdo.adversaries import AdversarySpec
 from vdo.argument import SpotCheckBackend
 from vdo.bench import (
     GeneralTrialSpec,
@@ -152,12 +152,12 @@ def _c3_trial(args) -> dict:
     strategy, params, d_kind, seed = args
     d = make_dist(d_kind, _C3_N, None, seed)
     q = make_dist(("random", 1.0), _C3_N, None, derive_key(seed, "q"))
-    adv = build_adversary(strategy, q, seed, *params)
+    adv = AdversarySpec(strategy, params).build(q, seed)
     cfg = VerifierConfig(_C3_N, _C3_EPS, generator=empty_generator())
     res = run_oracle_session(cfg, adv, DSampler(d), seed)
     # rebuild the adversary for key-specific extraction (scripts are
     # deterministic in (q, seed), so this replays the committed tree)
-    adv2 = build_adversary(strategy, q, seed, *params)
+    adv2 = AdversarySpec(strategy, params).build(q, seed)
     adv2.receive_key(res.key)
     report = extract(adv2, res.key, res.digest, eta=1)
     bad = 0

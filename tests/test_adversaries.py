@@ -3,10 +3,10 @@ from fractions import Fraction as F
 import numpy as np
 
 from vdo.adversaries import (
+    AdversarySpec,
     FarCommitAdversary,
     InconsistentOpeningAdversary,
     SelectiveRefusalAdversary,
-    build_adversary,
 )
 from vdo.commitment import extract, gen, verify_opening
 from vdo.dist import point_mass, random_distribution, uniform
@@ -123,5 +123,5 @@ def test_registry_builds_all_strategies():
         ("selective-refusal", ((1, 2),)),
         ("backend-swap", (uniform(4, 16),)),
     ):
-        adv = build_adversary(strategy, q, 1, *params)
+        adv = AdversarySpec(strategy, params).build(q, 1)
         assert adv.strategy == strategy or strategy == "honest"

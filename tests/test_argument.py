@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdo.adversaries import BackendSwapAdversary, FarCommitAdversary
 from vdo.argument import (
@@ -10,10 +12,10 @@ from vdo.argument import (
     general_argument_epsilon,
     run_general_argument,
 )
-from vdo.dist import random_distribution, shift_mass, tv_distance, uniform
+from vdo.dist import GrainDistribution, random_distribution, shift_mass, tv_distance, uniform
 from vdo.properties import make_fixed_target
 from vdo.protocol import HonestProver
-from vdo.representation import build_representation
+from vdo.representation import RepresentationString, build_representation
 from vdo.rngutil import rng_from
 from vdo.testers import DSampler
 from vdo.wire import Reason
@@ -138,3 +140,46 @@ def test_epsilon_is_tenth_of_gap():
     assert general_argument_epsilon(F(1, 10), F(6, 10)) == F(1, 20)
     with pytest.raises(ValueError):
         general_argument_epsilon(F(1, 2), F(1, 2))
+
+
+_BLOB_Q = GrainDistribution(4, 16, (4, 4, 8, 0))
+_HONEST_BLOBS = (_BLOB_Q.to_bytes(), build_representation(_BLOB_Q).to_bytes())
+_U64 = st.one_of(
+    st.sampled_from([0, 1, 2, 4, 16, 2**62, 2**63 - 1, 2**63, 2**64 - 1]),
+    st.integers(0, 2**64 - 1),
+)
+
+
+@st.composite
+def _blobs(draw):
+    """Random bytes, or an honest blob of either backend with one to three
+    mutations: a little-endian u64 field overwritten (extremes included), a
+    byte replaced, a cut or an extension."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    blob = bytearray(draw(st.sampled_from(_HONEST_BLOBS)))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["field", "byte", "cut", "extend"]))
+        if kind == "field" and len(blob) >= 8:
+            off = 8 * draw(st.integers(0, len(blob) // 8 - 1))
+            blob[off : off + 8] = draw(_U64).to_bytes(8, "little")
+        elif kind == "byte" and blob:
+            blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+        elif kind == "cut":
+            del blob[draw(st.integers(0, len(blob))) :]
+        else:
+            blob += draw(st.binary(min_size=1, max_size=16))
+    return bytes(blob)
+
+
+class TestBlobDecoding:
+    """Backend blobs have one decode-failure contract: ValueError."""
+
+    @given(_blobs())
+    @settings(max_examples=500, deadline=None)
+    def test_decoders_raise_only_value_error(self, blob):
+        for decode in (GrainDistribution.from_bytes, RepresentationString.from_bytes):
+            try:
+                decode(blob)
+            except ValueError:
+                pass

@@ -373,6 +373,37 @@ class TestExtract:
         assert report.collision is None  # fake never verifies, no conflict
         assert report.distribution.counts[0] == 4
 
+    def test_collision_reported_with_canonical_output(self, monkeypatch):
+        # with constant leaf and node hashes, openings of two distributions
+        # with the same N and G both verify against one digest; their
+        # labels for element 1's leaf disagree (mass 4 against 8)
+        monkeypatch.setattr(cm, "_hash_leaf", lambda salt, mass: bytes(32))
+        monkeypatch.setattr(cm, "_hash_node", lambda salt, left, right: bytes(32))
+        other = GrainDistribution(4, 16, (8, 0, 4, 4))
+        d, aux = digest(KEY, SMALL)
+        d2, aux2 = digest(KEY, other)
+        assert d2 == d
+        p_small = open_element(1, KEY, d, aux)
+        p_other = open_element(1, KEY, d2, aux2)
+        assert verify_opening(1, p_small, KEY, d) and verify_opening(1, p_other, KEY, d)
+        report = extract(_ScriptedOpener([[p_small, p_other]]), KEY, d, eta=1)
+        assert report.collision is not None
+        assert report.openings_seen == 2
+        assert report.distribution == canonical_distribution(4, 16)
+
+    @pytest.mark.parametrize("n", [1, 5, 16])
+    def test_one_walk_per_distinct_verified_opening(self, monkeypatch, n):
+        # depth + 2 hashes per distinct verified opening: its walk is both
+        # the verification and what extraction records
+        q = random_distribution(n, rng_from(n, "extract-hashes"))
+        prover = HonestProver(q)
+        prover.receive_key(KEY)
+        counts = _count_hashes(monkeypatch)
+        report = extract(prover, KEY, prover.digest, eta=1)
+        assert report.distribution == q and report.openings_seen == n
+        depth = prover.digest.padded_size.bit_length() - 1
+        assert sum(counts.values()) == n * (depth + 2)
+
     @given(st.integers(2, 12), st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_extract_output_is_valid_distribution(self, n, seed):

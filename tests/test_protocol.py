@@ -429,7 +429,7 @@ def _honest_reply(tamper=None, seq_shift=0, mtype=None, length=None):
         elif got_type == MsgType.QUERY_SET:
             msg = prover.answer_queries(QuerySet.from_payload(payload))
         elif got_type == MsgType.BACKEND_SELECT:
-            msg = prover.backend_payload(BackendSelect(payload[0], bytes(payload[1:])))
+            msg = prover.backend_payload(BackendSelect.from_payload(payload))
         else:
             return None
         if got_type != tamper:
@@ -503,4 +503,74 @@ class TestRemoteFailsClosed:
         finally:
             left.close()
             right.close()
+
+
+
+_KEY_FRAME = frame(0, KeyMsg(HashKey(bytes(range(16)), 128)))
+_PROBES = QuerySet.elements(np.asarray([1, 5, 5]))
+
+
+def _served(requests: bytes) -> list[tuple[int, int]]:
+    """(seq, type) of every reply serve_prover writes to the request bytes,
+    read after it has returned and its end is closed."""
+    left, right = socket.socketpair()
+    try:
+        left.sendall(requests)
+        left.shutdown(socket.SHUT_WR)
+        with right.makefile("rb") as rr, right.makefile("wb") as rw:
+            serve_prover(rr, rw, HonestProver(uniform(16)))
+        right.close()
+        replies = []
+        with left.makefile("rb") as lr:
+            while True:
+                try:
+                    seq, mtype, _ = read_frame(lr)
+                except EOFError:
+                    return replies
+                replies.append((seq, mtype))
+    finally:
+        left.close()
+        right.close()
+
+
+class TestServeProverFailsClosed:
+    """serve_prover answers requests in sequence and returns, without a
+    reply and without raising, on anything else."""
+
+    def test_honest_requests_answered_until_the_verdict(self):
+        requests = (
+            _KEY_FRAME + frame(1, _PROBES) + frame(2, Verdict(True, Reason.ACCEPT))
+            + frame(3, _PROBES)
+        )
+        assert _served(requests) == [(0, MsgType.DIGEST), (1, MsgType.OPENING_BATCH)]
+
+    @pytest.mark.parametrize("mtype", [99, MsgType.DIGEST], ids=["unknown", "prover-type"])
+    def test_frame_of_another_type(self, mtype):
+        requests = _KEY_FRAME + _raw_frame(1, mtype, 3, b"abc") + frame(2, _PROBES)
+        assert _served(requests) == [(0, MsgType.DIGEST)]
+
+    @pytest.mark.parametrize("seq", [0, 2, 1 << 31])
+    def test_sequence_number_other_than_the_next(self, seq):
+        assert _served(_KEY_FRAME + frame(seq, _PROBES)) == [(0, MsgType.DIGEST)]
+
+    @pytest.mark.parametrize(
+        "mtype, body",
+        [
+            (MsgType.KEY, bytes(19)),
+            (MsgType.QUERY_SET, _PROBES.payload() + b"\x00"),
+            (MsgType.QUERY_SET, _PROBES.payload()[:-1]),
+            (MsgType.QUERY_SET, b""),
+            (MsgType.BACKEND_SELECT, b""),
+        ],
+        ids=["short-key", "query-set-trailing-byte", "query-set-truncated",
+             "query-set-empty", "backend-select-empty"],
+    )
+    def test_payload_its_decoder_rejects(self, mtype, body):
+        if mtype == MsgType.KEY:
+            requests = _raw_frame(0, mtype, len(body), body)
+            expected = []
+        else:
+            requests = _KEY_FRAME + _raw_frame(1, mtype, len(body), body)
+            expected = [(0, MsgType.DIGEST)]
+        assert _served(requests) == expected
 

@@ -58,10 +58,22 @@ def test_minimum_distance_exhaustive_small():
 
 
 def test_encode_table_matches_scalar():
-    code = element_code(100)
-    table = code.encode_table(100)
-    for x in (0, 1, 50, 100):
-        assert bytes(table[x].tobytes()) == code.encode_int(x)
+    # every row against the scalar encoder, for k = 1, 2 and 3 message bytes
+    for n in (100, 256, 4096, 70000):
+        code = element_code(n)
+        table = code.encode_table(n)
+        assert table.shape == (n + 1, code.codeword_symbols)
+        assert table.tobytes() == b"".join(code.encode_int(x) for x in range(n + 1))
+    assert {element_code(n).message_symbols for n in (100, 256, 70000)} == {1, 2, 3}
+
+
+def test_decode_blocks_wrapped_message_rejected():
+    # eight message bytes led by 0x80 shift past int64: the value wraps
+    # negative, and the range check rejects it before any table is built
+    code = BlockCode(8, 10)
+    block = code.encode_message(bytes([0x80, 0, 0, 0, 0, 0, 0, 1]))
+    row = np.frombuffer(block, dtype=np.uint8).reshape(1, -1)
+    assert decode_blocks(row, code, (1 << 63) - 1) is None
 
 
 def test_bad_parameters():
