@@ -15,7 +15,7 @@ from multiprocessing import get_context
 
 from . import __version__
 from .adversaries import AdversarySpec
-from .argument import BACKENDS, run_general_argument
+from .argument import BACKENDS, general_argument_epsilon, run_general_argument
 from .constants import Constants, get_constants
 from .dist import (
     GrainDistribution,
@@ -25,7 +25,12 @@ from .dist import (
     shift_mass,
     uniform,
 )
-from .properties import LABEL_INVARIANT, make_fixed_target, run_label_invariant_argument
+from .properties import (
+    LABEL_INVARIANT,
+    argument_parameters,
+    make_fixed_target,
+    run_label_invariant_argument,
+)
 from .protocol import SessionResult, VerifierConfig, empty_generator, run_oracle_session
 from .rngutil import derive_key, rng_from
 from .testers import DSampler, identity_test
@@ -178,6 +183,11 @@ class LabelTrialSpec:
     grains: int | None = None
     adversary: AdversarySpec = AdversarySpec("honest")
 
+    @property
+    def epsilon(self) -> Fraction:
+        """The identity-test distance parameter of the trial's session."""
+        return argument_parameters(self.delta_c, self.delta_f)[0]
+
 
 def _label_property(name: str, params: tuple):
     make = LABEL_INVARIANT.get(name)
@@ -210,6 +220,11 @@ class GeneralTrialSpec:
     grains: int | None = None
     adversary: AdversarySpec = AdversarySpec("honest")
     spot_budget: int | None = None
+
+    @property
+    def epsilon(self) -> Fraction:
+        """The identity-test distance parameter of the trial's session."""
+        return general_argument_epsilon(self.delta_c, self.delta_f)
 
 
 def general_trial(ts: GeneralTrialSpec) -> dict:

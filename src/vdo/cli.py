@@ -32,6 +32,7 @@ from .bench import (
 )
 from .bruteforce import run_brute_force_suite
 from .properties import LABEL_INVARIANT
+from .testers import check_epsilon
 
 
 def parse_dist_spec(text: str) -> tuple:
@@ -132,6 +133,10 @@ def _session_mode(trial, setup, q_default, args) -> Report:
     q_spec = args.q_dist or q_default or args.d_dist
     adv = parse_adversary(args.adversary, args.adversary_param)
     params, extra, spec = setup(args, q_spec, adv)
+    try:
+        check_epsilon(spec.n, spec.epsilon)
+    except ValueError as e:  # flags no trial can run with
+        raise argparse.ArgumentError(None, str(e)) from e
     for k, v in (
         ("n", args.n), *params, ("seed", args.seed), ("trials", args.trials), *extra,
         ("d_dist", args.d_dist), ("q_dist", q_spec), ("adversary", adv.strategy),
@@ -225,8 +230,12 @@ MODES = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    report = MODES[args.mode](args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        report = MODES[args.mode](args)
+    except argparse.ArgumentError as e:
+        parser.error(str(e))
     text = report.to_text()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

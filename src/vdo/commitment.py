@@ -26,6 +26,7 @@ nodes, one header), a verified opening depth + 2.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -130,6 +131,12 @@ class Digest:
     ENCODED_LEN = 24 + 8 + HASH_LEN
 
 
+# an encoded opening: element, pdf, cdf, depth, then per level the sibling's
+# mass and hash and a direction byte (1: the sibling is the left child)
+_OPENING_HEAD = struct.Struct("<QQQB")
+_OPENING_LEVEL = struct.Struct(f"<Q{HASH_LEN}sB")
+
+
 @dataclass(frozen=True)
 class OpeningProof:
     """Authenticated pdf/cdf claim for one element.
@@ -156,31 +163,33 @@ class OpeningProof:
         return b"".join(out)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "OpeningProof":
-        if len(data) < 25:
+    def from_bytes(cls, data: bytes, levels: dict | None = None) -> "OpeningProof":
+        """Decode one record (ValueError if malformed). levels maps each
+        (mass, hash, direction byte) path level decoded so far to its path
+        entry and gains this record's; openings of one tree share most of
+        their levels, so decoding many with one dict builds each label
+        once."""
+        if len(data) < _OPENING_HEAD.size:
             raise ValueError("truncated opening")
-        element = int.from_bytes(data[0:8], "little")
-        pdf = int.from_bytes(data[8:16], "little")
-        cdf = int.from_bytes(data[16:24], "little")
-        depth = data[24]
-        rec = 8 + HASH_LEN + 1
-        if len(data) != 25 + depth * rec:
+        element, pdf, cdf, depth = _OPENING_HEAD.unpack_from(data)
+        if len(data) != cls.encoded_len(depth):
             raise ValueError("opening length mismatch")
+        if levels is None:
+            levels = {}
         path = []
-        off = 25
-        for _ in range(depth):
-            mass = int.from_bytes(data[off : off + 8], "little")
-            h = bytes(data[off + 8 : off + 8 + HASH_LEN])
-            side = data[off + 8 + HASH_LEN]
-            if side not in (0, 1):
-                raise ValueError("bad direction byte")
-            path.append((NodeLabel(mass, h), side == 1))
-            off += rec
+        for level in _OPENING_LEVEL.iter_unpack(memoryview(data)[_OPENING_HEAD.size :]):
+            entry = levels.get(level)
+            if entry is None:
+                mass, h, side = level
+                if side > 1:
+                    raise ValueError("bad direction byte")
+                entry = levels[level] = (NodeLabel(mass, h), side == 1)
+            path.append(entry)
         return cls(element, pdf, cdf, tuple(path))
 
     @staticmethod
     def encoded_len(depth: int) -> int:
-        return 25 + depth * (8 + HASH_LEN + 1)
+        return _OPENING_HEAD.size + depth * _OPENING_LEVEL.size
 
 
 class TreeAux:

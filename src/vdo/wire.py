@@ -8,6 +8,15 @@ All integers are little-endian. Quantile probes carry a grain index g
 (the probed mass is g/G for the committed denominator G); batched replies
 answer a query set positionally.
 
+An opening batch repeats each probe's record in full but holds only its
+distinct openings. Encoding stacks their records as rows of a uint8 matrix
+and gathers them by probe with one numpy take straight into the buffer that
+becomes the frame (one copy of the body). Decoding numbers the rows in one
+streaming dictionary pass over whole records, then decodes each distinct
+record once with OpeningProof.from_bytes; the records share one table of
+decoded path levels, so a sibling label common to many openings is built
+once.
+
 Transcripts record direction, framing and counters. Payload retention can
 be disabled for bulk runs; byte counters are exact either way because every
 record length is computable from the structured message.
@@ -15,6 +24,9 @@ record length is computable from the structured message.
 
 from __future__ import annotations
 
+import itertools
+import struct
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -129,6 +141,21 @@ class QuerySet:
         )
 
 
+def _dedup_rows(body, rec: int) -> tuple[list[bytes], np.ndarray]:
+    """Exact dedup of the rec-byte rows of body in one streaming dictionary
+    pass: the distinct non-blank rows in first-occurrence order, and each
+    row's number among them (-1 for an all-zero row, a refusal)."""
+    blank = (bytes(rec),)
+    number = defaultdict(itertools.count().__next__, {blank: -1})
+    index = np.fromiter(
+        map(number.__getitem__, struct.iter_unpack(f"{rec}s", body)),
+        dtype=np.int64,
+        count=len(body) // rec,
+    )
+    del number[blank]
+    return [row for (row,) in number], index
+
+
 class OpeningBatch:
     """Positional answers to a QuerySet.
 
@@ -154,38 +181,47 @@ class OpeningBatch:
     def payload_len(self) -> int:
         return 4 + len(self) * self.record_len()
 
-    def payload(self) -> bytes:
+    def _rows(self) -> np.ndarray:
+        """The distinct records as a (distinct, record_len) uint8 matrix."""
         rec = self.record_len()
-        blank = b"\x00" * rec
         encoded = [p.to_bytes() for p in self.proofs]
         for e in encoded:
             if len(e) != rec:
                 raise ValueError("inconsistent opening depth in batch")
-        body = b"".join(encoded[j] if j >= 0 else blank for j in self.index.tolist())
-        return len(self).to_bytes(4, "little") + body
+        return np.frombuffer(b"".join(encoded), dtype=np.uint8).reshape(len(encoded), rec)
+
+    def payload_after(self, head: bytes) -> bytearray:
+        """head, then the payload, in one buffer: each probe's record is
+        gathered straight into place from the distinct rows, a refusal's
+        left zeroed."""
+        rows = self._rows()
+        count, (k, rec) = len(self), rows.shape
+        start = len(head) + 4
+        out = bytearray(start + count * rec)
+        out[:start] = head + count.to_bytes(4, "little")
+        if count:
+            if self.index.max() >= k:
+                raise IndexError("opening index past the distinct proofs")
+            table = np.concatenate([rows, np.zeros((1, rec), dtype=np.uint8)])
+            body = np.frombuffer(out, dtype=np.uint8, offset=start).reshape(count, rec)
+            np.take(table, np.where(self.index < 0, k, self.index), axis=0, out=body, mode="clip")
+        return out
+
+    def payload(self) -> bytearray:
+        return self.payload_after(b"")
 
     @classmethod
     def from_payload(cls, data: bytes, depth: int) -> "OpeningBatch":
+        """Decode a payload: deduplicate its rows, then decode each
+        distinct record once (ValueError for the first one
+        OpeningProof.from_bytes rejects), all sharing one level table."""
         rec = OpeningProof.encoded_len(depth)
         count = int.from_bytes(data[:4], "little")
         if len(data) != 4 + count * rec:
             raise ValueError("opening batch length mismatch")
-        blank = b"\x00" * rec
-        proofs: list[OpeningProof] = []
-        index = np.empty(count, dtype=np.int64)
-        seen: dict[bytes, int] = {}
-        for i in range(count):
-            chunk = data[4 + i * rec : 4 + (i + 1) * rec]
-            if chunk == blank:
-                index[i] = -1
-                continue
-            j = seen.get(chunk)
-            if j is None:
-                j = len(proofs)
-                seen[chunk] = j
-                proofs.append(OpeningProof.from_bytes(chunk))
-            index[i] = j
-        return cls(proofs, index, depth)
+        distinct, index = _dedup_rows(memoryview(data)[4:], rec)
+        levels: dict = {}
+        return cls([OpeningProof.from_bytes(row, levels) for row in distinct], index, depth)
 
 
 @dataclass(frozen=True)
@@ -235,14 +271,12 @@ class Verdict:
         return 2
 
 
-def frame(seq: int, msg) -> bytes:
+def frame(seq: int, msg) -> bytes | bytearray:
+    head = seq.to_bytes(4, "little") + bytes([int(msg.TYPE)])
+    if isinstance(msg, OpeningBatch):  # records gathered into the frame's own buffer
+        return msg.payload_after(head + msg.payload_len().to_bytes(4, "little"))
     payload = msg.payload()
-    return (
-        seq.to_bytes(4, "little")
-        + bytes([int(msg.TYPE)])
-        + len(payload).to_bytes(4, "little")
-        + payload
-    )
+    return head + len(payload).to_bytes(4, "little") + payload
 
 
 def frame_len(msg) -> int:

@@ -16,6 +16,7 @@ from vdo.bench import (
     run_trials,
     trial_seed,
 )
+import vdo.cli as cli
 from vdo.cli import main, parse_dist_spec
 from vdo.constants import Constants, parse_constants, reset_cache
 from vdo.dist import uniform
@@ -155,6 +156,30 @@ class TestCli:
                 main(["--mode", "oracle-session", flag, "no-such-name"])
             listed = capsys.readouterr().err.split("choose from ")[1]
             assert all(repr(name) in listed for name in table)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mode", "general-argument", "--n", "32", "--delta-c", "1/10"],
+             "distance parameter 1/20 too small for domain 32"),
+            (["--mode", "label-invariant", "--n", "32", "--delta-c", "1/20", "--delta-f", "1/10"],
+             "distance parameter 11/200 too small for domain 32"),
+            (["--mode", "label-invariant", "--n", "32", "--delta-c", "1/2", "--delta-f", "1/4"],
+             "need delta_c < delta_f"),
+            (["--mode", "oracle-session", "--n", "16", "--eps", "1/100"],
+             "distance parameter 1/100 too small for domain 16"),
+        ],
+        ids=["general-argument", "label-invariant", "label-invariant-deltas", "oracle-session"],
+    )
+    def test_bad_distance_parameter_is_a_usage_error(self, monkeypatch, capsys, flags, message):
+        def no_trials(*args):
+            raise AssertionError("no trial may run")
+
+        monkeypatch.setattr(cli, "run_trials", no_trials)
+        with pytest.raises(SystemExit) as exit_:
+            main(flags + ["--trials", "1", "--jobs", "1"])
+        assert exit_.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_oracle_session_mode(self, tmp_path, capsys):
         out = tmp_path / "report.txt"

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -170,6 +171,122 @@ class TestOpenVerify:
             depth = d.padded_size.bit_length() - 1
             node_record = 8 + 32 + 1
             assert len(p.to_bytes()) <= (1 + depth) * node_record + 25
+
+
+def _reference_from_bytes(data: bytes) -> OpeningProof:
+    """The field-by-field opening decoder that OpeningProof.from_bytes
+    replaced; its results and its ValueErrors are the reference."""
+    if len(data) < 25:
+        raise ValueError("truncated opening")
+    element = int.from_bytes(data[0:8], "little")
+    pdf = int.from_bytes(data[8:16], "little")
+    cdf = int.from_bytes(data[16:24], "little")
+    depth = data[24]
+    rec = 8 + 32 + 1
+    if len(data) != 25 + depth * rec:
+        raise ValueError("opening length mismatch")
+    path = []
+    off = 25
+    for _ in range(depth):
+        mass = int.from_bytes(data[off : off + 8], "little")
+        h = bytes(data[off + 8 : off + 40])
+        side = data[off + 40]
+        if side not in (0, 1):
+            raise ValueError("bad direction byte")
+        path.append((NodeLabel(mass, h), side == 1))
+        off += rec
+    return OpeningProof(element, pdf, cdf, tuple(path))
+
+
+def _decode_both(blob: bytes):
+    """(proof or ValueError message) from the decoder and the reference."""
+    out = []
+    for decode in (OpeningProof.from_bytes, _reference_from_bytes):
+        try:
+            out.append(decode(blob))
+        except ValueError as e:
+            out.append(str(e))
+    return out
+
+
+@functools.lru_cache
+def _honest_blobs(n: int) -> list[bytes]:
+    q = random_distribution(n, rng_from(n, "decode"))
+    d, aux = digest(KEY, q)
+    return [open_element(x, KEY, d, aux).to_bytes() for x in range(1, n + 1)]
+
+
+class TestOpeningDecode:
+    """OpeningProof.from_bytes (one header unpack, one iter_unpack over the
+    path) against to_bytes round trips and the field-by-field reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 33, 1024])
+    def test_round_trip_byte_for_byte(self, n):
+        for blob in _honest_blobs(n):
+            p = OpeningProof.from_bytes(blob)
+            assert p.to_bytes() == blob
+            assert p == _reference_from_bytes(blob)
+            assert all(type(side) is bool and type(lab.digest) is bytes for lab, side in p.path)
+
+    @pytest.mark.parametrize("size", [0, 1, 24])
+    def test_truncated(self, size):
+        blob = _honest_blobs(16)[3][:size]
+        with pytest.raises(ValueError, match="truncated opening"):
+            OpeningProof.from_bytes(blob)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda b: b + b"\x00",
+            lambda b: b[:-1],
+            lambda b: b[:24] + bytes([b[24] + 1]) + b[25:],
+            lambda b: b[:24] + bytes([b[24] - 1]) + b[25:],
+            lambda b: b[:25],
+        ],
+        ids=["trailing-byte", "short-by-one", "depth-plus-one", "depth-minus-one", "head-only"],
+    )
+    def test_length_mismatch(self, edit):
+        with pytest.raises(ValueError, match="opening length mismatch"):
+            OpeningProof.from_bytes(edit(_honest_blobs(16)[3]))
+
+    @pytest.mark.parametrize("level", [0, 3])
+    @pytest.mark.parametrize("side", [2, 255])
+    def test_bad_direction_byte(self, level, side):
+        blob = bytearray(_honest_blobs(16)[3])
+        blob[25 + 41 * level + 40] = side
+        with pytest.raises(ValueError, match="bad direction byte"):
+            OpeningProof.from_bytes(bytes(blob))
+
+    def test_shared_levels(self):
+        blobs = _honest_blobs(16)
+        levels = {}
+        proofs = [OpeningProof.from_bytes(b, levels) for b in blobs]
+        assert proofs == [_reference_from_bytes(b) for b in blobs]
+        # one entry object per distinct level, at most one per non-root node
+        assert len({id(e) for p in proofs for e in p.path}) == len(levels) <= 30
+        assert proofs[0].path[-1] is proofs[7].path[-1]  # the root's right child
+        size = len(levels)
+        bad = bytearray(blobs[3])
+        bad[25 + 40] = 2
+        with pytest.raises(ValueError, match="bad direction byte"):
+            OpeningProof.from_bytes(bytes(bad), levels)
+        assert len(levels) == size
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 5, 16]),
+        st.integers(0, 15),
+        st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 255)), max_size=4),
+        st.sampled_from([None, 0, 1, 24, -1]),
+    )
+    def test_matches_reference_on_mutations(self, n, which, edits, cut):
+        blob = bytearray(_honest_blobs(n)[which % n])
+        for pos, value in edits:
+            blob[pos % len(blob)] = value
+        if cut is not None:
+            blob = blob[:cut] if cut >= 0 else blob + b"\x01"
+        decoded, reference = _decode_both(bytes(blob))
+        assert decoded == reference
 
 
 def _count_hashes(monkeypatch) -> dict[str, int]:

@@ -2,6 +2,8 @@
 them up in their owner's __dict__. A rename there would only break a traced
 bench run; this test makes it break the test suite."""
 
+import socket
+import threading
 from pathlib import Path
 
 import pytest
@@ -23,3 +25,57 @@ def test_every_hook_point_exists(tracing, role):
         assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
     for attr in ("_hash_leaf", "_hash_node", "_hash_header"):
         assert attr in tracing.commitment.__dict__, attr
+
+
+def test_traced_sessions_count_hashes_and_decode_spans(tracing):
+    """One in-process oracle session and one socketpair session against the
+    inconsistent-opening adversary, run under the benchmark's Tracer: the
+    hashes counted at the hash functions equal the closed form, and the
+    batch decoding is recorded as wire.decode spans. A refactor that breaks
+    the traced benchmark run fails here."""
+    from fractions import Fraction as F
+
+    from vdo.adversaries import InconsistentOpeningAdversary
+    from vdo.protocol import HonestProver, VerifierConfig, run_oracle_session
+    from vdo.testers import DSampler
+    from vdo.wire import Reason
+
+    n = 64
+    q = tracing.bench.make_dist(("random", 1.0), n, None, 3)
+    cfg = VerifierConfig(n, F(1, 2))
+    tracer = tracing.Tracer("verifier")
+    tracer.install()
+    try:
+        tracer.begin(0)
+        local = run_oracle_session(cfg, HonestProver(q), DSampler(q), 3)
+        tracer.begin(1)
+        left, right = socket.socketpair()
+        lr, lw = left.makefile("rb"), left.makefile("wb")
+        rr, rw = right.makefile("rb"), right.makefile("wb")
+        adversary = InconsistentOpeningAdversary(q, F(1, 20), seed=3)
+        server = threading.Thread(
+            target=tracing.streams.serve_prover, args=(rr, rw, adversary), daemon=True
+        )
+        server.start()
+        try:
+            remote = tracing.RemoteProver(lr, lw)
+            hostile = run_oracle_session(cfg, remote, DSampler(q), 3)
+            remote.close()
+            server.join(timeout=5)
+        finally:
+            for f in (lr, lw, rr, rw, left, right):
+                f.close()
+    finally:
+        tracer.restore()
+    assert local.accept
+    assert not hostile.accept and hostile.reason == Reason.INVALID_OPENING
+
+    spans, counters = tracing.merge([tracer.export()])
+    table = tracing.per_trial(spans, counters, {0: 1.0, 1: 1.0})
+    assert tracing.check_hashes(table, [0, 1]) == []
+    for trial in (0, 1):
+        assert table[trial][tracing.HASH_COUNT] > 0
+        assert table[trial]["commitment.verify.calls"] > 0
+    assert "wire.decode" not in {s[1] for s in spans if s[0] == 0}
+    decode_spans = [s for s in spans if s[0] == 1 and s[1] == "wire.decode"]
+    assert len(decode_spans) >= 2  # the prover's query sets and the verifier's batch

@@ -1,10 +1,13 @@
 import dataclasses
+import functools
 import socket
 import threading
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdo.adversaries import (
     FarCommitAdversary,
@@ -319,6 +322,145 @@ class TestDedup:
             prover.answer_queries(QuerySet.elements(np.asarray([3, element, 5])))
 
 
+def _reference_from_payload(data: bytes, depth: int):
+    """The per-row dictionary decoder that OpeningBatch.from_payload
+    replaced: (distinct proofs in first-occurrence order, index)."""
+    rec = OpeningProof.encoded_len(depth)
+    count = int.from_bytes(data[:4], "little")
+    if len(data) != 4 + count * rec:
+        raise ValueError("opening batch length mismatch")
+    blank = b"\x00" * rec
+    proofs: list[OpeningProof] = []
+    index = np.empty(count, dtype=np.int64)
+    seen: dict[bytes, int] = {}
+    for i in range(count):
+        chunk = data[4 + i * rec : 4 + (i + 1) * rec]
+        if chunk == blank:
+            index[i] = -1
+            continue
+        j = seen.get(chunk)
+        if j is None:
+            j = len(proofs)
+            seen[chunk] = j
+            proofs.append(OpeningProof.from_bytes(chunk))
+        index[i] = j
+    return proofs, index
+
+
+def _reference_frame(seq: int, proofs, index, depth: int) -> bytes:
+    """The join-based encoder that frame/payload replaced."""
+    blank = b"\x00" * OpeningProof.encoded_len(depth)
+    encoded = [p.to_bytes() for p in proofs]
+    body = b"".join(encoded[j] if j >= 0 else blank for j in index)
+    payload = len(index).to_bytes(4, "little") + body
+    return (
+        seq.to_bytes(4, "little") + bytes([MsgType.OPENING_BATCH])
+        + len(payload).to_bytes(4, "little") + payload
+    )
+
+
+@functools.lru_cache
+def _honest_records(n: int) -> tuple[int, tuple[bytes, ...]]:
+    """(depth, encoded honest opening of every element) at domain size n."""
+    prover = HonestProver(random_distribution(n, rng_from(n, "records")))
+    prover.receive_key(HashKey(bytes(16), 128))
+    batch = prover.answer_queries(QuerySet.elements(np.arange(1, n + 1)))
+    return batch.depth, tuple(p.to_bytes() for p in batch.proofs)
+
+
+_WELL_FORMED = ("honest",) * 4 + ("blank", "other-path", "zero-head")
+_MALFORMED = ("bad-direction", "bad-depth")
+
+
+@st.composite
+def _payloads(draw):
+    """(depth, payload) built from honest records: repeats, rows with an
+    honest head and another path, blank rows, non-blank rows with a zero
+    head; sometimes a direction byte of 2, a depth byte off by one or a
+    wrong total length. N = 1 gives depth 0; the batch may be empty."""
+    n = draw(st.sampled_from([1, 2, 5, 16]))
+    depth, records = _honest_records(n)
+    kinds = _WELL_FORMED + (_MALFORMED if draw(st.booleans()) else ())
+    rows = []
+    picks = st.tuples(st.sampled_from(kinds), st.integers(0, n - 1), st.integers(0, 7))
+    for kind, which, variant in draw(st.lists(picks, max_size=30)):
+        row = bytearray(records[which])
+        if kind == "blank":
+            row = bytearray(len(row))
+        elif kind == "other-path" and depth:
+            row[25 + (variant * 53) % (len(row) - 25)] ^= 1  # keeps direction bytes in {0, 1}
+        elif kind == "zero-head":
+            row[:24] = bytes(24)
+        elif kind == "bad-direction" and depth:
+            row[25 + 41 * (variant % depth) + 40] = 2
+        elif kind in ("bad-direction", "bad-depth"):
+            row[24] = (depth + (1 if variant % 2 else 255)) % 256
+        rows.append(bytes(row))
+    payload = len(rows).to_bytes(4, "little") + b"".join(rows)
+    length = draw(st.sampled_from(["exact"] * 6 + ["one-more", "one-less"]))
+    if length == "one-more":
+        payload += b"\x00"
+    elif length == "one-less":
+        payload = payload[:-1]
+    return depth, payload
+
+
+def _decode(decoder, payload, depth):
+    try:
+        return decoder(payload, depth)
+    except ValueError:
+        return None
+
+
+class TestBatchCodecDifferential:
+    """The array-native batch codec against the per-row reference codec."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_payloads())
+    def test_from_payload_matches_reference(self, case):
+        depth, payload = case
+        got = _decode(OpeningBatch.from_payload, payload, depth)
+        ref = _decode(_reference_from_payload, payload, depth)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            proofs, index = ref
+            assert got.index.tolist() == index.tolist()
+            assert len(got.proofs) == len(proofs)
+            assert list(got.proofs) == proofs
+            assert got.payload() == payload
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 5, 16]),
+        st.lists(st.integers(-2, 16), max_size=30),
+        st.integers(0, (1 << 32) - 1),
+    )
+    def test_frame_matches_reference(self, n, picks, seq):
+        depth, records = _honest_records(n)
+        proofs = [OpeningProof.from_bytes(r) for r in records]
+        proofs.append(proofs[0])  # a prover may list one opening twice
+        index = [j if j < 0 else j % len(proofs) for j in picks]  # -1, -2: refusals
+        batch = OpeningBatch(proofs, np.asarray(index, dtype=np.int64), depth)
+        expected = _reference_frame(seq, proofs, index, depth)
+        assert frame(seq, batch) == expected
+        assert batch.payload() == expected[HEADER_LEN:]
+
+    def test_conflicting_heads_decode_exactly(self):
+        # every row shares one head and differs in its path
+        depth, records = _honest_records(16)
+        base = np.frombuffer(records[5], dtype=np.uint8)
+        rows = np.tile(base, (3000, 1))
+        rows[:, -3] = np.arange(3000) % 256
+        rows[:, -4] = np.arange(3000) // 256
+        rows[::7] = base  # and repeats of the honest row
+        payload = (3000).to_bytes(4, "little") + rows.tobytes()
+        got = OpeningBatch.from_payload(payload, depth)
+        proofs, index = _reference_from_payload(payload, depth)
+        assert got.index.tolist() == index.tolist()
+        assert [p.to_bytes() for p in got.proofs] == [p.to_bytes() for p in proofs]
+        assert got.proofs[0].path[0] is got.proofs[1].path[0]  # one shared level table
+
+
 class TestStreams:
     def test_stream_transport_equals_in_process(self):
         n = 32
@@ -345,6 +487,92 @@ class TestStreams:
         assert res_remote.transcript.to_text() == res_local.transcript.to_text()
         for s in (left, right):
             s.close()
+
+
+class _EditingWriter:
+    """Byte writer that edits the body of every opening-batch frame with
+    edit(frame, record_len) before passing it on."""
+
+    def __init__(self, raw, edit):
+        self.raw = raw
+        self.edit = edit
+
+    def write(self, data):
+        if data[4] == MsgType.OPENING_BATCH:
+            data = bytearray(data)
+            count = int.from_bytes(data[HEADER_LEN : HEADER_LEN + 4], "little")
+            self.edit(data, (len(data) - HEADER_LEN - 4) // count)
+        self.raw.write(data)
+
+    def flush(self):
+        self.raw.flush()
+
+
+def _row(data, rec, i):
+    """Offset of record i in an opening-batch frame (i < 0 from the end)."""
+    return HEADER_LEN + 4 + (i % ((len(data) - HEADER_LEN - 4) // rec)) * rec
+
+
+def _bump_pdf_of_record_1(data, rec):
+    data[_row(data, rec, 1) + 8] ^= 1
+
+
+def _direction_byte_2_in_last_record(data, rec):
+    data[_row(data, rec, -1) + 25 + 40] = 2
+
+
+def _depth_byte_off_in_last_record(data, rec):
+    data[_row(data, rec, -1) + 24] += 1
+
+
+def _refuse_last_record(data, rec):
+    i = _row(data, rec, -1)
+    data[i : i + rec] = bytes(rec)
+
+
+class TestDecodeTimeRejection:
+    """A record the decoder rejects ends the session in MALFORMED even when
+    it sits after the first invalid opening: every distinct record is checked
+    when the batch is decoded, not when the verifier reaches it."""
+
+    @pytest.mark.parametrize(
+        "edits, reason",
+        [
+            ((_bump_pdf_of_record_1,), Reason.INVALID_OPENING),
+            ((_bump_pdf_of_record_1, _direction_byte_2_in_last_record), Reason.MALFORMED),
+            ((_bump_pdf_of_record_1, _depth_byte_off_in_last_record), Reason.MALFORMED),
+            ((_bump_pdf_of_record_1, _refuse_last_record), Reason.MALFORMED),
+            ((_refuse_last_record,), Reason.MALFORMED),
+        ],
+        ids=["invalid-opening", "then-direction-byte-2", "then-depth-byte-off",
+             "then-refusal", "refusal"],
+    )
+    def test_served_batch(self, edits, reason):
+        def edit(data, rec):
+            for e in edits:
+                e(data, rec)
+
+        n = 16
+        left, right = socket.socketpair()
+        lr, lw = left.makefile("rb"), left.makefile("wb")
+        rr, rw = right.makefile("rb"), right.makefile("wb")
+        server = threading.Thread(
+            target=serve_prover,
+            args=(rr, _EditingWriter(rw, edit), HonestProver(uniform(n))),
+            daemon=True,
+        )
+        server.start()
+        try:
+            remote = RemoteProver(lr, lw)
+            cfg = VerifierConfig(n, F(1, 2), generator=quantile_sampling_generator(10))
+            res = run_oracle_session(cfg, remote, DSampler(uniform(n)), seed=5)
+            remote.close()
+            server.join(timeout=5)
+            assert not server.is_alive()
+        finally:
+            for f in (lr, lw, rr, rw, left, right):
+                f.close()
+        assert not res.accept and res.reason == reason
 
 
 class _RecordingReader:
