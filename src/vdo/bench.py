@@ -11,6 +11,7 @@ import os
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from multiprocessing import get_context
 
 from . import __version__
@@ -111,13 +112,22 @@ class OracleTrialSpec:
     kappa: int = 128
     amplification: int = 1
 
+    def inputs(self) -> tuple:
+        """(config, D sampler, prover): what a trial builds before its session;
+        ValueError for a spec no trial can run with."""
+        cfg = VerifierConfig(
+            self.n, self.epsilon, kappa=self.kappa, generator=empty_generator(),
+            amplification=self.amplification,
+        )
+        return (cfg, *_parties(self))
 
-def _prover(ts, q: GrainDistribution):
-    """The trial's prover, committing to q; distribution-spec parameters of
-    the adversary are built like the trial's own distributions."""
-    return ts.adversary.build(
-        q, ts.seed, lambda spec: make_dist(spec, ts.n, ts.grains, ts.seed)
-    )
+
+def _parties(ts) -> tuple:
+    """The trial's D sampler and prover; distribution-spec parameters of the
+    adversary are built like the trial's own distributions."""
+    dist = partial(make_dist, n=ts.n, grains=ts.grains, seed=ts.seed)
+    d, q = dist(ts.d_spec), dist(ts.q_spec)
+    return DSampler(d), ts.adversary.build(q, ts.seed, dist)
 
 
 def _session_row(res: SessionResult) -> dict:
@@ -134,14 +144,8 @@ def _session_row(res: SessionResult) -> dict:
 
 
 def oracle_trial(ts: OracleTrialSpec) -> dict:
-    d = make_dist(ts.d_spec, ts.n, ts.grains, ts.seed)
-    q = make_dist(ts.q_spec, ts.n, ts.grains, ts.seed)
-    prover = _prover(ts, q)
-    cfg = VerifierConfig(
-        ts.n, ts.epsilon, kappa=ts.kappa, generator=empty_generator(),
-        amplification=ts.amplification,
-    )
-    res = run_oracle_session(cfg, prover, DSampler(d), ts.seed)
+    cfg, sampler, prover = ts.inputs()
+    res = run_oracle_session(cfg, prover, sampler, ts.seed)
     t = res.transcript
     return {**_session_row(res), "q_samples": t.q_samples, "messages": t.message_count}
 
@@ -188,21 +192,25 @@ class LabelTrialSpec:
         """The identity-test distance parameter of the trial's session."""
         return argument_parameters(self.delta_c, self.delta_f)[0]
 
+    def inputs(self) -> tuple:
+        """(property, D sampler, prover): what a trial builds before its session."""
+        return (_label_property(self.property_name, self.property_params), *_parties(self))
+
 
 def _label_property(name: str, params: tuple):
     make = LABEL_INVARIANT.get(name)
     if make is None:
         raise ValueError(f"unknown label-invariant property {name}")
-    return make(*params)
+    try:
+        return make(*params)
+    except TypeError as e:
+        raise ValueError(f"property {name}: wrong number of parameters") from e
 
 
 def label_trial(ts: LabelTrialSpec) -> dict:
-    prop = _label_property(ts.property_name, ts.property_params)
-    d = make_dist(ts.d_spec, ts.n, ts.grains, ts.seed)
-    q = make_dist(ts.q_spec, ts.n, ts.grains, ts.seed)
-    prover = _prover(ts, q)
+    prop, sampler, prover = ts.inputs()
     res = run_label_invariant_argument(
-        prop, ts.n, ts.delta_c, ts.delta_f, DSampler(d), prover, ts.seed
+        prop, ts.n, ts.delta_c, ts.delta_f, sampler, prover, ts.seed
     )
     return _session_row(res.session)
 
@@ -226,16 +234,18 @@ class GeneralTrialSpec:
         """The identity-test distance parameter of the trial's session."""
         return general_argument_epsilon(self.delta_c, self.delta_f)
 
+    def inputs(self) -> tuple:
+        """(property, backend, D sampler, prover): what a trial builds before
+        its session."""
+        target = make_dist(self.target_spec, self.n, self.grains, self.seed)
+        backend = BACKENDS[self.backend](self.spot_budget)
+        return (make_fixed_target(target), backend, *_parties(self))
+
 
 def general_trial(ts: GeneralTrialSpec) -> dict:
-    target = make_dist(ts.target_spec, ts.n, ts.grains, ts.seed)
-    prop = make_fixed_target(target)
-    d = make_dist(ts.d_spec, ts.n, ts.grains, ts.seed)
-    q = make_dist(ts.q_spec, ts.n, ts.grains, ts.seed)
-    prover = _prover(ts, q)
-    backend = BACKENDS[ts.backend](ts.spot_budget)
+    prop, backend, sampler, prover = ts.inputs()
     res = run_general_argument(
-        prop, ts.n, ts.delta_c, ts.delta_f, DSampler(d), prover, backend, ts.seed
+        prop, ts.n, ts.delta_c, ts.delta_f, sampler, prover, backend, ts.seed
     )
     out = _session_row(res.session)
     if res.backend is not None:

@@ -131,18 +131,21 @@ def _session_mode(trial, setup, q_default, args) -> Report:
     distribution's spec without --q-dist (None: the --d-dist one)."""
     report = Report(args.mode)
     q_spec = args.q_dist or q_default or args.d_dist
-    adv = parse_adversary(args.adversary, args.adversary_param)
-    params, extra, spec = setup(args, q_spec, adv)
-    try:
+    try:  # flags no trial can run with: build what the first trial builds
+        adv = parse_adversary(args.adversary, args.adversary_param)
+        params, extra, spec = setup(args, q_spec, adv)
+        specs = [replace(spec, seed=trial_seed(args.seed, i)) for i in range(args.trials)]
+        if not specs:
+            raise ValueError(f"--trials {args.trials}: need at least one trial")
         check_epsilon(spec.n, spec.epsilon)
-    except ValueError as e:  # flags no trial can run with
+        specs[0].inputs()
+    except (ValueError, OSError) as e:
         raise argparse.ArgumentError(None, str(e)) from e
     for k, v in (
         ("n", args.n), *params, ("seed", args.seed), ("trials", args.trials), *extra,
         ("d_dist", args.d_dist), ("q_dist", q_spec), ("adversary", adv.strategy),
     ):
         report.config(k, v)
-    specs = [replace(spec, seed=trial_seed(args.seed, i)) for i in range(args.trials)]
     rows = run_trials(trial, specs, args.jobs)
     for i, row in enumerate(rows):
         report.trial(i, row)

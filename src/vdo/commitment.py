@@ -14,17 +14,21 @@ The cdf is not hashed anywhere; it is checked arithmetically against the
 masses of left siblings on the path, which the hashes do bind.
 
 Nodes are heap-indexed: node 1 is the root, node i has children 2i and
-2i+1, and element x's leaf is node padded + x - 1. The committer builds
-every node label once and keeps them in TreeAux, so an opening only reads
-labels. Verification and extraction share one walk per opening: the leaf
-hash, one node hash per level, then the header hash once the mass and cdf
-checks pass; extraction keeps the encoded labels that walk pins, by heap
-index. A committed tree costs 2 * padded hashes (padded leaves, padded - 1
-nodes, one header), a verified opening depth + 2.
+2i+1, and element x's leaf is node padded + x - 1. A node label has one
+form, its encoding: TreeAux keeps every label digest builds, an opening's
+path is its wire encoding (per level the sibling's label and a direction
+byte) and the walk hashes labels straight from it. Decoding a record checks
+and slices it; no table of decoded path levels is shared. Verification and
+extraction share one walk per opening: the leaf hash, one node hash per
+level, then the header hash once the mass and cdf checks pass; extraction
+keeps the labels that walk pins, by heap index. A committed tree costs
+2 * padded hashes (padded leaves, padded - 1 nodes, one header), a
+verified opening depth + 2.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -78,13 +82,14 @@ class HashKey:
 
 @dataclass(frozen=True)
 class NodeLabel:
-    """Mass (grain count) and hash of one tree node."""
+    """Mass (grain count) and hash of the digest's root."""
 
     mass: int
     digest: bytes
 
-    def to_bytes(self) -> bytes:
-        return self.mass.to_bytes(8, "little") + self.digest
+
+# an encoded digest: N, G, padded size and the root mass, then the root hash
+_DIGEST_HEAD = struct.Struct("<QQQQ")
 
 
 @dataclass(frozen=True)
@@ -103,104 +108,81 @@ class Digest:
 
     def well_formed(self) -> bool:
         """padded_size is the power of two the domain needs, and the root
-        mass is the denominator, at least 1."""
+        mass is the denominator G, with 1 <= G and (depth + 1) * G < 2^64."""
         p = self.padded_size
         return (
             p >= 1 and not p & (p - 1) and p // 2 < self.domain_size <= p
             and 1 <= self.denominator == self.root.mass
+            and self.denominator * p.bit_length() < 1 << 64
         )
 
     def to_bytes(self) -> bytes:
-        return (
-            self.domain_size.to_bytes(8, "little")
-            + self.denominator.to_bytes(8, "little")
-            + self.padded_size.to_bytes(8, "little")
-            + self.root.to_bytes()
-        )
+        head = (self.domain_size, self.denominator, self.padded_size, self.root.mass)
+        return _DIGEST_HEAD.pack(*head) + self.root.digest
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Digest":
-        if len(data) != 24 + 8 + HASH_LEN:
+        if len(data) != cls.ENCODED_LEN:
             raise ValueError("bad digest encoding")
-        n = int.from_bytes(data[0:8], "little")
-        g = int.from_bytes(data[8:16], "little")
-        p = int.from_bytes(data[16:24], "little")
-        mass = int.from_bytes(data[24:32], "little")
-        return cls(NodeLabel(mass, bytes(data[32:])), p, n, g)
+        n, g, p, mass = _DIGEST_HEAD.unpack_from(data)
+        return cls(NodeLabel(mass, bytes(data[_DIGEST_HEAD.size :])), p, n, g)
 
-    ENCODED_LEN = 24 + 8 + HASH_LEN
+    ENCODED_LEN = _DIGEST_HEAD.size + HASH_LEN
 
 
-# an encoded opening: element, pdf, cdf, depth, then per level the sibling's
-# mass and hash and a direction byte (1: the sibling is the left child)
+# an encoded opening: element, pdf, cdf and depth, then the path
 _OPENING_HEAD = struct.Struct("<QQQB")
-_OPENING_LEVEL = struct.Struct(f"<Q{HASH_LEN}sB")
+_LABEL_LEN = 8 + HASH_LEN  # an encoded node label: mass, then hash
+_LEVEL_LEN = _LABEL_LEN + 1  # a path level: the sibling's label, a direction byte
+_MASS = struct.Struct("<Q")  # a label's mass
 
 
 @dataclass(frozen=True)
 class OpeningProof:
     """Authenticated pdf/cdf claim for one element.
 
-    path runs leaf to root: (sibling label, sibling_is_left). Left siblings'
-    masses accumulate into the cdf.
+    path is the encoded sibling path, leaf to root: per level the sibling's
+    encoded label and a direction byte, 1 when the sibling is the left child.
+    Left siblings' masses accumulate into the cdf.
     """
 
     element: int
     claimed_pdf: int
     claimed_cdf: int
-    path: tuple[tuple[NodeLabel, bool], ...]
+    path: bytes
 
     def to_bytes(self) -> bytes:
-        out = [
-            self.element.to_bytes(8, "little"),
-            self.claimed_pdf.to_bytes(8, "little"),
-            self.claimed_cdf.to_bytes(8, "little"),
-            len(self.path).to_bytes(1, "little"),
-        ]
-        for label, is_left in self.path:
-            out.append(label.to_bytes())
-            out.append(b"\x01" if is_left else b"\x00")
-        return b"".join(out)
+        depth = len(self.path) // _LEVEL_LEN
+        return _OPENING_HEAD.pack(self.element, self.claimed_pdf, self.claimed_cdf, depth) + self.path
 
     @classmethod
-    def from_bytes(cls, data: bytes, levels: dict | None = None) -> "OpeningProof":
-        """Decode one record (ValueError if malformed). levels maps each
-        (mass, hash, direction byte) path level decoded so far to its path
-        entry and gains this record's; openings of one tree share most of
-        their levels, so decoding many with one dict builds each label
-        once."""
+    def from_bytes(cls, data: bytes) -> "OpeningProof":
+        """Decode one record (ValueError if malformed): check the length
+        and the direction bytes, then slice off the path."""
         if len(data) < _OPENING_HEAD.size:
             raise ValueError("truncated opening")
         element, pdf, cdf, depth = _OPENING_HEAD.unpack_from(data)
         if len(data) != cls.encoded_len(depth):
             raise ValueError("opening length mismatch")
-        if levels is None:
-            levels = {}
-        path = []
-        for level in _OPENING_LEVEL.iter_unpack(memoryview(data)[_OPENING_HEAD.size :]):
-            entry = levels.get(level)
-            if entry is None:
-                mass, h, side = level
-                if side > 1:
-                    raise ValueError("bad direction byte")
-                entry = levels[level] = (NodeLabel(mass, h), side == 1)
-            path.append(entry)
-        return cls(element, pdf, cdf, tuple(path))
+        path = bytes(data[_OPENING_HEAD.size :])
+        if path[_LABEL_LEN::_LEVEL_LEN].translate(None, b"\x00\x01"):
+            raise ValueError("bad direction byte")
+        return cls(element, pdf, cdf, path)
 
     @staticmethod
     def encoded_len(depth: int) -> int:
-        return _OPENING_HEAD.size + depth * _OPENING_LEVEL.size
+        return _OPENING_HEAD.size + depth * _LEVEL_LEN
 
 
 class TreeAux:
-    """Every node label of a committed tree, heap-indexed: labels[1] is the
-    root, node i has children 2i and 2i+1, and element x's leaf is
+    """Every encoded node label of a committed tree, heap-indexed: labels[1]
+    is the root, node i has children 2i and 2i+1, and element x's leaf is
     labels[padded + x - 1] (padding leaves carry mass 0). digest builds each
-    label once; open_element only reads them."""
+    label once; open_element only joins them."""
 
     __slots__ = ("padded", "labels")
 
-    def __init__(self, padded: int, labels: list[NodeLabel]):
+    def __init__(self, padded: int, labels: list[bytes]):
         self.padded = padded
         self.labels = labels
 
@@ -210,26 +192,17 @@ def _hash_leaf(salt: bytes, mass: int) -> bytes:
 
 
 def _hash_node(salt: bytes, left: bytes, right: bytes) -> bytes:
-    """Hash of an internal node from its children's encoded labels
-    (NodeLabel.to_bytes())."""
+    """Hash of an internal node from its children's encoded labels."""
     return hashlib.sha256(salt + _NODE_TAG + left + right).digest()
 
 
 def _hash_header(salt: bytes, n: int, grains: int, padded: int, root_hash: bytes) -> bytes:
-    return hashlib.sha256(
-        salt
-        + _HEAD_TAG
-        + n.to_bytes(8, "little")
-        + grains.to_bytes(8, "little")
-        + padded.to_bytes(8, "little")
-        + root_hash
-    ).digest()
+    geometry = struct.pack("<QQQ", n, grains, padded)
+    return hashlib.sha256(salt + _HEAD_TAG + geometry + root_hash).digest()
 
 
 def gen(kappa: int, n: int, rng: Generator) -> HashKey:
-    """Fresh verifier-chosen key; kappa must be at least 128."""
-    if kappa < 128:
-        raise ValueError("security parameter below 128 bits")
+    """Fresh verifier-chosen key; kappa must be at least 128 (HashKey checks)."""
     salt = bytes(int(b) for b in rng.integers(0, 256, size=16))
     return HashKey(salt, kappa)
 
@@ -238,17 +211,16 @@ def digest(key: HashKey, q: GrainDistribution) -> tuple[Digest, TreeAux]:
     """Commit to q. Deterministic in (key, q); aux holds every node label."""
     padded = 1 << (q.n - 1).bit_length()
     salt = key.salt
-    labels: list[NodeLabel] = [None] * (2 * padded)  # slot 0 unused
-    for i, mass in enumerate(q.counts + (0,) * (padded - q.n), padded):
-        labels[i] = NodeLabel(mass, _hash_leaf(salt, mass))
+    masses = [0] * padded + list(q.counts) + [0] * (padded - q.n)  # slot 0 unused
     for i in range(padded - 1, 0, -1):
-        left, right = labels[2 * i], labels[2 * i + 1]
-        labels[i] = NodeLabel(
-            left.mass + right.mass, _hash_node(salt, left.to_bytes(), right.to_bytes())
-        )
-    root = labels[1]
-    root_hash = _hash_header(salt, q.n, q.grains, padded, root.digest)
-    d = Digest(NodeLabel(root.mass, root_hash), padded, q.n, q.grains)
+        masses[i] = masses[2 * i] + masses[2 * i + 1]
+    labels = list(map(_MASS.pack, masses))
+    for i in range(padded, 2 * padded):
+        labels[i] += _hash_leaf(salt, masses[i])
+    for i in range(padded - 1, 0, -1):
+        labels[i] += _hash_node(salt, labels[2 * i], labels[2 * i + 1])
+    root_hash = _hash_header(salt, q.n, q.grains, padded, labels[1][8:])
+    d = Digest(NodeLabel(masses[1], root_hash), padded, q.n, q.grains)
     return d, TreeAux(padded, labels)
 
 
@@ -258,61 +230,71 @@ def open_element(x: int, key: HashKey, d: Digest, aux: TreeAux) -> OpeningProof:
         raise ValueError(f"element {x} outside [1, {d.domain_size}]")
     labels = aux.labels
     idx = aux.padded + x - 1
-    pdf = labels[idx].mass
-    cdf = pdf
+    pdf = cdf = _MASS.unpack_from(labels[idx])[0]
     path = []
     while idx > 1:
-        sib = labels[idx ^ 1]
-        sib_is_left = bool(idx & 1)
-        if sib_is_left:
-            cdf += sib.mass
-        path.append((sib, sib_is_left))
+        if idx & 1:  # the sibling is the left child
+            sib = labels[idx - 1]
+            cdf += _MASS.unpack_from(sib)[0]
+            path += (sib, b"\x01")
+        else:
+            path += (labels[idx + 1], b"\x00")
         idx >>= 1
-    return OpeningProof(x, pdf, cdf, tuple(path))
+    return OpeningProof(x, pdf, cdf, b"".join(path))
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII binary digits to bytes 0 and 1
+
+
+@functools.cache
+def _level_unpackers(depth: int):
+    """Unpackers of a depth-level path: its sibling labels, their masses."""
+    labels, masses = f"{_LABEL_LEN}sx" * depth, f"Q{HASH_LEN}xx" * depth
+    return struct.Struct("<" + labels).unpack, struct.Struct("<" + masses).unpack
 
 
 def _walk(
     x: int, proof: OpeningProof, key: HashKey, d: Digest, pinned: list[bytes] | None = None
 ) -> bool:
-    """The checks and hashes of verify_opening. Given a list `pinned`, the
-    walk also appends the encoded labels (NodeLabel.to_bytes()) the path
-    pins, leaf to root: the running node, then its sibling, at each level,
-    and last the root before the header hash; they hold only if the walk
-    accepts. verify_opening passes no list: collecting the labels on every
-    verification made it about 7 % slower."""
+    """The checks and hashes of verify_opening, on the encoded path: any bytes
+    path gets a verdict, never an exception (a well-formed digest keeps
+    every running mass within 8 bytes). Given a list `pinned`, the walk also
+    appends the encoded labels the path pins, leaf to root: the running
+    node, then its sibling, at each level, and last the root before the
+    header hash; they hold only if the walk accepts. verify_opening passes
+    no list: collecting the labels on every verification made it about 7 %
+    slower."""
     denom = d.denominator
     if not d.well_formed() or not 1 <= x <= d.domain_size or proof.element != x:
         return False
     path = proof.path
-    if len(path) != d.depth or not 0 <= proof.claimed_pdf <= denom:
+    depth = d.depth
+    if len(path) != depth * _LEVEL_LEN or not 0 <= proof.claimed_pdf <= denom:
         return False
-    # direction bits must match the element's position
-    leaf_pos = x - 1
-    for level, (_, sib_is_left) in enumerate(path):
-        if sib_is_left != ((leaf_pos >> level) & 1 == 1):
-            return False
+    # the direction bytes must spell the element's position, low bit first
+    sides = path[_LABEL_LEN::_LEVEL_LEN]
+    if sides != format(x - 1, f"0{depth}b")[::-1][:depth].encode().translate(_BITS):
+        return False
+    sibs, masses = _level_unpackers(depth)
     salt = key.salt
     mass = cdf = proof.claimed_pdf
-    node_hash = _hash_leaf(salt, mass)
-    for label, sib_is_left in path:
-        sib_mass = label.mass
-        if not 0 <= sib_mass <= denom:
+    node = _MASS.pack(mass) + _hash_leaf(salt, mass)
+    for sib, sib_mass, sib_is_left in zip(sibs(path), masses(path), sides):
+        if sib_mass > denom:
             return False
-        sib = sib_mass.to_bytes(8, "little") + label.digest
-        cur = mass.to_bytes(8, "little") + node_hash
         if pinned is not None:
-            pinned += (cur, sib)
+            pinned += (node, sib)
+        mass += sib_mass
         if sib_is_left:
             cdf += sib_mass
-            node_hash = _hash_node(salt, sib, cur)
+            node = _MASS.pack(mass) + _hash_node(salt, sib, node)
         else:
-            node_hash = _hash_node(salt, cur, sib)
-        mass += sib_mass
+            node = _MASS.pack(mass) + _hash_node(salt, node, sib)
     if mass != d.root.mass or cdf != proof.claimed_cdf:
         return False
     if pinned is not None:
-        pinned.append(mass.to_bytes(8, "little") + node_hash)
-    return _hash_header(salt, d.domain_size, denom, d.padded_size, node_hash) == d.root.digest
+        pinned.append(node)
+    return _hash_header(salt, d.domain_size, denom, d.padded_size, node[8:]) == d.root.digest
 
 
 def verify_opening(x: int, proof: OpeningProof, key: HashKey, d: Digest) -> bool:

@@ -94,6 +94,8 @@ class VerifierConfig:
             raise ValueError("epsilon must lie in (0,1)")
         if self.amplification < 1:
             raise ValueError("amplification must be at least 1")
+        if self.kappa < 128:
+            raise ValueError("security parameter below 128 bits")
 
 
 @dataclass
@@ -254,7 +256,7 @@ class VerifiedOracleSession:
                 raise SessionRejected(Reason.MALFORMED)
             try:
                 ok = cm.verify_opening(p.element, p, self.key, self.digest)
-            except Exception:  # e.g. a path entry that is not a (label, side) pair
+            except Exception:  # e.g. a path that is not bytes
                 raise SessionRejected(Reason.MALFORMED)
             if not ok:
                 raise SessionRejected(Reason.INVALID_OPENING)

@@ -9,13 +9,14 @@ All integers are little-endian. Quantile probes carry a grain index g
 answer a query set positionally.
 
 An opening batch repeats each probe's record in full but holds only its
-distinct openings. Encoding stacks their records as rows of a uint8 matrix
-and gathers them by probe with one numpy take straight into the buffer that
-becomes the frame (one copy of the body). Decoding numbers the rows in one
-streaming dictionary pass over whole records, then decodes each distinct
-record once with OpeningProof.from_bytes; the records share one table of
-decoded path levels, so a sibling label common to many openings is built
-once.
+distinct openings. An opening's path is already its encoded bytes, so its
+record is one packed head plus the path. Encoding stacks the distinct
+records as rows of a uint8 matrix and gathers them by probe with one numpy
+take straight into the buffer that becomes the frame (one copy of the
+body). Decoding numbers the rows in one streaming dictionary pass over
+whole records, then decodes each distinct record once with
+OpeningProof.from_bytes, which checks it and slices off the path; the
+records share no table of decoded path levels.
 
 Transcripts record direction, framing and counters. Payload retention can
 be disabled for bulk runs; byte counters are exact either way because every
@@ -214,14 +215,13 @@ class OpeningBatch:
     def from_payload(cls, data: bytes, depth: int) -> "OpeningBatch":
         """Decode a payload: deduplicate its rows, then decode each
         distinct record once (ValueError for the first one
-        OpeningProof.from_bytes rejects), all sharing one level table."""
+        OpeningProof.from_bytes rejects)."""
         rec = OpeningProof.encoded_len(depth)
         count = int.from_bytes(data[:4], "little")
         if len(data) != 4 + count * rec:
             raise ValueError("opening batch length mismatch")
         distinct, index = _dedup_rows(memoryview(data)[4:], rec)
-        levels: dict = {}
-        return cls([OpeningProof.from_bytes(row, levels) for row in distinct], index, depth)
+        return cls([OpeningProof.from_bytes(row) for row in distinct], index, depth)
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,35 @@ class TestCli:
         assert exit_.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mode", "oracle-session", "--kappa", "64"], "security parameter below 128 bits"),
+            (["--mode", "oracle-session", "--grains", "0"], "denominator must lie in"),
+            (["--mode", "oracle-session", "--d-dist", "point:99"], "atom outside domain"),
+            (["--mode", "general-argument", "--target", "point:99"], "atom outside domain"),
+            (["--mode", "label-invariant", "--property", "support-size"],
+             "property support-size: wrong number of parameters"),
+            (["--mode", "oracle-session", "--trials", "0"], "need at least one trial"),
+            (["--mode", "oracle-session", "--q-dist", "file:/no/such/file"], "No such file"),
+            (["--mode", "oracle-session", "--adversary", "inconsistent-opening",
+              "--adversary-param", "x"], "Invalid literal for Fraction"),
+        ],
+        ids=["kappa", "grains", "d-dist", "target", "property-param", "trials", "file",
+             "adversary-param"],
+    )
+    def test_flags_no_trial_can_run_with_are_usage_errors(
+        self, monkeypatch, capsys, flags, message
+    ):
+        def no_trials(*args):
+            raise AssertionError("no trial may run")
+
+        monkeypatch.setattr(cli, "run_trials", no_trials)
+        with pytest.raises(SystemExit) as exit_:
+            main(["--n", "64", "--trials", "1", "--jobs", "1"] + flags)
+        assert exit_.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_oracle_session_mode(self, tmp_path, capsys):
         out = tmp_path / "report.txt"
         code = main(

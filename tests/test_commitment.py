@@ -174,8 +174,8 @@ class TestOpenVerify:
 
 
 def _reference_from_bytes(data: bytes) -> OpeningProof:
-    """The field-by-field opening decoder that OpeningProof.from_bytes
-    replaced; its results and its ValueErrors are the reference."""
+    """A field-by-field opening decoder; its results and its ValueErrors
+    are the reference for OpeningProof.from_bytes."""
     if len(data) < 25:
         raise ValueError("truncated opening")
     element = int.from_bytes(data[0:8], "little")
@@ -185,17 +185,58 @@ def _reference_from_bytes(data: bytes) -> OpeningProof:
     rec = 8 + 32 + 1
     if len(data) != 25 + depth * rec:
         raise ValueError("opening length mismatch")
-    path = []
-    off = 25
-    for _ in range(depth):
-        mass = int.from_bytes(data[off : off + 8], "little")
-        h = bytes(data[off + 8 : off + 40])
-        side = data[off + 40]
-        if side not in (0, 1):
+    for off in range(25, len(data), rec):
+        if data[off + 40] not in (0, 1):
             raise ValueError("bad direction byte")
-        path.append((NodeLabel(mass, h), side == 1))
-        off += rec
-    return OpeningProof(element, pdf, cdf, tuple(path))
+    return OpeningProof(element, pdf, cdf, bytes(data[25:]))
+
+
+def _object_path(path: bytes) -> tuple:
+    """An encoded path as (sibling NodeLabel, sibling_is_left) pairs, the
+    form _reference_walk reads."""
+    return tuple(
+        (NodeLabel(int.from_bytes(path[off : off + 8], "little"), path[off + 8 : off + 40]),
+         path[off + 40] == 1)
+        for off in range(0, len(path), 41)
+    )
+
+
+def _reference_walk(x, proof, key, d, pinned=None) -> bool:
+    """The walk over (NodeLabel, sibling_is_left) path tuples that
+    commitment._walk replaced; its verdict, its pinned labels and its hash
+    calls (through the module's hash functions) are the reference."""
+    denom = d.denominator
+    if not d.well_formed() or not 1 <= x <= d.domain_size or proof.element != x:
+        return False
+    path = proof.path
+    if len(path) != d.depth or not 0 <= proof.claimed_pdf <= denom:
+        return False
+    leaf_pos = x - 1
+    for level, (_, sib_is_left) in enumerate(path):
+        if sib_is_left != ((leaf_pos >> level) & 1 == 1):
+            return False
+    salt = key.salt
+    mass = cdf = proof.claimed_pdf
+    node_hash = cm._hash_leaf(salt, mass)
+    for label, sib_is_left in path:
+        sib_mass = label.mass
+        if not 0 <= sib_mass <= denom:
+            return False
+        sib = sib_mass.to_bytes(8, "little") + label.digest
+        cur = mass.to_bytes(8, "little") + node_hash
+        if pinned is not None:
+            pinned += (cur, sib)
+        if sib_is_left:
+            cdf += sib_mass
+            node_hash = cm._hash_node(salt, sib, cur)
+        else:
+            node_hash = cm._hash_node(salt, cur, sib)
+        mass += sib_mass
+    if mass != d.root.mass or cdf != proof.claimed_cdf:
+        return False
+    if pinned is not None:
+        pinned.append(mass.to_bytes(8, "little") + node_hash)
+    return cm._hash_header(salt, d.domain_size, denom, d.padded_size, node_hash) == d.root.digest
 
 
 def _decode_both(blob: bytes):
@@ -210,15 +251,21 @@ def _decode_both(blob: bytes):
 
 
 @functools.lru_cache
-def _honest_blobs(n: int) -> list[bytes]:
+def _honest_tree(n: int):
+    """(digest, aux, every element's encoded opening) of a random tree."""
     q = random_distribution(n, rng_from(n, "decode"))
     d, aux = digest(KEY, q)
-    return [open_element(x, KEY, d, aux).to_bytes() for x in range(1, n + 1)]
+    return d, aux, [open_element(x, KEY, d, aux).to_bytes() for x in range(1, n + 1)]
+
+
+def _honest_blobs(n: int) -> list[bytes]:
+    return _honest_tree(n)[2]
 
 
 class TestOpeningDecode:
-    """OpeningProof.from_bytes (one header unpack, one iter_unpack over the
-    path) against to_bytes round trips and the field-by-field reference."""
+    """OpeningProof.from_bytes (one header unpack, one check of the
+    direction bytes, one slice) against to_bytes round trips and the
+    field-by-field reference."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 33, 1024])
     def test_round_trip_byte_for_byte(self, n):
@@ -226,7 +273,7 @@ class TestOpeningDecode:
             p = OpeningProof.from_bytes(blob)
             assert p.to_bytes() == blob
             assert p == _reference_from_bytes(blob)
-            assert all(type(side) is bool and type(lab.digest) is bytes for lab, side in p.path)
+            assert type(p.path) is bytes
 
     @pytest.mark.parametrize("size", [0, 1, 24])
     def test_truncated(self, size):
@@ -258,19 +305,18 @@ class TestOpeningDecode:
             OpeningProof.from_bytes(bytes(blob))
 
     def test_shared_levels(self):
-        blobs = _honest_blobs(16)
-        levels = {}
-        proofs = [OpeningProof.from_bytes(b, levels) for b in blobs]
-        assert proofs == [_reference_from_bytes(b) for b in blobs]
-        # one entry object per distinct level, at most one per non-root node
-        assert len({id(e) for p in proofs for e in p.path}) == len(levels) <= 30
-        assert proofs[0].path[-1] is proofs[7].path[-1]  # the root's right child
-        size = len(levels)
-        bad = bytearray(blobs[3])
-        bad[25 + 40] = 2
-        with pytest.raises(ValueError, match="bad direction byte"):
-            OpeningProof.from_bytes(bytes(bad), levels)
-        assert len(levels) == size
+        # one encoding from commit to verify: every decoded path level is
+        # the committed tree's encoded label of that sibling, byte for byte,
+        # and a direction byte saying which child the sibling is
+        d, aux, blobs = _honest_tree(16)
+        for x, blob in enumerate(blobs, 1):
+            path = OpeningProof.from_bytes(blob).path
+            node = d.padded_size + x - 1
+            for off in range(0, 41 * d.depth, 41):
+                assert path[off : off + 40] == aux.labels[node ^ 1]
+                assert path[off + 40] == node & 1
+                node >>= 1
+            assert node == 1
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -351,7 +397,7 @@ class TestVerifyProperty:
         d, aux = _PROP_TREES[n]
         x = data.draw(st.integers(1, n), label="x")
         honest = open_element(x, _PROP_KEY, d, aux)
-        path = list(honest.path)
+        path = bytearray(honest.path)
         kinds = ["pdf", "cdf", "element", "length"]
         if path:
             kinds += ["mass", "hash", "side"]
@@ -362,23 +408,72 @@ class TestVerifyProperty:
             mutated = dataclasses.replace(honest, claimed_cdf=data.draw(_near(honest.claimed_cdf)))
         elif kind == "element":
             mutated = dataclasses.replace(honest, element=data.draw(st.integers(0, n + 1)))
-        elif kind == "length":
-            size = data.draw(st.integers(0, len(path) + 2))
-            filler = [(NodeLabel(0, bytes(32)), False)] * max(0, size - len(path))
-            mutated = dataclasses.replace(honest, path=tuple((path + filler)[:size]))
+        elif kind == "length":  # any length, most of them not a whole number of levels
+            size = data.draw(st.integers(0, len(path) + 2 * 41))
+            mutated = dataclasses.replace(honest, path=bytes(path + bytes(size))[:size])
         else:
-            level = data.draw(st.integers(0, len(path) - 1), label="level")
-            label, side = path[level]
+            off = 41 * data.draw(st.integers(0, len(path) // 41 - 1), label="level")
             if kind == "mass":
-                path[level] = (NodeLabel(data.draw(_near(label.mass)), label.digest), side)
+                mass = int.from_bytes(path[off : off + 8], "little")
+                path[off : off + 8] = min(data.draw(_near(mass)), 2**64 - 1).to_bytes(8, "little")
             elif kind == "hash":
-                h = bytearray(label.digest)
-                h[data.draw(st.integers(0, len(h) - 1))] = data.draw(st.integers(0, 255))
-                path[level] = (NodeLabel(label.mass, bytes(h)), side)
+                path[off + data.draw(st.integers(8, 39))] = data.draw(st.integers(0, 255))
             else:
-                path[level] = (label, data.draw(st.booleans()))
-            mutated = dataclasses.replace(honest, path=tuple(path))
+                path[off + 40] = data.draw(st.integers(0, 255))
+            mutated = dataclasses.replace(honest, path=bytes(path))
         assert verify_opening(x, mutated, _PROP_KEY, d) == (mutated == honest)
+
+    @pytest.mark.parametrize("n", [2, 4, 1024])
+    def test_masses_past_eight_bytes_reject(self, n):
+        # a digest whose G lets a path's running mass pass 2^64 is not well
+        # formed, so the walk rejects before it would have to encode one
+        q = GrainDistribution(n, 16, [16] + [0] * (n - 1))
+        d, aux = digest(KEY, q)
+        p = open_element(2, KEY, d, aux)
+        g = 2**64 - 1
+        big = Digest(NodeLabel(g, d.root.digest), d.padded_size, n, g)
+        assert not big.well_formed()
+        assert not verify_opening(2, OpeningProof(2, g, g, p.path), KEY, big)
+
+
+class TestWalkDifferential:
+    def test_matches_object_walk(self, monkeypatch):
+        # on mutated honest records, the walk over the encoded path agrees
+        # with the object walk on the verdict, the pinned labels and the
+        # hash calls by kind
+        counts = _count_hashes(monkeypatch)
+
+        def walk(fn, x, proof, d, pinned):
+            counts.update(dict.fromkeys(counts, 0))
+            return fn(x, proof, _PROP_KEY, d, pinned), pinned, dict(counts)
+
+        @settings(max_examples=400, deadline=None)
+        @given(
+            st.sampled_from(sorted(_PROP_TREES)),
+            st.integers(1, 64),
+            st.lists(
+                st.tuples(st.integers(0, 10**4), st.one_of(st.integers(0, 1), st.integers(0, 255))),
+                max_size=3,
+            ),
+            st.one_of(st.none(), st.integers(0, 65)),
+        )
+        def check(n, which, edits, at):
+            d, aux = _PROP_TREES[n]
+            blob = bytearray(open_element(1 + which % n, _PROP_KEY, d, aux).to_bytes())
+            for pos, value in edits:
+                blob[pos % len(blob)] = value
+            try:
+                proof = OpeningProof.from_bytes(bytes(blob))
+            except ValueError:
+                return
+            x = proof.element if at is None else at
+            ref = dataclasses.replace(proof, path=_object_path(proof.path))
+            expected = walk(_reference_walk, x, ref, d, [])
+            assert walk(cm._walk, x, proof, d, []) == expected
+            verdict_and_hashes = walk(lambda *a: verify_opening(*a[:4]), x, proof, d, None)[::2]
+            assert verdict_and_hashes == expected[::2]
+
+        check()
 
 
 def _quantile_openings(q: GrainDistribution, grains: list[int]):
