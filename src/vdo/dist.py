@@ -10,6 +10,7 @@ Elements are 1-indexed: the domain is {1, ..., N}.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
 
@@ -327,47 +328,52 @@ def tv_distance(p: GrainDistribution, q: GrainDistribution) -> Fraction:
 # -- bucket histograms --------------------------------------------------------
 
 
-def bucket_index(prob: Fraction, tau: Fraction, n: int) -> int:
-    """Bucket id of a probability under geometric bucketing with ratio 1+tau.
+def bucket_edges(tau: Fraction, n: int) -> list[Fraction]:
+    """The geometric bucket grid: edges[j] = tau*(1+tau)^j/n for j = 0..J+1,
+    where J is the bucket of probability 1 (edges[J] <= 1 < edges[J+1]).
 
-    Bucket 0 collects probabilities below tau/n; otherwise the id is the
-    unique j >= 0 with tau*(1+tau)^j/n <= prob < tau*(1+tau)^(j+1)/n.
-    Probabilities exactly at tau/n land in the j=0 interval.
+    Bucket j >= 1 is the interval [edges[j], edges[j+1]); bucket 0 is
+    [0, edges[1]), so it also holds every probability below tau/n.
     """
-    prob = Fraction(prob)
     tau = Fraction(tau)
     if not 0 < tau < 1:
         raise ValueError("tau must lie in (0,1)")
+    edges = [tau / n]
+    while edges[-1] <= 1:
+        edges.append(edges[-1] * (1 + tau))
+    return edges
+
+
+def bucket_index(prob: Fraction, tau: Fraction, n: int) -> int:
+    """Bucket id of a probability on the grid of bucket_edges(tau, n): the
+    j with edges[j] <= prob < edges[j+1], or 0 when prob < edges[1]."""
+    edges = bucket_edges(tau, n)
+    prob = Fraction(prob)
     if not 0 <= prob <= 1:
         raise ValueError("probability out of range")
-    lo = tau / n
-    if prob < lo:
-        return 0
-    j = 0
-    hi = lo * (1 + tau)
-    while prob >= hi:
-        lo = hi
-        hi = lo * (1 + tau)
-        j += 1
-    return j
+    return max(0, bisect_right(edges, prob) - 1)
 
 
 def num_buckets(tau: Fraction, n: int) -> int:
     """Bucket ids run 0..J where J is the bucket holding probability 1."""
-    return bucket_index(Fraction(1), tau, n) + 1
+    return len(bucket_edges(tau, n)) - 1
+
+
+def grain_buckets(values: np.ndarray, grains: int, edges: list[Fraction]) -> np.ndarray:
+    """Bucket id of each probability values[i]/grains on the grid `edges`
+    (values: integers in [0, grains]); each distinct value is bucketed once."""
+    distinct, inverse = np.unique(np.asarray(values, dtype=np.int64), return_inverse=True)
+    if distinct.size and not (grains >= 1 and 0 <= distinct[0] and distinct[-1] <= grains):
+        raise ValueError("probability out of range")
+    # v/grains >= e exactly when the integer v >= ceil(e * grains)
+    floors = [frac_ceil(e * grains) for e in edges]
+    ids = [max(0, bisect_right(floors, v) - 1) for v in distinct.tolist()]
+    return np.asarray(ids, dtype=np.int64)[inverse]
 
 
 def element_buckets(d: GrainDistribution, tau: Fraction) -> np.ndarray:
-    """Bucket id of each element's probability (vectorized by distinct count)."""
-    out = np.empty(d.n, dtype=np.int64)
-    cache: dict[int, int] = {}
-    for i, c in enumerate(d.counts):
-        b = cache.get(c)
-        if b is None:
-            b = bucket_index(Fraction(c, d.grains), tau, d.n)
-            cache[c] = b
-        out[i] = b
-    return out
+    """Bucket id of each element's probability."""
+    return grain_buckets(d._counts_arr, d.grains, bucket_edges(tau, d.n))
 
 
 class BucketHistogram:
@@ -401,9 +407,7 @@ class BucketHistogram:
 def exact_histogram(d: GrainDistribution, tau: Fraction) -> BucketHistogram:
     """Exact bucket masses of a distribution; masses sum to 1."""
     tau = Fraction(tau)
-    buckets = element_buckets(d, tau)
-    size = num_buckets(tau, d.n)
-    acc = [0] * size
-    for i, b in enumerate(buckets):
-        acc[b] += d.counts[i]
-    return BucketHistogram(tau, d.n, [Fraction(a, d.grains) for a in acc])
+    edges = bucket_edges(tau, d.n)
+    acc = np.zeros(len(edges) - 1, dtype=np.int64)  # sums of counts stay below G < 2^63
+    np.add.at(acc, grain_buckets(d._counts_arr, d.grains, edges), d._counts_arr)
+    return BucketHistogram(tau, d.n, [Fraction(a, d.grains) for a in acc.tolist()])

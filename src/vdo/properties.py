@@ -24,8 +24,8 @@ from .constants import Constants, get_constants
 from .dist import (
     BucketHistogram,
     GrainDistribution,
-    bucket_index,
-    num_buckets,
+    bucket_edges,
+    grain_buckets,
     tv_distance,
     uniform,
 )
@@ -67,18 +67,16 @@ def estimate_histogram(
     pdf_grains: np.ndarray, denominator: int, tau: Fraction, n: int
 ) -> BucketHistogram:
     """Empirical bucket histogram from probed (element, pdf) pairs: bucket j
-    gets the fraction of pairs whose pdf lands in it."""
+    of bucket_edges(tau, n) gets the fraction of pairs whose pdf
+    (pdf_grains / denominator) lands in it."""
     pdf_grains = np.asarray(pdf_grains, dtype=np.int64)
     s = pdf_grains.shape[0]
     if s == 0:
         raise ValueError("histogram estimation needs at least one sample")
     tau = Fraction(tau)
-    size = num_buckets(tau, n)
-    vals, cnts = np.unique(pdf_grains, return_counts=True)
-    acc = [0] * size
-    for v, c in zip(vals.tolist(), cnts.tolist()):
-        acc[bucket_index(Fraction(int(v), denominator), tau, n)] += int(c)
-    return BucketHistogram(tau, n, [Fraction(a, s) for a in acc])
+    edges = bucket_edges(tau, n)
+    counts = np.bincount(grain_buckets(pdf_grains, denominator, edges), minlength=len(edges) - 1)
+    return BucketHistogram(tau, n, [Fraction(c, s) for c in counts.tolist()])
 
 
 def histogram_sample_budget(n: int, tau: Fraction, constants: Constants | None = None) -> int:
@@ -90,29 +88,22 @@ def histogram_sample_budget(n: int, tau: Fraction, constants: Constants | None =
     return frac_ceil(Fraction(cons.c_hist) * l2**3 / tau**4)
 
 
-def _bucket_representatives(tau: Fraction, n: int, size: int) -> list[Fraction]:
-    """Geometric-mean probability per bucket; bucket 0 is represented by 0."""
-    reps = [Fraction(0)]
-    lo = Fraction(tau) / n
-    for _ in range(1, size):
-        hi = lo * (1 + tau)
-        reps.append(geometric_mean(lo, hi))
-        lo = hi
-    return reps
-
-
 # -- uniformity ---------------------------------------------------------------------
 
 
 def uniformity_distance_estimate(tau: Fraction, n: int, hist: BucketHistogram) -> Fraction:
     """Histogram-only estimate of the distance to uniform:
-    sum over buckets of n_j * max(0, q_j - 1/N) with n_j = p_j / q_j."""
-    reps = _bucket_representatives(tau, n, hist.size)
+    sum over buckets of n_j * max(0, q_j - 1/N) with n_j = p_j / q_j, where
+    q_j is bucket j's representative probability on bucket_edges(tau, n).
+    Bucket 0 is represented by 0 and never counts."""
+    edges = bucket_edges(tau, n)
     acc = Fraction(0)
     inv_n = Fraction(1, n)
-    for p, q in zip(hist.masses, reps):
-        if p > 0 and q > inv_n:
-            acc += p * (1 - inv_n / q)
+    for p, lo, hi in zip(hist.masses[1:], edges, edges[1:]):
+        if p > 0:
+            q = geometric_mean(lo, hi)
+            if q > inv_n:
+                acc += p * (1 - inv_n / q)
     return acc
 
 
@@ -153,21 +144,17 @@ def support_size_distance_estimate(
     bounds the distance of every distribution consistent with the
     histogram, so any class with a tau-close member stays below the
     threshold. Bucket 0 mass (below tau/n per element) never fits."""
-    tau = Fraction(tau)
-    uppers = [Fraction(0)]
-    hi = tau / n * (1 + tau)
-    for _ in range(1, hist.size):
-        uppers.append(hi)
-        hi = hi * (1 + tau)
+    edges = bucket_edges(tau, n)
     slots = Fraction(s_bound)
     covered = Fraction(0)
     for j in range(hist.size - 1, 0, -1):
         p = hist.masses[j]
         if p == 0 or slots == 0:
             continue
-        take = min(p, slots * uppers[j])
+        upper = edges[j]
+        take = min(p, slots * upper)
         covered += take
-        slots -= take / uppers[j]
+        slots -= take / upper
     return max(Fraction(0), 1 - covered)
 
 
