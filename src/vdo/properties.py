@@ -94,12 +94,13 @@ def histogram_sample_budget(n: int, tau: Fraction, constants: Constants | None =
 def uniformity_distance_estimate(tau: Fraction, n: int, hist: BucketHistogram) -> Fraction:
     """Histogram-only estimate of the distance to uniform:
     sum over buckets of n_j * max(0, q_j - 1/N) with n_j = p_j / q_j, where
-    q_j is bucket j's representative probability on bucket_edges(tau, n).
-    Bucket 0 is represented by 0 and never counts."""
+    q_j, bucket j's representative, is the geometric mean of its own
+    interval [edges[j], edges[j+1]) on bucket_edges(tau, n). Bucket 0 is
+    represented by 0 and never counts."""
     edges = bucket_edges(tau, n)
     acc = Fraction(0)
     inv_n = Fraction(1, n)
-    for p, lo, hi in zip(hist.masses[1:], edges, edges[1:]):
+    for p, lo, hi in zip(hist.masses[1:], edges[1:], edges[2:]):
         if p > 0:
             q = geometric_mean(lo, hi)
             if q > inv_n:
@@ -140,10 +141,11 @@ def support_size_distance_estimate(
     under the most favorable reconstruction.
 
     s_bound element slots greedily cover mass heaviest-bucket-first, each
-    slot in bucket j covering up to the bucket's upper endpoint. This lower
-    bounds the distance of every distribution consistent with the
-    histogram, so any class with a tau-close member stays below the
-    threshold. Bucket 0 mass (below tau/n per element) never fits."""
+    slot in bucket j covering up to the bucket's upper endpoint edges[j+1]
+    on bucket_edges(tau, n), which no probability in the bucket reaches.
+    This lower bounds the distance of every distribution consistent with
+    the histogram, so any class with a tau-close member stays below the
+    threshold. Bucket 0 mass (below edges[1] per element) never fits."""
     edges = bucket_edges(tau, n)
     slots = Fraction(s_bound)
     covered = Fraction(0)
@@ -151,7 +153,7 @@ def support_size_distance_estimate(
         p = hist.masses[j]
         if p == 0 or slots == 0:
             continue
-        upper = edges[j]
+        upper = edges[j + 1]
         take = min(p, slots * upper)
         covered += take
         slots -= take / upper

@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdo.dist import (
+    BucketHistogram,
     GrainDistribution,
+    bucket_edges,
+    bucket_index,
     exact_histogram,
+    num_buckets,
     point_mass,
     random_distribution,
     uniform,
@@ -21,9 +25,11 @@ from vdo.properties import (
     make_uniformity,
     run_label_invariant_argument,
     support_size_decide,
+    support_size_distance_estimate,
     support_size_exact_distance,
     support_size_find,
     uniformity_decide,
+    uniformity_distance_estimate,
     uniformity_find,
 )
 from vdo.protocol import HonestProver
@@ -31,6 +37,24 @@ from vdo.rngutil import rng_from
 from vdo.testers import DSampler
 
 from conftest import dist_to_uniform_oracle, enum_dists, support_distance_oracle, tv_oracle
+
+
+def check_bands(n, grains, tau, decide, distance):
+    """Group all (n, grains) distributions by exact histogram; decide(hist)
+    must accept any class with a tau-close member and reject only classes
+    whose members are all beyond 2*tau."""
+    classes = {}
+    for q in enum_dists(n, grains):
+        h = exact_histogram(q, tau)
+        d = distance(q)
+        cur = classes.get(h.masses)
+        classes[h.masses] = min(cur, d) if cur is not None else d
+    for masses, dmin in classes.items():
+        verdict = decide(BucketHistogram(tau, n, masses))
+        if dmin <= tau:
+            assert verdict, (masses, dmin)
+        if dmin > 2 * tau:
+            assert not verdict, (masses, dmin)
 
 
 class TestEstimateHistogram:
@@ -82,24 +106,14 @@ class TestUniformityProperty:
             assert not uniformity_decide(tau, n, h)
 
     def test_exhaustive_bands_n4(self):
-        # group all (4,12) distributions by exact histogram; the verdict must
-        # accept any class with a tau-close member and reject only classes
-        # whose members are all beyond 2*tau
         tau = F(1, 5)
-        classes = {}
-        for q in enum_dists(4, 12):
-            h = exact_histogram(q, tau)
-            d = dist_to_uniform_oracle(q)
-            cur = classes.get(h.masses)
-            classes[h.masses] = min(cur, d) if cur is not None else d
-        from vdo.dist import BucketHistogram
+        check_bands(4, 12, tau, lambda h: uniformity_decide(tau, 4, h), dist_to_uniform_oracle)
 
-        for masses, dmin in classes.items():
-            verdict = uniformity_decide(tau, 4, BucketHistogram(tau, 4, masses))
-            if dmin <= tau:
-                assert verdict, (masses, dmin)
-            if dmin > 2 * tau:
-                assert not verdict, (masses, dmin)
+    # with each representative taken from the bucket below, both cases
+    # accepted a class whose members all lie beyond 2*tau
+    @pytest.mark.parametrize("n,grains,tau", [(2, 7, F(1, 10)), (3, 13, F(1, 20))])
+    def test_exhaustive_bands_small(self, n, grains, tau):
+        check_bands(n, grains, tau, lambda h: uniformity_decide(tau, n, h), dist_to_uniform_oracle)
 
     def test_find_returns_uniform(self):
         d = GrainDistribution(4, 16, (5, 4, 4, 3))
@@ -150,22 +164,45 @@ class TestSupportSizeProperty:
         assert support_size_decide(F(1, 5), 4, h, 4)
 
     def test_decide_bands_n4(self):
-        tau = F(1, 5)
-        s = 2
-        classes = {}
-        for q in enum_dists(4, 12):
-            h = exact_histogram(q, tau)
-            d = support_distance_oracle(q, s)
-            cur = classes.get(h.masses)
-            classes[h.masses] = min(cur, d) if cur is not None else d
-        from vdo.dist import BucketHistogram
+        tau, s = F(1, 5), 2
+        check_bands(
+            4, 12, tau,
+            lambda h: support_size_decide(tau, 4, h, s),
+            lambda q: support_distance_oracle(q, s),
+        )
 
-        for masses, dmin in classes.items():
-            verdict = support_size_decide(tau, 4, BucketHistogram(tau, 4, masses), s)
-            if dmin <= tau:
-                assert verdict, (masses, dmin)
-            if dmin > 2 * tau:
-                assert not verdict, (masses, dmin)
+    # with each slot covering only up to its bucket's lower edge, both
+    # cases rejected a class with a tau-close member
+    @pytest.mark.parametrize("n,grains,tau,s", [(5, 10, F(1, 5), 4), (5, 10, F(1, 10), 1)])
+    def test_decide_bands_n5(self, n, grains, tau, s):
+        check_bands(
+            n, grains, tau,
+            lambda h: support_size_decide(tau, n, h, s),
+            lambda q: support_distance_oracle(q, s),
+        )
+
+
+class TestBucketReadings:
+    """The estimates read each bucket's values from its own interval."""
+
+    @pytest.mark.parametrize("tau,n", [(F(1, 5), 4), (F(1, 10), 5), (F(1, 25), 1024), (F(3, 10), 64)])
+    def test_values_lie_in_own_bucket(self, tau, n):
+        edges = bucket_edges(tau, n)
+        size = num_buckets(tau, n)
+        for j in range(1, size):
+            masses = [F(0)] * size
+            masses[j] = F(1)
+            hist = BucketHistogram(tau, n, masses)
+            # one slot covers min(1, upper_j); the rest is the estimate
+            upper = 1 - support_size_distance_estimate(tau, n, hist, 1)
+            assert upper == min(F(1), edges[j + 1])
+            # a lone bucket whose representative q_j exceeds 1/N estimates
+            # 1 - 1/(N q_j); the top bucket's interval reaches past 1
+            est = uniformity_distance_estimate(tau, n, hist)
+            if est > 0:
+                rep = F(1, n) / (1 - est)
+                assert edges[j] <= rep < edges[j + 1], (j, rep)
+                assert rep > 1 or bucket_index(rep, tau, n) == j
 
 
 class TestFixedTarget:
