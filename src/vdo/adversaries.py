@@ -98,8 +98,8 @@ class InconsistentOpeningAdversary(AdversaryScript):
             proofs.append(perturbed)
         return OpeningBatch(proofs, index, batch.depth)
 
-    def opening_run(self, run_index: int, per_run: int = 32):
-        proofs = super().opening_run(run_index, per_run)
+    def opening_run(self, run_index: int):
+        proofs = super().opening_run(run_index)
         mask = self._flip_mask(len(proofs), f"run{run_index}")
         return [
             self._perturb(p) if flip else p for p, flip in zip(proofs, mask)
@@ -132,10 +132,10 @@ class SelectiveRefusalAdversary(AdversaryScript):
         index[refuse[batch.index]] = -1
         return OpeningBatch(batch.proofs, index, batch.depth)
 
-    def opening_run(self, run_index: int, per_run: int = 32):
+    def opening_run(self, run_index: int):
         return [
             p
-            for p in super().opening_run(run_index, per_run)
+            for p in super().opening_run(run_index)
             if p.element not in self.blocked
         ]
 

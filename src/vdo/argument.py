@@ -25,7 +25,7 @@ import numpy as np
 from numpy.random import Generator
 
 from . import commitment as cm
-from .constants import Constants, get_constants
+from .constants import get_constants
 from .dist import GrainDistribution
 from .exactmath import frac_ceil
 from .properties import GeneralProperty
@@ -53,7 +53,6 @@ class BackendOutcome:
     reason: Reason
     measured: Fraction | None = None
     probe_mismatch: bool = False
-    representation_ok: bool | None = None
 
 
 class ProximityBackend:
@@ -66,9 +65,8 @@ class ProximityBackend:
     backend_id: int  # wire code in BackendSelect
     name: str
 
-    def __init__(self, probe_budget: int | None = None, constants: Constants | None = None):
+    def __init__(self, probe_budget: int | None = None):
         self.probe_budget = probe_budget  # query probes to spend; None: the default
-        self.cons = constants or get_constants()
 
     def select_msg(self) -> BackendSelect:
         return BackendSelect(self.backend_id)
@@ -142,7 +140,7 @@ class SpotCheckBackend(ProximityBackend):
     def budget(self, delta_c: Fraction, delta_f: Fraction) -> int:
         if self.probe_budget is not None:
             return self.probe_budget
-        return frac_ceil(Fraction(self.cons.c_spot) / backend_slack(delta_c, delta_f))
+        return frac_ceil(Fraction(get_constants().c_spot) / backend_slack(delta_c, delta_f))
 
     def honest_blob(self, q: GrainDistribution) -> bytes:
         return build_representation(q).to_bytes()
@@ -168,11 +166,8 @@ class SpotCheckBackend(ProximityBackend):
             return BackendOutcome(False, rej.reason)
         opened = code.encode_table(n)[elements]
         sent = rep.blocks[probes - 1]
-        mismatch = bool((opened != sent).any())
-        if mismatch:
-            return BackendOutcome(
-                False, Reason.BACKEND_MISMATCH, probe_mismatch=True
-            )
+        if (opened != sent).any():
+            return BackendOutcome(False, Reason.BACKEND_MISMATCH, probe_mismatch=True)
         rho = backend_slack(delta_c, delta_f)
         ok, delta = representation_test(
             rep.blocks,
@@ -184,13 +179,7 @@ class SpotCheckBackend(ProximityBackend):
             rho,
             threshold=distance_threshold(delta_c, delta_f),
         )
-        return BackendOutcome(
-            ok,
-            Reason.ACCEPT if ok else Reason.BACKEND_REJECT,
-            delta,
-            probe_mismatch=False,
-            representation_ok=ok,
-        )
+        return BackendOutcome(ok, Reason.ACCEPT if ok else Reason.BACKEND_REJECT, delta)
 
 
 # name -> backend class; constructed as cls(probe_budget)
@@ -239,7 +228,6 @@ def run_general_argument(
     prover,
     backend: ProximityBackend,
     seed: int,
-    constants: Constants | None = None,
     record_payloads: bool = False,
 ) -> GeneralArgumentResult:
     """Oracle-session phase 1 with honest Q = D, then the backend phase.
@@ -248,7 +236,6 @@ def run_general_argument(
     config = VerifierConfig(
         n,
         epsilon,
-        constants=constants,
         record_payloads=record_payloads,
     )
 

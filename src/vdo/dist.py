@@ -406,7 +406,6 @@ class BucketHistogram:
 
 def exact_histogram(d: GrainDistribution, tau: Fraction) -> BucketHistogram:
     """Exact bucket masses of a distribution; masses sum to 1."""
-    tau = Fraction(tau)
     edges = bucket_edges(tau, d.n)
     acc = np.zeros(len(edges) - 1, dtype=np.int64)  # sums of counts stay below G < 2^63
     np.add.at(acc, grain_buckets(d._counts_arr, d.grains, edges), d._counts_arr)

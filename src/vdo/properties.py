@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import Constants, get_constants
+from .constants import get_constants
 from .dist import (
     BucketHistogram,
     GrainDistribution,
@@ -73,19 +73,17 @@ def estimate_histogram(
     s = pdf_grains.shape[0]
     if s == 0:
         raise ValueError("histogram estimation needs at least one sample")
-    tau = Fraction(tau)
     edges = bucket_edges(tau, n)
     counts = np.bincount(grain_buckets(pdf_grains, denominator, edges), minlength=len(edges) - 1)
     return BucketHistogram(tau, n, [Fraction(c, s) for c in counts.tolist()])
 
 
-def histogram_sample_budget(n: int, tau: Fraction, constants: Constants | None = None) -> int:
+def histogram_sample_budget(n: int, tau: Fraction) -> int:
     """ceil(c_hist * log2(N)^3 / tau^4); the protocol layer caps this."""
-    cons = constants or get_constants()
     tau = Fraction(tau)
     # log2 rounded to 1/1024 keeps the budget deterministic across platforms
     l2 = Fraction(round(math.log2(n) * 1024), 1024)
-    return frac_ceil(Fraction(cons.c_hist) * l2**3 / tau**4)
+    return frac_ceil(Fraction(get_constants().c_hist) * l2**3 / tau**4)
 
 
 # -- uniformity ---------------------------------------------------------------------
@@ -108,10 +106,8 @@ def uniformity_distance_estimate(tau: Fraction, n: int, hist: BucketHistogram) -
     return acc
 
 
-def uniformity_decide(
-    tau: Fraction, n: int, hist: BucketHistogram, constants: Constants | None = None
-) -> bool:
-    margin = (constants or get_constants()).decide_margin
+def uniformity_decide(tau: Fraction, n: int, hist: BucketHistogram) -> bool:
+    margin = get_constants().decide_margin
     return uniformity_distance_estimate(tau, n, hist) <= margin * Fraction(tau)
 
 
@@ -123,10 +119,11 @@ def uniformity_find(
     return uniform(n, d.grains)
 
 
-def make_uniformity(constants: Constants | None = None) -> LabelInvariantProperty:
+def make_uniformity() -> LabelInvariantProperty:
     return LabelInvariantProperty(
         "uniformity",
-        lambda tau, n, hist: uniformity_decide(tau, n, hist, constants),
+        # looked up at call time, so a wrapper installed on the module applies
+        lambda tau, n, hist: uniformity_decide(tau, n, hist),
         uniformity_find,
     )
 
@@ -160,16 +157,10 @@ def support_size_distance_estimate(
     return max(Fraction(0), 1 - covered)
 
 
-def support_size_decide(
-    tau: Fraction,
-    n: int,
-    hist: BucketHistogram,
-    s_bound: int,
-    constants: Constants | None = None,
-) -> bool:
+def support_size_decide(tau: Fraction, n: int, hist: BucketHistogram, s_bound: int) -> bool:
     if s_bound >= n:
         return True
-    margin = (constants or get_constants()).decide_margin
+    margin = get_constants().decide_margin
     return support_size_distance_estimate(tau, n, hist, s_bound) <= margin * Fraction(tau)
 
 
@@ -201,10 +192,10 @@ def support_size_exact_distance(d: GrainDistribution, s_bound: int) -> Fraction:
     return Fraction(sum(ordered[s_bound:]), d.grains)
 
 
-def make_support_size(s_bound: int, constants: Constants | None = None) -> LabelInvariantProperty:
+def make_support_size(s_bound: int) -> LabelInvariantProperty:
     return LabelInvariantProperty(
         f"support-size-{s_bound}",
-        lambda tau, n, hist: support_size_decide(tau, n, hist, s_bound, constants),
+        lambda tau, n, hist: support_size_decide(tau, n, hist, s_bound),
         lambda n, delta, rho, d: support_size_find(n, delta, rho, d, s_bound),
     )
 
@@ -265,19 +256,16 @@ def run_label_invariant_argument(
     d_sampler: DSampler,
     prover,
     seed: int,
-    constants: Constants | None = None,
     record_payloads: bool = False,
 ) -> ArgumentResult:
     """Oracle session + histogram decision. The honest prover should commit
     find(D, delta_c, epsilon)."""
-    cons = constants or get_constants()
     epsilon, tau = argument_parameters(delta_c, delta_f)
-    s_hist = min(histogram_sample_budget(n, tau, cons), cons.hist_probe_cap)
+    s_hist = min(histogram_sample_budget(n, tau), get_constants().hist_probe_cap)
     config = VerifierConfig(
         n,
         epsilon,
         generator=quantile_sampling_generator(s_hist),
-        constants=cons,
         record_payloads=record_payloads,
     )
 

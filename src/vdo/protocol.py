@@ -36,7 +36,6 @@ import numpy as np
 from numpy.random import Generator
 
 from . import commitment as cm
-from .constants import Constants, get_constants
 from .dist import GrainDistribution
 from .rngutil import rng_from
 from .testers import DSampler, IdentityResult, IdentityTestRun, max_grains
@@ -86,7 +85,6 @@ class VerifierConfig:
     generator: QueryGenerator | None = None
     amplification: int = 1
     record_payloads: bool = False
-    constants: Constants | None = None
 
     def __post_init__(self):
         self.epsilon = Fraction(self.epsilon)
@@ -108,6 +106,10 @@ class SessionResult:
     key: cm.HashKey | None = None
     identity: IdentityResult | None = None
     verified_openings: frozenset[tuple[int, int, int]] = frozenset()
+
+
+# elements per replayed opening run (the extractor's opening oracle)
+OPENING_RUN = 32
 
 
 class HonestProver:
@@ -166,15 +168,15 @@ class HonestProver:
 
     # -- extraction interface --------------------------------------------------
 
-    def opening_run(self, run_index: int, per_run: int = 32):
+    def opening_run(self, run_index: int):
         """Replayable opening oracle: run r opens a deterministic window of
-        elements, cycling through the whole domain across runs."""
+        OPENING_RUN elements, cycling through the whole domain across runs."""
         if self.digest is None:
             return []
         n = self.q.n
-        start = (run_index * per_run) % n
+        start = (run_index * OPENING_RUN) % n
         out = []
-        for i in range(min(per_run, n)):
+        for i in range(min(OPENING_RUN, n)):
             x = 1 + (start + i) % n
             out.append(self._proof_for(x))
         return out
@@ -204,7 +206,6 @@ class VerifiedOracleSession:
         self.prover = prover
         self.d_sampler = d_sampler
         self.seed = seed
-        self.cons = config.constants or get_constants()
         self.transcript = SessionTranscript(record_payloads=config.record_payloads)
         self.key: cm.HashKey | None = None
         self.digest: cm.Digest | None = None
@@ -303,7 +304,6 @@ class VerifiedOracleSession:
             cfg.epsilon,
             rng_from(self.seed, "tail", rep),
             rng_from(self.seed, "pairs", rep),
-            self.cons,
         )
         s_tail = run.s_tail
         q_grains = rng_from(self.seed, "qgrains", rep).integers(

@@ -35,7 +35,6 @@ from vdo.commitment import (
     open_element,
     verify_opening,
 )
-from vdo.constants import get_constants
 from vdo.dist import (
     GrainDistribution,
     exact_histogram,
@@ -497,7 +496,7 @@ def test_c09_general_argument_end_to_end():
     # spot-check probe detection against the closed form over 10^4 trials
     t_dist = make_dist(target, n, grains, trial_seed(109, "det"))
     prop = make_fixed_target(t_dist)
-    cfg = VerifierConfig(n, (df - dc) / 10, constants=get_constants())
+    cfg = VerifierConfig(n, (df - dc) / 10)
     from vdo.protocol import VerifiedOracleSession
     from vdo.representation import RepresentationString, build_representation
 

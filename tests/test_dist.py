@@ -270,14 +270,16 @@ class TestBuckets:
             return
         assert bucket_index(prob, tau, n) == bucket_oracle(prob, tau, n)
 
-    @given(small_dists(), st.fractions(min_value=F(1, 10), max_value=F(4, 5)))
+    @given(small_dists(max_n=8, max_g=1 << 40), st.fractions(min_value=F(1, 10), max_value=F(4, 5)))
     @settings(max_examples=60, deadline=None)
     def test_partition(self, d, tau):
-        # every element maps to exactly one bucket and ids stay in range
+        # every element maps to exactly one bucket, ids stay in range, and
+        # the integer thresholds agree with the literal scan
         buckets = element_buckets(d, tau)
         assert buckets.shape[0] == d.n
         assert (buckets >= 0).all()
         assert (buckets < num_buckets(tau, d.n)).all()
+        assert buckets.tolist() == [bucket_oracle(d.pdf(x), tau, d.n) for x in range(1, d.n + 1)]
 
 
 class TestExactHistogram:

@@ -79,3 +79,34 @@ def test_traced_sessions_count_hashes_and_decode_spans(tracing):
     assert "wire.decode" not in {s[1] for s in spans if s[0] == 0}
     decode_spans = [s for s in spans if s[0] == 1 and s[1] == "wire.decode"]
     assert len(decode_spans) >= 2  # the prover's query sets and the verifier's batch
+
+
+def test_traced_label_session_records_property_spans(tracing):
+    """One label-invariant argument at N = 64 run under the Tracer records
+    the wrapped properties.estimate_histogram and uniformity_decide as
+    spans. A call path that bypasses the module attributes fails here."""
+    from fractions import Fraction as F
+
+    from vdo.dist import uniform
+    from vdo.properties import make_uniformity, run_label_invariant_argument
+    from vdo.protocol import HonestProver
+    from vdo.testers import DSampler
+
+    n = 64
+    d = uniform(n)
+    prop = make_uniformity()  # built before install: decide looks up at call time
+    tracer = tracing.Tracer("verifier")
+    tracer.install()
+    try:
+        tracer.begin(0)
+        result = run_label_invariant_argument(
+            prop, n, F(1, 20), F(9, 20), DSampler(d), HonestProver(d), 3
+        )
+    finally:
+        tracer.restore()
+    assert result.accept  # the decision ran
+
+    spans, _counters = tracing.merge([tracer.export()])
+    names = [s[1] for s in spans]
+    assert names.count("properties.histogram") == 1
+    assert names.count("properties.decide") == 1
