@@ -233,11 +233,7 @@ def run_general_argument(
     """Oracle-session phase 1 with honest Q = D, then the backend phase.
     Accepts iff both phases accept."""
     epsilon = general_argument_epsilon(delta_c, delta_f)
-    config = VerifierConfig(
-        n,
-        epsilon,
-        record_payloads=record_payloads,
-    )
+    config = VerifierConfig(n, epsilon, record_payloads=record_payloads)
 
     def check(session):
         data = session.backend_exchange(backend.select_msg())

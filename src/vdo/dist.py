@@ -366,8 +366,8 @@ def grain_buckets(values: np.ndarray, grains: int, edges: list[Fraction]) -> np.
     if distinct.size and not (grains >= 1 and 0 <= distinct[0] and distinct[-1] <= grains):
         raise ValueError("probability out of range")
     # v/grains >= e exactly when the integer v >= ceil(e * grains)
-    floors = [frac_ceil(e * grains) for e in edges]
-    ids = [max(0, bisect_right(floors, v) - 1) for v in distinct.tolist()]
+    thresholds = [frac_ceil(e * grains) for e in edges]
+    ids = [max(0, bisect_right(thresholds, v) - 1) for v in distinct.tolist()]
     return np.asarray(ids, dtype=np.int64)[inverse]
 
 
