@@ -93,14 +93,15 @@ def uniformity_distance_estimate(tau: Fraction, n: int, hist: BucketHistogram) -
     """Histogram-only estimate of the distance to uniform:
     sum over buckets of n_j * max(0, q_j - 1/N) with n_j = p_j / q_j, where
     q_j, bucket j's representative, is the geometric mean of its own
-    interval [edges[j], edges[j+1]) on bucket_edges(tau, n). Bucket 0 is
-    represented by 0 and never counts."""
+    interval [edges[j], edges[j+1]) on bucket_edges(tau, n), clamped at 1
+    (only the top bucket's edges[j+1] exceeds 1). Bucket 0 is represented
+    by 0 and never counts."""
     edges = bucket_edges(tau, n)
     acc = Fraction(0)
     inv_n = Fraction(1, n)
     for p, lo, hi in zip(hist.masses[1:], edges[1:], edges[2:]):
         if p > 0:
-            q = geometric_mean(lo, hi)
+            q = geometric_mean(lo, min(hi, 1))
             if q > inv_n:
                 acc += p * (1 - inv_n / q)
     return acc
@@ -138,8 +139,9 @@ def support_size_distance_estimate(
     under the most favorable reconstruction.
 
     s_bound element slots greedily cover mass heaviest-bucket-first, each
-    slot in bucket j covering up to the bucket's upper endpoint edges[j+1]
-    on bucket_edges(tau, n), which no probability in the bucket reaches.
+    slot in bucket j covering up to the bucket's upper endpoint
+    min(edges[j+1], 1) on bucket_edges(tau, n), which no probability in the
+    bucket exceeds.
     This lower bounds the distance of every distribution consistent with
     the histogram, so any class with a tau-close member stays below the
     threshold. Bucket 0 mass (below edges[1] per element) never fits."""
@@ -150,7 +152,7 @@ def support_size_distance_estimate(
         p = hist.masses[j]
         if p == 0 or slots == 0:
             continue
-        upper = edges[j + 1]
+        upper = min(edges[j + 1], 1)
         take = min(p, slots * upper)
         covered += take
         slots -= take / upper

@@ -22,6 +22,13 @@ the second phase, conclude. Every exchange that rejects raises
 SessionRejected with a Reason, and run_session alone catches it and
 concludes, so each session ends in exactly one verdict.
 
+A record is walked once per session. The session maps each accepted
+(element, pdf, cdf) to the path that proved it; a later record with int
+fields and a bytes path, equal to an accepted one field for field, is
+accepted without walking its path again, since verify_opening's verdict
+depends only on the record, the key and the digest. Any other record,
+a repeated claim with a changed path included, goes to verify_opening.
+
 Rejection is immediate and terminal per message. All randomness comes from
 streams derived from the session seed, so a session replays byte-exactly.
 """
@@ -210,8 +217,9 @@ class VerifiedOracleSession:
         self.key: cm.HashKey | None = None
         self.digest: cm.Digest | None = None
         self.identity: IdentityResult | None = None
-        # every (element, pdf, cdf) that passed verification this session
-        self.verified_openings: set[tuple[int, int, int]] = set()
+        # every (element, pdf, cdf) that passed verification this session,
+        # with the bytes path that proved it (None for other field types)
+        self.verified_openings: dict[tuple[int, int, int], bytes | None] = {}
 
     # -- low-level exchange -----------------------------------------------------
 
@@ -252,16 +260,27 @@ class VerifiedOracleSession:
         # refusal / malformed record, or an index past the distinct proofs
         if (batch.index < 0).any() or (batch.index >= len(batch.proofs)).any():
             raise SessionRejected(Reason.MALFORMED)
+        verified = self.verified_openings
         for p in batch.proofs:
             if not isinstance(p, cm.OpeningProof):
                 raise SessionRejected(Reason.MALFORMED)
+            claim = (p.element, p.claimed_pdf, p.claimed_cdf)
+            # verify_opening's verdict on int fields and a bytes path depends
+            # on their values alone, and the key and digest are the session's:
+            # an equal record verified earlier answers for this one
+            plain = type(p.path) is bytes and (
+                type(p.element) is type(p.claimed_pdf) is type(p.claimed_cdf) is int
+            )
             try:
+                if plain and verified.get(claim) == p.path:
+                    continue
                 ok = cm.verify_opening(p.element, p, self.key, self.digest)
+                if ok:  # an unhashable field raises here
+                    verified.setdefault(claim, p.path if plain else None)
             except Exception:  # e.g. a path that is not bytes
                 raise SessionRejected(Reason.MALFORMED)
             if not ok:
                 raise SessionRejected(Reason.INVALID_OPENING)
-            self.verified_openings.add((p.element, p.claimed_pdf, p.claimed_cdf))
         pe = np.asarray([p.element for p in batch.proofs], dtype=np.int64)
         ppdf = np.asarray([p.claimed_pdf for p in batch.proofs], dtype=np.int64)
         pcdf = np.asarray([p.claimed_cdf for p in batch.proofs], dtype=np.int64)

@@ -84,7 +84,9 @@ def test_traced_sessions_count_hashes_and_decode_spans(tracing):
 def test_traced_label_session_records_property_spans(tracing):
     """One label-invariant argument at N = 64 run under the Tracer records
     the wrapped properties.estimate_histogram and uniformity_decide as
-    spans. A call path that bypasses the module attributes fails here."""
+    spans. A call path that bypasses the module attributes fails here. Its
+    two batches repeat records: the hashes counted still equal the closed
+    form, and verify_opening runs once per distinct accepted record."""
     from fractions import Fraction as F
 
     from vdo.dist import uniform
@@ -106,7 +108,10 @@ def test_traced_label_session_records_property_spans(tracing):
         tracer.restore()
     assert result.accept  # the decision ran
 
-    spans, _counters = tracing.merge([tracer.export()])
+    spans, counters = tracing.merge([tracer.export()])
     names = [s[1] for s in spans]
     assert names.count("properties.histogram") == 1
     assert names.count("properties.decide") == 1
+    table = tracing.per_trial(spans, counters, {0: 1.0})
+    assert tracing.check_hashes(table, [0]) == []
+    assert table[0]["commitment.verify.calls"] == len(result.session.verified_openings)

@@ -197,12 +197,13 @@ class TestBucketReadings:
             upper = 1 - support_size_distance_estimate(tau, n, hist, 1)
             assert upper == min(F(1), edges[j + 1])
             # a lone bucket whose representative q_j exceeds 1/N estimates
-            # 1 - 1/(N q_j); the top bucket's interval reaches past 1
+            # 1 - 1/(N q_j); the top bucket's interval reaches past 1, its
+            # representative stops at 1 (at tau = 1/5, N = 4 it would not)
             est = uniformity_distance_estimate(tau, n, hist)
             if est > 0:
                 rep = F(1, n) / (1 - est)
                 assert edges[j] <= rep < edges[j + 1], (j, rep)
-                assert rep > 1 or bucket_index(rep, tau, n) == j
+                assert rep <= 1 and bucket_index(rep, tau, n) == j
 
 
 class TestFixedTarget:

@@ -3,12 +3,15 @@ import functools
 import socket
 import threading
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vdo import commitment as cm
+from vdo import protocol
 from vdo.adversaries import (
     FarCommitAdversary,
     InconsistentOpeningAdversary,
@@ -17,9 +20,11 @@ from vdo.adversaries import (
 from vdo.argument import FullRevealBackend, SpotCheckBackend, run_general_argument
 from vdo.commitment import Digest, HashKey, NodeLabel, OpeningProof
 from vdo.dist import GrainDistribution, point_mass, random_distribution, uniform
-from vdo.properties import make_fixed_target
+from vdo.properties import make_fixed_target, make_uniformity, run_label_invariant_argument
 from vdo.protocol import (
     HonestProver,
+    SessionRejected,
+    VerifiedOracleSession,
     VerifierConfig,
     element_generator,
     quantile_sampling_generator,
@@ -284,6 +289,319 @@ class TestMalformedBatch:
         assert not res.accept and res.reason == Reason.MALFORMED
 
 
+def _counting_verify(monkeypatch) -> list[bytes]:
+    """Replace commitment.verify_opening (the session looks it up at call
+    time) by a wrapper that records the encoding of every record it is
+    asked to verify."""
+    calls: list[bytes] = []
+    verify = cm.verify_opening
+
+    def counted(x, proof, key, d):
+        calls.append(proof.to_bytes())
+        return verify(x, proof, key, d)
+
+    monkeypatch.setattr(cm, "verify_opening", counted)
+    return calls
+
+
+def _batch_records(res) -> list[set[bytes]]:
+    """The distinct records of each opening batch of a session (or session
+    result) recorded with payloads."""
+    return [
+        {p.to_bytes() for p in OpeningBatch.from_payload(bytes(e.payload), res.digest.depth).proofs}
+        for e in res.transcript.entries
+        if e.msg_type == MsgType.OPENING_BATCH
+    ]
+
+
+def _over_socketpair(prover, session):
+    """session(remote): the result of a session against `prover` served over
+    a socketpair."""
+    left, right = socket.socketpair()
+    lr, lw = left.makefile("rb"), left.makefile("wb")
+    rr, rw = right.makefile("rb"), right.makefile("wb")
+    server = threading.Thread(target=serve_prover, args=(rr, rw, prover), daemon=True)
+    server.start()
+    try:
+        remote = RemoteProver(lr, lw)
+        res = session(remote)
+        remote.close()
+        server.join(timeout=5)
+        assert not server.is_alive()
+    finally:
+        for f in (lr, lw, rr, rw, left, right):
+            f.close()
+    return res
+
+
+def _on_second_batch(edit, originals: list):
+    """A _BatchTamper tamper: the second batch's first proof becomes
+    edit(proof), and the proof it replaced goes to `originals`."""
+    batches = []
+
+    def tamper(batch):
+        batches.append(batch)
+        if len(batches) == 2:
+            originals.append(batch.proofs[0])
+            batch.proofs[0] = edit(batch.proofs[0])
+
+    return tamper
+
+
+def _flip_path_byte(p):
+    path = bytearray(p.path)
+    path[10] ^= 1  # a byte of the first sibling's hash
+    return dataclasses.replace(p, path=bytes(path))
+
+
+class TestVerifiedOpenings:
+    """The session walks each distinct record once: a record equal to one an
+    earlier batch accepted (int fields, the same bytes path) is answered
+    from the session's map, and every other record is verified as before."""
+
+    N = 64
+
+    def _label_session(self, prover, record_payloads=True):
+        d = uniform(self.N)
+        return run_label_invariant_argument(
+            make_uniformity(), self.N, F(1, 20), F(9, 20), DSampler(d), prover, 3,
+            record_payloads=record_payloads,
+        ).session
+
+    @pytest.mark.parametrize("transport", ["in-process", "socketpair"])
+    def test_each_distinct_record_verified_once(self, monkeypatch, transport):
+        calls = _counting_verify(monkeypatch)
+        prover = HonestProver(uniform(self.N))
+        if transport == "in-process":
+            res = self._label_session(prover)
+        else:
+            res = _over_socketpair(prover, self._label_session)
+        assert res.accept
+        identity, query = _batch_records(res)
+        assert identity & query  # the query phase repeats accepted records
+        assert sorted(calls) == sorted(identity | query)
+        assert len(res.verified_openings) == len(calls)
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (_flip_path_byte, Reason.INVALID_OPENING),
+            (lambda p: dataclasses.replace(p, element=[p.element]), Reason.MALFORMED),
+            (lambda p: dataclasses.replace(p, claimed_cdf=[p.claimed_cdf]), Reason.INVALID_OPENING),
+            (lambda p: dataclasses.replace(p, element=float(p.element)), Reason.MALFORMED),
+            (lambda p: dataclasses.replace(p, path=None), Reason.MALFORMED),
+            (lambda p: dataclasses.replace(p, path=bytearray(p.path)), Reason.ACCEPT),
+            (lambda p: dataclasses.replace(p, element=np.int64(p.element)), Reason.ACCEPT),
+        ],
+        ids=["path-byte-flipped", "unhashable-element", "unhashable-cdf", "float-element",
+             "path-none", "path-bytearray", "int64-element"],
+    )
+    def test_second_batch_reasons(self, edit, reason):
+        # the edited record's claim was accepted in the identity batch; only
+        # an int/int/int/bytes record equal to it skips verify_opening.
+        # Without payloads recorded, the transcript encodes no record.
+        originals = []
+        prover = _BatchTamper(uniform(self.N), _on_second_batch(edit, originals))
+        res = self._label_session(prover, record_payloads=False)
+        assert res.reason == reason
+        (p,) = originals
+        assert (p.element, p.claimed_pdf, p.claimed_cdf) in res.verified_openings
+
+    def test_accepted_record_with_unhashable_field_is_malformed(self):
+        # a 0-d array element passes verify_opening but cannot key the map:
+        # the session rejects instead of raising out of it
+        edit = lambda p: dataclasses.replace(p, element=np.array(p.element))  # noqa: E731
+        prover = _BatchTamper(uniform(self.N), _on_second_batch(edit, []))
+        assert self._label_session(prover, record_payloads=False).reason == Reason.MALFORMED
+
+    def test_spot_check_walks_no_identity_record_again(self, monkeypatch):
+        n, dc, df = 16, F(0), F(4, 5)
+        q = uniform(n)
+        cfg = VerifierConfig(n, (df - dc) / 10, record_payloads=True)
+        session = VerifiedOracleSession(cfg, HonestProver(q), DSampler(q), 3)
+        session.establish()
+        accepted = {
+            OpeningProof(*claim, path).to_bytes()
+            for claim, path in session.verified_openings.items()
+        }
+        calls = _counting_verify(monkeypatch)
+        backend = SpotCheckBackend()
+        out = backend.verify(
+            backend.honest_blob(q), session, make_fixed_target(q), dc, df, rng_from(3, "backend")
+        )
+        assert out.accept
+        identity, spot = _batch_records(session)
+        assert identity == accepted and spot & accepted
+        assert sorted(calls) == sorted(spot - accepted)
+
+
+class _VerifyEverySession(VerifiedOracleSession):
+    """The session loop that the verified-openings map replaced: every
+    record of every batch goes to verify_opening, and each accepted claim
+    is added to a set. The reference of TestVerifiedOpeningsDifferential."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.verified_openings = set()
+
+    def _exchange_queries(self, qs):
+        self.transcript.q_probes += len(qs)
+        batch = self._ask(qs, lambda: self.prover.answer_queries(qs), OpeningBatch)
+        if len(batch) != len(qs) or batch.depth != self.digest.depth:
+            raise SessionRejected(Reason.MALFORMED)
+        if len(qs) == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty.copy(), empty.copy()
+        if (batch.index < 0).any() or (batch.index >= len(batch.proofs)).any():
+            raise SessionRejected(Reason.MALFORMED)
+        for p in batch.proofs:
+            if not isinstance(p, OpeningProof):
+                raise SessionRejected(Reason.MALFORMED)
+            try:
+                ok = cm.verify_opening(p.element, p, self.key, self.digest)
+            except Exception:
+                raise SessionRejected(Reason.MALFORMED)
+            if not ok:
+                raise SessionRejected(Reason.INVALID_OPENING)
+            self.verified_openings.add((p.element, p.claimed_pdf, p.claimed_cdf))
+        pe = np.asarray([p.element for p in batch.proofs], dtype=np.int64)
+        ppdf = np.asarray([p.claimed_pdf for p in batch.proofs], dtype=np.int64)
+        pcdf = np.asarray([p.claimed_cdf for p in batch.proofs], dtype=np.int64)
+        elems = pe[batch.index]
+        pdfs = ppdf[batch.index]
+        cdfs = pcdf[batch.index]
+        values = np.asarray(qs.values, dtype=np.int64)
+        kinds = np.asarray(qs.kinds)
+        is_elem = kinds == ProbeKind.ELEMENT
+        if (elems[is_elem] != values[is_elem]).any():
+            raise SessionRejected(Reason.INVALID_OPENING)
+        is_quant = kinds == ProbeKind.QUANTILE
+        if is_quant.any():
+            g = values[is_quant]
+            lo = cdfs[is_quant] - pdfs[is_quant]
+            hi = cdfs[is_quant]
+            if ((g <= lo) | (g > hi)).any():
+                raise SessionRejected(Reason.QUANTILE_INVALID)
+        return elems, pdfs, cdfs
+
+
+def _edited(kind, p, variant, sent):
+    """Proof p under one edit; `sent` holds every proof sent before."""
+    if kind in ("flip-path", "flip-path-in-place"):
+        path = bytearray(p.path)
+        path[variant % len(path)] ^= 1 << (variant % 8)
+        if kind == "flip-path":
+            return dataclasses.replace(p, path=bytes(path))
+        object.__setattr__(p, "path", bytes(path))  # the prover's cached proof too
+        return p
+    if kind == "pdf+1":
+        return dataclasses.replace(p, claimed_pdf=p.claimed_pdf + 1)
+    if kind == "cdf+1":
+        return dataclasses.replace(p, claimed_cdf=p.claimed_cdf + 1)
+    if kind == "other-element":
+        return dataclasses.replace(p, element=p.element % 16 + 1)
+    if kind == "replay":
+        return sent[variant % len(sent)]
+    if kind == "equal-copy":
+        return dataclasses.replace(p)
+    if kind == "bytearray-path":
+        return dataclasses.replace(p, path=bytearray(p.path))
+    if kind == "none-path":
+        return dataclasses.replace(p, path=None)
+    if kind == "float-element":
+        return dataclasses.replace(p, element=float(p.element))
+    if kind == "int64-element":
+        return dataclasses.replace(p, element=np.int64(p.element))
+    if kind == "list-element":
+        return dataclasses.replace(p, element=[p.element])
+    assert kind == "list-cdf"
+    return dataclasses.replace(p, claimed_cdf=[p.claimed_cdf])
+
+
+_EDIT_KINDS = (
+    "flip-path", "flip-path-in-place", "pdf+1", "cdf+1", "other-element", "replay", "equal-copy", "bytearray-path",
+    "none-path", "float-element", "int64-element", "list-element", "list-cdf",
+)
+
+
+class _ScriptedProver(HonestProver):
+    """Honest prover whose k-th batch gets edits[k]: each (kind, which,
+    variant, extra) edits proof `which`, in place or (extra) as an added
+    proof that every other probe answered by `which` points to."""
+
+    def __init__(self, q, edits):
+        super().__init__(q)
+        self.edits = list(edits)
+        self.sent: list[OpeningProof] = []
+
+    def answer_queries(self, qs):
+        batch = super().answer_queries(qs)
+        edits = self.edits.pop(0) if self.edits else []
+        for kind, which, variant, extra in edits:
+            if not batch.proofs:
+                break
+            which %= len(batch.proofs)
+            p = _edited(kind, batch.proofs[which], variant, self.sent or batch.proofs)
+            if extra:
+                at = np.flatnonzero(batch.index == which)[::2]
+                batch.index[at] = len(batch.proofs)
+                batch.proofs.append(p)
+            else:
+                batch.proofs[which] = p
+        self.sent += batch.proofs
+        return batch
+
+
+
+def _batch_edits(kinds):
+    return st.lists(
+        st.tuples(st.sampled_from(kinds), st.integers(0, 15), st.integers(0, 10**6),
+                  st.booleans()),
+        max_size=3,
+    )
+
+
+# edits whose batch the verifier still accepts, so a second batch follows
+_KEPT = ("equal-copy", "bytearray-path", "int64-element")
+
+
+class TestVerifiedOpeningsDifferential:
+    """Two-batch oracle sessions against edited honest batches: the session
+    with the verified-openings map ends exactly as the verify-every-record
+    reference does, in reason, answers, verified claims and transcript."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["uniform", "random"]),
+        st.tuples(_batch_edits(_KEPT) | _batch_edits(_EDIT_KINDS), _batch_edits(_EDIT_KINDS)),
+        st.booleans(),
+        st.integers(0, 3),
+    )
+    def test_matches_verify_every_record(self, dist, edits, record_payloads, seed):
+        n = 16
+        q = uniform(n) if dist == "uniform" else random_distribution(n, rng_from(seed, "q"))
+        cfg = VerifierConfig(
+            n, F(1, 2), generator=quantile_sampling_generator(12), record_payloads=record_payloads
+        )
+
+        def run():
+            return run_oracle_session(cfg, _ScriptedProver(q, edits), DSampler(q), seed)
+
+        got = run()
+        with mock.patch.object(protocol, "VerifiedOracleSession", _VerifyEverySession):
+            ref = run()
+        assert (got.accept, got.reason) == (ref.accept, ref.reason)
+        assert got.verified_openings == ref.verified_openings
+        assert got.transcript.to_text() == ref.transcript.to_text()
+        assert (got.transcript.bytes_sent, got.transcript.bytes_received) == (
+            ref.transcript.bytes_sent, ref.transcript.bytes_received
+        )
+        assert (got.answers is None) == (ref.answers is None)
+        if got.answers is not None:
+            for a, b in zip(got.answers, ref.answers):
+                assert a.tolist() == b.tolist()
+
+
 class TestDedup:
     """answer_queries numbers the distinct elements exactly as np.unique does."""
 
@@ -458,6 +776,80 @@ class TestBatchCodecDifferential:
         proofs, index = _reference_from_payload(payload, depth)
         assert got.index.tolist() == index.tolist()
         assert [p.to_bytes() for p in got.proofs] == [p.to_bytes() for p in proofs]
+
+
+def _honest_encodings() -> dict:
+    """decoder name -> (decoder, honest encodings it accepts)."""
+    depth, records = _honest_records(16)
+    prover = HonestProver(random_distribution(16, rng_from(16, "records")))
+    key = HashKey(bytes(range(16)), 128)
+    digest = prover.receive_key(key).digest
+    qs = QuerySet.concat(
+        QuerySet.quantiles(np.asarray([1, 3, 7])), QuerySet.elements(np.asarray([2, 2, 9]))
+    )
+    batch = prover.answer_queries(qs)
+    return {
+        "HashKey": (HashKey.from_bytes, [key.to_bytes()]),
+        "Digest": (cm.Digest.from_bytes, [digest.to_bytes()]),
+        "OpeningProof": (OpeningProof.from_bytes, list(records[:3]) + [_honest_records(1)[1][0]]),
+        "OpeningBatch": (
+            lambda data: OpeningBatch.from_payload(data, depth),
+            [bytes(batch.payload()), bytes(OpeningBatch([], np.empty(0), depth).payload())],
+        ),
+        "QuerySet": (QuerySet.from_payload, [qs.payload(), QuerySet.elements([]).payload()]),
+        "BackendSelect": (BackendSelect.from_payload, [BackendSelect(2, b"xy").payload()]),
+    }
+
+
+_DECODERS = _honest_encodings()
+
+
+@st.composite
+def _decoder_inputs(draw):
+    """(decoder, bytes): random bytes, or an honest encoding with bytes
+    changed, inserted, deleted, cut off or appended."""
+    decoder, honest = _DECODERS[draw(st.sampled_from(sorted(_DECODERS)))]
+    if draw(st.booleans()):
+        return decoder, draw(st.binary(max_size=200))
+    data = bytearray(draw(st.sampled_from(honest)))
+    for op, pos, byte in draw(st.lists(
+        st.tuples(st.sampled_from(["set", "insert", "delete", "cut", "append"]),
+                  st.integers(0, 1 << 16), st.integers(0, 255)),
+        max_size=4,
+    )):
+        at = pos % (len(data) + 1)
+        if op == "set" and data:
+            data[at % len(data)] = byte
+        elif op == "insert":
+            data.insert(at, byte)
+        elif op == "delete" and data:
+            del data[at % len(data)]
+        elif op == "cut":
+            del data[at:]
+        elif op == "append":
+            data += bytes([byte]) * (1 + pos % 64)
+    return decoder, bytes(data)
+
+
+class TestDecodeFailureContract:
+    """Every decoder of prover- or verifier-sent bytes fails only with
+    ValueError: serve_prover ends on a ValueError from a request decoder,
+    and a backend catches only ValueError."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_decoder_inputs())
+    def test_only_value_error(self, case):
+        decoder, data = case
+        try:
+            decoder(data)
+        except ValueError:
+            pass
+
+    @pytest.mark.parametrize("name", sorted(_DECODERS))
+    def test_honest_encodings_decode(self, name):
+        decoder, honest = _DECODERS[name]
+        for data in honest:
+            decoder(data)
 
 
 class TestStreams:
