@@ -519,8 +519,9 @@ def _edited(kind, p, variant, sent):
 
 
 _EDIT_KINDS = (
-    "flip-path", "flip-path-in-place", "pdf+1", "cdf+1", "other-element", "replay", "equal-copy", "bytearray-path",
-    "none-path", "float-element", "int64-element", "list-element", "list-cdf",
+    "flip-path", "flip-path-in-place", "pdf+1", "cdf+1", "other-element", "replay",
+    "equal-copy", "bytearray-path", "none-path", "float-element", "int64-element",
+    "list-element", "list-cdf",
 )
 
 
@@ -550,7 +551,6 @@ class _ScriptedProver(HonestProver):
                 batch.proofs[which] = p
         self.sent += batch.proofs
         return batch
-
 
 
 def _batch_edits(kinds):
