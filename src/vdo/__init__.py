@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .dist import (
     BucketHistogram,
     GrainDistribution,
-    bucket_index,
     default_grains,
     exact_histogram,
     point_mass,

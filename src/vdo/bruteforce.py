@@ -2,20 +2,24 @@
 
 These run exact identities over enumerated grain distributions: the
 sorted-grain Hamming bound, the mixing/granularization identities, and the
-histogram decision bands. Domain sizes are small enough to enumerate; the
-pair-level mixing identity is additionally verified coordinate-wise, which
-covers the whole family because mixing acts on one coordinate at a time.
+histogram decision bands of any label-invariant decision (band_check, which
+the tests call too; band_sweep runs it for uniformity and bounded support
+size). Domain sizes are small enough to enumerate; the pair-level mixing
+identity is additionally verified coordinate-wise, which covers the whole
+family because mixing acts on one coordinate at a time.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
-from .dist import GrainDistribution, exact_histogram, tv_distance
-from .properties import uniformity_decide
+from .dist import GrainDistribution, exact_histogram, tv_distance, uniform
+from .properties import support_size_decide, support_size_exact_distance, uniformity_decide
 from .representation import build_representation, hamming_block_distance, hamming_symbol_distance
 from .rngutil import rng_from
 from .rscode import element_code
@@ -23,16 +27,9 @@ from .rscode import element_code
 
 def enumerate_distributions(n: int, grains: int):
     """All grain distributions over [n] with the given denominator."""
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for c in range(remaining + 1):
-            yield from rec(prefix + (c,), remaining - c, slots - 1)
-
-    for counts in rec((), grains, n):
-        yield GrainDistribution(n, grains, counts)
+    for bars in combinations_with_replacement(range(grains + 1), n - 1):
+        bounds = (0,) + bars + (grains,)
+        yield GrainDistribution(n, grains, [bounds[i + 1] - bounds[i] for i in range(n)])
 
 
 # -- representation bound ------------------------------------------------------------
@@ -150,54 +147,61 @@ def _random_counts(n: int, grains: int, rng) -> GrainDistribution:
 # -- histogram decision bands --------------------------------------------------------------
 
 
-def uniformity_band_check(n: int = 4, grains: int = 12, tau: Fraction = Fraction(1, 5)) -> dict:
-    """Group enumerated distributions by exact histogram; the decision must
-    accept every class containing a tau-close member and reject only
-    classes whose members are all beyond 2*tau."""
-    from .dist import uniform as uniform_dist
-
-    u = uniform_dist(n, grains) if grains % n == 0 else None
-    classes: dict[tuple, list[Fraction]] = {}
-    for q in enumerate_distributions(n, grains):
+def band_check(n: int, grains: int, tau: Fraction, decide, distance) -> dict:
+    """Group every distribution over [n] with denominator grains by exact
+    histogram at tau. decide(hist) must accept each class that has a member
+    q within tau of the property (distance(q) <= tau) and may reject only
+    classes whose members all lie beyond 2*tau. The histogram and the
+    distance to a label-invariant property are both label-invariant, so one
+    member per permutation orbit gives the same classes and distances."""
+    closest: dict[tuple, list] = {}  # masses -> [histogram, least distance]
+    for counts in combinations_with_replacement(range(grains, -1, -1), n):
+        if sum(counts) != grains:  # one nonincreasing count vector per orbit
+            continue
+        q = GrainDistribution(n, grains, counts)
         h = exact_histogram(q, tau)
-        dist_u = (
-            tv_distance(q, u)
-            if u is not None
-            else min_uniform_distance(q)
-        )
-        classes.setdefault(h.masses, []).append(dist_u)
+        d = distance(q)
+        best = closest.setdefault(h.masses, [h, d])
+        best[1] = min(best[1], d)
     violations = []
-    for masses, dists in classes.items():
-        from .dist import BucketHistogram
-
-        hist = BucketHistogram(tau, n, masses)
-        verdict = uniformity_decide(tau, n, hist)
-        dmin = min(dists)
+    for h, dmin in closest.values():
+        verdict = decide(h)
         if dmin <= tau and not verdict:
-            violations.append(("must-accept", masses, dmin))
+            violations.append(("must-accept", h.masses, dmin))
         if dmin > 2 * tau and verdict:
-            violations.append(("must-reject", masses, dmin))
-    return {"classes": len(classes), "violations": violations, "ok": not violations}
+            violations.append(("must-reject", h.masses, dmin))
+    return {"classes": len(closest), "violations": violations}
 
 
-def min_uniform_distance(q: GrainDistribution) -> Fraction:
-    inv = Fraction(1, q.n)
-    return sum(
-        (Fraction(c, q.grains) - inv for c in q.counts if Fraction(c, q.grains) > inv),
-        Fraction(0),
-    )
+def band_sweep(n_max: int = 6, g_max: int = 16) -> dict:
+    """band_check at every n <= n_max, grains <= g_max and tau in {1/5, 1/10,
+    1/20, 3/10, 1/25}, of uniformity and of support size at every bound
+    1 <= s < n; classes and violations are summed per property."""
+    taus = [Fraction(1, 5), Fraction(1, 10), Fraction(1, 20), Fraction(3, 10), Fraction(1, 25)]
+    out = Counter()
+    for n, grains, tau in product(range(1, n_max + 1), range(1, g_max + 1), taus):
+        exact_uniform = uniform(n, n * grains)  # 1/n at every element, for any grains
+        checks = [("uniformity", uniformity_decide, partial(tv_distance, q=exact_uniform))]
+        checks += [
+            ("support_size", partial(support_size_decide, s_bound=s),
+             partial(support_size_exact_distance, s_bound=s))
+            for s in range(1, n)
+        ]
+        for prop, decide, distance in checks:
+            res = band_check(n, grains, tau, decide, distance)
+            out[f"{prop}_classes"] += res["classes"]
+            out[f"{prop}_violations"] += len(res["violations"])
+    return {**out, "ok": out["uniformity_violations"] + out["support_size_violations"] == 0}
 
 
 def run_brute_force_suite() -> dict:
     """The committed small-scale suite: representation bound at (4,12),
     coordinate mixing identities up to (6,24), sampled exact chains, and
-    uniformity decision bands at (4,12)."""
-    out = {
+    the uniformity and support-size decision bands up to (6,16)."""
+    return {
         "representation": check_representation_bound(4, 12),
         "mixing": check_mixing_coordinates(6, 24),
         "chain_n5": check_pair_distance_chain(5, 24, 20, 400, seed=5),
         "chain_n6": check_pair_distance_chain(6, 24, 24, 400, seed=6),
-        "bands": uniformity_band_check(4, 12, Fraction(1, 5)),
+        "bands": band_sweep(6, 16),
     }
-    out["ok"] = all(v["ok"] for v in out.values() if isinstance(v, dict))
-    return out

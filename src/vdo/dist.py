@@ -3,30 +3,43 @@
 A distribution is stored as integer grain counts over a shared denominator
 G, so every pdf/cdf value is an exact rational and transcripts built from
 them are bit-exact. The default denominator is 2^ceil(2*log2(N)), i.e. at
-least N^2 grains.
+least N^2 grains, below the int64 cap of default_grains.
 
 Elements are 1-indexed: the domain is {1, ..., N}.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
 from numpy.random import Generator
 
-from .exactmath import frac_ceil
+from .exactmath import frac_ceil, geometric_mean
+
+
+def max_grains(n: int) -> int:
+    """Largest denominator G with 3*G*(N+1) < 2^63.
+
+    Every integer the identity tester's granular filter forms, 3*(N*c + G)
+    and slots(x)*G for 0 <= c <= G, is at most 3*G*(N+1), so below this
+    bound all of them are exact in int64.
+    """
+    return ((1 << 63) - 1) // (3 * (n + 1))
 
 
 def default_grains(n: int) -> int:
-    """Denominator used when none is given: 2^ceil(2*log2 N) >= N^2."""
+    """Denominator used when none is given: 2^ceil(2*log2 N) >= N^2, capped
+    at the largest power of two that leaves room below max_grains(N) to pad
+    it to a multiple of N (as uniform does). The cap binds from
+    N = 1,398,100 on, where G < N^2."""
     if n < 1:
         raise ValueError("domain size must be positive")
-    if n == 1:
-        return 1
-    return 1 << (n * n - 1).bit_length()
+    cap = 1 << ((max_grains(n) - n + 1).bit_length() - 1)
+    return min(1 << (n * n - 1).bit_length(), cap)
 
 
 class GrainDistribution:
@@ -328,69 +341,81 @@ def tv_distance(p: GrainDistribution, q: GrainDistribution) -> Fraction:
 # -- bucket histograms --------------------------------------------------------
 
 
-def bucket_edges(tau: Fraction, n: int) -> list[Fraction]:
-    """The geometric bucket grid: edges[j] = tau*(1+tau)^j/n for j = 0..J+1,
-    where J is the bucket of probability 1 (edges[J] <= 1 < edges[J+1]).
-
-    Bucket j >= 1 is the interval [edges[j], edges[j+1]); bucket 0 is
-    [0, edges[1]), so it also holds every probability below tau/n.
+@dataclass(frozen=True, eq=False)
+class BucketGrid:
+    """The geometric bucket grid of bucket_grid(tau, n): edges[j] =
+    tau*(1+tau)^j/n for j = 0..J+1, where J is the bucket of probability 1
+    (edges[J] <= 1 < edges[J+1]). Bucket j >= 1 is [edges[j], edges[j+1]);
+    bucket 0 is [0, edges[1]). Per bucket, uppers[j] = min(edges[j+1], 1)
+    bounds its probabilities, and representatives[j], computed on first
+    use, is geometric_mean(edges[j], uppers[j]) (0 for bucket 0).
     """
+
+    tau: Fraction
+    n: int
+    edges: tuple[Fraction, ...]
+    uppers: tuple[Fraction, ...]
+
+    @cached_property
+    def representatives(self) -> tuple[Fraction, ...]:
+        pairs = zip(self.edges[1:], self.uppers[1:])
+        return (Fraction(0),) + tuple(geometric_mean(lo, hi) for lo, hi in pairs)
+
+    @property
+    def size(self) -> int:
+        """Bucket ids run 0..J."""
+        return len(self.edges) - 1
+
+    def buckets(self, values: np.ndarray, grains: int) -> np.ndarray:
+        """Bucket id of each probability values[i]/grains (values: integers
+        in [0, grains])."""
+        values = np.asarray(values, dtype=np.int64)
+        if values.size and not (grains >= 1 and 0 <= values.min() and values.max() <= grains):
+            raise ValueError("probability out of range")
+        ids = np.searchsorted(self._thresholds(grains), values, side="right") - 1
+        return np.maximum(ids, 0, out=ids)
+
+    @lru_cache(maxsize=256)
+    def _thresholds(self, grains: int) -> np.ndarray:
+        # v/grains >= edges[j] exactly when the integer v >= ceil(edges[j] *
+        # grains); no v reaches edges[J+1] > 1, so every threshold is <= grains
+        thresholds = np.array([frac_ceil(e * grains) for e in self.edges[:-1]], dtype=np.int64)
+        thresholds.setflags(write=False)
+        return thresholds
+
+
+@lru_cache(maxsize=64)
+def bucket_grid(tau: Fraction, n: int) -> BucketGrid:
+    """The grid of (tau, n); each process builds it once and shares it."""
     tau = Fraction(tau)
     if not 0 < tau < 1:
         raise ValueError("tau must lie in (0,1)")
     edges = [tau / n]
     while edges[-1] <= 1:
         edges.append(edges[-1] * (1 + tau))
-    return edges
-
-
-def bucket_index(prob: Fraction, tau: Fraction, n: int) -> int:
-    """Bucket id of a probability on the grid of bucket_edges(tau, n): the
-    j with edges[j] <= prob < edges[j+1], or 0 when prob < edges[1]."""
-    edges = bucket_edges(tau, n)
-    prob = Fraction(prob)
-    if not 0 <= prob <= 1:
-        raise ValueError("probability out of range")
-    return max(0, bisect_right(edges, prob) - 1)
-
-
-def num_buckets(tau: Fraction, n: int) -> int:
-    """Bucket ids run 0..J where J is the bucket holding probability 1."""
-    return len(bucket_edges(tau, n)) - 1
-
-
-def grain_buckets(values: np.ndarray, grains: int, edges: list[Fraction]) -> np.ndarray:
-    """Bucket id of each probability values[i]/grains on the grid `edges`
-    (values: integers in [0, grains]); each distinct value is bucketed once."""
-    distinct, inverse = np.unique(np.asarray(values, dtype=np.int64), return_inverse=True)
-    if distinct.size and not (grains >= 1 and 0 <= distinct[0] and distinct[-1] <= grains):
-        raise ValueError("probability out of range")
-    # v/grains >= e exactly when the integer v >= ceil(e * grains)
-    thresholds = [frac_ceil(e * grains) for e in edges]
-    ids = [max(0, bisect_right(thresholds, v) - 1) for v in distinct.tolist()]
-    return np.asarray(ids, dtype=np.int64)[inverse]
-
-
-def element_buckets(d: GrainDistribution, tau: Fraction) -> np.ndarray:
-    """Bucket id of each element's probability."""
-    return grain_buckets(d._counts_arr, d.grains, bucket_edges(tau, d.n))
+    return BucketGrid(tau, n, tuple(edges), tuple(min(hi, 1) for hi in edges[1:]))
 
 
 class BucketHistogram:
-    """Per-bucket masses for geometric probability buckets of ratio 1+tau."""
+    """Per-bucket masses on a BucketGrid."""
 
-    __slots__ = ("tau", "n", "masses")
+    __slots__ = ("grid", "masses")
 
-    def __init__(self, tau: Fraction, n: int, masses):
-        self.tau = Fraction(tau)
-        self.n = n
-        self.masses = tuple(Fraction(m) for m in masses)
-        if any(m < 0 for m in self.masses):
+    def __init__(self, grid: BucketGrid, masses):
+        self.grid = grid
+        self.masses = tuple(m if type(m) is Fraction else Fraction(m) for m in masses)
+        if len(self.masses) != grid.size:
+            raise ValueError(f"expected {grid.size} bucket masses, got {len(self.masses)}")
+        if any(m.numerator < 0 for m in self.masses):
             raise ValueError("bucket masses must be nonnegative")
 
     @property
-    def size(self) -> int:
-        return len(self.masses)
+    def tau(self) -> Fraction:
+        return self.grid.tau
+
+    @property
+    def n(self) -> int:
+        return self.grid.n
 
     def __eq__(self, other) -> bool:
         return (
@@ -406,7 +431,7 @@ class BucketHistogram:
 
 def exact_histogram(d: GrainDistribution, tau: Fraction) -> BucketHistogram:
     """Exact bucket masses of a distribution; masses sum to 1."""
-    edges = bucket_edges(tau, d.n)
-    acc = np.zeros(len(edges) - 1, dtype=np.int64)  # sums of counts stay below G < 2^63
-    np.add.at(acc, grain_buckets(d._counts_arr, d.grains, edges), d._counts_arr)
-    return BucketHistogram(tau, d.n, [Fraction(a, d.grains) for a in acc.tolist()])
+    grid = bucket_grid(tau, d.n)
+    acc = np.zeros(grid.size, dtype=np.int64)  # sums of counts stay below G < 2^63
+    np.add.at(acc, grid.buckets(d._counts_arr, d.grains), d._counts_arr)
+    return BucketHistogram(grid, [Fraction(a, d.grains) for a in acc.tolist()])

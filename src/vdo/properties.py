@@ -2,13 +2,13 @@
 
 Label-invariant properties ship a histogram decision rule (accept when some
 distribution with the observed bucket histogram is tau-close, reject when
-every one is far) and a repair rule mapping a close distribution to an
-exact member. General properties ship a distance approximator evaluated on
+every one is far) that reads only the histogram and the BucketGrid it
+carries. General properties ship a distance approximator evaluated on
 explicit distributions.
 
 The label-invariant argument runs the oracle session with a quantile
-sampling generator, assembles the empirical bucket histogram from the
-verified (element, pdf) answers, and applies the decision rule.
+sampling generator, assembles the empirical bucket histogram on the grid of
+(tau, N) from the verified (element, pdf) answers, and applies the rule.
 """
 
 from __future__ import annotations
@@ -22,14 +22,14 @@ import numpy as np
 
 from .constants import get_constants
 from .dist import (
+    BucketGrid,
     BucketHistogram,
     GrainDistribution,
-    bucket_edges,
-    grain_buckets,
+    bucket_grid,
     tv_distance,
     uniform,
 )
-from .exactmath import frac_ceil, geometric_mean
+from .exactmath import frac_ceil
 from .protocol import (
     SessionResult,
     VerifierConfig,
@@ -43,12 +43,10 @@ from .wire import Reason
 
 @dataclass(frozen=True)
 class LabelInvariantProperty:
-    """decide(tau, n, hist) -> bool; find(n, delta, rho, d) -> member of the
-    property at distance <= delta + rho from d (promise: d is delta-close)."""
+    """decide(hist) -> bool, read from the histogram and its grid alone."""
 
     name: str
-    decide: Callable[[Fraction, int, BucketHistogram], bool]
-    find: Callable[[int, Fraction, Fraction, GrainDistribution], GrainDistribution]
+    decide: Callable[[BucketHistogram], bool]
 
 
 @dataclass(frozen=True)
@@ -64,18 +62,17 @@ class GeneralProperty:
 
 
 def estimate_histogram(
-    pdf_grains: np.ndarray, denominator: int, tau: Fraction, n: int
+    pdf_grains: np.ndarray, denominator: int, grid: BucketGrid
 ) -> BucketHistogram:
     """Empirical bucket histogram from probed (element, pdf) pairs: bucket j
-    of bucket_edges(tau, n) gets the fraction of pairs whose pdf
+    of the grid gets the fraction of pairs whose pdf
     (pdf_grains / denominator) lands in it."""
     pdf_grains = np.asarray(pdf_grains, dtype=np.int64)
     s = pdf_grains.shape[0]
     if s == 0:
         raise ValueError("histogram estimation needs at least one sample")
-    edges = bucket_edges(tau, n)
-    counts = np.bincount(grain_buckets(pdf_grains, denominator, edges), minlength=len(edges) - 1)
-    return BucketHistogram(tau, n, [Fraction(c, s) for c in counts.tolist()])
+    counts = np.bincount(grid.buckets(pdf_grains, denominator), minlength=grid.size)
+    return BucketHistogram(grid, [Fraction(c, s) for c in counts.tolist()])
 
 
 def histogram_sample_budget(n: int, tau: Fraction) -> int:
@@ -89,100 +86,78 @@ def histogram_sample_budget(n: int, tau: Fraction) -> int:
 # -- uniformity ---------------------------------------------------------------------
 
 
-def uniformity_distance_estimate(tau: Fraction, n: int, hist: BucketHistogram) -> Fraction:
+def uniformity_distance_estimate(hist: BucketHistogram) -> Fraction:
     """Histogram-only estimate of the distance to uniform:
     sum over buckets of n_j * max(0, q_j - 1/N) with n_j = p_j / q_j, where
-    q_j, bucket j's representative, is the geometric mean of its own
-    interval [edges[j], edges[j+1]) on bucket_edges(tau, n), clamped at 1
-    (only the top bucket's edges[j+1] exceeds 1). Bucket 0 is represented
-    by 0 and never counts."""
-    edges = bucket_edges(tau, n)
+    q_j is bucket j's representative on the histogram's grid (the geometric
+    mean of its own interval, clamped at 1). Bucket 0 is represented by 0
+    and never counts."""
     acc = Fraction(0)
-    inv_n = Fraction(1, n)
-    for p, lo, hi in zip(hist.masses[1:], edges[1:], edges[2:]):
-        if p > 0:
-            q = geometric_mean(lo, min(hi, 1))
-            if q > inv_n:
-                acc += p * (1 - inv_n / q)
+    inv_n = Fraction(1, hist.n)
+    for p, q in zip(hist.masses, hist.grid.representatives):
+        if p > 0 and q > inv_n:
+            acc += p * (1 - inv_n / q)
     return acc
 
 
-def uniformity_decide(tau: Fraction, n: int, hist: BucketHistogram) -> bool:
+def uniformity_decide(hist: BucketHistogram) -> bool:
     margin = get_constants().decide_margin
-    return uniformity_distance_estimate(tau, n, hist) <= margin * Fraction(tau)
+    return uniformity_distance_estimate(hist) <= margin * hist.tau
 
 
-def uniformity_find(
-    n: int, delta: Fraction, rho: Fraction, d: GrainDistribution
-) -> GrainDistribution:
-    """The only member is the uniform distribution; the promise bounds its
-    distance from d."""
-    return uniform(n, d.grains)
+def uniformity_find(d: GrainDistribution) -> GrainDistribution:
+    """The property's one member, the uniform distribution, on d's grains."""
+    return uniform(d.n, d.grains)
 
 
 def make_uniformity() -> LabelInvariantProperty:
     return LabelInvariantProperty(
         "uniformity",
         # looked up at call time, so a wrapper installed on the module applies
-        lambda tau, n, hist: uniformity_decide(tau, n, hist),
-        uniformity_find,
+        lambda hist: uniformity_decide(hist),
     )
 
 
 # -- bounded support size --------------------------------------------------------------
 
 
-def support_size_distance_estimate(
-    tau: Fraction, n: int, hist: BucketHistogram, s_bound: int
-) -> Fraction:
+def support_size_distance_estimate(hist: BucketHistogram, s_bound: int) -> Fraction:
     """Histogram mass that cannot fit on the s_bound heaviest elements,
     under the most favorable reconstruction.
 
     s_bound element slots greedily cover mass heaviest-bucket-first, each
-    slot in bucket j covering up to the bucket's upper endpoint
-    min(edges[j+1], 1) on bucket_edges(tau, n), which no probability in the
+    slot in bucket j covering up to the bucket's upper endpoint on the
+    histogram's grid, min(edges[j+1], 1), which no probability in the
     bucket exceeds.
     This lower bounds the distance of every distribution consistent with
     the histogram, so any class with a tau-close member stays below the
     threshold. Bucket 0 mass (below edges[1] per element) never fits."""
-    edges = bucket_edges(tau, n)
     slots = Fraction(s_bound)
     covered = Fraction(0)
-    for j in range(hist.size - 1, 0, -1):
-        p = hist.masses[j]
-        if p == 0 or slots == 0:
-            continue
-        upper = min(edges[j + 1], 1)
-        take = min(p, slots * upper)
-        covered += take
-        slots -= take / upper
+    for p, upper in zip(hist.masses[:0:-1], hist.grid.uppers[:0:-1]):
+        if p and slots:
+            take = min(p, slots * upper)
+            covered += take
+            slots -= take / upper
     return max(Fraction(0), 1 - covered)
 
 
-def support_size_decide(tau: Fraction, n: int, hist: BucketHistogram, s_bound: int) -> bool:
-    if s_bound >= n:
+def support_size_decide(hist: BucketHistogram, s_bound: int) -> bool:
+    if s_bound >= hist.n:
         return True
     margin = get_constants().decide_margin
-    return support_size_distance_estimate(tau, n, hist, s_bound) <= margin * Fraction(tau)
+    return support_size_distance_estimate(hist, s_bound) <= margin * hist.tau
 
 
-def support_size_find(
-    n: int, delta: Fraction, rho: Fraction, d: GrainDistribution, s_bound: int
-) -> GrainDistribution:
+def support_size_find(d: GrainDistribution, s_bound: int) -> GrainDistribution:
     """Zero all but the s_bound heaviest elements and park the removed mass
     on the heaviest one. The move equals the removed mass in TV distance."""
-    if s_bound >= n:
-        return d
-    order = sorted(range(n), key=lambda i: (-d.counts[i], i))
-    keep = set(order[:s_bound])
-    counts = list(d.counts)
-    removed = 0
-    for i in range(n):
-        if i not in keep:
-            removed += counts[i]
-            counts[i] = 0
-    counts[order[0]] += removed
-    return GrainDistribution(n, d.grains, counts)
+    order = sorted(range(d.n), key=lambda i: (-d.counts[i], i))
+    counts = [0] * d.n
+    for i in order[:s_bound]:
+        counts[i] = d.counts[i]
+    counts[order[0]] += d.grains - sum(counts)
+    return GrainDistribution(d.n, d.grains, counts)
 
 
 def support_size_exact_distance(d: GrainDistribution, s_bound: int) -> Fraction:
@@ -197,8 +172,7 @@ def support_size_exact_distance(d: GrainDistribution, s_bound: int) -> Fraction:
 def make_support_size(s_bound: int) -> LabelInvariantProperty:
     return LabelInvariantProperty(
         f"support-size-{s_bound}",
-        lambda tau, n, hist: support_size_decide(tau, n, hist, s_bound),
-        lambda n, delta, rho, d: support_size_find(n, delta, rho, d, s_bound),
+        lambda hist: support_size_decide(hist, s_bound),
     )
 
 
@@ -260,9 +234,10 @@ def run_label_invariant_argument(
     seed: int,
     record_payloads: bool = False,
 ) -> ArgumentResult:
-    """Oracle session + histogram decision. The honest prover should commit
-    find(D, delta_c, epsilon)."""
+    """Oracle session + histogram decision. The honest prover commits a
+    member of the property close to D, as uniformity_find(D) gives."""
     epsilon, tau = argument_parameters(delta_c, delta_f)
+    grid = bucket_grid(tau, n)
     s_hist = min(histogram_sample_budget(n, tau), get_constants().hist_probe_cap)
     config = VerifierConfig(
         n,
@@ -273,8 +248,8 @@ def run_label_invariant_argument(
 
     def decide(session):
         answers = query_phase(session)
-        hist = estimate_histogram(answers[1], session.digest.denominator, tau, n)
-        ok = prop.decide(tau, n, hist)
+        hist = estimate_histogram(answers[1], session.digest.denominator, grid)
+        ok = prop.decide(hist)
         return ok, Reason.ACCEPT if ok else Reason.PROPERTY_REJECT, answers, hist
 
     result, hist = run_session(config, prover, d_sampler, seed, decide)

@@ -94,6 +94,8 @@ class VerifierConfig:
     record_payloads: bool = False
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("domain size must be positive")
         self.epsilon = Fraction(self.epsilon)
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0,1)")

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.random import Generator
 
 from .constants import Constants, get_constants
-from .dist import GrainDistribution
+from .dist import GrainDistribution, max_grains
 from .exactmath import ceil_mul_sqrt, frac_ceil, round_to_unit
 
 
@@ -51,16 +51,6 @@ def mixed_sample_batch(d_sampler: DSampler, n: int, k: int, rng: Generator) -> n
     if take:
         out[coins == 1] = d_sampler.draw_batch(take, rng)
     return out
-
-
-def max_grains(n: int) -> int:
-    """Largest denominator G with 3*G*(N+1) < 2^63.
-
-    Every integer the granular filter forms, 3*(N*c + G) and slots(x)*G for
-    0 <= c <= G, is at most 3*G*(N+1), so below this bound all of them are
-    exact in int64.
-    """
-    return ((1 << 63) - 1) // (3 * (n + 1))
 
 
 def _slot_counts(pdf_grains: np.ndarray, n: int, grains: int) -> np.ndarray:
@@ -162,6 +152,8 @@ def tail_sample_budget(epsilon: Fraction, constants: Constants | None = None) ->
 
 
 def check_epsilon(n: int, epsilon: Fraction, constants: Constants | None = None) -> None:
+    if n < 1:
+        raise ValueError("domain size must be positive")
     cons = constants or get_constants()
     eps = Fraction(epsilon)
     if not 0 < eps < 1:

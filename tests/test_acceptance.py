@@ -37,6 +37,7 @@ from vdo.commitment import (
 )
 from vdo.dist import (
     GrainDistribution,
+    bucket_grid,
     exact_histogram,
     random_distribution,
     uniform,
@@ -357,7 +358,7 @@ def test_c06_histogram_accuracy():
         exact = exact_histogram(q, tau)
         xs = q.sample_batch(s, rng_from(106, "draws", t))
         pdfs = np.asarray(q.counts, dtype=np.int64)[xs - 1]
-        est = estimate_histogram(pdfs, q.grains, tau, n)
+        est = estimate_histogram(pdfs, q.grains, bucket_grid(tau, n))
         ok = all(
             abs(p - truth) <= max(floor_bound, tau * truth)
             for p, truth in zip(est.masses, exact.masses)

@@ -188,6 +188,7 @@ class TestCli:
         "flags, message",
         [
             (["--mode", "oracle-session", "--kappa", "64"], "security parameter below 128 bits"),
+            (["--mode", "oracle-session", "--n", "0"], "domain size must be positive"),
             (["--mode", "oracle-session", "--grains", "0"], "denominator must lie in"),
             (["--mode", "oracle-session", "--d-dist", "point:99"], "atom outside domain"),
             (["--mode", "general-argument", "--target", "point:99"], "atom outside domain"),
@@ -198,7 +199,7 @@ class TestCli:
             (["--mode", "oracle-session", "--adversary", "inconsistent-opening",
               "--adversary-param", "x"], "Invalid literal for Fraction"),
         ],
-        ids=["kappa", "grains", "d-dist", "target", "property-param", "trials", "file",
+        ids=["kappa", "n", "grains", "d-dist", "target", "property-param", "trials", "file",
              "adversary-param"],
     )
     def test_flags_no_trial_can_run_with_are_usage_errors(

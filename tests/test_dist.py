@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdo.dist import (
-    BucketHistogram,
     GrainDistribution,
-    bucket_index,
+    bucket_grid,
     default_grains,
     exact_histogram,
-    element_buckets,
     from_weights,
-    num_buckets,
+    max_grains,
     point_mass,
     random_distribution,
     tv_distance,
@@ -51,6 +49,13 @@ class TestConstruction:
         for n in (2, 3, 100, 1000, 1024):
             assert default_grains(n) >= n * n
         assert default_grains(4) == 16
+
+    @pytest.mark.parametrize("n", [1_398_100, 1_398_101])
+    def test_default_grains_within_int64_bound(self, n):
+        # uncapped, the default 2^41 exceeds max_grains from N = 1,398,101 on,
+        # and uniform's padding to a multiple of N exceeds it at 1,398,100
+        assert default_grains(n) <= max_grains(n)
+        assert uniform(n).grains <= max_grains(n)
 
     def test_serialization_roundtrip(self, small_dist):
         blob = small_dist.to_bytes()
@@ -242,21 +247,35 @@ class TestSampling:
         assert pval > 1e-3
 
 
+def bucket_of(prob, tau, n):
+    """Bucket id of one probability on the grid of (tau, n)."""
+    prob = F(prob)
+    return int(bucket_grid(tau, n).buckets([prob.numerator], prob.denominator)[0])
+
+
 class TestBuckets:
     def test_below_floor_goes_to_zero(self):
-        assert bucket_index(F(4, 1000), F(1, 2), 100) == 0
+        assert bucket_of(F(4, 1000), F(1, 2), 100) == 0
 
     def test_interval_example(self):
         # 0.005 * 1.5^3 = 0.016875 <= 0.02 < 0.0253125
-        assert bucket_index(F(2, 100), F(1, 2), 100) == 3
+        assert bucket_of(F(2, 100), F(1, 2), 100) == 3
 
     def test_prob_one_is_highest_bucket(self):
         for tau, n in ((F(1, 2), 100), (F(1, 5), 4), (F(1, 10), 64)):
-            assert bucket_index(F(1), tau, n) == num_buckets(tau, n) - 1
+            assert bucket_of(F(1), tau, n) == bucket_grid(tau, n).size - 1
 
     def test_boundary_tau_over_n(self):
         # exactly tau/N lands in the first interval, which is bucket 0
-        assert bucket_index(F(1, 200), F(1, 2), 100) == 0
+        assert bucket_of(F(1, 200), F(1, 2), 100) == 0
+
+    def test_grid_built_once(self):
+        assert bucket_grid(F(1, 25), 1024) is bucket_grid(F(1, 25), 1024)
+
+    @pytest.mark.parametrize("values,grains", [([-1], 16), ([17], 16), ([0, 5, 17], 16), ([0], 0)])
+    def test_values_outside_range_rejected(self, values, grains):
+        with pytest.raises(ValueError):
+            bucket_grid(F(1, 2), 4).buckets(np.asarray(values, dtype=np.int64), grains)
 
     @given(
         st.integers(1, 40),
@@ -268,17 +287,18 @@ class TestBuckets:
         prob = F(num, 40)
         if prob > 1:
             return
-        assert bucket_index(prob, tau, n) == bucket_oracle(prob, tau, n)
+        assert bucket_of(prob, tau, n) == bucket_oracle(prob, tau, n)
 
     @given(small_dists(max_n=8, max_g=1 << 40), st.fractions(min_value=F(1, 10), max_value=F(4, 5)))
     @settings(max_examples=60, deadline=None)
     def test_partition(self, d, tau):
         # every element maps to exactly one bucket, ids stay in range, and
         # the integer thresholds agree with the literal scan
-        buckets = element_buckets(d, tau)
+        grid = bucket_grid(tau, d.n)
+        buckets = grid.buckets(np.asarray(d.counts, dtype=np.int64), d.grains)
         assert buckets.shape[0] == d.n
         assert (buckets >= 0).all()
-        assert (buckets < num_buckets(tau, d.n)).all()
+        assert (buckets < grid.size).all()
         assert buckets.tolist() == [bucket_oracle(d.pdf(x), tau, d.n) for x in range(1, d.n + 1)]
 
 
@@ -296,7 +316,7 @@ class TestExactHistogram:
         d = GrainDistribution(4, 16, (4, 4, 8, 0))
         tau = F(1, 2)
         h = exact_histogram(d, tau)
-        expected = [F(0)] * num_buckets(tau, 4)
+        expected = [F(0)] * bucket_grid(tau, 4).size
         for x in range(1, 5):
             expected[bucket_oracle(d.pdf(x), tau, 4)] += d.pdf(x)
         assert list(h.masses) == expected

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from vdo.dist import (
     BucketHistogram,
     GrainDistribution,
-    bucket_edges,
-    bucket_index,
+    bucket_grid,
     exact_histogram,
-    num_buckets,
     point_mass,
     random_distribution,
     uniform,
@@ -32,45 +30,42 @@ from vdo.properties import (
     uniformity_distance_estimate,
     uniformity_find,
 )
+from vdo.bruteforce import band_check
+from vdo.exactmath import geometric_mean
 from vdo.protocol import HonestProver
 from vdo.rngutil import rng_from
 from vdo.testers import DSampler
 
-from conftest import dist_to_uniform_oracle, enum_dists, support_distance_oracle, tv_oracle
+from conftest import (
+    bucket_oracle,
+    dist_to_uniform_oracle,
+    enum_dists,
+    support_distance_oracle,
+    tv_oracle,
+)
 
 
 def check_bands(n, grains, tau, decide, distance):
-    """Group all (n, grains) distributions by exact histogram; decide(hist)
-    must accept any class with a tau-close member and reject only classes
-    whose members are all beyond 2*tau."""
-    classes = {}
-    for q in enum_dists(n, grains):
-        h = exact_histogram(q, tau)
-        d = distance(q)
-        cur = classes.get(h.masses)
-        classes[h.masses] = min(cur, d) if cur is not None else d
-    for masses, dmin in classes.items():
-        verdict = decide(BucketHistogram(tau, n, masses))
-        if dmin <= tau:
-            assert verdict, (masses, dmin)
-        if dmin > 2 * tau:
-            assert not verdict, (masses, dmin)
+    """decide(hist) accepts every (n, grains) histogram class with a
+    tau-close member and rejects only classes whose members are all beyond
+    2*tau, with distances from the reference oracle."""
+    assert band_check(n, grains, tau, decide, distance)["violations"] == []
 
 
 class TestEstimateHistogram:
     def test_uniform_pairs_single_bucket(self):
         q = uniform(64)
         pdfs = np.full(500, q.pdf_grains(1), dtype=np.int64)
-        h = estimate_histogram(pdfs, q.grains, F(1, 5), 64)
+        h = estimate_histogram(pdfs, q.grains, bucket_grid(F(1, 5), 64))
         assert [m for m in h.masses if m > 0] == [F(1)]
 
     def test_zero_samples_error(self):
         with pytest.raises(ValueError):
-            estimate_histogram(np.empty(0, dtype=np.int64), 16, F(1, 5), 4)
+            estimate_histogram(np.empty(0, dtype=np.int64), 16, bucket_grid(F(1, 5), 4))
 
     def test_masses_are_sample_fractions(self):
         pdfs = np.asarray([4, 4, 8, 0], dtype=np.int64)
-        h = estimate_histogram(pdfs, 16, F(1, 2), 4)
+        h = estimate_histogram(pdfs, 16, bucket_grid(F(1, 2), 4))
         assert sum(h.masses) == 1
         assert all(m.denominator <= 4 for m in h.masses)
 
@@ -81,7 +76,7 @@ class TestEstimateHistogram:
         exact = exact_histogram(q, tau)
         xs = q.sample_batch(40_000, rng_from(3, "draws"))
         pdfs = np.asarray(q.counts, dtype=np.int64)[xs - 1]
-        est = estimate_histogram(pdfs, q.grains, tau, n)
+        est = estimate_histogram(pdfs, q.grains, bucket_grid(tau, n))
         for p, t in zip(est.masses, exact.masses):
             assert abs(p - t) < F(1, 50)
 
@@ -97,31 +92,31 @@ class TestUniformityProperty:
     def test_exact_uniform_accepts(self):
         n = 64
         h = exact_histogram(uniform(n), F(1, 5))
-        assert uniformity_decide(F(1, 5), n, h)
+        assert uniformity_decide(h)
 
     def test_point_mass_rejects_small_tau(self):
         n = 64
         for tau in (F(1, 5), F(1, 4), F(3, 10)):
             h = exact_histogram(point_mass(n, 5), tau)
-            assert not uniformity_decide(tau, n, h)
+            assert not uniformity_decide(h)
 
     def test_exhaustive_bands_n4(self):
         tau = F(1, 5)
-        check_bands(4, 12, tau, lambda h: uniformity_decide(tau, 4, h), dist_to_uniform_oracle)
+        check_bands(4, 12, tau, uniformity_decide, dist_to_uniform_oracle)
 
     # with each representative taken from the bucket below, both cases
     # accepted a class whose members all lie beyond 2*tau
     @pytest.mark.parametrize("n,grains,tau", [(2, 7, F(1, 10)), (3, 13, F(1, 20))])
     def test_exhaustive_bands_small(self, n, grains, tau):
-        check_bands(n, grains, tau, lambda h: uniformity_decide(tau, n, h), dist_to_uniform_oracle)
+        check_bands(n, grains, tau, uniformity_decide, dist_to_uniform_oracle)
 
     def test_find_returns_uniform(self):
         d = GrainDistribution(4, 16, (5, 4, 4, 3))
-        out = uniformity_find(4, F(1, 8), F(1, 10), d)
+        out = uniformity_find(d)
         assert out == uniform(4, 16)
-        # promise violated: output is still the member; contract is caller-checked
+        # a far distribution maps to the same one member
         far = point_mass(4, 1, 16)
-        assert uniformity_find(4, F(1, 8), F(1, 10), far) == uniform(4, 16)
+        assert uniformity_find(far) == uniform(4, 16)
 
     def test_label_invariance_of_decide(self, rng):
         tau = F(1, 5)
@@ -130,22 +125,22 @@ class TestUniformityProperty:
         q2 = GrainDistribution(16, 256, tuple(q.counts[i] for i in perm))
         h1, h2 = exact_histogram(q, tau), exact_histogram(q2, tau)
         assert h1.masses == h2.masses
-        assert uniformity_decide(tau, 16, h1) == uniformity_decide(tau, 16, h2)
+        assert uniformity_decide(h1) == uniformity_decide(h2)
 
 
 class TestSupportSizeProperty:
     def test_find_example(self):
         d = uniform(4, 16)
-        out = support_size_find(4, F(1, 2), F(0), d, 2)
+        out = support_size_find(d, 2)
         assert out.counts == (12, 4, 0, 0)
         assert tv_oracle(d, out) == F(8, 16)
 
     def test_support_exactly_s_accepts(self):
         d = GrainDistribution(4, 12, (6, 6, 0, 0))
-        out = support_size_find(4, F(0), F(0), d, 2)
+        out = support_size_find(d, 2)
         assert out == d
         h = exact_histogram(d, F(1, 5))
-        assert support_size_decide(F(1, 5), 4, h, 2)
+        assert support_size_decide(h, 2)
 
     def test_exact_distance_matches_subset_oracle(self):
         for q in enum_dists(4, 12):
@@ -155,19 +150,19 @@ class TestSupportSizeProperty:
     def test_find_postcondition_exact(self):
         for q in enum_dists(3, 9):
             for s in (1, 2):
-                out = support_size_find(3, F(1), F(0), q, s)
+                out = support_size_find(q, s)
                 assert sum(1 for c in out.counts if c > 0) <= s
                 assert tv_oracle(q, out) == support_size_exact_distance(q, s)
 
     def test_trivial_when_s_covers_domain(self):
         h = exact_histogram(point_mass(4, 1, 16), F(1, 5))
-        assert support_size_decide(F(1, 5), 4, h, 4)
+        assert support_size_decide(h, 4)
 
     def test_decide_bands_n4(self):
         tau, s = F(1, 5), 2
         check_bands(
             4, 12, tau,
-            lambda h: support_size_decide(tau, 4, h, s),
+            lambda h: support_size_decide(h, s),
             lambda q: support_distance_oracle(q, s),
         )
 
@@ -177,7 +172,7 @@ class TestSupportSizeProperty:
     def test_decide_bands_n5(self, n, grains, tau, s):
         check_bands(
             n, grains, tau,
-            lambda h: support_size_decide(tau, n, h, s),
+            lambda h: support_size_decide(h, s),
             lambda q: support_distance_oracle(q, s),
         )
 
@@ -185,25 +180,41 @@ class TestSupportSizeProperty:
 class TestBucketReadings:
     """The estimates read each bucket's values from its own interval."""
 
-    @pytest.mark.parametrize("tau,n", [(F(1, 5), 4), (F(1, 10), 5), (F(1, 25), 1024), (F(3, 10), 64)])
+    CASES = [(F(1, 5), 4), (F(1, 10), 5), (F(1, 25), 1024), (F(3, 10), 64)]
+
+    @pytest.mark.parametrize("tau,n", CASES)
     def test_values_lie_in_own_bucket(self, tau, n):
-        edges = bucket_edges(tau, n)
-        size = num_buckets(tau, n)
-        for j in range(1, size):
-            masses = [F(0)] * size
+        grid = bucket_grid(tau, n)
+        edges = grid.edges
+        for j in range(1, grid.size):
+            masses = [F(0)] * grid.size
             masses[j] = F(1)
-            hist = BucketHistogram(tau, n, masses)
+            hist = BucketHistogram(grid, masses)
             # one slot covers min(1, upper_j); the rest is the estimate
-            upper = 1 - support_size_distance_estimate(tau, n, hist, 1)
+            upper = 1 - support_size_distance_estimate(hist, 1)
             assert upper == min(F(1), edges[j + 1])
             # a lone bucket whose representative q_j exceeds 1/N estimates
             # 1 - 1/(N q_j); the top bucket's interval reaches past 1, its
             # representative stops at 1 (at tau = 1/5, N = 4 it would not)
-            est = uniformity_distance_estimate(tau, n, hist)
+            est = uniformity_distance_estimate(hist)
             if est > 0:
                 rep = F(1, n) / (1 - est)
                 assert edges[j] <= rep < edges[j + 1], (j, rep)
-                assert rep <= 1 and bucket_index(rep, tau, n) == j
+                assert rep <= 1 and bucket_oracle(rep, tau, n) == j
+
+    @pytest.mark.parametrize("tau,n", CASES)
+    def test_grid_stores_bucket_formulas(self, tau, n):
+        # edges from fresh powers; per bucket the stored representative and
+        # upper endpoint equal the formulas on its own interval
+        grid = bucket_grid(tau, n)
+        assert list(grid.edges) == [tau * (1 + tau) ** j / n for j in range(grid.size + 1)]
+        assert grid.edges[-2] <= 1 < grid.edges[-1]
+        assert grid.representatives[0] == 0
+        for j in range(grid.size):
+            lo, hi = grid.edges[j], min(grid.edges[j + 1], 1)
+            assert grid.uppers[j] == hi
+            if j:
+                assert grid.representatives[j] == geometric_mean(lo, hi)
 
 
 class TestFixedTarget:
@@ -240,10 +251,9 @@ class TestLabelInvariantArgument:
     def test_uniform_completeness_small(self):
         n = 64
         d = uniform(n)
-        eps, _ = argument_parameters(F(1, 20), F(9, 20))
         accepts = 0
         for i in range(20):
-            prover = HonestProver(uniformity_find(n, F(1, 20), eps, d))
+            prover = HonestProver(uniformity_find(d))
             r = run_label_invariant_argument(
                 make_uniformity(), n, F(1, 20), F(9, 20), DSampler(d), prover, seed=i
             )

@@ -175,8 +175,13 @@ class TestSession:
         res = _session(prover=WrongMass(uniform(64)))
         assert not res.accept and res.reason == Reason.BAD_DIGEST
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_domain_size_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="domain size must be positive"):
+            VerifierConfig(n, F(1, 2))
+
     def test_denominator_beyond_int64_bound_rejected(self):
-        # N = 2^21 at the default G = 2^42: 3*G*(N+1) overflows int64. The
+        # N = 2^21 at G = 2^42: 3*G*(N+1) overflows int64. The
         # prover claims a well-formed point-mass digest (building the real
         # 2^22-node tree takes seconds); the verifier must stop at the digest.
         n, g = 1 << 21, 1 << 42

@@ -320,7 +320,7 @@ class TestIdentityTest:
     def test_denominator_beyond_int64_bound_raises(self):
         # 3*G*(N+1) at N = 2^21, G = 2^42 overflows int64
         n = 1 << 21
-        q = point_mass(n, 1)
+        q = point_mass(n, 1, 1 << 42)
         assert q.grains == 1 << 42 > max_grains(n)
         with pytest.raises(ValueError, match="exceeds"):
             identity_test(q, DSampler(q), n, F(1, 2), rng_from(1, "big"))
