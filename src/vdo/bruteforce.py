@@ -3,10 +3,11 @@
 These run exact identities over enumerated grain distributions: the
 sorted-grain Hamming bound, the mixing/granularization identities, and the
 histogram decision bands of any label-invariant decision (band_check, which
-the tests call too; band_sweep runs it for uniformity and bounded support
-size). Domain sizes are small enough to enumerate; the pair-level mixing
-identity is additionally verified coordinate-wise, which covers the whole
-family because mixing acts on one coordinate at a time.
+the tests call too; band_sweep runs band_checks, one pass per (N, G, tau),
+for uniformity and bounded support size). Domain sizes are small enough to
+enumerate; the pair-level mixing identity is additionally verified
+coordinate-wise, which covers the whole family because mixing acts on one
+coordinate at a time.
 """
 
 from __future__ import annotations
@@ -154,41 +155,51 @@ def band_check(n: int, grains: int, tau: Fraction, decide, distance) -> dict:
     classes whose members all lie beyond 2*tau. The histogram and the
     distance to a label-invariant property are both label-invariant, so one
     member per permutation orbit gives the same classes and distances."""
-    closest: dict[tuple, list] = {}  # masses -> [histogram, least distance]
+    return band_checks(n, grains, tau, [(decide, distance)])[0]
+
+
+def band_checks(n: int, grains: int, tau: Fraction, checks) -> list[dict]:
+    """band_check of each (decide, distance) pair in checks, from one pass
+    over the orbits: each orbit's histogram is computed once for all."""
+    closest: dict[tuple, list] = {}  # masses -> [histogram, least distance per check]
     for counts in combinations_with_replacement(range(grains, -1, -1), n):
         if sum(counts) != grains:  # one nonincreasing count vector per orbit
             continue
         q = GrainDistribution(n, grains, counts)
         h = exact_histogram(q, tau)
-        d = distance(q)
-        best = closest.setdefault(h.masses, [h, d])
-        best[1] = min(best[1], d)
-    violations = []
-    for h, dmin in closest.values():
-        verdict = decide(h)
-        if dmin <= tau and not verdict:
-            violations.append(("must-accept", h.masses, dmin))
-        if dmin > 2 * tau and verdict:
-            violations.append(("must-reject", h.masses, dmin))
-    return {"classes": len(closest), "violations": violations}
+        ds = [distance(q) for _, distance in checks]
+        best = closest.setdefault(h.masses, [h, ds])
+        best[1] = list(map(min, best[1], ds))
+    results = []
+    for i, (decide, _) in enumerate(checks):
+        violations = []
+        for h, dmins in closest.values():
+            verdict = decide(h)
+            if dmins[i] <= tau and not verdict:
+                violations.append(("must-accept", h.masses, dmins[i]))
+            if dmins[i] > 2 * tau and verdict:
+                violations.append(("must-reject", h.masses, dmins[i]))
+        results.append({"classes": len(closest), "violations": violations})
+    return results
 
 
 def band_sweep(n_max: int = 6, g_max: int = 16) -> dict:
-    """band_check at every n <= n_max, grains <= g_max and tau in {1/5, 1/10,
-    1/20, 3/10, 1/25}, of uniformity and of support size at every bound
-    1 <= s < n; classes and violations are summed per property."""
+    """band_checks at every n <= n_max, grains <= g_max and tau in {1/5,
+    1/10, 1/20, 3/10, 1/25}, of uniformity and of support size at every
+    bound 1 <= s < n, in one pass per (n, grains, tau); classes and
+    violations are summed per property."""
     taus = [Fraction(1, 5), Fraction(1, 10), Fraction(1, 20), Fraction(3, 10), Fraction(1, 25)]
     out = Counter()
     for n, grains, tau in product(range(1, n_max + 1), range(1, g_max + 1), taus):
         exact_uniform = uniform(n, n * grains)  # 1/n at every element, for any grains
-        checks = [("uniformity", uniformity_decide, partial(tv_distance, q=exact_uniform))]
+        props = ["uniformity"] + ["support_size"] * (n - 1)
+        checks = [(uniformity_decide, partial(tv_distance, q=exact_uniform))]
         checks += [
-            ("support_size", partial(support_size_decide, s_bound=s),
+            (partial(support_size_decide, s_bound=s),
              partial(support_size_exact_distance, s_bound=s))
             for s in range(1, n)
         ]
-        for prop, decide, distance in checks:
-            res = band_check(n, grains, tau, decide, distance)
+        for prop, res in zip(props, band_checks(n, grains, tau, checks)):
             out[f"{prop}_classes"] += res["classes"]
             out[f"{prop}_violations"] += len(res["violations"])
     return {**out, "ok": out["uniformity_violations"] + out["support_size_violations"] == 0}

@@ -17,6 +17,14 @@ binds the prover to, guaranteed close to the unknown sampled distribution:
      histogram of such answers; the general argument runs a backend
      exchange.
 
+One step, _exchange_distinct, sends a batch and verifies the answers; it
+returns the distinct verified (element, pdf, cdf) arrays and the batch's
+per-probe index. Its element and quantile checks run over fixed blocks of
+probes, every element block before any quantile block. query_set gathers
+per-probe answers from that result. The identity round expands nothing per
+probe: it reads the reference samples through the index's first s_tail
+entries and hands complete() the distinct pdfs plus the rest of the index.
+
 run_session is the one skeleton behind all three protocols: establish,
 the second phase, conclude. Every exchange that rejects raises
 SessionRejected with a Reason, and run_session alone catches it and
@@ -65,6 +73,14 @@ QueryGenerator = Callable[[int, Fraction, int, Generator], QuerySet]
 
 # verified (elements, pdf_grains, cdf_grains) per probe, as int64 arrays
 Answers = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+# verified (elements, pdf_grains, cdf_grains) per distinct opening, plus the
+# per-probe index into them, as int64 arrays
+DistinctAnswers = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+# probes per block of the element and quantile checks, so that no check
+# builds a temporary as long as the batch
+CHECK_BLOCK = 1 << 16
 
 
 def element_generator(xs) -> QueryGenerator:
@@ -249,18 +265,20 @@ class VerifiedOracleSession:
         self._receive(reply, reply_type)
         return reply
 
-    def _exchange_queries(self, qs: QuerySet) -> Answers:
-        """Send a QuerySet, verify the positional answers, return per-probe
-        (element, pdf, cdf) arrays."""
+    def _exchange_distinct(self, qs: QuerySet) -> DistinctAnswers:
+        """Send a QuerySet and verify the positional answers. Returns the
+        distinct verified (element, pdf, cdf) arrays and the probe index:
+        probe i is answered by entry index[i]."""
         self.transcript.q_probes += len(qs)
         batch = self._ask(qs, lambda: self.prover.answer_queries(qs), OpeningBatch)
         if len(batch) != len(qs) or batch.depth != self.digest.depth:
             raise SessionRejected(Reason.MALFORMED)
+        index = batch.index
         if len(qs) == 0:
             empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
+            return empty, empty.copy(), empty.copy(), empty.copy()
         # refusal / malformed record, or an index past the distinct proofs
-        if (batch.index < 0).any() or (batch.index >= len(batch.proofs)).any():
+        if index.min() < 0 or index.max() >= len(batch.proofs):
             raise SessionRejected(Reason.MALFORMED)
         verified = self.verified_openings
         for p in batch.proofs:
@@ -286,22 +304,21 @@ class VerifiedOracleSession:
         pe = np.asarray([p.element for p in batch.proofs], dtype=np.int64)
         ppdf = np.asarray([p.claimed_pdf for p in batch.proofs], dtype=np.int64)
         pcdf = np.asarray([p.claimed_cdf for p in batch.proofs], dtype=np.int64)
-        elems = pe[batch.index]
-        pdfs = ppdf[batch.index]
-        cdfs = pcdf[batch.index]
-        values = np.asarray(qs.values, dtype=np.int64)
         kinds = np.asarray(qs.kinds)
-        is_elem = kinds == ProbeKind.ELEMENT
-        if (elems[is_elem] != values[is_elem]).any():
-            raise SessionRejected(Reason.INVALID_OPENING)
-        is_quant = kinds == ProbeKind.QUANTILE
-        if is_quant.any():
-            g = values[is_quant]
-            lo = cdfs[is_quant] - pdfs[is_quant]
-            hi = cdfs[is_quant]
-            if ((g <= lo) | (g > hi)).any():
+        values = np.asarray(qs.values, dtype=np.int64)
+        blocks = [slice(s, s + CHECK_BLOCK) for s in range(0, len(qs), CHECK_BLOCK)]
+        # every element probe is checked before any quantile probe
+        for b in blocks:
+            is_elem = kinds[b] == ProbeKind.ELEMENT
+            if (pe[index[b][is_elem]] != values[b][is_elem]).any():
+                raise SessionRejected(Reason.INVALID_OPENING)
+        plo = pcdf - ppdf
+        for b in blocks:
+            is_quant = kinds[b] == ProbeKind.QUANTILE
+            at, g = index[b][is_quant], values[b][is_quant]
+            if ((g <= plo[at]) | (g > pcdf[at])).any():
                 raise SessionRejected(Reason.QUANTILE_INVALID)
-        return elems, pdfs, cdfs
+        return pe, ppdf, pcdf, index
 
     # -- phase 1 ------------------------------------------------------------------
 
@@ -334,11 +351,10 @@ class VerifiedOracleSession:
         qs = QuerySet.concat(
             QuerySet.quantiles(q_grains), QuerySet.elements(element_probes)
         )
-        elems, pdfs, cdfs = self._exchange_queries(qs)
+        elems, pdfs, _, index = self._exchange_distinct(qs)
         self.transcript.q_samples += s_tail
-        q_elems = elems[:s_tail]
-        q_pdfs = pdfs[:s_tail]
-        res = run.complete(pdfs[s_tail:], q_elems, q_pdfs, g)
+        q_index = index[:s_tail]
+        res = run.complete(pdfs, index[s_tail:], elems[q_index], pdfs[q_index], g)
         res.counters.q_samples = s_tail
         self.identity = res
         self.transcript.d_samples = self.d_sampler.draws
@@ -347,10 +363,11 @@ class VerifiedOracleSession:
     # -- phase 2 ------------------------------------------------------------------
 
     def query_set(self, qs: QuerySet) -> Answers:
-        """Run one query-phase batch and return its verified answers. The
-        identity round calls _exchange_queries directly, so a trace of
-        query_set covers only the second phase."""
-        return self._exchange_queries(qs)
+        """Run one query-phase batch and return its verified answers, one
+        per probe. The identity round calls _exchange_distinct directly, so
+        a trace of query_set covers only the second phase."""
+        elems, pdfs, cdfs, index = self._exchange_distinct(qs)
+        return elems[index], pdfs[index], cdfs[index]
 
     def backend_exchange(self, select: BackendSelect) -> BackendData:
         return self._ask(select, lambda: self.prover.backend_payload(select), BackendData)
@@ -358,7 +375,16 @@ class VerifiedOracleSession:
     # -- conclusion ------------------------------------------------------------------
 
     def conclude(self, accept: bool, reason: Reason, answers: Answers | None) -> SessionResult:
-        self._send(Verdict(accept, reason))
+        verdict = Verdict(accept, reason)
+        self._send(verdict)
+        # a prover over a stream sends the verdict on; one in process needs
+        # no such method, and the verdict stands whatever the prover does
+        tell = getattr(self.prover, "receive_verdict", None)
+        if tell is not None:
+            try:
+                tell(verdict)
+            except Exception:
+                pass
         self.transcript.d_samples = self.d_sampler.draws
         return SessionResult(
             accept,

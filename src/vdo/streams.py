@@ -3,7 +3,9 @@
 The default transport is in-process (the verifier calls the prover's
 responder methods directly). This module runs the same protocol over any
 pair of file-like byte streams using the framed wire encoding, e.g. a
-socketpair or pipes between processes.
+socketpair or pipes between processes. The session hands its verdict to
+RemoteProver, and close() sends it as the last frame, so the served side
+reads the verdict the transcript logs.
 """
 
 from __future__ import annotations
@@ -111,6 +113,7 @@ class RemoteProver:
         self.writer = writer
         self._seq = 0
         self._digest: Digest | None = None
+        self._verdict: Verdict | None = None
 
     def _roundtrip(
         self, msg, mtype: int, length: int | None = None, max_length: int | None = None
@@ -146,5 +149,12 @@ class RemoteProver:
         payload = self._roundtrip(select, MsgType.BACKEND_DATA, max_length=limit)
         return BackendData(bytes(payload))
 
+    def receive_verdict(self, verdict: Verdict) -> None:
+        """Keep the verdict the session concluded with, for close()."""
+        self._verdict = verdict
+
     def close(self) -> None:
-        write_frame(self.writer, self._seq, Verdict(True, Reason.ACCEPT))
+        """Send the session's verdict, which ends the served session. A
+        session that never concluded fails closed: it is sent a rejection."""
+        verdict = self._verdict or Verdict(False, Reason.MALFORMED)
+        write_frame(self.writer, self._seq, verdict)

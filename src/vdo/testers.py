@@ -9,9 +9,11 @@ count then separates uniform from far-from-uniform.
 
 All probability arithmetic is exact. IdentityTestRun is the one
 implementation: plan() fixes every probe up front and complete() decides
-from the reference pdfs of those probes, given as integer grain counts.
-The protocol answers the probes with verified openings; identity_test
-answers them from an in-memory GrainDistribution.
+from the reference pdfs of those probes, given as integer grain counts in
+a table plus a per-probe index into it. The protocol passes the pdfs of
+its distinct verified openings and the batch's probe index, so no
+per-probe pdf array is built; identity_test passes the counts of an
+in-memory GrainDistribution, indexed by element - 1.
 """
 
 from __future__ import annotations
@@ -45,11 +47,11 @@ class DSampler:
 def mixed_sample_batch(d_sampler: DSampler, n: int, k: int, rng: Generator) -> np.ndarray:
     """k draws from the half-uniform mixture of D: a fair coin per draw picks
     a D-sample or a uniform element of [N]."""
-    coins = rng.integers(0, 2, size=k)
-    take = int(coins.sum())
+    coins = rng.integers(0, 2, size=k) == 1
+    take = int(np.count_nonzero(coins))
     out = rng.integers(1, n + 1, size=k, dtype=np.int64)
     if take:
-        out[coins == 1] = d_sampler.draw_batch(take, rng)
+        out[coins] = d_sampler.draw_batch(take, rng)
     return out
 
 
@@ -61,21 +63,32 @@ def _slot_counts(pdf_grains: np.ndarray, n: int, grains: int) -> np.ndarray:
 
 
 def _granular_pairs(
-    xs: np.ndarray, pdf_grains: np.ndarray, n: int, grains: int, tail_slots: int, rng: Generator
+    xs: np.ndarray,
+    pdf_table: np.ndarray,
+    index: np.ndarray,
+    n: int,
+    grains: int,
+    tail_slots: int,
+    rng: Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Granular filter and pair lifting of mixture samples xs, given their
-    reference pdfs in grains: (element, slot) per sample.
+    """Granular filter and pair lifting of mixture samples xs: (element,
+    slot) per sample. Sample i's reference pdf, in grains, is
+    pdf_table[index[i]], so the per-pdf arithmetic runs once per table entry.
 
     x is kept with probability theta(x) = slots(x)*G / (3*(N*c + G)) and gets
     a uniform slot in [1, slots(x)]; otherwise it becomes the overflow
     element N+1 with a uniform slot in [1, max(1, tail_slots)].
     """
-    c = np.asarray(pdf_grains, dtype=np.int64)
-    slots = _slot_counts(c, n, grains)
-    kept = rng.integers(0, 3 * (n * c + grains)) < slots * grains
+    c = np.asarray(pdf_table, dtype=np.int64)
+    denom = 3 * (n * c + grains)
+    slots = denom // grains  # _slot_counts, from the denominators at hand
+    kept = rng.integers(0, denom[index]) < (slots * grains)[index]
     elements = np.where(kept, xs, n + 1)
-    bound = np.where(kept, slots, max(1, tail_slots))
-    return elements, 1 + rng.integers(0, bound)
+    bound = slots[index]
+    bound[~kept] = max(1, tail_slots)
+    slot = rng.integers(0, bound)
+    slot += 1
+    return elements, slot
 
 
 def exact_tail_slots(pdf_grains_all: np.ndarray, n: int, grains: int) -> int:
@@ -173,8 +186,9 @@ class IdentityTestRun:
     plan() fixes every probe before any reference answer is consumed, so a
     protocol can ship all probes in one batch: the element-probe list is
     [uniform tail draws | exact-tail sweep | mixed D-samples]. complete()
-    consumes positional pdf answers plus the step-1 quantile samples (with
-    their pdfs) and produces the verdict.
+    consumes the probes' pdf answers, as a table and a per-probe index into
+    it, plus the step-1 quantile samples (with their pdfs) and produces the
+    verdict.
     """
 
     def __init__(
@@ -215,12 +229,14 @@ class IdentityTestRun:
 
     def complete(
         self,
-        probe_pdfs: np.ndarray,
+        pdf_table: np.ndarray,
+        probe_index: np.ndarray,
         q_sample_elements: np.ndarray,
         q_sample_pdfs: np.ndarray,
         grains: int,
     ) -> IdentityResult:
-        """Finish the test from positional pdf answers (grain counts)."""
+        """Finish the test from the probes' pdf answers (grain counts):
+        element probe i reads pdf_table[probe_index[i]]."""
         if not self._planned:
             raise RuntimeError("plan() must run first")
         n, m = self.n, 6 * self.n
@@ -229,13 +245,13 @@ class IdentityTestRun:
                 f"denominator {grains} exceeds {max_grains(n)}, the largest the "
                 f"identity test handles exactly at N={n}"
             )
-        probe_pdfs = np.asarray(probe_pdfs, dtype=np.int64)
+        pdf_table = np.asarray(pdf_table, dtype=np.int64)
         k = self._tail_probe_count
-        tail_pdfs, mixed_pdfs = probe_pdfs[:k], probe_pdfs[k:]
+        tail_pdfs = pdf_table[probe_index[:k]]
 
         counters = IdentityCounters(
             d_samples=self.s_d,
-            q_element_queries=int(probe_pdfs.shape[0]),
+            q_element_queries=int(probe_index.shape[0]),
             q_samples=int(q_sample_elements.shape[0]),
         )
 
@@ -248,10 +264,12 @@ class IdentityTestRun:
             )
             tail_slots = int(tail * m)
 
-        elements, pair_slot = _granular_pairs(
-            self._mixed, mixed_pdfs, n, grains, tail_slots, self.rng_pairs
+        keys, pair_slot = _granular_pairs(
+            self._mixed, pdf_table, probe_index[k:], n, grains, tail_slots, self.rng_pairs
         )
-        keys = elements * np.int64(m + 2) + pair_slot
+        keys *= m + 2  # the pair (element, slot) as one int64 key, in place
+        keys += pair_slot
+        del pair_slot
 
         unif = uniformity_test(keys, m, self.epsilon / 3)
         return IdentityResult(unif.accept, unif, tail, counters)
@@ -310,7 +328,11 @@ def identity_test(
     else:
         q_elems = q.sample_batch(run.s_tail, rng_from(seed, "qsamples"))
     res = run.complete(
-        q.pdf_grains_batch(probes), q_elems, q.pdf_grains_batch(q_elems), q.grains
+        np.asarray(q.counts, dtype=np.int64),
+        probes - 1,
+        q_elems,
+        q.pdf_grains_batch(q_elems),
+        q.grains,
     )
     res.counters.q_samples = 0 if run.tail_exact else run.s_tail
     return res

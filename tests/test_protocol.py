@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import io
 import socket
 import threading
 from fractions import Fraction as F
@@ -30,9 +31,10 @@ from vdo.protocol import (
     quantile_sampling_generator,
     run_oracle_session,
 )
+from vdo.representation import RepresentationString, build_representation
 from vdo.rngutil import rng_from
 from vdo.streams import RemoteProver, read_frame, serve_prover
-from vdo.testers import DSampler, max_grains
+from vdo.testers import DSampler, IdentityTestRun, max_grains
 from vdo.wire import (
     HEADER_LEN,
     BackendSelect,
@@ -441,22 +443,26 @@ class TestVerifiedOpenings:
 
 
 class _VerifyEverySession(VerifiedOracleSession):
-    """The session loop that the verified-openings map replaced: every
-    record of every batch goes to verify_opening, and each accepted claim
-    is added to a set. The reference of TestVerifiedOpeningsDifferential."""
+    """The session loop that the verified-openings map and the lean identity
+    round replaced: every record of every batch goes to verify_opening, each
+    accepted claim is added to a set, and the answers are expanded to one
+    (element, pdf, cdf) per probe and checked under full-length masks. It
+    returns the per-probe arrays as the table, with the identity index, and
+    its identity round reads them per probe. The reference of
+    TestVerifiedOpeningsDifferential and TestLeanRoundDifferential."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.verified_openings = set()
 
-    def _exchange_queries(self, qs):
+    def _exchange_distinct(self, qs):
         self.transcript.q_probes += len(qs)
         batch = self._ask(qs, lambda: self.prover.answer_queries(qs), OpeningBatch)
         if len(batch) != len(qs) or batch.depth != self.digest.depth:
             raise SessionRejected(Reason.MALFORMED)
         if len(qs) == 0:
             empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
+            return empty, empty.copy(), empty.copy(), empty.copy()
         if (batch.index < 0).any() or (batch.index >= len(batch.proofs)).any():
             raise SessionRejected(Reason.MALFORMED)
         for p in batch.proofs:
@@ -487,7 +493,29 @@ class _VerifyEverySession(VerifiedOracleSession):
             hi = cdfs[is_quant]
             if ((g <= lo) | (g > hi)).any():
                 raise SessionRejected(Reason.QUANTILE_INVALID)
-        return elems, pdfs, cdfs
+        return elems, pdfs, cdfs, np.arange(len(qs), dtype=np.int64)
+
+    def _identity_round(self, rep):
+        # the per-probe round: the first s_tail answers are the reference
+        # samples, and complete() reads the rest one pdf per probe
+        cfg, g = self.config, self.digest.denominator
+        run = IdentityTestRun(
+            cfg.n, cfg.epsilon, rng_from(self.seed, "tail", rep), rng_from(self.seed, "pairs", rep)
+        )
+        s_tail = run.s_tail
+        q_grains = rng_from(self.seed, "qgrains", rep).integers(
+            1, g + 1, size=s_tail, dtype=np.int64
+        )
+        element_probes = run.plan(self.d_sampler, rng_from(self.seed, "mix", rep))
+        qs = QuerySet.concat(QuerySet.quantiles(q_grains), QuerySet.elements(element_probes))
+        elems, pdfs, _, _ = self._exchange_distinct(qs)  # one entry per probe
+        self.transcript.q_samples += s_tail
+        per_probe = np.arange(element_probes.shape[0])
+        res = run.complete(pdfs[s_tail:], per_probe, elems[:s_tail], pdfs[:s_tail], g)
+        res.counters.q_samples = s_tail
+        self.identity = res
+        self.transcript.d_samples = self.d_sampler.draws
+        return res.accept
 
 
 def _edited(kind, p, variant, sent):
@@ -605,6 +633,142 @@ class TestVerifiedOpeningsDifferential:
         if got.answers is not None:
             for a, b in zip(got.answers, ref.answers):
                 assert a.tolist() == b.tolist()
+
+
+class _IndexEditProver(HonestProver):
+    """Honest prover whose k-th batch gets index edits[k]. Each (kind, pos)
+    repoints one probe, the pos-th (cyclically) among those it can target:
+    "minus-one" and "past-k" set an index out of range, "other-element"
+    points an element probe at another distinct opening, and "other-bracket"
+    does the same to a quantile probe."""
+
+    def __init__(self, q, edits):
+        super().__init__(q)
+        self.edits = list(edits)
+
+    def answer_queries(self, qs):
+        batch = super().answer_queries(qs)
+        kinds, k = np.asarray(qs.kinds), len(batch.proofs)
+        for kind, pos in self.edits.pop(0) if self.edits else []:
+            if kind == "other-element":
+                at = np.flatnonzero(kinds == ProbeKind.ELEMENT)
+            elif kind == "other-bracket":
+                at = np.flatnonzero(kinds == ProbeKind.QUANTILE)
+            else:
+                at = np.arange(len(qs))
+            if at.size == 0 or (k < 2 and kind.startswith("other")):
+                continue
+            i = at[pos % at.size]
+            if kind == "minus-one":
+                batch.index[i] = -1
+            elif kind == "past-k":
+                batch.index[i] = k + pos % 3
+            else:
+                batch.index[i] = (batch.index[i] + 1 + pos % (k - 1)) % k
+        return batch
+
+
+def _index_edits():
+    kinds = ("minus-one", "past-k", "other-element", "other-bracket")
+    return st.lists(st.tuples(st.sampled_from(kinds), st.integers(0, 10**6)), max_size=2)
+
+
+def _probe_list():
+    """Interleaved probes as (kind, value seed) pairs, mapped into range by
+    _query_generator."""
+    kinds = st.sampled_from([ProbeKind.ELEMENT, ProbeKind.QUANTILE])
+    return st.lists(st.tuples(kinds, st.integers(0, 10**6)), max_size=40)
+
+
+def _query_generator(probes):
+    def make(n, epsilon, denominator, rng):
+        kinds = np.asarray([kind for kind, _ in probes], dtype="u1")
+        values = [
+            1 + v % (n if kind == ProbeKind.ELEMENT else denominator) for kind, v in probes
+        ]
+        return QuerySet(kinds, np.asarray(values, dtype=np.int64))
+
+    return make
+
+
+def _lean_and_reference(n, q, edits, probes, block, seed, amplification=1):
+    """(session, per-probe reference session) against the same index edits,
+    with the check blocks `block` probes long."""
+    cfg = VerifierConfig(
+        n, F(1, 2), generator=_query_generator(probes), amplification=amplification,
+        record_payloads=True,
+    )
+
+    def run():
+        return run_oracle_session(cfg, _IndexEditProver(q, edits), DSampler(q), seed)
+
+    with mock.patch.object(protocol, "CHECK_BLOCK", block):
+        got = run()
+        with mock.patch.object(protocol, "VerifiedOracleSession", _VerifyEverySession):
+            ref = run()
+    return got, ref
+
+
+class TestLeanRoundDifferential:
+    """The identity round that reads its answers from the distinct openings
+    and the probe index ends exactly as the per-probe reference does: same
+    reason, same IdentityResult (accept, collisions, statistic, threshold,
+    tail, counters), same answers and transcript, for checks run in blocks
+    of any length."""
+
+    # N = 16 sweeps the tail exactly; N = 256 estimates it from the
+    # reference samples, which the round reads through the index
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from([16, 256]),
+        st.sampled_from(["uniform", "random"]),
+        st.tuples(_index_edits(), _index_edits()),
+        _probe_list(),
+        st.integers(1, 40),
+        st.integers(0, 3),
+        st.sampled_from([1, 3]),
+    )
+    def test_matches_per_probe_reference(
+        self, n, dist, edits, probes, block, seed, amplification
+    ):
+        q = uniform(n) if dist == "uniform" else random_distribution(n, rng_from(seed, "q"))
+        got, ref = _lean_and_reference(n, q, edits, probes, block, seed, amplification)
+        assert (got.accept, got.reason) == (ref.accept, ref.reason)
+        assert got.identity == ref.identity
+        assert got.verified_openings == ref.verified_openings
+        assert got.transcript.to_text() == ref.transcript.to_text()
+        assert (got.answers is None) == (ref.answers is None)
+        if got.answers is not None:
+            for a, b in zip(got.answers, ref.answers):
+                assert a.dtype == b.dtype == np.int64
+                assert a.tolist() == b.tolist()
+
+    def test_late_wrong_element_beats_early_bad_bracket(self):
+        # the identity batch is [quantiles | elements]: with blocks of 8
+        # probes the bad bracket sits in the first block and the wrong
+        # element in the last, and the element check still decides
+        n, q = 16, uniform(16)
+        edits = [[("other-bracket", 0), ("other-element", -1)]]
+        got, ref = _lean_and_reference(n, q, edits, [], 8, 1)
+        assert got.reason == ref.reason == Reason.INVALID_OPENING
+        got, ref = _lean_and_reference(n, q, [[("other-bracket", 0)]], [], 8, 1)
+        assert got.reason == ref.reason == Reason.QUANTILE_INVALID
+
+    @pytest.mark.parametrize("kind", ["minus-one", "past-k"])
+    @pytest.mark.parametrize("pos", [0, -1])
+    def test_index_out_of_range_is_malformed(self, kind, pos):
+        n, q = 16, uniform(16)
+        got, ref = _lean_and_reference(n, q, [[(kind, pos)]], [], 8, 2)
+        assert got.reason == ref.reason == Reason.MALFORMED
+
+    def test_empty_query_set(self):
+        n, q = 16, uniform(16)
+        got, ref = _lean_and_reference(n, q, [], [], 8, 3)
+        assert got.accept and ref.accept
+        assert got.identity == ref.identity
+        assert [a.tolist() for a in got.answers] == [[], [], []]
+        assert all(a.dtype == np.int64 for a in got.answers)
+        assert got.transcript.to_text() == ref.transcript.to_text()
 
 
 class TestDedup:
@@ -803,10 +967,25 @@ def _honest_encodings() -> dict:
         ),
         "QuerySet": (QuerySet.from_payload, [qs.payload(), QuerySet.elements([]).payload()]),
         "BackendSelect": (BackendSelect.from_payload, [BackendSelect(2, b"xy").payload()]),
+        "GrainDistribution": (
+            GrainDistribution.from_bytes,
+            [prover.q.to_bytes(), GrainDistribution(3, 5, (0, 5, 0)).to_bytes()],
+        ),
+        "RepresentationString": (
+            RepresentationString.from_bytes,
+            [build_representation(GrainDistribution(4, 6, (1, 0, 2, 3))).to_bytes()],
+        ),
     }
 
 
 _DECODERS = _honest_encodings()
+
+# honest frames for the read_frame fuzz: a key, an opening batch, a verdict
+_FRAMES = [
+    bytes(frame(0, KeyMsg(HashKey(bytes(range(16)), 128)))),
+    bytes(frame(1, OpeningBatch.from_payload(_DECODERS["OpeningBatch"][1][0], 4))),
+    bytes(frame(2, Verdict(False, Reason.INVALID_OPENING))),
+]
 
 
 @st.composite
@@ -857,6 +1036,39 @@ class TestDecodeFailureContract:
             decoder(data)
 
 
+class TestReadFrameFailureContract:
+    """read_frame over a byte stream fails only with ValueError (a header
+    that does not match what was expected) or EOFError (a stream that ends
+    mid-frame), whatever the bytes and expectations."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(st.binary(max_size=120), st.sampled_from(_FRAMES)),
+        st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), max_size=3),
+        st.integers(0, 1 << 16),
+        st.tuples(*[st.none() | st.integers(0, 1 << 12)] * 4),
+    )
+    def test_only_value_or_eof_error(self, data, sets, cut, expect):
+        data = bytearray(data)
+        for pos, byte in sets:
+            if data:
+                data[pos % len(data)] = byte
+        if cut % 2:
+            del data[cut % (len(data) + 1):]
+        seq, mtype, length, max_length = expect
+        stream = io.BytesIO(bytes(data))
+        try:
+            while True:
+                read_frame(stream, seq=seq, mtype=mtype, length=length, max_length=max_length)
+        except (ValueError, EOFError):
+            pass
+
+    @pytest.mark.parametrize("raw", _FRAMES)
+    def test_honest_frames_read(self, raw):
+        seq, mtype, payload = read_frame(io.BytesIO(raw), length=len(raw) - HEADER_LEN)
+        assert (mtype, HEADER_LEN + len(payload)) == (raw[4], len(raw))
+
+
 class TestStreams:
     def test_stream_transport_equals_in_process(self):
         n = 32
@@ -883,6 +1095,65 @@ class TestStreams:
         assert res_remote.transcript.to_text() == res_local.transcript.to_text()
         for s in (left, right):
             s.close()
+
+    @pytest.mark.parametrize(
+        "adversary",
+        [
+            lambda q: InconsistentOpeningAdversary(q, F(1, 50), seed=4),
+            lambda q: FarCommitAdversary(point_mass(q.n, 1), seed=4),
+        ],
+        ids=["inconsistent-opening", "far-commit"],
+    )
+    def test_served_side_reads_the_transcript_verdict(self, adversary):
+        n = 32
+        q = random_distribution(n, rng_from(22, "q"))
+        left, right = socket.socketpair()
+        lr, lw = left.makefile("rb"), left.makefile("wb")
+        rr, rw = right.makefile("rb"), right.makefile("wb")
+        served = _TeeReader(rr)
+        server = threading.Thread(
+            target=serve_prover, args=(served, rw, adversary(q)), daemon=True
+        )
+        server.start()
+        cfg = VerifierConfig(n, F(1, 2), record_payloads=True)
+        try:
+            remote = RemoteProver(lr, lw)
+            res = run_oracle_session(cfg, remote, DSampler(q), seed=9)
+            remote.close()
+            server.join(timeout=5)
+            assert not server.is_alive()
+        finally:
+            for f in (lr, lw, rr, rw, left, right):
+                f.close()
+        assert not res.accept
+        stream = io.BytesIO(bytes(served.data))
+        frames = []
+        while stream.tell() < len(served.data):
+            frames.append(read_frame(stream))
+        last = res.transcript.entries[-1]
+        assert frames[-1][1:] == (MsgType.VERDICT, last.payload)
+        assert last.payload == Verdict(False, res.reason).payload()
+        local = run_oracle_session(cfg, adversary(q), DSampler(q), seed=9)
+        assert res.transcript.to_text() == local.transcript.to_text()
+
+    def test_close_before_a_verdict_sends_a_rejection(self):
+        sink = io.BytesIO()
+        RemoteProver(io.BytesIO(), sink).close()
+        _, mtype, payload = read_frame(io.BytesIO(sink.getvalue()))
+        assert (mtype, payload) == (MsgType.VERDICT, Verdict(False, Reason.MALFORMED).payload())
+
+
+class _TeeReader:
+    """Byte reader that keeps a copy of everything it reads."""
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.data = bytearray()
+
+    def read(self, size):
+        chunk = self.raw.read(size)
+        self.data += chunk
+        return chunk
 
 
 class _EditingWriter:

@@ -165,12 +165,50 @@ class TestTailEstimate:
 
 
 def _pairs(xs, pdfs, n, g, tail_slots, rng):
+    """The per-sample call: the table holds each sample's pdf, in order."""
+    pdfs = np.asarray(pdfs, dtype=np.int64)
     return _granular_pairs(
-        np.asarray(xs, dtype=np.int64), np.asarray(pdfs, dtype=np.int64), n, g, tail_slots, rng
+        np.asarray(xs, dtype=np.int64), pdfs, np.arange(pdfs.shape[0]), n, g, tail_slots, rng
     )
 
 
+def _per_sample_pairs(xs, pdfs, n, g, tail_slots, rng):
+    """The per-sample granular filter the table form replaced: slot counts
+    and keep bounds computed once per sample."""
+    c = np.asarray(pdfs, dtype=np.int64)
+    slots = _slot_counts(c, n, g)
+    kept = rng.integers(0, 3 * (n * c + g)) < slots * g
+    elements = np.where(kept, xs, n + 1)
+    bound = np.where(kept, slots, max(1, tail_slots))
+    return elements, 1 + rng.integers(0, bound)
+
+
 class TestPairMap:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 64),
+        st.data(),
+        st.integers(0, 3),
+        st.integers(0, 2**32),
+    )
+    def test_table_and_index_equal_the_per_sample_call(self, n, data, tail_case, seed):
+        g = data.draw(st.sampled_from([1, n, 1000, max_grains(n)]), label="grains")
+        table = np.asarray(
+            data.draw(st.lists(st.integers(0, g), min_size=1, max_size=8), label="table"),
+            dtype=np.int64,
+        )
+        count = data.draw(st.integers(0, 300), label="samples")
+        rng = rng_from(seed, "table")
+        index = rng.integers(0, table.shape[0], size=count)
+        xs = rng.integers(1, n + 1, size=count, dtype=np.int64)
+        tail_slots = [0, 1, 6 * n, int(rng.integers(0, 6 * n + 1))][tail_case]
+        got = _granular_pairs(xs, table, index, n, g, tail_slots, rng_from(seed, "pairs"))
+        per_sample = _pairs(xs, table[index], n, g, tail_slots, rng_from(seed, "pairs"))
+        ref = _per_sample_pairs(xs, table[index], n, g, tail_slots, rng_from(seed, "pairs"))
+        for a, b, r in zip(got, per_sample, ref):
+            assert a.tolist() == b.tolist() == r.tolist()
+            assert a.dtype == np.int64
+
     def test_single_slot(self):
         # pdf 0 on [2] with G = 4: q' = 1/4, three slots, always kept
         elements, slots = _pairs([1] * 200, [0] * 200, 2, 4, 0, rng_from(1, "p"))
