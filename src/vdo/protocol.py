@@ -344,14 +344,18 @@ class VerifiedOracleSession:
             rng_from(self.seed, "pairs", rep),
         )
         s_tail = run.s_tail
-        q_grains = rng_from(self.seed, "qgrains", rep).integers(
-            1, g + 1, size=s_tail, dtype=np.int64
+        # the batch is built and sent in one expression, so neither it nor
+        # its parts outlive the exchange
+        elems, pdfs, _, index = self._exchange_distinct(
+            QuerySet.concat(
+                QuerySet.quantiles(
+                    rng_from(self.seed, "qgrains", rep).integers(
+                        1, g + 1, size=s_tail, dtype=np.int64
+                    )
+                ),
+                QuerySet.elements(run.plan(self.d_sampler, rng_from(self.seed, "mix", rep))),
+            )
         )
-        element_probes = run.plan(self.d_sampler, rng_from(self.seed, "mix", rep))
-        qs = QuerySet.concat(
-            QuerySet.quantiles(q_grains), QuerySet.elements(element_probes)
-        )
-        elems, pdfs, _, index = self._exchange_distinct(qs)
         self.transcript.q_samples += s_tail
         q_index = index[:s_tail]
         res = run.complete(pdfs, index[s_tail:], elems[q_index], pdfs[q_index], g)
@@ -378,13 +382,10 @@ class VerifiedOracleSession:
         verdict = Verdict(accept, reason)
         self._send(verdict)
         # a prover over a stream sends the verdict on; one in process needs
-        # no such method, and the verdict stands whatever the prover does
+        # no such method
         tell = getattr(self.prover, "receive_verdict", None)
         if tell is not None:
-            try:
-                tell(verdict)
-            except Exception:
-                pass
+            tell(verdict)
         self.transcript.d_samples = self.d_sampler.draws
         return SessionResult(
             accept,
