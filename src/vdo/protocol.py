@@ -276,7 +276,7 @@ class VerifiedOracleSession:
         index = batch.index
         if len(qs) == 0:
             empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy(), empty.copy()
+            return empty, empty, empty, empty
         # refusal / malformed record, or an index past the distinct proofs
         if index.min() < 0 or index.max() >= len(batch.proofs):
             raise SessionRejected(Reason.MALFORMED)

@@ -269,7 +269,7 @@ class IdentityTestRun:
         )
         keys *= m + 2  # the pair (element, slot) as one int64 key, in place
         keys += pair_slot
-        del pair_slot
+        del pair_slot  # not held through the collision count's sort
 
         unif = uniformity_test(keys, m, self.epsilon / 3)
         return IdentityResult(unif.accept, unif, tail, counters)
