@@ -22,8 +22,9 @@ returns the distinct verified (element, pdf, cdf) arrays and the batch's
 per-probe index. Its element and quantile checks run over fixed blocks of
 probes, every element block before any quantile block. query_set gathers
 per-probe answers from that result. The identity round expands nothing per
-probe: it reads the reference samples through the index's first s_tail
-entries and hands complete() the distinct pdfs plus the rest of the index.
+probe: it hands complete() the distinct pdfs plus the index past its first
+s_tail entries, and, only when the tail is sampled, the reference samples'
+pdfs read through those first s_tail entries.
 
 run_session is the one skeleton behind all three protocols: establish,
 the second phase, conclude. Every exchange that rejects raises
@@ -346,7 +347,7 @@ class VerifiedOracleSession:
         s_tail = run.s_tail
         # the batch is built and sent in one expression, so neither it nor
         # its parts outlive the exchange
-        elems, pdfs, _, index = self._exchange_distinct(
+        _, pdfs, _, index = self._exchange_distinct(
             QuerySet.concat(
                 QuerySet.quantiles(
                     rng_from(self.seed, "qgrains", rep).integers(
@@ -357,8 +358,9 @@ class VerifiedOracleSession:
             )
         )
         self.transcript.q_samples += s_tail
-        q_index = index[:s_tail]
-        res = run.complete(pdfs, index[s_tail:], elems[q_index], pdfs[q_index], g)
+        # an exact tail reads no reference sample
+        q_pdfs = np.empty(0, dtype=np.int64) if run.tail_exact else pdfs[index[:s_tail]]
+        res = run.complete(pdfs, index[s_tail:], q_pdfs, g)
         res.counters.q_samples = s_tail
         self.identity = res
         self.transcript.d_samples = self.d_sampler.draws

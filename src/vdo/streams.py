@@ -6,6 +6,12 @@ pair of file-like byte streams using the framed wire encoding, e.g. a
 socketpair or pipes between processes. The session hands its verdict to
 RemoteProver, and close() sends it as the last frame, so the served side
 reads the verdict the transcript logs.
+
+An opening batch, nearly all of a session's bytes, is never held whole on
+either side: write_frame gathers its records block by block into one
+reused buffer of at most 1 MiB, and RemoteProver checks the batch's header,
+then reads the body in blocks of whole records of at most 1 MiB and feeds
+them to OpeningBatch.from_payload as they arrive.
 """
 
 from __future__ import annotations
@@ -24,13 +30,20 @@ from .wire import (
     Reason,
     Verdict,
     frame,
+    frame_head,
 )
 
 
 # largest single read of a body whose length the reader did not expect: such
 # a body is read in chunks, so its declared length allocates memory only as
-# bytes actually arrive
+# bytes actually arrive. An opening batch's body is written and read in
+# blocks of whole records of at most this size.
 _READ_CHUNK = 1 << 20
+
+
+def _block_records(rec: int) -> int:
+    """Records of rec bytes in one block of an opening batch's body."""
+    return max(1, _READ_CHUNK // rec)
 
 
 def _read_exact(stream, count: int, max_read: int) -> bytes:
@@ -46,19 +59,18 @@ def _read_exact(stream, count: int, max_read: int) -> bytes:
     return b"".join(chunks)
 
 
-def read_frame(
+def read_header(
     stream,
     *,
     seq: int | None = None,
     mtype: int | None = None,
     length: int | None = None,
     max_length: int | None = None,
-) -> tuple[int, int, bytes]:
-    """Read one frame as (seq, type, payload). Each of seq, mtype and length
-    that is given must match the frame header, and a declared length must
-    not exceed max_length when given, or ValueError is raised before the
-    body is read. A body of the expected length is read at once; without
-    an expected length it is read in chunks of at most 1 MiB."""
+) -> tuple[int, int, int]:
+    """Read one frame header as (seq, type, payload length), leaving the
+    body unread. Each of seq, mtype and length that is given must match the
+    header, and a declared length must not exceed max_length when given, or
+    ValueError is raised."""
     head = _read_exact(stream, HEADER_LEN, HEADER_LEN)
     got_seq = int.from_bytes(head[0:4], "little")
     got_type = head[4]
@@ -72,12 +84,55 @@ def read_frame(
             raise ValueError(f"frame {name} {got}, expected {want}")
     if max_length is not None and got_len > max_length:
         raise ValueError(f"frame payload length {got_len}, at most {max_length} expected")
+    return got_seq, got_type, got_len
+
+
+def read_frame(
+    stream,
+    *,
+    seq: int | None = None,
+    mtype: int | None = None,
+    length: int | None = None,
+    max_length: int | None = None,
+) -> tuple[int, int, bytes]:
+    """Read one frame as (seq, type, payload), checking its header as
+    read_header does before the body is read. A body of the expected length
+    is read at once; without an expected length it is read in chunks of at
+    most 1 MiB."""
+    got_seq, got_type, got_len = read_header(
+        stream, seq=seq, mtype=mtype, length=length, max_length=max_length
+    )
     max_read = got_len if length is not None else _READ_CHUNK
     return got_seq, got_type, _read_exact(stream, got_len, max_read)
 
 
+def _record_blocks(stream, count: int, rec: int):
+    """The next count records of rec bytes on stream, read as blocks of
+    whole records of at most 1 MiB."""
+    step = _block_records(rec)
+    for s in range(0, count, step):
+        size = min(step, count - s) * rec
+        yield _read_exact(stream, size, size)
+
+
 def write_frame(stream, seq: int, msg) -> None:
-    stream.write(frame(seq, msg))
+    """Write one frame, then flush. An opening batch's records are gathered
+    block by block into one reused buffer, each block written before the
+    next is gathered, so the frame is never held whole; the stream must
+    copy what each write hands it, as io's buffered writers do, and keep
+    no reference to it."""
+    if not isinstance(msg, OpeningBatch):
+        stream.write(frame(seq, msg))
+    else:
+        count, rec = len(msg), msg.record_len()
+        fill = msg.gatherer()  # checks the batch before any byte is written
+        stream.write(frame_head(seq, msg.TYPE, msg.payload_len()) + count.to_bytes(4, "little"))
+        step = _block_records(rec)
+        block = memoryview(bytearray(min(step, count) * rec))
+        for s in range(0, count, step):
+            e = min(s + step, count)
+            fill(s, e, block)
+            stream.write(block[: (e - s) * rec])
     stream.flush()
 
 
@@ -117,37 +172,42 @@ class RemoteProver:
 
     def _roundtrip(
         self, msg, mtype: int, length: int | None = None, max_length: int | None = None
-    ) -> bytes:
-        """Send msg and return the reply's payload. The reply must carry the
+    ) -> int:
+        """Send msg and read the reply's header, which must carry the
         request's sequence number and type mtype, and, when given, declare
         exactly length or at most max_length payload bytes; otherwise
-        ValueError."""
+        ValueError. Returns the declared payload length; the body is left
+        for the caller to read."""
         seq = self._seq
         write_frame(self.writer, seq, msg)
         self._seq += 1
-        return read_frame(
+        return read_header(
             self.reader, seq=seq, mtype=mtype, length=length, max_length=max_length
         )[2]
 
     def receive_key(self, key: HashKey) -> DigestMsg:
-        payload = self._roundtrip(KeyMsg(key), MsgType.DIGEST, Digest.ENCODED_LEN)
-        msg = DigestMsg(Digest.from_bytes(payload))
+        length = self._roundtrip(KeyMsg(key), MsgType.DIGEST, Digest.ENCODED_LEN)
+        msg = DigestMsg(Digest.from_bytes(_read_exact(self.reader, length, length)))
         self._digest = msg.digest
         return msg
 
     def answer_queries(self, qs: QuerySet) -> OpeningBatch:
+        """The batch's body is read in blocks of whole records as the
+        decoder consumes them; it consumes every block, even when the count
+        field or a record is bad, so the stream stays at a frame boundary."""
         depth = self._digest.depth
-        length = 4 + len(qs) * OpeningProof.encoded_len(depth)
-        payload = self._roundtrip(qs, MsgType.OPENING_BATCH, length)
-        return OpeningBatch.from_payload(payload, depth)
+        rec = OpeningProof.encoded_len(depth)
+        self._roundtrip(qs, MsgType.OPENING_BATCH, 4 + len(qs) * rec)
+        count = int.from_bytes(_read_exact(self.reader, 4, 4), "little")
+        return OpeningBatch.from_payload(count, depth, _record_blocks(self.reader, len(qs), rec))
 
     def backend_payload(self, select: BackendSelect) -> BackendData:
         """The backend's blob, no longer than the honest blob for the N and
         G of the digest received; a longer frame is refused unread."""
         d = self._digest
         limit = backend_by_id(select.backend_id).blob_len(d.domain_size, d.denominator)
-        payload = self._roundtrip(select, MsgType.BACKEND_DATA, max_length=limit)
-        return BackendData(bytes(payload))
+        length = self._roundtrip(select, MsgType.BACKEND_DATA, max_length=limit)
+        return BackendData(_read_exact(self.reader, length, _READ_CHUNK))
 
     def receive_verdict(self, verdict: Verdict) -> None:
         """Keep the verdict the session concluded with, for close()."""

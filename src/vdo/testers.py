@@ -231,12 +231,13 @@ class IdentityTestRun:
         self,
         pdf_table: np.ndarray,
         probe_index: np.ndarray,
-        q_sample_elements: np.ndarray,
         q_sample_pdfs: np.ndarray,
         grains: int,
     ) -> IdentityResult:
         """Finish the test from the probes' pdf answers (grain counts):
-        element probe i reads pdf_table[probe_index[i]]."""
+        element probe i reads pdf_table[probe_index[i]]. q_sample_pdfs, the
+        reference samples' pdfs, are read only when the tail is sampled
+        (not tail_exact); an exact tail may be passed an empty array."""
         if not self._planned:
             raise RuntimeError("plan() must run first")
         n, m = self.n, 6 * self.n
@@ -252,16 +253,14 @@ class IdentityTestRun:
         counters = IdentityCounters(
             d_samples=self.s_d,
             q_element_queries=int(probe_index.shape[0]),
-            q_samples=int(q_sample_elements.shape[0]),
+            q_samples=int(q_sample_pdfs.shape[0]),
         )
 
         if self.tail_exact:
             tail_slots = exact_tail_slots(tail_pdfs, n, grains)
             tail = Fraction(tail_slots, m)
         else:
-            tail = self._sampled_tail(
-                tail_pdfs, q_sample_elements, q_sample_pdfs, grains
-            )
+            tail = self._sampled_tail(tail_pdfs, q_sample_pdfs, grains)
             tail_slots = int(tail * m)
 
         keys, pair_slot = _granular_pairs(
@@ -277,7 +276,6 @@ class IdentityTestRun:
     def _sampled_tail(
         self,
         uniform_pdfs: np.ndarray,
-        q_sample_elements: np.ndarray,
         q_sample_pdfs: np.ndarray,
         grains: int,
     ) -> Fraction:
@@ -285,7 +283,7 @@ class IdentityTestRun:
         coins = self._tail_coins
         n, m = self.n, 6 * self.n
         need = int((coins == 1).sum())
-        if need > q_sample_elements.shape[0]:
+        if need > q_sample_pdfs.shape[0]:
             raise ValueError("not enough reference samples for the tail estimate")
         pdfs = np.empty(self.s_tail, dtype=np.int64)
         pdfs[coins == 0] = uniform_pdfs
@@ -324,15 +322,9 @@ def identity_test(
     )
     probes = run.plan(d_sampler, rng_from(seed, "mix"))
     if run.tail_exact:
-        q_elems = np.empty(0, dtype=np.int64)
+        q_pdfs = np.empty(0, dtype=np.int64)
     else:
-        q_elems = q.sample_batch(run.s_tail, rng_from(seed, "qsamples"))
-    res = run.complete(
-        np.asarray(q.counts, dtype=np.int64),
-        probes - 1,
-        q_elems,
-        q.pdf_grains_batch(q_elems),
-        q.grains,
-    )
+        q_pdfs = q.pdf_grains_batch(q.sample_batch(run.s_tail, rng_from(seed, "qsamples")))
+    res = run.complete(np.asarray(q.counts, dtype=np.int64), probes - 1, q_pdfs, q.grains)
     res.counters.q_samples = 0 if run.tail_exact else run.s_tail
     return res

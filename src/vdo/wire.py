@@ -11,12 +11,14 @@ answer a query set positionally.
 An opening batch repeats each probe's record in full but holds only its
 distinct openings. An opening's path is already its encoded bytes, so its
 record is one packed head plus the path. Encoding stacks the distinct
-records as rows of a uint8 matrix and gathers them by probe with one numpy
-take straight into the buffer that becomes the frame (one copy of the
-body). Decoding numbers the rows in one streaming dictionary pass over
-whole records, then decodes each distinct record once with
-OpeningProof.from_bytes, which checks it and slices off the path; the
-records share no table of decoded path levels.
+records as rows of a uint8 matrix; one gather routine fills any run of
+probes' records from those rows with a numpy take into a caller's buffer.
+frame() runs it once, straight into the frame's own buffer (one copy of
+the body); streams.write_frame runs it block by block into one reused
+buffer. Decoding numbers the rows in one streaming dictionary pass over
+whole records, which may arrive as a sequence of blocks, then decodes each
+distinct record once with OpeningProof.from_bytes, which checks it and
+slices off the path; the records share no table of decoded path levels.
 
 Transcripts record direction, framing and counters. Payload retention can
 be disabled for bulk runs; byte counters are exact either way because every
@@ -142,17 +144,15 @@ class QuerySet:
         )
 
 
-def _dedup_rows(body, rec: int) -> tuple[list[bytes], np.ndarray]:
-    """Exact dedup of the rec-byte rows of body in one streaming dictionary
-    pass: the distinct non-blank rows in first-occurrence order, and each
-    row's number among them (-1 for an all-zero row, a refusal)."""
+def _dedup_rows(blocks, rec: int) -> tuple[list[bytes], np.ndarray]:
+    """Exact dedup of the rec-byte rows of a sequence of blocks of whole
+    records, in one streaming dictionary pass that consumes every block:
+    the distinct non-blank rows in first-occurrence order, and each row's
+    number among them (-1 for an all-zero row, a refusal)."""
     blank = (bytes(rec),)
     number = defaultdict(itertools.count().__next__, {blank: -1})
-    index = np.fromiter(
-        map(number.__getitem__, struct.iter_unpack(f"{rec}s", body)),
-        dtype=np.int64,
-        count=len(body) // rec,
-    )
+    rows = itertools.chain.from_iterable(map(struct.Struct(f"{rec}s").iter_unpack, blocks))
+    index = np.fromiter(map(number.__getitem__, rows), dtype=np.int64)
     del number[blank]
     return [row for (row,) in number], index
 
@@ -191,36 +191,59 @@ class OpeningBatch:
                 raise ValueError("inconsistent opening depth in batch")
         return np.frombuffer(b"".join(encoded), dtype=np.uint8).reshape(len(encoded), rec)
 
+    def gatherer(self):
+        """fill(s, e, out): write the records of probes [s, e) into the
+        writable buffer out, each gathered from the distinct rows and a
+        refusal's zeroed. The distinct rows are encoded, and the index
+        checked against them, once, here."""
+        rows = self._rows()
+        k, rec = rows.shape
+        if len(self) and self.index.max() >= k:
+            raise IndexError("opening index past the distinct proofs")
+        table = np.concatenate([rows, np.zeros((1, rec), dtype=np.uint8)])
+        picks = np.where(self.index < 0, k, self.index)
+
+        def fill(s: int, e: int, out) -> None:
+            body = np.frombuffer(out, dtype=np.uint8, count=(e - s) * rec).reshape(e - s, rec)
+            np.take(table, picks[s:e], axis=0, out=body, mode="clip")
+
+        return fill
+
     def payload_after(self, head: bytes) -> bytearray:
         """head, then the payload, in one buffer: each probe's record is
-        gathered straight into place from the distinct rows, a refusal's
-        left zeroed."""
-        rows = self._rows()
-        count, (k, rec) = len(self), rows.shape
+        gathered straight into place."""
+        count, rec = len(self), self.record_len()
+        fill = self.gatherer()
         start = len(head) + 4
         out = bytearray(start + count * rec)
         out[:start] = head + count.to_bytes(4, "little")
-        if count:
-            if self.index.max() >= k:
-                raise IndexError("opening index past the distinct proofs")
-            table = np.concatenate([rows, np.zeros((1, rec), dtype=np.uint8)])
-            body = np.frombuffer(out, dtype=np.uint8, offset=start).reshape(count, rec)
-            np.take(table, np.where(self.index < 0, k, self.index), axis=0, out=body, mode="clip")
+        fill(0, count, memoryview(out)[start:])
         return out
 
     def payload(self) -> bytearray:
         return self.payload_after(b"")
 
     @classmethod
-    def from_payload(cls, data: bytes, depth: int) -> "OpeningBatch":
-        """Decode a payload: deduplicate its rows, then decode each
-        distinct record once (ValueError for the first one
-        OpeningProof.from_bytes rejects)."""
+    def from_payload(cls, data, depth: int, blocks=None) -> "OpeningBatch":
+        """Decode a payload, or, with blocks given, a payload whose count
+        field is data (an int) and whose records follow as the iterable
+        blocks, each a bytes-like run of whole records. Deduplicates the
+        rows, then decodes each distinct record once. ValueError for a
+        record count other than the count field, or for the first record
+        OpeningProof.from_bytes rejects; either is raised only after every
+        block has been consumed, so a stream read through blocks is left at
+        the frame's end."""
         rec = OpeningProof.encoded_len(depth)
-        count = int.from_bytes(data[:4], "little")
-        if len(data) != 4 + count * rec:
+        if blocks is None:
+            count = int.from_bytes(data[:4], "little")
+            if len(data) != 4 + count * rec:
+                raise ValueError("opening batch length mismatch")
+            blocks = (memoryview(data)[4:],)
+        else:
+            count = data
+        distinct, index = _dedup_rows(blocks, rec)
+        if len(index) != count:
             raise ValueError("opening batch length mismatch")
-        distinct, index = _dedup_rows(memoryview(data)[4:], rec)
         return cls([OpeningProof.from_bytes(row) for row in distinct], index, depth)
 
 
@@ -271,12 +294,16 @@ class Verdict:
         return 2
 
 
+def frame_head(seq: int, mtype: int, length: int) -> bytes:
+    """The 9-byte header of a frame whose payload is length bytes."""
+    return seq.to_bytes(4, "little") + bytes([int(mtype)]) + length.to_bytes(4, "little")
+
+
 def frame(seq: int, msg) -> bytes | bytearray:
-    head = seq.to_bytes(4, "little") + bytes([int(msg.TYPE)])
     if isinstance(msg, OpeningBatch):  # records gathered into the frame's own buffer
-        return msg.payload_after(head + msg.payload_len().to_bytes(4, "little"))
+        return msg.payload_after(frame_head(seq, msg.TYPE, msg.payload_len()))
     payload = msg.payload()
-    return head + len(payload).to_bytes(4, "little") + payload
+    return frame_head(seq, msg.TYPE, len(payload)) + payload
 
 
 def frame_len(msg) -> int:

@@ -1,18 +1,20 @@
 import dataclasses
 import functools
 import io
+import itertools
 import socket
 import threading
+import tracemalloc
 from fractions import Fraction as F
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vdo import commitment as cm
-from vdo import protocol
+from vdo import protocol, streams
 from vdo.adversaries import (
     FarCommitAdversary,
     InconsistentOpeningAdversary,
@@ -33,7 +35,7 @@ from vdo.protocol import (
 )
 from vdo.representation import RepresentationString, build_representation
 from vdo.rngutil import rng_from
-from vdo.streams import RemoteProver, read_frame, serve_prover
+from vdo.streams import RemoteProver, read_frame, serve_prover, write_frame
 from vdo.testers import DSampler, IdentityTestRun, max_grains
 from vdo.wire import (
     HEADER_LEN,
@@ -508,10 +510,10 @@ class _VerifyEverySession(VerifiedOracleSession):
         )
         element_probes = run.plan(self.d_sampler, rng_from(self.seed, "mix", rep))
         qs = QuerySet.concat(QuerySet.quantiles(q_grains), QuerySet.elements(element_probes))
-        elems, pdfs, _, _ = self._exchange_distinct(qs)  # one entry per probe
+        _, pdfs, _, _ = self._exchange_distinct(qs)  # one entry per probe
         self.transcript.q_samples += s_tail
         per_probe = np.arange(element_probes.shape[0])
-        res = run.complete(pdfs[s_tail:], per_probe, elems[:s_tail], pdfs[:s_tail], g)
+        res = run.complete(pdfs[s_tail:], per_probe, pdfs[:s_tail], g)
         res.counters.q_samples = s_tail
         self.identity = res
         self.transcript.d_samples = self.d_sampler.draws
@@ -899,6 +901,30 @@ def _decode(decoder, payload, depth):
         return None
 
 
+def _decoded(decode):
+    """decode()'s distinct records and index, or its ValueError's message."""
+    try:
+        proofs, index = decode()
+    except ValueError as exc:
+        return str(exc)
+    return [p.to_bytes() for p in proofs], index.tolist()
+
+
+class _RecordingWriter:
+    """Byte writer that keeps a copy of every write and, for each flush, the
+    number of writes before it."""
+
+    def __init__(self):
+        self.writes: list[bytes] = []
+        self.flushes: list[int] = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+    def flush(self):
+        self.flushes.append(len(self.writes))
+
+
 class TestBatchCodecDifferential:
     """The array-native batch codec against the per-row reference codec."""
 
@@ -916,13 +942,45 @@ class TestBatchCodecDifferential:
             assert list(got.proofs) == proofs
             assert got.payload() == payload
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        _payloads(),
+        st.lists(st.integers(1, 5), min_size=1, max_size=6),
+        st.sampled_from([0, 0, 0, 0, -1, 1]),
+    )
+    def test_blocks_decode_matches_reference(self, case, block_records, shift):
+        """The body as blocks of whole records (their sizes cycling through
+        block_records) with the count field apart, sometimes off by one:
+        from_payload gives what the reference gives for the same bytes, and
+        takes every block, also when it raises."""
+        depth, payload = case
+        rec = OpeningProof.encoded_len(depth)
+        body = payload[4:]
+        body = body[: len(body) // rec * rec]  # a streamed body is whole records
+        count = (int.from_bytes(payload[:4], "little") + shift) % (1 << 32)
+        ref = _decoded(lambda: _reference_from_payload(count.to_bytes(4, "little") + body, depth))
+        cuts, sizes = [0], itertools.cycle(block_records)
+        while cuts[-1] < len(body):
+            cuts.append(cuts[-1] + next(sizes) * rec)
+        blocks = iter([body[s:e] for s, e in itertools.pairwise(cuts)])
+
+        def decode():
+            batch = OpeningBatch.from_payload(count, depth, blocks)
+            return batch.proofs, batch.index
+
+        assert _decoded(decode) == ref
+        assert next(blocks, None) is None
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.sampled_from([1, 2, 5, 16]),
         st.lists(st.integers(-2, 16), max_size=30),
         st.integers(0, (1 << 32) - 1),
+        st.integers(1, 4),
     )
-    def test_frame_matches_reference(self, n, picks, seq):
+    @example(1, [0, -1, 0], 0, 1)  # depth 0, with a refusal
+    @example(5, [], 7, 1)  # an empty batch
+    def test_frame_matches_reference(self, n, picks, seq, block_records):
         depth, records = _honest_records(n)
         proofs = [OpeningProof.from_bytes(r) for r in records]
         proofs.append(proofs[0])  # a prover may list one opening twice
@@ -931,6 +989,16 @@ class TestBatchCodecDifferential:
         expected = _reference_frame(seq, proofs, index, depth)
         assert frame(seq, batch) == expected
         assert batch.payload() == expected[HEADER_LEN:]
+        # streamed: the header and count, then blocks of block_records records
+        # gathered into one reused buffer, then one flush
+        rec = batch.record_len()
+        writer = _RecordingWriter()
+        with mock.patch.object(streams, "_READ_CHUNK", block_records * rec):
+            write_frame(writer, seq, batch)
+        assert b"".join(writer.writes) == expected
+        assert writer.flushes == [len(writer.writes)]
+        assert len(writer.writes[0]) == HEADER_LEN + 4
+        assert all(len(w) <= block_records * rec for w in writer.writes[1:])
 
     def test_conflicting_heads_decode_exactly(self):
         # every row shares one head and differs in its path
@@ -1158,18 +1226,26 @@ class _TeeReader:
 
 class _EditingWriter:
     """Byte writer that edits the body of every opening-batch frame with
-    edit(frame, record_len) before passing it on."""
+    edit(frame, record_len) before passing it on. Writes are collected
+    until a whole frame has arrived, since a frame may come in several
+    writes (an opening batch does, block by block)."""
 
     def __init__(self, raw, edit):
         self.raw = raw
         self.edit = edit
+        self.pending = bytearray()
 
     def write(self, data):
-        if data[4] == MsgType.OPENING_BATCH:
-            data = bytearray(data)
-            count = int.from_bytes(data[HEADER_LEN : HEADER_LEN + 4], "little")
-            self.edit(data, (len(data) - HEADER_LEN - 4) // count)
-        self.raw.write(data)
+        self.pending += data  # a copy: the writer may reuse its buffer
+        while len(self.pending) >= HEADER_LEN:
+            end = HEADER_LEN + int.from_bytes(self.pending[5:HEADER_LEN], "little")
+            if len(self.pending) < end:
+                break
+            data, self.pending = self.pending[:end], self.pending[end:]
+            if data[4] == MsgType.OPENING_BATCH:
+                count = int.from_bytes(data[HEADER_LEN : HEADER_LEN + 4], "little")
+                self.edit(data, (len(data) - HEADER_LEN - 4) // count)
+            self.raw.write(data)
 
     def flush(self):
         self.raw.flush()
@@ -1240,6 +1316,107 @@ class TestDecodeTimeRejection:
             for f in (lr, lw, rr, rw, left, right):
                 f.close()
         assert not res.accept and res.reason == reason
+
+
+def _count_field_one_more(data, rec):
+    count = int.from_bytes(data[HEADER_LEN : HEADER_LEN + 4], "little")
+    data[HEADER_LEN : HEADER_LEN + 4] = (count + 1).to_bytes(4, "little")
+
+
+class TestStreamedBatch:
+    """An opening batch crosses the stream in blocks of whole records: a
+    faulty batch ends its session with the stream at a frame boundary, and
+    neither end of a session holds the whole frame."""
+
+    @pytest.mark.parametrize(
+        "fault",
+        [_count_field_one_more, _direction_byte_2_in_last_record, _refuse_last_record],
+        ids=["count-field", "direction-byte-2", "refusal"],
+    )
+    def test_next_session_starts_at_a_frame_boundary(self, fault):
+        n = 16
+        left, right = socket.socketpair()
+        left.settimeout(10)  # a verifier left mid-frame fails instead of hanging
+        lr, lw = left.makefile("rb"), left.makefile("wb")
+        rr, rw = right.makefile("rb"), right.makefile("wb")
+
+        def serve():  # two sessions, one after another, as a prover process does
+            serve_prover(rr, _EditingWriter(rw, fault), HonestProver(uniform(n)))
+            serve_prover(rr, rw, HonestProver(uniform(n)))
+
+        server = threading.Thread(target=serve, daemon=True)
+        cfg = VerifierConfig(n, F(1, 2), generator=quantile_sampling_generator(10))
+        results = []
+        # blocks of 5 records at depth 4, so the body spans many blocks
+        with mock.patch.object(streams, "_READ_CHUNK", 1000):
+            server.start()
+            try:
+                for _ in range(2):
+                    remote = RemoteProver(lr, lw)
+                    results.append(run_oracle_session(cfg, remote, DSampler(uniform(n)), seed=5))
+                    remote.close()
+                server.join(timeout=5)
+            finally:
+                for f in (lr, lw, left):  # hang up, so a server blocked in a write stops
+                    f.close()
+                server.join(timeout=5)
+                for f in (rr, rw, right):
+                    f.close()
+        assert not server.is_alive()
+        assert [(r.accept, r.reason) for r in results] == [
+            (False, Reason.MALFORMED), (True, Reason.ACCEPT)
+        ]
+
+    @pytest.mark.parametrize(
+        "cut", [HEADER_LEN + 2, HEADER_LEN + 4 + 5 * 189, -1],
+        ids=["in-the-count", "after-a-block", "last-byte"],
+    )
+    def test_body_cut_short_is_eof(self, cut):
+        # a batch frame cut short raises EOFError, which a session turns into
+        # MALFORMED; records are 189 bytes at depth 4, 5 to a 1000-byte block
+        prover = HonestProver(uniform(16))
+        key = HashKey(bytes(range(16)), 128)
+        digest = prover.receive_key(key)
+        qs = QuerySet.elements(np.arange(1, 17).repeat(3))
+        batch = bytes(frame(1, prover.answer_queries(qs)))
+        remote = RemoteProver(io.BytesIO(bytes(frame(0, digest)) + batch[:cut]), io.BytesIO())
+        remote.receive_key(key)
+        with mock.patch.object(streams, "_READ_CHUNK", 1000), pytest.raises(EOFError):
+            remote.answer_queries(qs)
+
+    def test_neither_end_holds_the_whole_frame(self):
+        """Both ends of a session at N = 1024, epsilon = 1/4 in this process,
+        against the inconsistent-opening adversary: the traced heap peak
+        stays below half the batch frame's length. An end that holds the
+        whole frame alone reaches the frame's length."""
+        n = 1024
+        q = random_distribution(n, rng_from(1, "q"))
+        left, right = socket.socketpair()
+        lr, lw = left.makefile("rb"), left.makefile("wb")
+        rr, rw = right.makefile("rb"), right.makefile("wb")
+        adversary = InconsistentOpeningAdversary(q, F(1, 500), seed=3)
+        server = threading.Thread(target=serve_prover, args=(rr, rw, adversary), daemon=True)
+        cfg = VerifierConfig(n, F(1, 4), generator=protocol.empty_generator())
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            server.start()
+            remote = RemoteProver(lr, lw)
+            res = run_oracle_session(cfg, remote, DSampler(q), 3)
+            remote.close()
+            server.join(timeout=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            for f in (lr, lw, rr, rw, left, right):
+                f.close()
+        assert not server.is_alive()
+        assert not res.accept and res.reason == Reason.INVALID_OPENING
+        (batch_len,) = [
+            e.length for e in res.transcript.entries if e.msg_type == MsgType.OPENING_BATCH
+        ]
+        assert batch_len > 20 << 20
+        assert peak < batch_len / 2
 
 
 class _RecordingReader:
