@@ -76,7 +76,7 @@ class GrainDistribution:
         cum.setflags(write=False)
         self._counts_arr = arr
         self._cum = cum
-        self._guide: tuple[int, np.ndarray] | None = None
+        self._guide: tuple[int, np.ndarray, np.ndarray] | None = None
 
     # -- exact views ------------------------------------------------------
 
@@ -128,53 +128,75 @@ class GrainDistribution:
         searchsorted(cum, g, "left") + 1, so a key g <= 0 answers 1 and a
         key g > G answers N + 1. A guide table (Chen & Asau's indexed
         search) answers most keys in O(1): the grains are cut into buckets
-        of 2^s grains, and a bucket whose first and last grains fall in the
-        same element answers that element outright. Keys in the other
-        buckets (at most N of them, holding under a quarter of the grains
-        once G > 8N) and keys outside [1, G] fall back to searchsorted on
-        those keys alone.
+        of 2^s grains, and a bucket whose grains meet no element boundary
+        answers that element outright. A bucket that meets exactly one
+        boundary c answers `first` for g <= c and `last` above it. Keys in
+        buckets with two or more boundaries and keys outside [1, G] fall
+        back to searchsorted on those keys alone.
         """
         gs = np.asarray(gs, dtype=np.int64)
-        shift, table = self._guide_table()
+        shift, table, (bound, below, above) = self._guide_table()
         # (g - 1) >> s is the key's bucket, and table entry 1 + bucket holds
         # its answer; keys outside [1, G] (including those that wrap when
         # near int64 max) clip to the zero sentinels at either end
         idx = gs + ((1 << shift) - 1)
         idx >>= shift
         out = np.take(table, idx, mode="clip")
-        miss = np.flatnonzero(out == 0)
+        miss = np.flatnonzero(out <= 0)
         if miss.size:
-            out[miss] = np.searchsorted(self._cum, gs[miss], side="left") + 1
+            g = gs[miss]
+            r = -out[miss]  # the bucket's one-boundary record, 0 for none
+            ans = np.where(g <= bound[r], below[r], above[r])
+            search = np.flatnonzero(ans == 0)
+            if search.size:
+                ans[search] = np.searchsorted(self._cum, g[search], side="left") + 1
+            out[miss] = ans
         return out
 
-    def _guide_table(self) -> tuple[int, np.ndarray]:
-        """(s, table) of the guide table, built on first use.
+    def _guide_table(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(s, table, records) of the guide table, built on first use.
 
-        With B = ceil(G / 2^s) buckets, table[1 + b] is the answer of every
-        key in bucket b, or 0 when bucket b is flagged: its first grain
-        (b << s) + 1 and its last grain ((b + 1) << s) have different
-        answers, or b is the last bucket (which may reach past G).
-        table[0] and table[B + 1] are zero sentinels for keys outside
-        [1, G]. s = max(0, bitlen(G - 1) - bitlen(8N - 1)) makes B lie in
-        [4N, 16N) when s > 0 and B = G < 16N otherwise, so the table has
-        fewer than 16N + 1 entries; a flagged bucket other than the last
-        holds an element boundary, so at most N buckets are flagged.
-        Bucket starts and ends are taken below G, so nothing wraps at
-        G = 2^63 - 1.
+        With B = ceil(G / 2^s) buckets, bucket b holds the keys from its
+        first grain (b << s) + 1 to its top (b + 1) << s; the last bucket's
+        top may lie past G, where keys answer N + 1. table[1 + b] is the
+        answer of every key in bucket b when the answer does not change
+        inside it. When it changes at exactly one cumulative count c (one
+        element boundary, or several at c when zero-mass elements follow),
+        table[1 + b] is -r, and column r of records = (bound, below, above)
+        holds c and the answers at the bucket's first grain and at its top.
+        Otherwise table[1 + b] is 0, and record 0 answers 0, which sends
+        the key to searchsorted. table[0] and table[B + 1] are zero
+        sentinels for keys outside [1, G]. s = max(0, bitlen(G - 1) -
+        bitlen(8N - 1)) makes B lie in [4N, 16N) when s > 0 and B = G < 16N
+        otherwise, so the table has fewer than 16N + 1 entries; a bucket
+        whose answer changes holds an element boundary or G, so there are
+        at most N records. Bucket starts and ends are taken below G, so
+        nothing wraps at G = 2^63 - 1.
         """
         guide = self._guide
         if guide is None:
-            n, grains = self.n, self.grains
+            n, grains, cum = self.n, self.grains, self._cum
             shift = max(0, (grains - 1).bit_length() - (8 * n - 1).bit_length())
             buckets = ((grains - 1) >> shift) + 1
             starts = (np.arange(buckets, dtype=np.int64) << shift) + 1
-            first = np.searchsorted(self._cum, starts, side="left")
-            last = np.full(buckets, n, dtype=np.int64)  # n flags the last bucket
-            last[:-1] = np.searchsorted(self._cum, starts[1:] - 1, side="left")
+            # 0-based answers at each bucket's first grain and at its top
+            first = np.searchsorted(cum, starts, side="left")
+            last = np.empty(buckets, dtype=np.int64)
+            last[:-1] = np.searchsorted(cum, starts[1:] - 1, side="left")
+            last[-1] = n if buckets << shift > grains else np.searchsorted(cum, grains)
+            # the counts met inside a bucket are cum[first:last]; they are
+            # one boundary when the first and the last of them are equal
+            met = last > first
+            one = np.flatnonzero(met)
+            one = one[cum[first[one]] == cum[last[one] - 1]]
             table = np.zeros(buckets + 2, dtype=np.int64)
-            table[1:-1] = np.where(first == last, first + 1, 0)
+            table[1:-1] = np.where(met, 0, first + 1)
+            table[1 + one] = -np.arange(1, one.size + 1)
+            records = np.zeros((3, one.size + 1), dtype=np.int64)
+            records[:, 1:] = cum[first[one]], first[one] + 1, last[one] + 1
             table.setflags(write=False)
-            guide = self._guide = (shift, table)
+            records.setflags(write=False)
+            guide = self._guide = (shift, table, records)
         return guide
 
     def pdf_grains_batch(self, xs: np.ndarray) -> np.ndarray:

@@ -26,6 +26,15 @@ probe: it hands complete() the distinct pdfs plus the index past its first
 s_tail entries, and, only when the tail is sampled, the reference samples'
 pdfs read through those first s_tail entries.
 
+The arrays of an identity round as long as its batch are the query
+message, the reply's probe index and the plan's probes during the
+exchange, and the index, the probes and the pair arrays during the pair
+lifting; the message is gone by then. The honest prover resolves quantile probes into one copy of the
+probe values and writes each element's rank over that copy, both in blocks
+of CHECK_BLOCK probes, and the copy becomes the reply's index. The
+verifier's checks and the pair lifting run over blocks of the same length;
+testers defines it.
+
 run_session is the one skeleton behind all three protocols: establish,
 the second phase, conclude. Every exchange that rejects raises
 SessionRejected with a Reason, and run_session alone catches it and
@@ -54,7 +63,7 @@ from numpy.random import Generator
 from . import commitment as cm
 from .dist import GrainDistribution
 from .rngutil import rng_from
-from .testers import DSampler, IdentityResult, IdentityTestRun, max_grains
+from .testers import CHECK_BLOCK, DSampler, IdentityResult, IdentityTestRun, max_grains
 from .wire import (
     BackendData,
     BackendSelect,
@@ -78,10 +87,6 @@ Answers = tuple[np.ndarray, np.ndarray, np.ndarray]
 # verified (elements, pdf_grains, cdf_grains) per distinct opening, plus the
 # per-probe index into them, as int64 arrays
 DistinctAnswers = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-# probes per block of the element and quantile checks, so that no check
-# builds a temporary as long as the batch
-CHECK_BLOCK = 1 << 16
 
 
 def element_generator(xs) -> QueryGenerator:
@@ -164,13 +169,17 @@ class HonestProver:
         return p
 
     def resolve_queries(self, qs: QuerySet) -> np.ndarray:
-        """Element answered at each probe position."""
-        values = np.asarray(qs.values, dtype=np.int64)
+        """Element answered at each probe position, as a fresh int64 array
+        that answer_queries overwrites with the batch's index; an override
+        edits and returns super()'s array. Quantile probes resolve block by
+        block into it."""
+        out = np.array(qs.values, dtype=np.int64)
         kinds = np.asarray(qs.kinds)
-        out = values.copy()
-        quant = kinds == ProbeKind.QUANTILE
-        if quant.any():
-            out[quant] = self.q.quantile_grain_batch(values[quant])
+        for s in range(0, out.shape[0], CHECK_BLOCK):
+            b = out[s : s + CHECK_BLOCK]
+            quant = kinds[s : s + CHECK_BLOCK] == ProbeKind.QUANTILE
+            if quant.any():
+                b[quant] = self.q.quantile_grain_batch(b[quant])
         return out
 
     def answer_queries(self, qs: QuerySet) -> OpeningBatch:
@@ -183,9 +192,15 @@ class HonestProver:
         seen = np.zeros(n + 1, dtype=bool)
         seen[elements] = True
         distinct = np.flatnonzero(seen)
-        inverse = (np.cumsum(seen) - 1)[elements]
+        rank = np.cumsum(seen, dtype=np.int64)
+        rank -= 1
+        # each element becomes its rank in place, a block at a time (a take
+        # with out= overlapping its input would buffer the whole batch)
+        for s in range(0, elements.shape[0], CHECK_BLOCK):
+            b = elements[s : s + CHECK_BLOCK]
+            b[:] = rank[b]
         proofs = [self._proof_for(x) for x in distinct.tolist()]
-        return OpeningBatch(proofs, inverse, self.digest.depth)
+        return OpeningBatch(proofs, elements, self.digest.depth)
 
     def backend_payload(self, select: BackendSelect) -> BackendData:
         from .argument import honest_backend_payload

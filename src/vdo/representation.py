@@ -85,22 +85,39 @@ def reconstruct_distribution(rep: RepresentationString) -> GrainDistribution | N
 
 def decode_blocks(blocks: np.ndarray, code: BlockCode, n: int) -> np.ndarray | None:
     """Vector decode of a block matrix; None unless every row is a codeword
-    for an element of [1, n] and rows are sorted by element."""
+    for an element of [1, n] and rows are sorted by element.
+
+    Decodes by runs of equal rows: only the first row of each run is
+    decoded and checked against the code table, and the runs' values must
+    rise strictly. That is exact: the rows of a run are equal, and two
+    adjacent runs that both hold codewords differ, so they hold different
+    values.
+    """
     if blocks.ndim != 2 or blocks.shape[1] != code.codeword_symbols:
         return None
+    rows, n_c = blocks.shape
+    if n_c <= 8:  # one uint64 key per row, so rows compare in one pass
+        keys = np.zeros((rows, 8), dtype=np.uint8)
+        keys[:, :n_c] = blocks
+        keys = keys.view(np.uint64).ravel()
+        changed = keys[1:] != keys[:-1]
+    else:
+        changed = (blocks[1:] != blocks[:-1]).any(axis=1)
+    starts = np.flatnonzero(np.concatenate([[rows > 0], changed]))
+    heads = blocks[starts]
     k = code.message_symbols
-    msg = blocks[:, :k].astype(np.int64)
-    vals = np.zeros(blocks.shape[0], dtype=np.int64)
+    msg = heads[:, :k].astype(np.int64)
+    vals = np.zeros(heads.shape[0], dtype=np.int64)
     for i in range(k):
         vals = (vals << 8) | msg[:, i]
     if (vals < 1).any() or (vals > n).any():
         return None
     table = code.encode_table(n)
-    if not (table[vals] == blocks).all():
+    if not (table[vals] == heads).all():
         return None
-    if (np.diff(vals) < 0).any():
+    if (np.diff(vals) <= 0).any():
         return None
-    return vals
+    return np.repeat(vals, np.diff(starts, append=rows))
 
 
 def hamming_block_distance(a: RepresentationString, b: RepresentationString) -> Fraction:

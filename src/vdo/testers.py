@@ -14,6 +14,13 @@ a table plus a per-probe index into it. The protocol passes the pdfs of
 its distinct verified openings and the batch's probe index, so no
 per-probe pdf array is built; identity_test passes the counts of an
 in-memory GrainDistribution, indexed by element - 1.
+
+The arrays of a round as long as its batch are the probes plan() returns,
+the probe index, the two pair arrays and the keep mask. plan() keeps its
+mixed samples as a view into the probes it returns, so the caller must not
+write that array; complete() drops the view once the pairs are drawn. The
+pair lifting gathers bounds and draws over blocks of CHECK_BLOCK samples,
+the block length the protocol's per-probe steps share.
 """
 
 from __future__ import annotations
@@ -55,6 +62,12 @@ def mixed_sample_batch(d_sampler: DSampler, n: int, k: int, rng: Generator) -> n
     return out
 
 
+# samples per block of the pair lifting's draws and of the protocol's
+# per-probe work (protocol imports it), so that no step builds a temporary
+# as long as the batch
+CHECK_BLOCK = 1 << 16
+
+
 def _slot_counts(pdf_grains: np.ndarray, n: int, grains: int) -> np.ndarray:
     """slots(x) = floor(6N * mixed_pdf(x)) = floor(3*(N*c + G)/G), exact in
     int64 for G <= max_grains(N)."""
@@ -82,11 +95,20 @@ def _granular_pairs(
     c = np.asarray(pdf_table, dtype=np.int64)
     denom = 3 * (n * c + grains)
     slots = denom // grains  # _slot_counts, from the denominators at hand
-    kept = rng.integers(0, denom[index]) < (slots * grains)[index]
+    keep_below = slots * grains
+    # both passes draw over consecutive blocks of samples: consecutive
+    # array-bounded draws give the stream of one call over the whole batch,
+    # and the gathered bounds exist only per block
+    blocks = [slice(s, s + CHECK_BLOCK) for s in range(0, index.shape[0], CHECK_BLOCK)]
+    kept = np.empty(index.shape[0], dtype=bool)
+    for b in blocks:
+        kept[b] = rng.integers(0, denom[index[b]]) < keep_below[index[b]]
     elements = np.where(kept, xs, n + 1)
-    bound = slots[index]
-    bound[~kept] = max(1, tail_slots)
-    slot = rng.integers(0, bound)
+    slot = np.empty(index.shape[0], dtype=np.int64)
+    for b in blocks:
+        bound = slots[index[b]]
+        bound[~kept[b]] = max(1, tail_slots)
+        slot[b] = rng.integers(0, bound)
     slot += 1
     return elements, slot
 
@@ -188,7 +210,7 @@ class IdentityTestRun:
     [uniform tail draws | exact-tail sweep | mixed D-samples]. complete()
     consumes the probes' pdf answers, as a table and a per-probe index into
     it, plus the step-1 quantile samples (with their pdfs) and produces the
-    verdict.
+    verdict; it runs once per plan().
     """
 
     def __init__(
@@ -222,10 +244,11 @@ class IdentityTestRun:
             tail_xs = self.rng_tail.integers(
                 1, n + 1, size=int((coins == 0).sum()), dtype=np.int64
             )
-        self._mixed = mixed_sample_batch(d_sampler, n, self.s_d, rng_mix)
-        self._tail_probe_count = tail_xs.shape[0]
+        k = self._tail_probe_count = tail_xs.shape[0]
+        probes = np.concatenate([tail_xs, mixed_sample_batch(d_sampler, n, self.s_d, rng_mix)])
+        self._mixed = probes[k:]  # a view: the caller must not write the probes
         self._planned = True
-        return np.concatenate([tail_xs, self._mixed])
+        return probes
 
     def complete(
         self,
@@ -266,6 +289,10 @@ class IdentityTestRun:
         keys, pair_slot = _granular_pairs(
             self._mixed, pdf_table, probe_index[k:], n, grains, tail_slots, self.rng_pairs
         )
+        # the probes are not held through the collision count's sort; the
+        # pair stream is drawn, so the run cannot complete again
+        self._mixed = None
+        self._planned = False
         keys *= m + 2  # the pair (element, slot) as one int64 key, in place
         keys += pair_slot
         del pair_slot  # not held through the collision count's sort

@@ -204,6 +204,32 @@ class TestGuideTable:
         assert d.quantile_grain_batch(gs).tolist() == self._reference(d, gs).tolist()
         assert len(d._guide[1]) < 16 * d.n + 1
 
+    @pytest.mark.parametrize(
+        "counts,searched",
+        [
+            # G = 1000, buckets of 32 grains: bucket [33, 64] meets one
+            # boundary at 40, followed by two zero-mass elements, and the
+            # last bucket [993, 1024] meets only G, past which keys answer 5
+            ((40, 0, 0, 960), False),
+            # bucket [33, 64] meets two boundaries, at 40 and 50
+            ((40, 10, 0, 950), True),
+        ],
+    )
+    def test_one_boundary_buckets_need_no_search(self, counts, searched, monkeypatch):
+        d = GrainDistribution(4, 1000, counts)
+        assert max(0, (d.grains - 1).bit_length() - (8 * d.n - 1).bit_length()) == 5
+        near = [c + t for c in np.cumsum(counts).tolist() for t in (-1, 0, 1)]
+        gs = np.array(near + list(range(1, 1025)), dtype=np.int64)
+        expected = self._reference(d, gs)
+        d.quantile_grain_batch(gs[:1])  # builds the table
+        calls = []
+        real = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+        assert d.quantile_grain_batch(gs).tolist() == expected.tolist()
+        # only keys in the two-boundary bucket are searched
+        searched_keys = sorted(np.concatenate(calls).tolist()) if calls else []
+        assert searched_keys == (sorted(g for g in gs.tolist() if 33 <= g <= 64) if searched else [])
+
     def test_uniform_needs_no_search(self, monkeypatch):
         # aligned buckets answer every key in range from the table
         d = uniform(1024, 1 << 20)

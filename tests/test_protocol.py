@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vdo import commitment as cm
-from vdo import protocol, streams
+from vdo import protocol, streams, testers
 from vdo.adversaries import (
     FarCommitAdversary,
     InconsistentOpeningAdversary,
@@ -771,6 +771,102 @@ class TestLeanRoundDifferential:
         assert [a.tolist() for a in got.answers] == [[], [], []]
         assert all(a.dtype == np.int64 for a in got.answers)
         assert got.transcript.to_text() == ref.transcript.to_text()
+
+
+class TestBlockedRoundDifferential:
+    """The prover's resolve-and-rank and the pair lifting's draws run over
+    blocks of probes: with the block length patched to 1, 7 or 64 in both
+    layers, the prover's batch and a whole oracle session equal the
+    unpatched run, whose batches fit in one block."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, 16, 256]),
+        st.sampled_from([1, 7, 64]),
+        st.integers(0, 2**16),
+        _probe_list(),
+    )
+    def test_batch_equals_the_unblocked_batch(self, n, block, seed, probes):
+        q = random_distribution(n, rng_from(seed, "q"))
+        qs = _query_generator(probes)(n, F(1, 2), q.grains, None)
+        sent = qs.values.copy()
+
+        def batch():
+            prover = HonestProver(q)
+            prover.receive_key(HashKey(bytes(16), 128))
+            return prover.answer_queries(qs)
+
+        ref = batch()
+        with mock.patch.object(protocol, "CHECK_BLOCK", block), mock.patch.object(
+            testers, "CHECK_BLOCK", block
+        ):
+            got = batch()
+        assert got.proofs == ref.proofs
+        assert got.index.dtype == ref.index.dtype == np.int64
+        assert got.index.tolist() == ref.index.tolist()
+        assert qs.values.tolist() == sent.tolist()  # the prover ranks its own copy
+
+    # N = 1 and 16 sweep the tail exactly, N = 256 samples it
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, 16, 256]),
+        st.sampled_from(["uniform", "random"]),
+        st.sampled_from([1, 7, 64]),
+        st.integers(0, 2**16),
+        _probe_list(),
+    )
+    def test_session_equals_the_unblocked_run(self, n, dist, block, seed, probes):
+        q = uniform(n) if dist == "uniform" else random_distribution(n, rng_from(seed, "q"))
+        cfg = VerifierConfig(n, F(1, 2), generator=_query_generator(probes), record_payloads=True)
+
+        def run():
+            return run_oracle_session(cfg, HonestProver(q), DSampler(q), seed)
+
+        ref = run()
+        with mock.patch.object(protocol, "CHECK_BLOCK", block), mock.patch.object(
+            testers, "CHECK_BLOCK", block
+        ):
+            got = run()
+        assert (got.accept, got.reason) == (ref.accept, ref.reason)
+        assert got.identity == ref.identity
+        assert got.transcript.to_text() == ref.transcript.to_text()
+        assert got.transcript.d_samples == ref.transcript.d_samples
+        for a, b in zip(got.answers, ref.answers):
+            assert a.tolist() == b.tolist()
+
+
+class TestRoundMemory:
+    def test_heap_peak_within_the_round_arrays(self):
+        # an honest identity round at general-256's sizes holds, beside
+        # blocks of at most CHECK_BLOCK probes, only the arrays of one of
+        # its two phases: the exchange (the message, the reply's index and
+        # the plan's probes) or the pair lifting (the index, the probes,
+        # both pair arrays and the keep mask)
+        n, grains, eps = 256, 81920, F(3, 50)
+        q = random_distribution(n, rng_from(1, "memory"), grains)
+        cfg = VerifierConfig(n, eps)
+        run = IdentityTestRun(n, eps, rng_from(0, "tail"), rng_from(0, "pairs"))
+        assert run.tail_exact
+        probes = run.s_tail + n + run.s_d
+        plan = n + run.s_d
+        exchange = 9 * probes + 8 * probes + 8 * plan
+        lifting = 8 * probes + 8 * plan + 2 * 8 * run.s_d + run.s_d
+        bound = max(exchange, lifting) + (2 << 20)
+
+        def session(seed):
+            return VerifiedOracleSession(cfg, HonestProver(q), DSampler(q), seed)
+
+        session(0).establish()  # warm-up: the guide and code tables
+        s = session(1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            s.establish()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert s.identity.accept
+        assert peak < bound, f"{peak / 2**20:.1f} MiB against {bound / 2**20:.1f} MiB"
 
 
 class TestDedup:

@@ -4,6 +4,8 @@ from itertools import combinations
 import pytest
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vdo.representation import decode_blocks
 from vdo.rscode import BlockCode, element_code
@@ -74,6 +76,66 @@ def test_decode_blocks_wrapped_message_rejected():
     block = code.encode_message(bytes([0x80, 0, 0, 0, 0, 0, 0, 1]))
     row = np.frombuffer(block, dtype=np.uint8).reshape(1, -1)
     assert decode_blocks(row, code, (1 << 63) - 1) is None
+
+
+def _decode_every_row(blocks, code, n):
+    """The row-by-row decode that decoding by runs replaced: every row is
+    decoded and checked against the table, then the values must not fall."""
+    if blocks.ndim != 2 or blocks.shape[1] != code.codeword_symbols:
+        return None
+    k = code.message_symbols
+    msg = blocks[:, :k].astype(np.int64)
+    vals = np.zeros(blocks.shape[0], dtype=np.int64)
+    for i in range(k):
+        vals = (vals << 8) | msg[:, i]
+    if (vals < 1).any() or (vals > n).any():
+        return None
+    table = code.encode_table(n)
+    if not (table[vals] == blocks).all():
+        return None
+    if (np.diff(vals) < 0).any():
+        return None
+    return vals
+
+
+@st.composite
+def _block_matrices(draw):
+    """(blocks, code, n): runs of codewords, sorted or not, with some rows
+    edited. Codewords of 4, 5 and 10 bytes reach both row compares; with 8
+    message bytes, a leading 0x80 wraps the decoded int64 negative."""
+    code = draw(st.sampled_from([BlockCode(1, 4), BlockCode(2, 4), BlockCode(2, 5),
+                                 BlockCode(3, 12), BlockCode(8, 10)]))
+    n = draw(st.integers(1, 255 if code.message_symbols == 1 else 600))
+    runs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, 4)), max_size=12))
+    if draw(st.booleans()):
+        runs.sort()
+    vals = [v for v, length in runs for _ in range(length)]
+    blocks = code.encode_table(n)[np.asarray(vals, dtype=np.int64)].reshape(-1, code.codeword_symbols)
+    for row, col, bit in draw(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 11),
+                                                 st.integers(0, 7)), max_size=2)):
+        if blocks.shape[0]:
+            blocks[row % blocks.shape[0], col % code.codeword_symbols] ^= 1 << bit
+    return blocks, code, n
+
+
+class TestDecodeByRuns:
+    @settings(max_examples=400, deadline=None)
+    @given(_block_matrices())
+    @example((np.zeros((0, 4), dtype=np.uint8), BlockCode(2, 4), 300))
+    @example((np.frombuffer(BlockCode(8, 10).encode_message(bytes([0x80] + [0] * 6 + [1])),
+                            dtype=np.uint8).reshape(1, 10).copy(), BlockCode(8, 10), 600))
+    def test_matches_decoding_every_row(self, case):
+        blocks, code, n = case
+        got, ref = decode_blocks(blocks, code, n), _decode_every_row(blocks, code, n)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert got.dtype == np.int64
+            assert got.tolist() == ref.tolist()
+
+    def test_wrong_width_rejected(self):
+        code = BlockCode(2, 4)
+        assert decode_blocks(np.zeros((3, 5), dtype=np.uint8), code, 9) is None
+        assert decode_blocks(np.zeros(4, dtype=np.uint8), code, 9) is None
 
 
 def test_bad_parameters():

@@ -1,10 +1,12 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vdo import testers
 from vdo.dist import GrainDistribution, point_mass, random_distribution, uniform
 from vdo.rngutil import rng_from
 from vdo.testers import (
@@ -184,14 +186,17 @@ def _per_sample_pairs(xs, pdfs, n, g, tail_slots, rng):
 
 
 class TestPairMap:
+    # the draws run over blocks of `block` samples: consecutive array-bounded
+    # draws must give the stream of the one call over all samples
     @settings(max_examples=80, deadline=None)
     @given(
-        st.integers(1, 64),
+        st.integers(1, 256),
         st.data(),
         st.integers(0, 3),
         st.integers(0, 2**32),
+        st.sampled_from([1, 7, 64, testers.CHECK_BLOCK]),
     )
-    def test_table_and_index_equal_the_per_sample_call(self, n, data, tail_case, seed):
+    def test_table_and_index_equal_the_per_sample_call(self, n, data, tail_case, seed, block):
         g = data.draw(st.sampled_from([1, n, 1000, max_grains(n)]), label="grains")
         table = np.asarray(
             data.draw(st.lists(st.integers(0, g), min_size=1, max_size=8), label="table"),
@@ -202,7 +207,8 @@ class TestPairMap:
         index = rng.integers(0, table.shape[0], size=count)
         xs = rng.integers(1, n + 1, size=count, dtype=np.int64)
         tail_slots = [0, 1, 6 * n, int(rng.integers(0, 6 * n + 1))][tail_case]
-        got = _granular_pairs(xs, table, index, n, g, tail_slots, rng_from(seed, "pairs"))
+        with mock.patch.object(testers, "CHECK_BLOCK", block):
+            got = _granular_pairs(xs, table, index, n, g, tail_slots, rng_from(seed, "pairs"))
         per_sample = _pairs(xs, table[index], n, g, tail_slots, rng_from(seed, "pairs"))
         ref = _per_sample_pairs(xs, table[index], n, g, tail_slots, rng_from(seed, "pairs"))
         for a, b, r in zip(got, per_sample, ref):
