@@ -29,11 +29,11 @@ pdfs read through those first s_tail entries.
 The arrays of an identity round as long as its batch are the query
 message, the reply's probe index and the plan's probes during the
 exchange, and the index, the probes and the pair arrays during the pair
-lifting; the message is gone by then. The honest prover resolves quantile probes into one copy of the
-probe values and writes each element's rank over that copy, both in blocks
-of CHECK_BLOCK probes, and the copy becomes the reply's index. The
-verifier's checks and the pair lifting run over blocks of the same length;
-testers defines it.
+lifting; the message is gone by then. The honest prover resolves
+quantile probes into one copy of the probe values and writes each
+element's rank over that copy, both in blocks of CHECK_BLOCK probes, and
+the copy becomes the reply's index. The verifier's checks and the pair
+lifting run over blocks of the same length; testers defines it.
 
 run_session is the one skeleton behind all three protocols: establish,
 the second phase, conclude. Every exchange that rejects raises

@@ -110,7 +110,8 @@ def _block_matrices(draw):
     if draw(st.booleans()):
         runs.sort()
     vals = [v for v, length in runs for _ in range(length)]
-    blocks = code.encode_table(n)[np.asarray(vals, dtype=np.int64)].reshape(-1, code.codeword_symbols)
+    table = code.encode_table(n)
+    blocks = table[np.asarray(vals, dtype=np.int64)].reshape(-1, code.codeword_symbols)
     for row, col, bit in draw(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 11),
                                                  st.integers(0, 7)), max_size=2)):
         if blocks.shape[0]:
