@@ -175,9 +175,7 @@ class SpotCheckBackend(ProximityBackend):
             n,
             grains,
             lambda q: prop.dist(n, q, rho),
-            delta_c,
-            rho,
-            threshold=distance_threshold(delta_c, delta_f),
+            distance_threshold(delta_c, delta_f),
         )
         return BackendOutcome(ok, Reason.ACCEPT if ok else Reason.BACKEND_REJECT, delta)
 

@@ -75,16 +75,10 @@ def make_dist(spec, n: int, grains: int | None, seed: int) -> GrainDistribution:
 # -- worker pool --------------------------------------------------------------------
 
 
-def default_jobs() -> int:
-    env = os.environ.get("VDO_JOBS")
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
-
-
 def run_trials(fn, specs: list, jobs: int | None = None) -> list[dict]:
-    """Evaluate fn over specs, optionally in a fork pool; order preserved."""
-    jobs = jobs if jobs is not None else default_jobs()
+    """Evaluate fn over specs, in a fork pool of jobs workers (default: one
+    per CPU) when jobs > 1; order preserved."""
+    jobs = jobs if jobs is not None else os.cpu_count() or 1
     if jobs <= 1 or len(specs) <= 1:
         return [fn(s) for s in specs]
     ctx = get_context("fork")
@@ -227,7 +221,6 @@ class GeneralTrialSpec:
     seed: int
     grains: int | None = None
     adversary: AdversarySpec = AdversarySpec("honest")
-    spot_budget: int | None = None
 
     @property
     def epsilon(self) -> Fraction:
@@ -238,7 +231,7 @@ class GeneralTrialSpec:
         """(property, backend, D sampler, prover): what a trial builds before
         its session."""
         target = make_dist(self.target_spec, self.n, self.grains, self.seed)
-        backend = BACKENDS[self.backend](self.spot_budget)
+        backend = BACKENDS[self.backend]()
         return (make_fixed_target(target), backend, *_parties(self))
 
 
@@ -351,7 +344,6 @@ def calibrate(
     trials: int = 200,
     far_delta: Fraction = Fraction(3, 10),
     candidates=(2, 4, 6, 8, 12, 16),
-    target: Fraction = Fraction(9, 10),
     seed: int = 77,
     jobs: int | None = None,
 ) -> tuple[Constants, list[dict]]:

@@ -263,25 +263,6 @@ def point_mass(n: int, x: int, grains: int | None = None) -> GrainDistribution:
     return GrainDistribution(n, grains, counts)
 
 
-def from_weights(n: int, weights, grains: int | None = None) -> GrainDistribution:
-    """Quantize nonnegative weights to grains by largest remainder."""
-    if grains is None:
-        grains = default_grains(n)
-    w = [Fraction(x) for x in weights]
-    if len(w) != n or any(x < 0 for x in w) or sum(w) == 0:
-        raise ValueError("weights must be n nonnegative values with positive sum")
-    total = sum(w)
-    shares = [x / total * grains for x in w]
-    counts = [s.numerator // s.denominator for s in shares]
-    remainders = sorted(
-        range(n), key=lambda i: (shares[i] - counts[i], -i), reverse=True
-    )
-    missing = grains - sum(counts)
-    for i in remainders[:missing]:
-        counts[i] += 1
-    return GrainDistribution(n, grains, counts)
-
-
 def random_distribution(
     n: int, rng: Generator, grains: int | None = None, spread: float = 1.0
 ) -> GrainDistribution:

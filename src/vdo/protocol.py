@@ -47,6 +47,12 @@ accepted without walking its path again, since verify_opening's verdict
 depends only on the record, the key and the digest. Any other record,
 a repeated claim with a changed path included, goes to verify_opening.
 
+A verdict does not depend on whether the transcript records payloads:
+_receive encodes every prover message but an opening batch in either mode,
+and MALFORMED is its verdict on a message without an encoding. A batch,
+too large to encode twice, is checked for one by _exchange_distinct only
+once a record fails verification, since every accepted record encodes.
+
 Rejection is immediate and terminal per message. All randomness comes from
 streams derived from the session seed, so a session replays byte-exactly.
 """
@@ -262,10 +268,16 @@ class VerifiedOracleSession:
 
     def _receive(self, msg, expected_type) -> None:
         """Log a prover message: MALFORMED unless it has the expected type
-        and can be logged (an unencodable batch, e.g. mixed proof depths)."""
+        and, whether or not payloads are recorded, an encoding (for any
+        message but a batch, payload() gives payload_len() bytes; a batch
+        is checked in _exchange_distinct)."""
         if not isinstance(msg, expected_type):
             raise SessionRejected(Reason.MALFORMED)
         try:
+            if not isinstance(msg, OpeningBatch) and (
+                memoryview(msg.payload()).nbytes != msg.payload_len()
+            ):
+                raise ValueError("payload length mismatch")
             self.transcript.log("P", msg)
         except Exception:
             raise SessionRejected(Reason.MALFORMED)
@@ -290,11 +302,8 @@ class VerifiedOracleSession:
         if len(batch) != len(qs) or batch.depth != self.digest.depth:
             raise SessionRejected(Reason.MALFORMED)
         index = batch.index
-        if len(qs) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, empty
         # refusal / malformed record, or an index past the distinct proofs
-        if index.min() < 0 or index.max() >= len(batch.proofs):
+        if len(qs) and (index.min() < 0 or index.max() >= len(batch.proofs)):
             raise SessionRejected(Reason.MALFORMED)
         verified = self.verified_openings
         for p in batch.proofs:
@@ -311,11 +320,20 @@ class VerifiedOracleSession:
                 if plain and verified.get(claim) == p.path:
                     continue
                 ok = cm.verify_opening(p.element, p, self.key, self.digest)
-                if ok:  # an unhashable field raises here
+                if ok:
+                    if not plain:  # e.g. a float cdf can verify, yet not encode
+                        p.to_bytes()
+                    # an unhashable field raises here
                     verified.setdefault(claim, p.path if plain else None)
             except Exception:  # e.g. a path that is not bytes
                 raise SessionRejected(Reason.MALFORMED)
             if not ok:
+                # every accepted record encodes, so only a rejected batch is
+                # checked for an encoding, which logging its payload needs
+                try:
+                    batch._rows()
+                except Exception:
+                    raise SessionRejected(Reason.MALFORMED)
                 raise SessionRejected(Reason.INVALID_OPENING)
         pe = np.asarray([p.element for p in batch.proofs], dtype=np.int64)
         ppdf = np.asarray([p.claimed_pdf for p in batch.proofs], dtype=np.int64)

@@ -96,13 +96,11 @@ def decode_blocks(blocks: np.ndarray, code: BlockCode, n: int) -> np.ndarray | N
     if blocks.ndim != 2 or blocks.shape[1] != code.codeword_symbols:
         return None
     rows, n_c = blocks.shape
-    if n_c <= 8:  # one uint64 key per row, so rows compare in one pass
-        keys = np.zeros((rows, 8), dtype=np.uint8)
-        keys[:, :n_c] = blocks
-        keys = keys.view(np.uint64).ravel()
-        changed = keys[1:] != keys[:-1]
-    else:
-        changed = (blocks[1:] != blocks[:-1]).any(axis=1)
+    # rows zero-padded to whole uint64 words, so adjacent rows compare word by word
+    keys = np.zeros((rows, -(-n_c // 8) * 8), dtype=np.uint8)
+    keys[:, :n_c] = blocks
+    keys = keys.view(np.uint64)
+    changed = (keys[1:] != keys[:-1]).any(axis=1)
     starts = np.flatnonzero(np.concatenate([[rows > 0], changed]))
     heads = blocks[starts]
     k = code.message_symbols
@@ -143,16 +141,14 @@ def representation_test(
     n: int,
     grains: int,
     dist_fn,
-    delta_c: Fraction,
-    slack: Fraction,
-    threshold: Fraction | None = None,
+    threshold: Fraction,
 ) -> tuple[bool, Fraction | None]:
     """Decision over an alleged representation string.
 
     Rejects unless every block decodes to an element of [1, n] and decoded
     elements are nondecreasing; otherwise reconstructs the distribution and
-    accepts iff dist_fn(q) <= threshold (default delta_c + slack). Returns
-    (verdict, measured distance or None).
+    accepts iff dist_fn(q) <= threshold. Returns (verdict, measured distance
+    or None).
     """
     if blocks.shape != (grains, code.codeword_symbols):
         return False, None
@@ -160,5 +156,4 @@ def representation_test(
     if q is None:
         return False, None
     delta = dist_fn(q)
-    limit = threshold if threshold is not None else Fraction(delta_c) + Fraction(slack)
-    return delta <= limit, delta
+    return delta <= threshold, delta

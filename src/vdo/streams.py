@@ -87,23 +87,12 @@ def read_header(
     return got_seq, got_type, got_len
 
 
-def read_frame(
-    stream,
-    *,
-    seq: int | None = None,
-    mtype: int | None = None,
-    length: int | None = None,
-    max_length: int | None = None,
-) -> tuple[int, int, bytes]:
-    """Read one frame as (seq, type, payload), checking its header as
-    read_header does before the body is read. A body of the expected length
-    is read at once; without an expected length it is read in chunks of at
-    most 1 MiB."""
-    got_seq, got_type, got_len = read_header(
-        stream, seq=seq, mtype=mtype, length=length, max_length=max_length
-    )
-    max_read = got_len if length is not None else _READ_CHUNK
-    return got_seq, got_type, _read_exact(stream, got_len, max_read)
+def read_frame(stream, *, seq: int | None = None) -> tuple[int, int, bytes]:
+    """Read one frame as (seq, type, payload), checking its sequence number
+    as read_header does before the body is read; the body is read in chunks
+    of at most 1 MiB."""
+    got_seq, got_type, got_len = read_header(stream, seq=seq)
+    return got_seq, got_type, _read_exact(stream, got_len, _READ_CHUNK)
 
 
 def _record_blocks(stream, count: int, rec: int):
@@ -139,8 +128,10 @@ def write_frame(stream, seq: int, msg) -> None:
 def serve_prover(reader, writer, prover) -> None:
     """Answer framed verifier requests until the stream ends or a verdict
     arrives. Fails closed: a frame whose sequence number is not the next
-    one, a frame of any other type and a payload its decoder rejects end
-    the loop as well, without a reply; the caller closes the streams."""
+    one, a frame of any other type, a payload its decoder rejects, a request
+    the prover raises on and a reply that cannot be encoded end the loop as
+    well, without a reply (write_frame checks a batch before it writes any
+    byte); the caller closes the streams."""
     seq = 0
     while True:
         try:
@@ -153,9 +144,9 @@ def serve_prover(reader, writer, prover) -> None:
                 answer, request = prover.backend_payload, BackendSelect.from_payload(payload)
             else:  # a verdict, or a type no verifier sends
                 return
-        except (EOFError, ValueError):
+            write_frame(writer, seq, answer(request))
+        except Exception:
             return
-        write_frame(writer, seq, answer(request))
         seq += 1
 
 

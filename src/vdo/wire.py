@@ -13,9 +13,10 @@ distinct openings. An opening's path is already its encoded bytes, so its
 record is one packed head plus the path. Encoding stacks the distinct
 records as rows of a uint8 matrix; one gather routine fills any run of
 probes' records from those rows with a numpy take into a caller's buffer.
-frame() runs it once, straight into the frame's own buffer (one copy of
-the body); streams.write_frame runs it block by block into one reused
-buffer. Decoding numbers the rows in one streaming dictionary pass over
+payload() runs it once, straight into the payload's own buffer, and
+frame() prefixes the header to that payload as for any other message;
+streams.write_frame, the path a served batch takes, runs it block by block
+into one reused buffer. Decoding numbers the rows in one streaming dictionary pass over
 whole records, which may arrive as a sequence of blocks, then decodes each
 distinct record once with OpeningProof.from_bytes, which checks it and
 slices off the path; the records share no table of decoded path levels.
@@ -209,19 +210,14 @@ class OpeningBatch:
 
         return fill
 
-    def payload_after(self, head: bytes) -> bytearray:
-        """head, then the payload, in one buffer: each probe's record is
-        gathered straight into place."""
-        count, rec = len(self), self.record_len()
-        fill = self.gatherer()
-        start = len(head) + 4
-        out = bytearray(start + count * rec)
-        out[:start] = head + count.to_bytes(4, "little")
-        fill(0, count, memoryview(out)[start:])
-        return out
-
     def payload(self) -> bytearray:
-        return self.payload_after(b"")
+        """The count, then each probe's record gathered straight into place."""
+        count = len(self)
+        fill = self.gatherer()
+        out = bytearray(4 + count * self.record_len())
+        out[:4] = count.to_bytes(4, "little")
+        fill(0, count, memoryview(out)[4:])
+        return out
 
     @classmethod
     def from_payload(cls, data, depth: int, blocks=None) -> "OpeningBatch":
@@ -299,9 +295,7 @@ def frame_head(seq: int, mtype: int, length: int) -> bytes:
     return seq.to_bytes(4, "little") + bytes([int(mtype)]) + length.to_bytes(4, "little")
 
 
-def frame(seq: int, msg) -> bytes | bytearray:
-    if isinstance(msg, OpeningBatch):  # records gathered into the frame's own buffer
-        return msg.payload_after(frame_head(seq, msg.TYPE, msg.payload_len()))
+def frame(seq: int, msg) -> bytes:
     payload = msg.payload()
     return frame_head(seq, msg.TYPE, len(payload)) + payload
 

@@ -84,6 +84,18 @@ class TestReport:
         assert f"code_revision={vdo.__version__}" in text
         assert f"constants_version={get_constants().version}" in text
 
+    def test_package_binds_only_its_version_and_submodules(self):
+        # names are imported from their modules; the package re-exports none
+        import types
+
+        import vdo
+
+        assert isinstance(vdo.__version__, str)
+        for name, value in vars(vdo).items():
+            if not name.startswith("_"):
+                assert isinstance(value, types.ModuleType), name
+                assert value.__name__ == f"vdo.{name}"
+
 
 class TestConstants:
     def test_parse_roundtrip(self):

@@ -10,7 +10,6 @@ from vdo.dist import (
     bucket_grid,
     default_grains,
     exact_histogram,
-    from_weights,
     max_grains,
     point_mass,
     random_distribution,
@@ -353,13 +352,3 @@ class TestExactHistogram:
     @settings(max_examples=60, deadline=None)
     def test_masses_sum_to_one(self, d, tau):
         assert sum(exact_histogram(d, tau).masses) == 1
-
-
-class TestFromWeights:
-    def test_exact_when_divisible(self):
-        d = from_weights(4, [1, 1, 1, 1], 16)
-        assert d.counts == (4, 4, 4, 4)
-
-    def test_rounding_preserves_total(self):
-        d = from_weights(3, [1, 1, 1], 16)
-        assert sum(d.counts) == 16

@@ -35,7 +35,7 @@ from vdo.protocol import (
 )
 from vdo.representation import RepresentationString, build_representation
 from vdo.rngutil import rng_from
-from vdo.streams import RemoteProver, read_frame, serve_prover, write_frame
+from vdo.streams import RemoteProver, read_frame, read_header, serve_prover, write_frame
 from vdo.testers import DSampler, IdentityTestRun, max_grains
 from vdo.wire import (
     HEADER_LEN,
@@ -277,6 +277,10 @@ def _set_first_proof_none(batch):
     batch.proofs[0] = None
 
 
+def _set_first_path_one_level_short(batch):
+    batch.proofs[0] = dataclasses.replace(batch.proofs[0], path=batch.proofs[0].path[41:])
+
+
 def _set_first_path_entry_unpackable(batch):
     # a path that is not bytes: verify_opening itself raises on it
     batch.proofs[0] = dataclasses.replace(batch.proofs[0], path=None)
@@ -396,7 +400,7 @@ class TestVerifiedOpenings:
         [
             (_flip_path_byte, Reason.INVALID_OPENING),
             (lambda p: dataclasses.replace(p, element=[p.element]), Reason.MALFORMED),
-            (lambda p: dataclasses.replace(p, claimed_cdf=[p.claimed_cdf]), Reason.INVALID_OPENING),
+            (lambda p: dataclasses.replace(p, claimed_cdf=[p.claimed_cdf]), Reason.MALFORMED),
             (lambda p: dataclasses.replace(p, element=float(p.element)), Reason.MALFORMED),
             (lambda p: dataclasses.replace(p, path=None), Reason.MALFORMED),
             (lambda p: dataclasses.replace(p, path=bytearray(p.path)), Reason.ACCEPT),
@@ -407,14 +411,15 @@ class TestVerifiedOpenings:
     )
     def test_second_batch_reasons(self, edit, reason):
         # the edited record's claim was accepted in the identity batch; only
-        # an int/int/int/bytes record equal to it skips verify_opening.
-        # Without payloads recorded, the transcript encodes no record.
-        originals = []
-        prover = _BatchTamper(uniform(self.N), _on_second_batch(edit, originals))
-        res = self._label_session(prover, record_payloads=False)
-        assert res.reason == reason
-        (p,) = originals
-        assert (p.element, p.claimed_pdf, p.claimed_cdf) in res.verified_openings
+        # an int/int/int/bytes record equal to it skips verify_opening. A
+        # rejected record that cannot be encoded is MALFORMED in either mode.
+        for record_payloads in (False, True):
+            originals = []
+            prover = _BatchTamper(uniform(self.N), _on_second_batch(edit, originals))
+            res = self._label_session(prover, record_payloads=record_payloads)
+            assert res.reason == reason
+            (p,) = originals
+            assert (p.element, p.claimed_pdf, p.claimed_cdf) in res.verified_openings
 
     def test_accepted_record_with_unhashable_field_is_malformed(self):
         # a 0-d array element passes verify_opening but cannot key the map:
@@ -450,7 +455,9 @@ class _VerifyEverySession(VerifiedOracleSession):
     accepted claim is added to a set, and the answers are expanded to one
     (element, pdf, cdf) per probe and checked under full-length masks. It
     returns the per-probe arrays as the table, with the identity index, and
-    its identity round reads them per probe. The reference of
+    its identity round reads them per probe. As when payloads are logged, a
+    batch without an encoding is MALFORMED: an accepted record must encode,
+    and so must the batch of a rejected one. The reference of
     TestVerifiedOpeningsDifferential and TestLeanRoundDifferential."""
 
     def __init__(self, *args):
@@ -462,9 +469,6 @@ class _VerifyEverySession(VerifiedOracleSession):
         batch = self._ask(qs, lambda: self.prover.answer_queries(qs), OpeningBatch)
         if len(batch) != len(qs) or batch.depth != self.digest.depth:
             raise SessionRejected(Reason.MALFORMED)
-        if len(qs) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy(), empty.copy()
         if (batch.index < 0).any() or (batch.index >= len(batch.proofs)).any():
             raise SessionRejected(Reason.MALFORMED)
         for p in batch.proofs:
@@ -472,9 +476,15 @@ class _VerifyEverySession(VerifiedOracleSession):
                 raise SessionRejected(Reason.MALFORMED)
             try:
                 ok = cm.verify_opening(p.element, p, self.key, self.digest)
+                if ok:
+                    p.to_bytes()
             except Exception:
                 raise SessionRejected(Reason.MALFORMED)
             if not ok:
+                try:
+                    batch.payload()
+                except Exception:
+                    raise SessionRejected(Reason.MALFORMED)
                 raise SessionRejected(Reason.INVALID_OPENING)
             self.verified_openings.add((p.element, p.claimed_pdf, p.claimed_cdf))
         pe = np.asarray([p.element for p in batch.proofs], dtype=np.int64)
@@ -1202,10 +1212,23 @@ class TestDecodeFailureContract:
             decoder(data)
 
 
+def _read_expected(stream, seq=None, mtype=None, length=None, max_length=None):
+    """One frame read as the verifier reads a reply: the header through
+    read_header with every expectation, then the body; with none but seq,
+    through read_frame, as serve_prover reads a request."""
+    if (mtype, length, max_length) == (None, None, None):
+        return read_frame(stream, seq=seq)
+    got_seq, got_type, got_len = read_header(
+        stream, seq=seq, mtype=mtype, length=length, max_length=max_length
+    )
+    return got_seq, got_type, streams._read_exact(stream, got_len, streams._READ_CHUNK)
+
+
 class TestReadFrameFailureContract:
-    """read_frame over a byte stream fails only with ValueError (a header
-    that does not match what was expected) or EOFError (a stream that ends
-    mid-frame), whatever the bytes and expectations."""
+    """Reading a frame over a byte stream, through read_frame or read_header
+    and a body read, fails only with ValueError (a header that does not match
+    what was expected) or EOFError (a stream that ends mid-frame), whatever
+    the bytes and expectations."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -1225,14 +1248,15 @@ class TestReadFrameFailureContract:
         stream = io.BytesIO(bytes(data))
         try:
             while True:
-                read_frame(stream, seq=seq, mtype=mtype, length=length, max_length=max_length)
+                _read_expected(stream, seq, mtype, length, max_length)
         except (ValueError, EOFError):
             pass
 
     @pytest.mark.parametrize("raw", _FRAMES)
     def test_honest_frames_read(self, raw):
-        seq, mtype, payload = read_frame(io.BytesIO(raw), length=len(raw) - HEADER_LEN)
+        seq, mtype, payload = _read_expected(io.BytesIO(raw), length=len(raw) - HEADER_LEN)
         assert (mtype, HEADER_LEN + len(payload)) == (raw[4], len(raw))
+        assert read_frame(io.BytesIO(raw), seq=seq) == (seq, mtype, payload)
 
 
 class TestStreams:
@@ -1680,15 +1704,16 @@ _KEY_FRAME = frame(0, KeyMsg(HashKey(bytes(range(16)), 128)))
 _PROBES = QuerySet.elements(np.asarray([1, 5, 5]))
 
 
-def _served(requests: bytes) -> list[tuple[int, int]]:
+def _served(requests: bytes, prover=None) -> list[tuple[int, int]]:
     """(seq, type) of every reply serve_prover writes to the request bytes,
-    read after it has returned and its end is closed."""
+    read after it has returned and its end is closed; the prover is honest
+    for uniform(16) unless given."""
     left, right = socket.socketpair()
     try:
         left.sendall(requests)
         left.shutdown(socket.SHUT_WR)
         with right.makefile("rb") as rr, right.makefile("wb") as rw:
-            serve_prover(rr, rw, HonestProver(uniform(16)))
+            serve_prover(rr, rw, prover or HonestProver(uniform(16)))
         right.close()
         replies = []
         with left.makefile("rb") as lr:
@@ -1744,3 +1769,25 @@ class TestServeProverFailsClosed:
             expected = [(0, MsgType.DIGEST)]
         assert _served(requests) == expected
 
+    @pytest.mark.parametrize(
+        "msg",
+        [
+            QuerySet.elements(np.asarray([3, 0])),
+            QuerySet.elements(np.asarray([17])),
+            QuerySet.quantiles(np.asarray([uniform(16).grains + 1])),
+            BackendSelect(9),
+        ],
+        ids=["element-0", "element-17", "quantile-past-G", "backend-id-9"],
+    )
+    def test_request_the_prover_cannot_answer(self, msg):
+        requests = _KEY_FRAME + frame(1, msg) + frame(2, _PROBES)
+        assert _served(requests) == [(0, MsgType.DIGEST)]
+
+    def test_query_set_before_any_key(self):
+        assert _served(frame(0, _PROBES) + frame(1, _PROBES)) == []
+
+    def test_reply_that_cannot_be_encoded(self):
+        # the batch's first proof is one level short, so its depths mix
+        prover = _BatchTamper(uniform(16), _set_first_path_one_level_short)
+        requests = _KEY_FRAME + frame(1, _PROBES) + frame(2, _PROBES)
+        assert _served(requests, prover) == [(0, MsgType.DIGEST)]

@@ -24,7 +24,7 @@ from vdo.protocol import (
 )
 from vdo.rngutil import rng_from
 from vdo.testers import DSampler
-from vdo.wire import DigestMsg, MsgType, ProbeKind, Reason, Verdict
+from vdo.wire import BackendData, DigestMsg, MsgType, ProbeKind, Reason, Verdict
 
 N = 64
 T = random_distribution(N, rng_from(1, "T"), grains=N * N * 5)
@@ -68,17 +68,17 @@ class _StuckQuantile(HonestProver):
         return out
 
 
-def _oracle(prover, d=None):
+def _oracle(prover, d=None, record=True, probes=20):
     cfg = VerifierConfig(
-        N, F(1, 2), generator=quantile_sampling_generator(20), record_payloads=True
+        N, F(1, 2), generator=quantile_sampling_generator(probes), record_payloads=record
     )
     return run_oracle_session(cfg, prover, DSampler(d or prover.q), 7)
 
 
-def _general(prover, backend=FullRevealBackend):
+def _general(prover, backend=FullRevealBackend, record=True):
     return run_general_argument(
         make_fixed_target(T), N, F(0), F(3, 5), DSampler(T), prover, backend(), 3,
-        record_payloads=True,
+        record_payloads=record,
     )
 
 
@@ -125,3 +125,95 @@ def test_spot_check_probe_rejection_reaches_the_backend_outcome():
     assert not res.backend.probe_mismatch and res.backend.measured is None
     _assert_one_verdict(res.session, Reason.QUANTILE_INVALID)
     assert res.reason == Reason.QUANTILE_INVALID
+
+
+# -- the verdict does not depend on record_payloads ----------------------------
+
+
+class _NegativeRootMass(HonestProver):
+    def receive_key(self, key):
+        d = super().receive_key(key).digest
+        return DigestMsg(dataclasses.replace(d, root=NodeLabel(-1, d.root.digest)))
+
+
+class _StrBlob(HonestProver):
+    def backend_payload(self, select):
+        return BackendData("x" * 600)
+
+
+class _EditedProofs(HonestProver):
+    """Honest prover whose opening batches' proofs pass through each
+    edit(proofs) in turn."""
+
+    def __init__(self, q, *edits):
+        super().__init__(q)
+        self.edits = edits
+
+    def answer_queries(self, qs):
+        batch = super().answer_queries(qs)
+        for edit in self.edits:
+            edit(batch.proofs)
+        return batch
+
+
+class _ProofInEmptyBatch(HonestProver):
+    """Answers an empty query set with a batch that lists an unencodable
+    proof all the same."""
+
+    def answer_queries(self, qs):
+        batch = super().answer_queries(qs)
+        if not len(qs):
+            batch.proofs.append(dataclasses.replace(self._proof_for(1), element=-1))
+        return batch
+
+
+def _edit(i, **change):
+    """edit(proofs): proof i with each field f replaced by change[f](old)."""
+
+    def edit(proofs):
+        p = proofs[i]
+        proofs[i] = dataclasses.replace(p, **{f: g(getattr(p, f)) for f, g in change.items()})
+
+    return edit
+
+
+def _edited_batch(*edits):
+    return lambda record: _oracle(_EditedProofs(uniform(N), *edits), record=record)
+
+
+_BAD_PDF = _edit(0, claimed_pdf=lambda pdf: pdf + 1)  # encodable, fails verification
+
+# case -> (reason in either mode, run(record))
+PARITY = {
+    "honest": (Reason.ACCEPT, _edited_batch()),
+    "path-one-level-short": (Reason.MALFORMED, _edited_batch(_edit(0, path=lambda b: b[41:]))),
+    "path-one-level-long": (Reason.MALFORMED, _edited_batch(_edit(0, path=lambda b: b + b[:41]))),
+    "element-minus-1": (Reason.MALFORMED, _edited_batch(_edit(0, element=lambda x: -1))),
+    "element-2^64": (Reason.MALFORMED, _edited_batch(_edit(0, element=lambda x: 1 << 64))),
+    "float-cdf-that-verifies": (Reason.MALFORMED, _edited_batch(_edit(0, claimed_cdf=float))),
+    "invalid-encodable": (Reason.INVALID_OPENING, _edited_batch(_BAD_PDF)),
+    "invalid-ahead-of-unencodable": (
+        Reason.MALFORMED, _edited_batch(_BAD_PDF, _edit(1, path=lambda b: b[41:])),
+    ),
+    "proof-in-empty-batch": (
+        Reason.MALFORMED,
+        lambda record: _oracle(_ProofInEmptyBatch(uniform(N)), record=record, probes=0),
+    ),
+    "root-mass-minus-1": (
+        Reason.MALFORMED, lambda record: _oracle(_NegativeRootMass(uniform(N)), record=record),
+    ),
+    "str-blob-full-reveal": (
+        Reason.MALFORMED, lambda record: _general(_StrBlob(T), FullRevealBackend, record).session,
+    ),
+    "str-blob-spot-check": (
+        Reason.MALFORMED, lambda record: _general(_StrBlob(T), SpotCheckBackend, record).session,
+    ),
+}
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["counters-only", "record-payloads"])
+@pytest.mark.parametrize("case", list(PARITY))
+def test_verdict_does_not_depend_on_record_payloads(case, record):
+    reason, run = PARITY[case]
+    res = run(record)
+    assert (res.accept, res.reason) == (reason == Reason.ACCEPT, reason)

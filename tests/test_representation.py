@@ -116,7 +116,7 @@ class TestRepresentationTest:
         u = uniform(8, 64)
         rep = build_representation(u)
         ok, delta = representation_test(
-            rep.blocks, rep.code, 8, 64, self._dist_to(u), F(0), F(1, 10)
+            rep.blocks, rep.code, 8, 64, self._dist_to(u), F(0) + F(1, 10)
         )
         assert ok and delta == 0
 
@@ -126,7 +126,7 @@ class TestRepresentationTest:
         blocks = rep.blocks.copy()
         blocks[[0, -1]] = blocks[[-1, 0]]  # swap first and last block
         ok, delta = representation_test(
-            blocks, rep.code, 4, 16, self._dist_to(u), F(0), F(1, 10)
+            blocks, rep.code, 4, 16, self._dist_to(u), F(0) + F(1, 10)
         )
         assert not ok and delta is None
 
@@ -136,7 +136,7 @@ class TestRepresentationTest:
         blocks = rep.blocks.copy()
         blocks[3, -1] ^= 0xFF
         ok, delta = representation_test(
-            blocks, rep.code, 4, 16, self._dist_to(u), F(0), F(1, 10)
+            blocks, rep.code, 4, 16, self._dist_to(u), F(0) + F(1, 10)
         )
         assert not ok and delta is None
 
@@ -144,7 +144,7 @@ class TestRepresentationTest:
         code = element_code(4)
         bad = np.tile(np.frombuffer(code.encode_int(4 + 1), dtype=np.uint8), (16, 1))
         ok, delta = representation_test(
-            bad, code, 4, 16, self._dist_to(uniform(4, 16)), F(0), F(1, 10)
+            bad, code, 4, 16, self._dist_to(uniform(4, 16)), F(0) + F(1, 10)
         )
         assert not ok
 
@@ -153,7 +153,7 @@ class TestRepresentationTest:
         far = point_mass(4, 1, 16)
         rep = build_representation(far)
         ok, delta = representation_test(
-            rep.blocks, rep.code, 4, 16, self._dist_to(u), F(0), F(1, 10)
+            rep.blocks, rep.code, 4, 16, self._dist_to(u), F(0) + F(1, 10)
         )
         assert not ok and delta == tv_oracle(far, u)
 
@@ -162,8 +162,6 @@ class TestRepresentationTest:
         near = GrainDistribution(4, 16, (5, 4, 4, 3))
         rep = build_representation(near)
         dist_fn = self._dist_to(u)
-        ok_tight, _ = representation_test(rep.blocks, rep.code, 4, 16, dist_fn, F(0), F(1, 100))
-        ok_loose, _ = representation_test(
-            rep.blocks, rep.code, 4, 16, dist_fn, F(0), F(1, 100), threshold=F(1, 4)
-        )
+        ok_tight, _ = representation_test(rep.blocks, rep.code, 4, 16, dist_fn, F(0) + F(1, 100))
+        ok_loose, _ = representation_test(rep.blocks, rep.code, 4, 16, dist_fn, F(1, 4))
         assert not ok_tight and ok_loose
