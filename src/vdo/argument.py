@@ -180,7 +180,7 @@ class SpotCheckBackend(ProximityBackend):
         return BackendOutcome(ok, Reason.ACCEPT if ok else Reason.BACKEND_REJECT, delta)
 
 
-# name -> backend class; constructed as cls(probe_budget)
+# name -> backend class; constructed as cls(), or cls(probe_budget) to fix the budget
 BACKENDS: dict[str, type[ProximityBackend]] = {
     cls.name: cls for cls in (FullRevealBackend, SpotCheckBackend)
 }

@@ -5,7 +5,11 @@ responder methods directly). This module runs the same protocol over any
 pair of file-like byte streams using the framed wire encoding, e.g. a
 socketpair or pipes between processes. The session hands its verdict to
 RemoteProver, and close() sends it as the last frame, so the served side
-reads the verdict the transcript logs.
+reads the verdict the transcript logs. RemoteProver checks each reply's
+header (sequence number, type, length) with read_header before it reads
+the body; serve_prover reads each request with read_frame, which checks
+its sequence number, and ends without a reply on anything it cannot
+decode, answer or encode.
 
 An opening batch, nearly all of a session's bytes, is never held whole on
 either side: write_frame gathers its records block by block into one

@@ -16,10 +16,11 @@ probes' records from those rows with a numpy take into a caller's buffer.
 payload() runs it once, straight into the payload's own buffer, and
 frame() prefixes the header to that payload as for any other message;
 streams.write_frame, the path a served batch takes, runs it block by block
-into one reused buffer. Decoding numbers the rows in one streaming dictionary pass over
-whole records, which may arrive as a sequence of blocks, then decodes each
-distinct record once with OpeningProof.from_bytes, which checks it and
-slices off the path; the records share no table of decoded path levels.
+into one reused buffer. Decoding numbers the rows in one streaming
+dictionary pass over whole records, which may arrive as a sequence of
+blocks, then decodes each distinct record once with
+OpeningProof.from_bytes, which checks it and slices off the path; the
+records share no table of decoded path levels.
 
 Transcripts record direction, framing and counters. Payload retention can
 be disabled for bulk runs; byte counters are exact either way because every
