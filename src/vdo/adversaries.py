@@ -89,14 +89,14 @@ class InconsistentOpeningAdversary(AdversaryScript):
         mask = self._flip_mask(len(batch), "answers")
         if not mask.any():
             return batch
-        proofs = list(batch.proofs)
-        index = batch.index.copy()
-        for i in np.nonzero(mask)[0]:
-            j = int(index[i])
-            perturbed = self._perturb(proofs[j])
-            index[i] = len(proofs)
-            proofs.append(perturbed)
-        return OpeningBatch(proofs, index, batch.depth)
+        # each flipped probe gets its own copy of its record, appended after
+        # the distinct ones, with the pdf and cdf bumped as _perturb does
+        rows, index = batch._rows(), batch.index.copy()
+        flips = np.flatnonzero(mask)
+        bumped = rows[index[flips]]
+        cm.record_heads(bumped)[:, 1:] += 1
+        index[flips] = np.arange(len(rows), len(rows) + len(flips))
+        return OpeningBatch.from_rows(np.concatenate([rows, bumped]), index, batch.depth)
 
     def opening_run(self, run_index: int):
         proofs = super().opening_run(run_index)
@@ -124,7 +124,7 @@ class SelectiveRefusalAdversary(AdversaryScript):
         batch = super().answer_queries(qs)
         if not self.blocked:
             return batch
-        elements = np.asarray([p.element for p in batch.proofs], dtype=np.int64)
+        elements = cm.record_heads(batch._rows())[:, 0].astype(np.int64)
         refuse = np.isin(elements, np.asarray(sorted(self.blocked), dtype=np.int64))
         if not refuse.any():
             return batch

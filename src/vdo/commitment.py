@@ -15,15 +15,21 @@ masses of left siblings on the path, which the hashes do bind.
 
 Nodes are heap-indexed: node 1 is the root, node i has children 2i and
 2i+1, and element x's leaf is node padded + x - 1. A node label has one
-form, its encoding: TreeAux keeps every label digest builds, an opening's
-path is its wire encoding (per level the sibling's label and a direction
-byte) and the walk hashes labels straight from it. Decoding a record checks
-and slices it; no table of decoded path levels is shared. Verification and
-extraction share one walk per opening: the leaf hash, one node hash per
-level, then the header hash once the mass and cdf checks pass; extraction
-keeps the labels that walk pins, by heap index. A committed tree costs
-2 * padded hashes (padded leaves, padded - 1 nodes, one header), a
-verified opening depth + 2.
+form, its 40-byte encoding. TreeAux keeps every label digest builds as one
+row of a (2 * padded, 40) uint8 label matrix, beside an int64 column of the
+masses. An opening's record is its wire encoding: element, pdf, cdf and
+depth, then per level the sibling's label and a direction byte.
+open_element builds one record by walking up the tree; open_batch builds
+the records of many elements at once as the rows of a record matrix,
+gathering each level's sibling rows with one fancy index, and its rows are
+byte-identical to open_element's records. check_records validates a
+record matrix as from_bytes validates one record.
+
+Verification and extraction share one walk per opening: the leaf hash,
+one node hash per level, then the header hash once the mass and cdf checks
+pass; extraction keeps the labels that walk pins, by heap index. A
+committed tree costs 2 * padded hashes (padded leaves, padded - 1 nodes,
+one header), a verified opening depth + 2.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 from numpy.random import Generator
 
 from .constants import get_constants
@@ -134,6 +141,7 @@ class Digest:
 _OPENING_HEAD = struct.Struct("<QQQB")
 _LABEL_LEN = 8 + HASH_LEN  # an encoded node label: mass, then hash
 _LEVEL_LEN = _LABEL_LEN + 1  # a path level: the sibling's label, a direction byte
+_HEAD_FIELDS = 24  # the element, pdf and cdf of an encoded opening; the depth byte follows
 _MASS = struct.Struct("<Q")  # a label's mass
 
 
@@ -175,16 +183,19 @@ class OpeningProof:
 
 
 class TreeAux:
-    """Every encoded node label of a committed tree, heap-indexed: labels[1]
-    is the root, node i has children 2i and 2i+1, and element x's leaf is
-    labels[padded + x - 1] (padding leaves carry mass 0). digest builds each
-    label once; open_element only joins them."""
+    """Every encoded node label of a committed tree, heap-indexed: row 1 of
+    the (2 * padded, 40) uint8 matrix labels is the root's, node i has
+    children 2i and 2i+1, and element x's leaf is row padded + x - 1
+    (padding leaves carry mass 0; row 0 is unused and zero). masses holds
+    each node's mass as int64. digest builds each label once; the openers
+    only read them."""
 
-    __slots__ = ("padded", "labels")
+    __slots__ = ("padded", "labels", "masses")
 
-    def __init__(self, padded: int, labels: list[bytes]):
+    def __init__(self, padded: int, labels: np.ndarray, masses: np.ndarray):
         self.padded = padded
         self.labels = labels
+        self.masses = masses
 
 
 def _hash_leaf(salt: bytes, mass: int) -> bytes:
@@ -221,26 +232,70 @@ def digest(key: HashKey, q: GrainDistribution) -> tuple[Digest, TreeAux]:
         labels[i] += _hash_node(salt, labels[2 * i], labels[2 * i + 1])
     root_hash = _hash_header(salt, q.n, q.grains, padded, labels[1][8:])
     d = Digest(NodeLabel(masses[1], root_hash), padded, q.n, q.grains)
-    return d, TreeAux(padded, labels)
+    labels[0] = bytes(_LABEL_LEN)
+    matrix = np.frombuffer(b"".join(labels), dtype=np.uint8).reshape(2 * padded, _LABEL_LEN)
+    return d, TreeAux(padded, matrix, np.asarray(masses, dtype=np.int64))
 
 
 def open_element(x: int, key: HashKey, d: Digest, aux: TreeAux) -> OpeningProof:
     """Opening for element x: pdf, cdf and the sibling path."""
     if not 1 <= x <= d.domain_size:
         raise ValueError(f"element {x} outside [1, {d.domain_size}]")
-    labels = aux.labels
+    labels, masses = aux.labels, aux.masses
     idx = aux.padded + x - 1
-    pdf = cdf = _MASS.unpack_from(labels[idx])[0]
+    pdf = cdf = int(masses[idx])
     path = []
     while idx > 1:
         if idx & 1:  # the sibling is the left child
-            sib = labels[idx - 1]
-            cdf += _MASS.unpack_from(sib)[0]
-            path += (sib, b"\x01")
+            cdf += int(masses[idx - 1])
+            path += (labels[idx - 1].tobytes(), b"\x01")
         else:
-            path += (labels[idx + 1], b"\x00")
+            path += (labels[idx + 1].tobytes(), b"\x00")
         idx >>= 1
     return OpeningProof(x, pdf, cdf, b"".join(path))
+
+
+def open_batch(xs: np.ndarray, d: Digest, aux: TreeAux) -> np.ndarray:
+    """Records of the openings of elements xs (a 1-D integer array) as a
+    (len(xs), record_len) uint8 matrix: row i is
+    open_element(xs[i]).to_bytes(). Each level's sibling labels are gathered
+    for every element at once."""
+    xs = np.asarray(xs, dtype=np.int64)
+    if xs.size and (xs.min() < 1 or xs.max() > d.domain_size):
+        raise ValueError(f"element outside [1, {d.domain_size}]")
+    rows = np.empty((xs.shape[0], OpeningProof.encoded_len(d.depth)), dtype=np.uint8)
+    node = xs + (aux.padded - 1)
+    cdf = aux.masses[node]
+    head = record_heads(rows)
+    head[:, 0] = xs
+    head[:, 1] = cdf
+    for off in range(_OPENING_HEAD.size, rows.shape[1], _LEVEL_LEN):
+        left = node & 1  # the sibling is the left child
+        sib = node ^ 1
+        rows[:, off : off + _LABEL_LEN] = aux.labels[sib]
+        rows[:, off + _LABEL_LEN] = left
+        cdf += aux.masses[sib] * left
+        node >>= 1
+    head[:, 2] = cdf
+    rows[:, _HEAD_FIELDS] = d.depth
+    return rows
+
+
+def record_heads(rows: np.ndarray) -> np.ndarray:
+    """The element, pdf and cdf of each row of a record matrix, as a (k, 3)
+    little-endian uint64 view of its first 24 columns."""
+    return rows[:, :_HEAD_FIELDS].view("<u8")
+
+
+def check_records(rows: np.ndarray, depth: int) -> None:
+    """ValueError unless every row of the record matrix rows carries the
+    depth byte depth and direction bytes in {0, 1}; the message is the one
+    from_bytes gives for the first row it rejects."""
+    bad_depth = rows[:, _HEAD_FIELDS] != depth
+    bad = bad_depth | (rows[:, _OPENING_HEAD.size + _LABEL_LEN :: _LEVEL_LEN] > 1).any(axis=1)
+    if bad.any():
+        first = int(bad.argmax())
+        raise ValueError("opening length mismatch" if bad_depth[first] else "bad direction byte")
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII binary digits to bytes 0 and 1

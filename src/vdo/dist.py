@@ -21,6 +21,12 @@ from numpy.random import Generator
 from .exactmath import frac_ceil, geometric_mean
 
 
+# keys per block of D sampling's lookup, of the pair lifting's draws and of
+# the protocol's per-probe work (testers and protocol import it), so that no
+# step builds a temporary as long as the batch
+CHECK_BLOCK = 1 << 16
+
+
 def max_grains(n: int) -> int:
     """Largest denominator G with 3*G*(N+1) < 2^63.
 
@@ -118,8 +124,12 @@ class GrainDistribution:
         return int(self.quantile_grain_batch(np.array([g], dtype=np.int64))[0])
 
     def sample_batch(self, k: int, rng: Generator) -> np.ndarray:
+        """k draws: one rng.integers call draws every key, and the keys are
+        looked up in place, in blocks of CHECK_BLOCK."""
         gs = rng.integers(1, self.grains + 1, size=k, dtype=np.int64)
-        return self.quantile_grain_batch(gs)
+        for s in range(0, k, CHECK_BLOCK):
+            gs[s : s + CHECK_BLOCK] = self.quantile_grain_batch(gs[s : s + CHECK_BLOCK])
+        return gs
 
     def quantile_grain_batch(self, gs: np.ndarray) -> np.ndarray:
         """quantile_grain of each grain index in the 1-D int64 array gs.

@@ -17,14 +17,22 @@ binds the prover to, guaranteed close to the unknown sampled distribution:
      histogram of such answers; the general argument runs a backend
      exchange.
 
-One step, _exchange_distinct, sends a batch and verifies the answers; it
-returns the distinct verified (element, pdf, cdf) arrays and the batch's
-per-probe index. Its element and quantile checks run over fixed blocks of
-probes, every element block before any quantile block. query_set gathers
-per-probe answers from that result. The identity round expands nothing per
-probe: it hands complete() the distinct pdfs plus the index past its first
-s_tail entries, and, only when the tail is sampled, the reference samples'
-pdfs read through those first s_tail entries.
+One step, _exchange_distinct, sends a batch and verifies the answers. Its
+one input is the batch's record matrix, the (k, record_len) uint8 rows of
+its distinct openings, and its int64 probe index: the honest prover
+builds the matrix with commitment.open_batch and a decoded batch carries
+it; a batch of OpeningProof objects gives it through _rows(), and its
+index is cast safely. A batch without that input (a proof that does not
+encode, an index that is not a 1-D array of integers castable to int64)
+is MALFORMED before any record is walked. Element, pdf and cdf are read
+as the matrix's little-endian uint64 columns. The step returns the
+distinct verified (element, pdf, cdf) arrays and the per-probe index. Its
+element and quantile checks run over fixed blocks of probes, every element
+block before any quantile block. query_set gathers per-probe answers from
+that result. The identity round expands nothing per probe: it hands
+complete() the distinct pdfs plus the index past its first s_tail
+entries, and, only when the tail is sampled, the reference samples' pdfs
+read through those first s_tail entries.
 
 The arrays of an identity round as long as its batch are the query
 message, the reply's probe index and the plan's probes during the
@@ -33,7 +41,7 @@ lifting; the message is gone by then. The honest prover resolves
 quantile probes into one copy of the probe values and writes each
 element's rank over that copy, both in blocks of CHECK_BLOCK probes, and
 the copy becomes the reply's index. The verifier's checks and the pair
-lifting run over blocks of the same length; testers defines it.
+lifting run over blocks of the same length; dist defines it.
 
 run_session is the one skeleton behind all three protocols: establish,
 the second phase, conclude. Every exchange that rejects raises
@@ -41,17 +49,18 @@ SessionRejected with a Reason, and run_session alone catches it and
 concludes, so each session ends in exactly one verdict.
 
 A record is walked once per session. The session maps each accepted
-(element, pdf, cdf) to the path that proved it; a later record with int
-fields and a bytes path, equal to an accepted one field for field, is
-accepted without walking its path again, since verify_opening's verdict
-depends only on the record, the key and the digest. Any other record,
-a repeated claim with a changed path included, goes to verify_opening.
+(element, pdf, cdf) to the path that proved it; a later row equal to an
+accepted one, that is, with the same fields and path, is accepted without
+walking its path again, since verify_opening's verdict depends only on the
+record, the key and the digest. Every other row, a repeated claim with a
+changed path included, goes to verify_opening, looked up at call time, in
+row order, as an OpeningProof built from its fields and a copy of its path.
 
 A verdict does not depend on whether the transcript records payloads:
 _receive encodes every prover message but an opening batch in either mode,
-and MALFORMED is its verdict on a message without an encoding. A batch,
-too large to encode twice, is checked for one by _exchange_distinct only
-once a record fails verification, since every accepted record encodes.
+and MALFORMED is its verdict on a message without an encoding; a batch's
+encoding is its record matrix and index, which _exchange_distinct reads in
+either mode.
 
 Rejection is immediate and terminal per message. All randomness comes from
 streams derived from the session seed, so a session replays byte-exactly.
@@ -86,6 +95,9 @@ from .wire import (
 
 # (N, eps, denominator, rng) -> the query-phase probe list
 QueryGenerator = Callable[[int, Fraction, int, Generator], QuerySet]
+
+# where an encoded opening's path starts: after element, pdf, cdf and depth
+_PATH_START = cm.OpeningProof.encoded_len(0)
 
 # verified (elements, pdf_grains, cdf_grains) per probe, as int64 arrays
 Answers = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -168,6 +180,7 @@ class HonestProver:
     # -- opening helpers -----------------------------------------------------
 
     def _proof_for(self, x: int) -> cm.OpeningProof:
+        """Element x's opening for the extraction interface, opened once."""
         p = self._opened.get(x)
         if p is None:
             p = cm.open_element(x, self.key, self.digest, self.aux)
@@ -189,6 +202,8 @@ class HonestProver:
         return out
 
     def answer_queries(self, qs: QuerySet) -> OpeningBatch:
+        """The batch holds the record matrix of the distinct elements,
+        gathered by open_batch; no OpeningProof is built."""
         elements = self.resolve_queries(qs)
         n = self.q.n
         if elements.size and (elements.min() < 1 or elements.max() > n):
@@ -205,8 +220,8 @@ class HonestProver:
         for s in range(0, elements.shape[0], CHECK_BLOCK):
             b = elements[s : s + CHECK_BLOCK]
             b[:] = rank[b]
-        proofs = [self._proof_for(x) for x in distinct.tolist()]
-        return OpeningBatch(proofs, elements, self.digest.depth)
+        rows = cm.open_batch(distinct, self.digest, self.aux)
+        return OpeningBatch.from_rows(rows, elements, self.digest.depth)
 
     def backend_payload(self, select: BackendSelect) -> BackendData:
         from .argument import honest_backend_payload
@@ -258,8 +273,8 @@ class VerifiedOracleSession:
         self.digest: cm.Digest | None = None
         self.identity: IdentityResult | None = None
         # every (element, pdf, cdf) that passed verification this session,
-        # with the bytes path that proved it (None for other field types)
-        self.verified_openings: dict[tuple[int, int, int], bytes | None] = {}
+        # with the path that proved it
+        self.verified_openings: dict[tuple[int, int, int], bytes] = {}
 
     # -- low-level exchange -----------------------------------------------------
 
@@ -269,8 +284,8 @@ class VerifiedOracleSession:
     def _receive(self, msg, expected_type) -> None:
         """Log a prover message: MALFORMED unless it has the expected type
         and, whether or not payloads are recorded, an encoding (for any
-        message but a batch, payload() gives payload_len() bytes; a batch
-        is checked in _exchange_distinct)."""
+        message but a batch, payload() gives payload_len() bytes; a batch's
+        record matrix and index are checked in _exchange_distinct)."""
         if not isinstance(msg, expected_type):
             raise SessionRejected(Reason.MALFORMED)
         try:
@@ -299,45 +314,29 @@ class VerifiedOracleSession:
         probe i is answered by entry index[i]."""
         self.transcript.q_probes += len(qs)
         batch = self._ask(qs, lambda: self.prover.answer_queries(qs), OpeningBatch)
-        if len(batch) != len(qs) or batch.depth != self.digest.depth:
+        try:
+            if len(batch) != len(qs) or batch.depth != self.digest.depth:
+                raise ValueError("batch of another length or depth")
+            rows, index = batch._rows(), batch._index()
+        except Exception:  # e.g. a proof without an encoding, a float index
             raise SessionRejected(Reason.MALFORMED)
-        index = batch.index
-        # refusal / malformed record, or an index past the distinct proofs
-        if len(qs) and (index.min() < 0 or index.max() >= len(batch.proofs)):
+        # refusal, or an index past the distinct records
+        if len(qs) and (index.min() < 0 or index.max() >= rows.shape[0]):
             raise SessionRejected(Reason.MALFORMED)
+        heads = cm.record_heads(rows)
         verified = self.verified_openings
-        for p in batch.proofs:
-            if not isinstance(p, cm.OpeningProof):
-                raise SessionRejected(Reason.MALFORMED)
-            claim = (p.element, p.claimed_pdf, p.claimed_cdf)
-            # verify_opening's verdict on int fields and a bytes path depends
-            # on their values alone, and the key and digest are the session's:
-            # an equal record verified earlier answers for this one
-            plain = type(p.path) is bytes and (
-                type(p.element) is type(p.claimed_pdf) is type(p.claimed_cdf) is int
-            )
-            try:
-                if plain and verified.get(claim) == p.path:
-                    continue
-                ok = cm.verify_opening(p.element, p, self.key, self.digest)
-                if ok:
-                    if not plain:  # e.g. a float cdf can verify, yet not encode
-                        p.to_bytes()
-                    # an unhashable field raises here
-                    verified.setdefault(claim, p.path if plain else None)
-            except Exception:  # e.g. a path that is not bytes
-                raise SessionRejected(Reason.MALFORMED)
-            if not ok:
-                # every accepted record encodes, so only a rejected batch is
-                # checked for an encoding, which logging its payload needs
-                try:
-                    batch._rows()
-                except Exception:
-                    raise SessionRejected(Reason.MALFORMED)
+        for head, encoded_path in zip(heads, rows[:, _PATH_START:]):
+            x, pdf, cdf = head.tolist()
+            path = encoded_path.tobytes()
+            # verify_opening's verdict depends only on the record, the key
+            # and the digest: a row equal to one verified earlier is accepted
+            if verified.get((x, pdf, cdf)) == path:
+                continue
+            if not cm.verify_opening(x, cm.OpeningProof(x, pdf, cdf, path), self.key, self.digest):
                 raise SessionRejected(Reason.INVALID_OPENING)
-        pe = np.asarray([p.element for p in batch.proofs], dtype=np.int64)
-        ppdf = np.asarray([p.claimed_pdf for p in batch.proofs], dtype=np.int64)
-        pcdf = np.asarray([p.claimed_cdf for p in batch.proofs], dtype=np.int64)
+            verified.setdefault((x, pdf, cdf), path)
+        # every record verified, so each field is at most max(N, G) < 2^63
+        pe, ppdf, pcdf = heads.astype(np.int64).T
         kinds = np.asarray(qs.kinds)
         values = np.asarray(qs.values, dtype=np.int64)
         blocks = [slice(s, s + CHECK_BLOCK) for s in range(0, len(qs), CHECK_BLOCK)]

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.random import Generator
 
 from .constants import Constants, get_constants
-from .dist import GrainDistribution, max_grains
+from .dist import CHECK_BLOCK, GrainDistribution, max_grains
 from .exactmath import ceil_mul_sqrt, frac_ceil, round_to_unit
 
 
@@ -60,12 +60,6 @@ def mixed_sample_batch(d_sampler: DSampler, n: int, k: int, rng: Generator) -> n
     if take:
         out[coins] = d_sampler.draw_batch(take, rng)
     return out
-
-
-# samples per block of the pair lifting's draws and of the protocol's
-# per-probe work (protocol imports it), so that no step builds a temporary
-# as long as the batch
-CHECK_BLOCK = 1 << 16
 
 
 def _slot_counts(pdf_grains: np.ndarray, n: int, grains: int) -> np.ndarray:
@@ -308,22 +302,41 @@ class IdentityTestRun:
     ) -> Fraction:
         """Monte Carlo tail estimate mixing oracle samples with uniform draws."""
         coins = self._tail_coins
-        n, m = self.n, 6 * self.n
         need = int((coins == 1).sum())
         if need > q_sample_pdfs.shape[0]:
             raise ValueError("not enough reference samples for the tail estimate")
         pdfs = np.empty(self.s_tail, dtype=np.int64)
         pdfs[coins == 0] = uniform_pdfs
         pdfs[coins == 1] = q_sample_pdfs[:need]
-        acc = Fraction(0)
-        vals, cnts = np.unique(pdfs, return_counts=True)
-        slots = _slot_counts(vals, n, grains)
-        for c, cnt, sl in zip(vals.tolist(), cnts.tolist(), slots.tolist()):
-            denom = 3 * (n * int(c) + grains)
-            acc += cnt * Fraction(denom - int(sl) * grains, denom)
-        est = acc / self.s_tail
-        est = min(max(est, Fraction(0)), Fraction(1))
-        return round_to_unit(est, m)
+        return _tail_estimate(pdfs, self.n, grains)
+
+
+# fractional bits of the fixed-point sum that _tail_estimate tries first
+_TAIL_BITS = 64
+
+
+def _tail_estimate(pdfs: np.ndarray, n: int, grains: int) -> Fraction:
+    """The mean over samples of pdf grain counts c of the overflow share
+    (d mod G)/d, d = 3*(N*c + G) (that is, 1 - slots(c)*G/d), rounded to a
+    multiple of 1/(6N), ties up, as round_to_unit rounds it. Each share is
+    below 1/3, so the mean lies in [0, 1).
+
+    The sum S of cnt*(d mod G)/d over the distinct counts is bracketed in
+    integers: with K = _TAIL_BITS, the sum lo of floor(cnt*(d mod G)*2^K/d)
+    has S*2^K in [lo, lo + terms]. When both ends round to the same
+    multiple, that is the answer; otherwise the exact Fraction sum is."""
+    m, s = 6 * n, pdfs.shape[0]
+    vals, cnts = np.unique(pdfs, return_counts=True)
+    denoms = 3 * (n * vals + grains)  # exact in int64 for G <= max_grains(N)
+    terms = list(zip(cnts.tolist(), (denoms % grains).tolist(), denoms.tolist()))
+    lo = sum((cnt * r << _TAIL_BITS) // d for cnt, r, d in terms)
+    # the rounded mean of S = x/2^K is floor((2*m*x + s*2^K) / (s*2^(K+1)))
+    half, unit = s << _TAIL_BITS, s << (_TAIL_BITS + 1)
+    k = (2 * m * lo + half) // unit
+    if k == (2 * m * (lo + len(terms)) + half) // unit:
+        return Fraction(k, m)
+    exact = sum((Fraction(cnt * r, d) for cnt, r, d in terms), Fraction(0))
+    return round_to_unit(exact / s, m)
 
 
 def identity_test(

@@ -9,18 +9,24 @@ All integers are little-endian. Quantile probes carry a grain index g
 answer a query set positionally.
 
 An opening batch repeats each probe's record in full but holds only its
-distinct openings. An opening's path is already its encoded bytes, so its
-record is one packed head plus the path. Encoding stacks the distinct
-records as rows of a uint8 matrix; one gather routine fills any run of
-probes' records from those rows with a numpy take into a caller's buffer.
-payload() runs it once, straight into the payload's own buffer, and
-frame() prefixes the header to that payload as for any other message;
-streams.write_frame, the path a served batch takes, runs it block by block
-into one reused buffer. Decoding numbers the rows in one streaming
-dictionary pass over whole records, which may arrive as a sequence of
-blocks, then decodes each distinct record once with
-OpeningProof.from_bytes, which checks it and slices off the path; the
-records share no table of decoded path levels.
+distinct openings, as a record matrix: a (k, record_len) uint8 matrix
+whose rows are the distinct records, plus an int64 index that picks each
+probe's row (-1 for a refusal, sent as a zeroed record). The honest prover
+builds the matrix with commitment.open_batch, and decoding builds it
+straight from the payload; an adversary or a test may instead build a
+batch from a list of OpeningProof, and _rows() then encodes them into
+that matrix. Either way _rows() and _index() are the batch as the
+verifier reads it. Read as `proofs`, a matrix is a sequence of openings
+whose length is its row count and whose items are decoded on access.
+
+One gather routine fills any run of probes' records from the rows with a
+numpy take into a caller's buffer. payload() runs it once, straight into
+the payload's own buffer, and frame() prefixes the header to that payload
+as for any other message; streams.write_frame, the path a served batch
+takes, runs it block by block into one reused buffer. Decoding numbers
+the rows in one streaming dictionary pass over whole records, which may
+arrive as a sequence of blocks, stacks the distinct rows into the matrix
+and checks its depth and direction bytes with commitment.check_records.
 
 Transcripts record direction, framing and counters. Payload retention can
 be disabled for bulk runs; byte counters are exact either way because every
@@ -32,12 +38,13 @@ from __future__ import annotations
 import itertools
 import struct
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
 
-from .commitment import Digest, HashKey, OpeningProof
+from .commitment import Digest, HashKey, OpeningProof, check_records
 
 HEADER_LEN = 9
 
@@ -146,34 +153,58 @@ class QuerySet:
         )
 
 
-def _dedup_rows(blocks, rec: int) -> tuple[list[bytes], np.ndarray]:
+def _dedup_rows(blocks, rec: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact dedup of the rec-byte rows of a sequence of blocks of whole
     records, in one streaming dictionary pass that consumes every block:
-    the distinct non-blank rows in first-occurrence order, and each row's
-    number among them (-1 for an all-zero row, a refusal)."""
+    the distinct non-blank rows in first-occurrence order, as a matrix, and
+    each row's number among them (-1 for an all-zero row, a refusal)."""
     blank = (bytes(rec),)
     number = defaultdict(itertools.count().__next__, {blank: -1})
     rows = itertools.chain.from_iterable(map(struct.Struct(f"{rec}s").iter_unpack, blocks))
     index = np.fromiter(map(number.__getitem__, rows), dtype=np.int64)
     del number[blank]
-    return [row for (row,) in number], index
+    distinct = b"".join(row for (row,) in number)
+    return np.frombuffer(distinct, dtype=np.uint8).reshape(len(number), rec), index
+
+
+class RecordMatrix(Sequence):
+    """Distinct openings held as the rows of a (k, record_len) uint8 record
+    matrix. As a sequence it reads as OpeningProofs: its length is the row
+    count, and an item (an integer position) is decoded on access."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i) -> OpeningProof:
+        return OpeningProof.from_bytes(self.rows[i].tobytes())
 
 
 class OpeningBatch:
     """Positional answers to a QuerySet.
 
-    Stored deduplicated: `proofs` holds distinct openings, `index[i]` picks
-    the proof answering probe i. The wire encoding repeats each record in
-    full, so byte counts match per-probe framing; refusals are encoded as a
-    zeroed record and index -1.
+    Stored deduplicated: `proofs` holds the distinct openings, a list of
+    OpeningProof or a RecordMatrix, and `index[i]` picks the one answering
+    probe i. The wire encoding repeats each record in full, so byte counts
+    match per-probe framing; refusals are encoded as a zeroed record and
+    index -1.
     """
 
     TYPE = MsgType.OPENING_BATCH
 
-    def __init__(self, proofs: list[OpeningProof], index: np.ndarray, depth: int):
+    def __init__(self, proofs, index: np.ndarray, depth: int):
         self.proofs = proofs
         self.index = np.asarray(index, dtype=np.int64)
         self.depth = depth
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, index: np.ndarray, depth: int) -> "OpeningBatch":
+        """The batch whose distinct openings are the rows of a record matrix."""
+        return cls(RecordMatrix(rows), index, depth)
 
     def __len__(self) -> int:
         return int(self.index.shape[0])
@@ -185,25 +216,50 @@ class OpeningBatch:
         return 4 + len(self) * self.record_len()
 
     def _rows(self) -> np.ndarray:
-        """The distinct records as a (distinct, record_len) uint8 matrix."""
+        """The distinct records as a (k, record_len) uint8 matrix: a record
+        matrix's own rows, which must pass check_records, or the proofs
+        encoded, each an OpeningProof with integer fields and the batch's
+        depth. ValueError otherwise."""
         rec = self.record_len()
-        encoded = [p.to_bytes() for p in self.proofs]
-        for e in encoded:
-            if len(e) != rec:
+        if isinstance(self.proofs, RecordMatrix):
+            rows = self.proofs.rows
+            if not isinstance(rows, np.ndarray) or rows.dtype != np.uint8:
+                raise ValueError("records are not a uint8 matrix")
+            if rows.shape[1:] != (rec,):
+                raise ValueError("inconsistent opening depth in batch")
+            check_records(rows, self.depth)
+            return rows
+        encoded = []
+        for p in self.proofs:
+            if not isinstance(p, OpeningProof) or not all(
+                isinstance(v, (int, np.integer)) for v in (p.element, p.claimed_pdf, p.claimed_cdf)
+            ):
+                raise ValueError("not an opening with integer fields")
+            encoded.append(p.to_bytes())
+            if len(encoded[-1]) != rec:
                 raise ValueError("inconsistent opening depth in batch")
         return np.frombuffer(b"".join(encoded), dtype=np.uint8).reshape(len(encoded), rec)
+
+    def _index(self) -> np.ndarray:
+        """The index as a 1-D int64 array; ValueError for another shape or
+        for a dtype that does not cast to int64 safely (floats, uint64)."""
+        index = np.asarray(self.index)
+        dtype = index.dtype
+        if index.ndim != 1 or dtype.kind not in "iu" or not np.can_cast(dtype, np.int64):
+            raise ValueError("opening index is not a 1-D integer array castable to int64")
+        return index.astype(np.int64, copy=False)
 
     def gatherer(self):
         """fill(s, e, out): write the records of probes [s, e) into the
         writable buffer out, each gathered from the distinct rows and a
-        refusal's zeroed. The distinct rows are encoded, and the index
+        refusal's zeroed. The distinct rows are read, and the index
         checked against them, once, here."""
-        rows = self._rows()
+        rows, index = self._rows(), self._index()
         k, rec = rows.shape
-        if len(self) and self.index.max() >= k:
+        if len(index) and index.max() >= k:
             raise IndexError("opening index past the distinct proofs")
         table = np.concatenate([rows, np.zeros((1, rec), dtype=np.uint8)])
-        picks = np.where(self.index < 0, k, self.index)
+        picks = np.where(index < 0, k, index)
 
         def fill(s: int, e: int, out) -> None:
             body = np.frombuffer(out, dtype=np.uint8, count=(e - s) * rec).reshape(e - s, rec)
@@ -225,11 +281,11 @@ class OpeningBatch:
         """Decode a payload, or, with blocks given, a payload whose count
         field is data (an int) and whose records follow as the iterable
         blocks, each a bytes-like run of whole records. Deduplicates the
-        rows, then decodes each distinct record once. ValueError for a
-        record count other than the count field, or for the first record
-        OpeningProof.from_bytes rejects; either is raised only after every
-        block has been consumed, so a stream read through blocks is left at
-        the frame's end."""
+        rows into a record matrix and checks it. ValueError for a record
+        count other than the count field, or with OpeningProof.from_bytes's
+        message for the first distinct record it would reject; either is
+        raised only after every block has been consumed, so a stream read
+        through blocks is left at the frame's end."""
         rec = OpeningProof.encoded_len(depth)
         if blocks is None:
             count = int.from_bytes(data[:4], "little")
@@ -238,10 +294,11 @@ class OpeningBatch:
             blocks = (memoryview(data)[4:],)
         else:
             count = data
-        distinct, index = _dedup_rows(blocks, rec)
+        rows, index = _dedup_rows(blocks, rec)
         if len(index) != count:
             raise ValueError("opening batch length mismatch")
-        return cls([OpeningProof.from_bytes(row) for row in distinct], index, depth)
+        check_records(rows, depth)
+        return cls.from_rows(rows, index, depth)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from vdo.commitment import (
     digest,
     extract,
     gen,
+    open_batch,
     open_element,
     verify_opening,
 )
@@ -173,6 +174,45 @@ class TestOpenVerify:
             assert len(p.to_bytes()) <= (1 + depth) * node_record + 25
 
 
+class TestOpenBatch:
+    """open_batch, which gathers each level's sibling rows of many elements
+    at once from the label matrix, against open_element's walk up the
+    tree, one element at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 2**32), st.booleans())
+    def test_rows_equal_open_element(self, n, seed, big):
+        grains = int(rng_from(seed, "g").integers(n, 2**62 if big else 4 * n + 2))
+        q = random_distribution(n, rng_from(seed, "q"), grains)
+        d, aux = digest(KEY, q)
+        xs = np.arange(1, n + 1)
+        rows = open_batch(xs, d, aux)
+        assert rows.dtype == np.uint8
+        assert rows.shape == (n, OpeningProof.encoded_len(d.depth))
+        for x, row in zip(xs.tolist(), rows):
+            assert row.tobytes() == open_element(x, KEY, d, aux).to_bytes()
+        # any order, with repeats
+        picks = rng_from(seed, "picks").integers(1, n + 1, size=7)
+        assert [r.tobytes() for r in open_batch(picks, d, aux)] == [
+            rows[x - 1].tobytes() for x in picks.tolist()
+        ]
+
+    def test_label_matrix(self):
+        d, aux = digest(KEY, SMALL)
+        assert aux.labels.shape == (2 * d.padded_size, 40) and aux.labels.dtype == np.uint8
+        assert aux.masses.dtype == np.int64
+        assert aux.masses[1:].tolist() == [
+            int.from_bytes(label[:8].tobytes(), "little") for label in aux.labels[1:]
+        ]
+        assert aux.masses[1] == d.root.mass == 16
+
+    @pytest.mark.parametrize("x", [0, 5, -1])
+    def test_out_of_domain_element_raises(self, x):
+        d, aux = digest(KEY, SMALL)
+        with pytest.raises(ValueError):
+            open_batch(np.asarray([1, x]), d, aux)
+
+
 def _reference_from_bytes(data: bytes) -> OpeningProof:
     """A field-by-field opening decoder; its results and its ValueErrors
     are the reference for OpeningProof.from_bytes."""
@@ -313,7 +353,7 @@ class TestOpeningDecode:
             path = OpeningProof.from_bytes(blob).path
             node = d.padded_size + x - 1
             for off in range(0, 41 * d.depth, 41):
-                assert path[off : off + 40] == aux.labels[node ^ 1]
+                assert path[off : off + 40] == aux.labels[node ^ 1].tobytes()
                 assert path[off + 40] == node & 1
                 node >>= 1
             assert node == 1

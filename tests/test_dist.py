@@ -242,6 +242,16 @@ class TestGuideTable:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("k", [(1 << 16) - 1, (1 << 16) + 1, 3 * (1 << 16) + 5])
+    def test_blocked_lookup_matches_one_lookup(self, k):
+        # sample_batch looks its keys up in blocks of 2^16: the same draws as
+        # one lookup of every key from the same stream
+        d = random_distribution(256, rng_from(1, "blocks"), grains=81920)
+        keys = rng_from(2, "draws").integers(1, d.grains + 1, size=k, dtype=np.int64)
+        got = d.sample_batch(k, rng_from(2, "draws"))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, d.quantile_grain_batch(keys))
+
     def test_point_mass_always_atom(self, rng):
         d = point_mass(8, 5)
         assert (d.sample_batch(50, rng) == 5).all()

@@ -115,3 +115,54 @@ def test_traced_label_session_records_property_spans(tracing):
     table = tracing.per_trial(spans, counters, {0: 1.0})
     assert tracing.check_hashes(table, [0]) == []
     assert table[0]["commitment.verify.calls"] == len(result.session.verified_openings)
+
+
+def test_traced_in_process_session_codes_no_record(tracing, monkeypatch):
+    """The traced run reads len(result.proofs) of every honest batch. The
+    honest prover's batch holds a record matrix, so a traced in-process
+    session neither decodes nor encodes a single record, and the hashes
+    counted still equal the closed form."""
+    from collections import Counter
+    from fractions import Fraction as F
+
+    from vdo.commitment import OpeningProof
+    from vdo.protocol import (
+        HonestProver,
+        VerifierConfig,
+        quantile_sampling_generator,
+        run_oracle_session,
+    )
+    from vdo.testers import DSampler
+
+    calls = Counter()
+    from_bytes, to_bytes = OpeningProof.from_bytes.__func__, OpeningProof.to_bytes
+
+    def counted_from_bytes(cls, data):
+        calls["from_bytes"] += 1
+        return from_bytes(cls, data)
+
+    def counted_to_bytes(self):
+        calls["to_bytes"] += 1
+        return to_bytes(self)
+
+    monkeypatch.setattr(OpeningProof, "from_bytes", classmethod(counted_from_bytes))
+    monkeypatch.setattr(OpeningProof, "to_bytes", counted_to_bytes)
+    n = 64
+    q = tracing.bench.make_dist(("random", 1.0), n, None, 3)
+    cfg = VerifierConfig(n, F(1, 2), generator=quantile_sampling_generator(40))
+    tracer = tracing.Tracer("verifier")
+    tracer.install()
+    try:
+        tracer.begin(0)
+        res = run_oracle_session(cfg, HonestProver(q), DSampler(q), 3)
+    finally:
+        tracer.restore()
+    assert res.accept
+    assert calls == Counter()
+
+    spans, counters = tracing.merge([tracer.export()])
+    table = tracing.per_trial(spans, counters, {0: 1.0})
+    assert tracing.check_hashes(table, [0]) == []
+    assert table[0]["commitment.verify.calls"] == len(res.verified_openings)
+    # both batches' distinct openings were counted; the second repeats some
+    assert table[0]["protocol.answer.distinct"] > len(res.verified_openings)

@@ -256,15 +256,22 @@ class TestSession:
         assert 0 < res.transcript.d_samples <= identity_d_budget(64, F(1, 2))
 
 
+def _proofs_batch(batch):
+    """The batch rebuilt through the constructor from its decoded proofs, so
+    that its proofs form a list a test can edit in place."""
+    return OpeningBatch(list(batch.proofs), batch.index, batch.depth)
+
+
 class _BatchTamper(HonestProver):
-    """Honest prover whose opening batches pass through tamper(batch)."""
+    """Honest prover whose opening batches, rebuilt from their proofs, pass
+    through tamper(batch)."""
 
     def __init__(self, q, tamper):
         super().__init__(q)
         self.tamper = tamper
 
     def answer_queries(self, qs):
-        batch = super().answer_queries(qs)
+        batch = _proofs_batch(super().answer_queries(qs))
         self.tamper(batch)
         return batch
 
@@ -456,9 +463,9 @@ class _VerifyEverySession(VerifiedOracleSession):
     (element, pdf, cdf) per probe and checked under full-length masks. It
     returns the per-probe arrays as the table, with the identity index, and
     its identity round reads them per probe. As when payloads are logged, a
-    batch without an encoding is MALFORMED: an accepted record must encode,
-    and so must the batch of a rejected one. The reference of
-    TestVerifiedOpeningsDifferential and TestLeanRoundDifferential."""
+    batch without an encoding is MALFORMED before any record is walked. The
+    reference of TestVerifiedOpeningsDifferential and
+    TestLeanRoundDifferential."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -471,20 +478,12 @@ class _VerifyEverySession(VerifiedOracleSession):
             raise SessionRejected(Reason.MALFORMED)
         if (batch.index < 0).any() or (batch.index >= len(batch.proofs)).any():
             raise SessionRejected(Reason.MALFORMED)
+        try:
+            batch.payload()
+        except Exception:
+            raise SessionRejected(Reason.MALFORMED)
         for p in batch.proofs:
-            if not isinstance(p, OpeningProof):
-                raise SessionRejected(Reason.MALFORMED)
-            try:
-                ok = cm.verify_opening(p.element, p, self.key, self.digest)
-                if ok:
-                    p.to_bytes()
-            except Exception:
-                raise SessionRejected(Reason.MALFORMED)
-            if not ok:
-                try:
-                    batch.payload()
-                except Exception:
-                    raise SessionRejected(Reason.MALFORMED)
+            if not cm.verify_opening(p.element, p, self.key, self.digest):
                 raise SessionRejected(Reason.INVALID_OPENING)
             self.verified_openings.add((p.element, p.claimed_pdf, p.claimed_cdf))
         pe = np.asarray([p.element for p in batch.proofs], dtype=np.int64)
@@ -537,7 +536,7 @@ def _edited(kind, p, variant, sent):
         path[variant % len(path)] ^= 1 << (variant % 8)
         if kind == "flip-path":
             return dataclasses.replace(p, path=bytes(path))
-        object.__setattr__(p, "path", bytes(path))  # the prover's cached proof too
+        object.__setattr__(p, "path", bytes(path))  # the proof in `sent` too
         return p
     if kind == "pdf+1":
         return dataclasses.replace(p, claimed_pdf=p.claimed_pdf + 1)
@@ -581,7 +580,7 @@ class _ScriptedProver(HonestProver):
         self.sent: list[OpeningProof] = []
 
     def answer_queries(self, qs):
-        batch = super().answer_queries(qs)
+        batch = _proofs_batch(super().answer_queries(qs))
         edits = self.edits.pop(0) if self.edits else []
         for kind, which, variant, extra in edits:
             if not batch.proofs:
@@ -811,7 +810,7 @@ class TestBlockedRoundDifferential:
             testers, "CHECK_BLOCK", block
         ):
             got = batch()
-        assert got.proofs == ref.proofs
+        assert np.array_equal(got._rows(), ref._rows())
         assert got.index.dtype == ref.index.dtype == np.int64
         assert got.index.tolist() == ref.index.tolist()
         assert qs.values.tolist() == sent.tolist()  # the prover ranks its own copy
@@ -1049,6 +1048,28 @@ class TestBatchCodecDifferential:
             assert len(got.proofs) == len(proofs)
             assert list(got.proofs) == proofs
             assert got.payload() == payload
+
+    @settings(max_examples=300, deadline=None)
+    @given(_payloads())
+    def test_record_matrix_matches_row_decode(self, case):
+        """from_payload's record matrix and index against a per-row
+        OpeningProof.from_bytes decode of the same payload: the rows are
+        the decoded records re-encoded, or both raise the same ValueError."""
+        depth, payload = case
+        try:
+            batch = OpeningBatch.from_payload(payload, depth)
+            got = batch._rows(), batch.index
+        except ValueError as exc:
+            got = str(exc)
+        ref = _decoded(lambda: _reference_from_payload(payload, depth))
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            rows, index = got
+            assert rows.dtype == np.uint8
+            assert rows.shape == (len(ref[0]), OpeningProof.encoded_len(depth))
+            assert [row.tobytes() for row in rows] == ref[0]
+            assert index.dtype == np.int64 and index.tolist() == ref[1]
 
     @settings(max_examples=400, deadline=None)
     @given(

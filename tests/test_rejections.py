@@ -24,7 +24,7 @@ from vdo.protocol import (
 )
 from vdo.rngutil import rng_from
 from vdo.testers import DSampler
-from vdo.wire import BackendData, DigestMsg, MsgType, ProbeKind, Reason, Verdict
+from vdo.wire import BackendData, DigestMsg, MsgType, OpeningBatch, ProbeKind, Reason, Verdict
 
 N = 64
 T = random_distribution(N, rng_from(1, "T"), grains=N * N * 5)
@@ -151,6 +151,7 @@ class _EditedProofs(HonestProver):
 
     def answer_queries(self, qs):
         batch = super().answer_queries(qs)
+        batch = OpeningBatch(list(batch.proofs), batch.index, batch.depth)  # editable proofs
         for edit in self.edits:
             edit(batch.proofs)
         return batch
@@ -163,8 +164,31 @@ class _ProofInEmptyBatch(HonestProver):
     def answer_queries(self, qs):
         batch = super().answer_queries(qs)
         if not len(qs):
-            batch.proofs.append(dataclasses.replace(self._proof_for(1), element=-1))
+            proof = dataclasses.replace(self._proof_for(1), element=-1)
+            batch = OpeningBatch([proof], batch.index, batch.depth)
         return batch
+
+
+class _RetypedIndex(HonestProver):
+    """Honest prover whose batches' index is replaced by retype(index), in
+    the batch the honest prover built (a record matrix) or, with proofs,
+    in one rebuilt from its proofs."""
+
+    def __init__(self, q, retype, proofs=False):
+        super().__init__(q)
+        self.retype = retype
+        self.proofs = proofs
+
+    def answer_queries(self, qs):
+        batch = super().answer_queries(qs)
+        if self.proofs:
+            batch = OpeningBatch(list(batch.proofs), batch.index, batch.depth)
+        batch.index = self.retype(batch.index)
+        return batch
+
+
+def _retyped_index(retype, proofs=False):
+    return lambda record: _oracle(_RetypedIndex(uniform(N), retype, proofs), record=record)
 
 
 def _edit(i, **change):
@@ -195,6 +219,13 @@ PARITY = {
     "invalid-ahead-of-unencodable": (
         Reason.MALFORMED, _edited_batch(_BAD_PDF, _edit(1, path=lambda b: b[41:])),
     ),
+    "float-index": (Reason.MALFORMED, _retyped_index(lambda index: index.astype(float))),
+    "float-index-of-proofs": (
+        Reason.MALFORMED, _retyped_index(lambda index: index.astype(float), proofs=True),
+    ),
+    "2-d-index": (Reason.MALFORMED, _retyped_index(lambda index: index.reshape(-1, 1))),
+    "uint64-index": (Reason.MALFORMED, _retyped_index(lambda index: index.astype(np.uint64))),
+    "int32-index": (Reason.ACCEPT, _retyped_index(lambda index: index.astype(np.int32))),
     "proof-in-empty-batch": (
         Reason.MALFORMED,
         lambda record: _oracle(_ProofInEmptyBatch(uniform(N)), record=record, probes=0),

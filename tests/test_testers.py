@@ -13,6 +13,7 @@ from vdo.testers import (
     DSampler,
     _granular_pairs,
     _slot_counts,
+    _tail_estimate,
     exact_tail_slots,
     identity_d_budget,
     identity_test,
@@ -132,7 +133,84 @@ class TestGranularityRatio:
             assert _slots(c, g, n) == _mixed_slots(c, g, n)
 
 
+def _fraction_tail(pdfs: np.ndarray, n: int, g: int) -> F:
+    """The Fraction sum that _tail_estimate's fixed-point bracket replaced."""
+    acc = F(0)
+    vals, cnts = np.unique(pdfs, return_counts=True)
+    slots = _slot_counts(vals, n, g)
+    for c, cnt, sl in zip(vals.tolist(), cnts.tolist(), slots.tolist()):
+        denom = 3 * (n * int(c) + g)
+        acc += cnt * F(denom - int(sl) * g, denom)
+    est = acc / pdfs.shape[0]
+    est = min(max(est, F(0)), F(1))
+    scaled = est * 6 * n
+    k = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
+    return F(k, 6 * n)
+
+
+def _tail_ties() -> list[tuple[int, int, list[int]]]:
+    """(N, G, pdfs) whose exact mean share times 6N lies halfway between two
+    integers, so rounding sits on its tie: one pdf value repeated, or two
+    values once each."""
+    ties = []
+    for n in range(1, 5):
+        for g in range(1, 25):
+            for c1 in range(g + 1):
+                for c2 in range(c1, g + 1):
+                    pdfs = [c1] if c1 == c2 else [c1, c2]
+                    share = sum(
+                        F(3 * (n * c + g) % g, 3 * (n * c + g)) for c in pdfs
+                    ) / len(pdfs)
+                    if (share * 6 * n).denominator == 2:
+                        ties.append((n, g, pdfs))
+    return ties
+
+
+_TIES = _tail_ties()
+
+
 class TestTailEstimate:
+    def test_ties_exist(self):
+        assert len(_TIES) > 20
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_sum(self, data):
+        """The fixed-point bracket, with its Fraction fallback, rounds every
+        sample of pdfs exactly as the Fraction sum does: random pdfs at any
+        G up to max_grains(N), and ties repeated any number of times."""
+        if data.draw(st.booleans()):
+            n, g, pdfs = data.draw(st.sampled_from(_TIES))
+            pdfs = pdfs * data.draw(st.integers(1, 50))
+        else:
+            n = data.draw(st.integers(1, 5000))
+            g = data.draw(st.integers(1, max_grains(n)))
+            pdfs = data.draw(st.lists(st.integers(0, g), min_size=1, max_size=60))
+            # a few values, many times each
+            pdfs = pdfs * data.draw(st.integers(1, 30))
+        pdfs = np.asarray(pdfs, dtype=np.int64)
+        assert _tail_estimate(pdfs, n, g) == _fraction_tail(pdfs, n, g)
+
+    def test_ties_take_the_fallback(self, monkeypatch):
+        # a tie whose shares are not dyadic cannot be settled by the
+        # bracket: the Fraction sum decides, and rounds it up
+        calls = []
+        fraction = F
+
+        def counted(*args):
+            calls.append(args)
+            return fraction(*args)
+
+        monkeypatch.setattr(testers, "Fraction", counted)
+        for n, g, pdfs in _TIES:
+            pdfs = np.asarray(pdfs, dtype=np.int64)
+            calls.clear()
+            got = _tail_estimate(pdfs, n, g)
+            assert got == _fraction_tail(pdfs, n, g)
+            if len(calls) > 1:
+                return
+        pytest.fail("no tie reached the Fraction fallback")
+
     def test_uniform_tail_zero(self):
         # s_tail = 64 >= N takes the exact path
         q = uniform(8)
