@@ -216,17 +216,15 @@ class OpeningBatch:
         return 4 + len(self) * self.record_len()
 
     def _rows(self) -> np.ndarray:
-        """The distinct records as a (k, record_len) uint8 matrix: a record
-        matrix's own rows, which must pass check_records, or the proofs
-        encoded, each an OpeningProof with integer fields and the batch's
-        depth. ValueError otherwise."""
+        """The distinct records as a C-contiguous (k, record_len) uint8
+        matrix: a record matrix's own rows, which must pass check_records,
+        or the proofs encoded, each an OpeningProof with integer fields and
+        the batch's depth. ValueError otherwise."""
         rec = self.record_len()
         if isinstance(self.proofs, RecordMatrix):
-            rows = self.proofs.rows
-            if not isinstance(rows, np.ndarray) or rows.dtype != np.uint8:
-                raise ValueError("records are not a uint8 matrix")
-            if rows.shape[1:] != (rec,):
-                raise ValueError("inconsistent opening depth in batch")
+            rows = np.ascontiguousarray(self.proofs.rows)
+            if rows.dtype != np.uint8 or rows.shape[1:] != (rec,):
+                raise ValueError("records are not a uint8 matrix of the batch's record length")
             check_records(rows, self.depth)
             return rows
         encoded = []

@@ -24,7 +24,16 @@ from vdo.protocol import (
 )
 from vdo.rngutil import rng_from
 from vdo.testers import DSampler
-from vdo.wire import BackendData, DigestMsg, MsgType, OpeningBatch, ProbeKind, Reason, Verdict
+from vdo.wire import (
+    BackendData,
+    DigestMsg,
+    MsgType,
+    OpeningBatch,
+    ProbeKind,
+    Reason,
+    RecordMatrix,
+    Verdict,
+)
 
 N = 64
 T = random_distribution(N, rng_from(1, "T"), grains=N * N * 5)
@@ -169,26 +178,40 @@ class _ProofInEmptyBatch(HonestProver):
         return batch
 
 
-class _RetypedIndex(HonestProver):
-    """Honest prover whose batches' index is replaced by retype(index), in
-    the batch the honest prover built (a record matrix) or, with proofs,
-    in one rebuilt from its proofs."""
+class _EditedBatch(HonestProver):
+    """Honest prover whose batches (each holding a record matrix) pass
+    through edit(batch), which returns the batch to send."""
 
-    def __init__(self, q, retype, proofs=False):
+    def __init__(self, q, edit):
         super().__init__(q)
-        self.retype = retype
-        self.proofs = proofs
+        self.edit = edit
 
     def answer_queries(self, qs):
-        batch = super().answer_queries(qs)
-        if self.proofs:
+        return self.edit(super().answer_queries(qs))
+
+
+def _replaced(of_proofs=False, **change):
+    """edit(batch): each attribute a of the batch replaced by change[a](old),
+    after the batch is rebuilt from its proofs when of_proofs is set."""
+
+    def edit(batch):
+        if of_proofs:
             batch = OpeningBatch(list(batch.proofs), batch.index, batch.depth)
-        batch.index = self.retype(batch.index)
+        for attr, new in change.items():
+            setattr(batch, attr, new(getattr(batch, attr)))
         return batch
 
+    return edit
 
-def _retyped_index(retype, proofs=False):
-    return lambda record: _oracle(_RetypedIndex(uniform(N), retype, proofs), record=record)
+
+def _edited_records(**change):
+    return lambda record: _oracle(_EditedBatch(uniform(N), _replaced(**change)), record=record)
+
+
+def _bad_depth_byte(records):
+    rows = records.rows.copy()
+    rows[:, 24] += 1
+    return RecordMatrix(rows)
 
 
 def _edit(i, **change):
@@ -219,13 +242,23 @@ PARITY = {
     "invalid-ahead-of-unencodable": (
         Reason.MALFORMED, _edited_batch(_BAD_PDF, _edit(1, path=lambda b: b[41:])),
     ),
-    "float-index": (Reason.MALFORMED, _retyped_index(lambda index: index.astype(float))),
+    "float-index": (Reason.MALFORMED, _edited_records(index=lambda i: i.astype(float))),
     "float-index-of-proofs": (
-        Reason.MALFORMED, _retyped_index(lambda index: index.astype(float), proofs=True),
+        Reason.MALFORMED, _edited_records(of_proofs=True, index=lambda i: i.astype(float)),
     ),
-    "2-d-index": (Reason.MALFORMED, _retyped_index(lambda index: index.reshape(-1, 1))),
-    "uint64-index": (Reason.MALFORMED, _retyped_index(lambda index: index.astype(np.uint64))),
-    "int32-index": (Reason.ACCEPT, _retyped_index(lambda index: index.astype(np.int32))),
+    "2-d-index": (Reason.MALFORMED, _edited_records(index=lambda i: i.reshape(-1, 1))),
+    "uint64-index": (Reason.MALFORMED, _edited_records(index=lambda i: i.astype(np.uint64))),
+    "int32-index": (Reason.ACCEPT, _edited_records(index=lambda i: i.astype(np.int32))),
+    "fortran-order-rows": (
+        Reason.ACCEPT, _edited_records(proofs=lambda r: RecordMatrix(np.asfortranarray(r.rows))),
+    ),
+    "int64-rows": (
+        Reason.MALFORMED, _edited_records(proofs=lambda r: RecordMatrix(r.rows.astype(np.int64))),
+    ),
+    "rows-one-level-short": (
+        Reason.MALFORMED, _edited_records(proofs=lambda r: RecordMatrix(r.rows[:, :-41])),
+    ),
+    "rows-bad-depth-byte": (Reason.MALFORMED, _edited_records(proofs=_bad_depth_byte)),
     "proof-in-empty-batch": (
         Reason.MALFORMED,
         lambda record: _oracle(_ProofInEmptyBatch(uniform(N)), record=record, probes=0),
