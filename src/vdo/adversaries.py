@@ -16,7 +16,7 @@ from . import commitment as cm
 from .dist import GrainDistribution
 from .protocol import HonestProver
 from .rngutil import rng_from
-from .wire import BackendData, BackendSelect, OpeningBatch, QuerySet
+from .wire import BackendData, BackendSelect, OpeningBatch, QuerySet, RecordMatrix
 
 
 class AdversaryScript(HonestProver):
@@ -96,7 +96,7 @@ class InconsistentOpeningAdversary(AdversaryScript):
         bumped = rows[index[flips]]
         cm.record_heads(bumped)[:, 1:] += 1
         index[flips] = np.arange(len(rows), len(rows) + len(flips))
-        return OpeningBatch.from_rows(np.concatenate([rows, bumped]), index, batch.depth)
+        return OpeningBatch(RecordMatrix(np.concatenate([rows, bumped])), index, batch.depth)
 
     def opening_run(self, run_index: int):
         proofs = super().opening_run(run_index)

@@ -88,6 +88,7 @@ from .wire import (
     ProbeKind,
     QuerySet,
     Reason,
+    RecordMatrix,
     SessionTranscript,
     Verdict,
 )
@@ -221,7 +222,7 @@ class HonestProver:
             b = elements[s : s + CHECK_BLOCK]
             b[:] = rank[b]
         rows = cm.open_batch(distinct, self.digest, self.aux)
-        return OpeningBatch.from_rows(rows, elements, self.digest.depth)
+        return OpeningBatch(RecordMatrix(rows), elements, self.digest.depth)
 
     def backend_payload(self, select: BackendSelect) -> BackendData:
         from .argument import honest_backend_payload

@@ -201,11 +201,6 @@ class OpeningBatch:
         self.index = np.asarray(index, dtype=np.int64)
         self.depth = depth
 
-    @classmethod
-    def from_rows(cls, rows: np.ndarray, index: np.ndarray, depth: int) -> "OpeningBatch":
-        """The batch whose distinct openings are the rows of a record matrix."""
-        return cls(RecordMatrix(rows), index, depth)
-
     def __len__(self) -> int:
         return int(self.index.shape[0])
 
@@ -296,7 +291,7 @@ class OpeningBatch:
         if len(index) != count:
             raise ValueError("opening batch length mismatch")
         check_records(rows, depth)
-        return cls.from_rows(rows, index, depth)
+        return cls(RecordMatrix(rows), index, depth)
 
 
 @dataclass(frozen=True)

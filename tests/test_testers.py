@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction as F
 from unittest import mock
 
@@ -148,6 +149,7 @@ def _fraction_tail(pdfs: np.ndarray, n: int, g: int) -> F:
     return F(k, 6 * n)
 
 
+@functools.cache
 def _tail_ties() -> list[tuple[int, int, list[int]]]:
     """(N, G, pdfs) whose exact mean share times 6N lies halfway between two
     integers, so rounding sits on its tie: one pdf value repeated, or two
@@ -166,12 +168,10 @@ def _tail_ties() -> list[tuple[int, int, list[int]]]:
     return ties
 
 
-_TIES = _tail_ties()
-
 
 class TestTailEstimate:
     def test_ties_exist(self):
-        assert len(_TIES) > 20
+        assert len(_tail_ties()) > 20
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -180,7 +180,7 @@ class TestTailEstimate:
         sample of pdfs exactly as the Fraction sum does: random pdfs at any
         G up to max_grains(N), and ties repeated any number of times."""
         if data.draw(st.booleans()):
-            n, g, pdfs = data.draw(st.sampled_from(_TIES))
+            n, g, pdfs = data.draw(st.sampled_from(_tail_ties()))
             pdfs = pdfs * data.draw(st.integers(1, 50))
         else:
             n = data.draw(st.integers(1, 5000))
@@ -202,7 +202,7 @@ class TestTailEstimate:
             return fraction(*args)
 
         monkeypatch.setattr(testers, "Fraction", counted)
-        for n, g, pdfs in _TIES:
+        for n, g, pdfs in _tail_ties():
             pdfs = np.asarray(pdfs, dtype=np.int64)
             calls.clear()
             got = _tail_estimate(pdfs, n, g)
