@@ -324,11 +324,11 @@ class VerifiedOracleSession:
         # refusal, or an index past the distinct records
         if len(qs) and (index.min() < 0 or index.max() >= rows.shape[0]):
             raise SessionRejected(Reason.MALFORMED)
-        heads = cm.record_heads(rows)
+        heads, rec = cm.record_heads(rows), rows.shape[1]
+        records = memoryview(rows.reshape(-1))  # the rows, end to end
         verified = self.verified_openings
-        for head, encoded_path in zip(heads, rows[:, _PATH_START:]):
-            x, pdf, cdf = head.tolist()
-            path = encoded_path.tobytes()
+        for x, pdf, cdf, start in zip(*heads.T.tolist(), range(_PATH_START, rows.size, rec)):
+            path = records[start : start + rec - _PATH_START].tobytes()
             # verify_opening's verdict depends only on the record, the key
             # and the digest: a row equal to one verified earlier is accepted
             if verified.get((x, pdf, cdf)) == path:
