@@ -168,7 +168,6 @@ def _tail_ties() -> list[tuple[int, int, list[int]]]:
     return ties
 
 
-
 class TestTailEstimate:
     def test_ties_exist(self):
         assert len(_tail_ties()) > 20
