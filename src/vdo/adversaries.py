@@ -16,7 +16,12 @@ from . import commitment as cm
 from .dist import GrainDistribution
 from .protocol import HonestProver
 from .rngutil import rng_from
-from .wire import BackendData, BackendSelect, OpeningBatch, QuerySet, RecordMatrix
+from .wire import BackendData, BackendSelect, OpeningBatch, QuerySet
+
+
+def _at_most(args: list[str], k: int) -> None:
+    if len(args) > k:
+        raise ValueError(f"adversary takes at most {k} parameter(s), got {len(args)}")
 
 
 class AdversaryScript(HonestProver):
@@ -40,6 +45,7 @@ class AdversaryScript(HonestProver):
 
     @staticmethod
     def cli_params(args: list[str], dist_spec) -> tuple:
+        _at_most(args, 0)
         return ()
 
 
@@ -71,6 +77,7 @@ class InconsistentOpeningAdversary(AdversaryScript):
 
     @staticmethod
     def cli_params(args, dist_spec) -> tuple:
+        _at_most(args, 1)
         return (Fraction(args[0]) if args else Fraction(1, 100),)
 
     def _flip_mask(self, count: int, stream: str) -> np.ndarray:
@@ -91,12 +98,12 @@ class InconsistentOpeningAdversary(AdversaryScript):
             return batch
         # each flipped probe gets its own copy of its record, appended after
         # the distinct ones, with the pdf and cdf bumped as _perturb does
-        rows, index = batch._rows(), batch.index.copy()
+        rows, index = batch.proofs, batch.index.copy()
         flips = np.flatnonzero(mask)
         bumped = rows[index[flips]]
         cm.record_heads(bumped)[:, 1:] += 1
         index[flips] = np.arange(len(rows), len(rows) + len(flips))
-        return OpeningBatch(RecordMatrix(np.concatenate([rows, bumped])), index, batch.depth)
+        return OpeningBatch(np.concatenate([rows, bumped]), index, batch.depth)
 
     def opening_run(self, run_index: int):
         proofs = super().opening_run(run_index)
@@ -124,7 +131,7 @@ class SelectiveRefusalAdversary(AdversaryScript):
         batch = super().answer_queries(qs)
         if not self.blocked:
             return batch
-        elements = cm.record_heads(batch._rows())[:, 0].astype(np.int64)
+        elements = cm.record_heads(batch.proofs)[:, 0].astype(np.int64)
         refuse = np.isin(elements, np.asarray(sorted(self.blocked), dtype=np.int64))
         if not refuse.any():
             return batch
@@ -156,6 +163,7 @@ class BackendSwapAdversary(AdversaryScript):
 
     @staticmethod
     def cli_params(args, dist_spec) -> tuple:
+        _at_most(args, 1)
         return (dist_spec(args[0]) if args else ("uniform",),)
 
     def backend_payload(self, select: BackendSelect) -> BackendData:

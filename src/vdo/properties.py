@@ -170,6 +170,8 @@ def support_size_exact_distance(d: GrainDistribution, s_bound: int) -> Fraction:
 
 
 def make_support_size(s_bound: int) -> LabelInvariantProperty:
+    if s_bound < 0:
+        raise ValueError(f"support-size bound {s_bound} is negative")
     return LabelInvariantProperty(
         f"support-size-{s_bound}",
         lambda hist: support_size_decide(hist, s_bound),
@@ -199,8 +201,8 @@ def make_fixed_target(target: GrainDistribution) -> GeneralProperty:
 
 # name -> constructor from the property's parameters (strings or values)
 LABEL_INVARIANT: dict[str, Callable[..., LabelInvariantProperty]] = {
-    "uniformity": lambda *params: make_uniformity(),
-    "support-size": lambda s_bound, *params: make_support_size(int(s_bound)),
+    "uniformity": lambda: make_uniformity(),
+    "support-size": lambda s_bound: make_support_size(int(s_bound)),
 }
 
 

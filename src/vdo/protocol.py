@@ -17,22 +17,22 @@ binds the prover to, guaranteed close to the unknown sampled distribution:
      histogram of such answers; the general argument runs a backend
      exchange.
 
-One step, _exchange_distinct, sends a batch and verifies the answers. Its
-one input is the batch's record matrix, the (k, record_len) uint8 rows of
-its distinct openings, and its int64 probe index: the honest prover
-builds the matrix with commitment.open_batch and a decoded batch carries
-it; a batch of OpeningProof objects gives it through _rows(), and its
-index is cast safely. A batch without that input (a proof that does not
-encode, an index that is not a 1-D array of integers castable to int64)
-is MALFORMED before any record is walked. Element, pdf and cdf are read
-as the matrix's little-endian uint64 columns. The step returns the
-distinct verified (element, pdf, cdf) arrays and the per-probe index. Its
-element and quantile checks run over fixed blocks of probes, every element
-block before any quantile block. query_set gathers per-probe answers from
-that result. The identity round expands nothing per probe: it hands
-complete() the distinct pdfs plus the index past its first s_tail
-entries, and, only when the tail is sampled, the reference samples' pdfs
-read through those first s_tail entries.
+One step, _exchange_distinct, sends a batch and verifies the answers.
+Its one input is the batch's record matrix, the (k, record_len) uint8
+rows of its distinct openings, and its int64 probe index: the honest
+prover builds the matrix with commitment.open_batch and a decoded batch
+carries it. A batch without that input (anything but a uint8 matrix of
+records that pass check_records, an index that is not a 1-D array of
+integers castable to int64) is MALFORMED before any record is walked.
+Element, pdf and cdf are read as the matrix's little-endian uint64
+columns. The step returns the distinct verified (element, pdf, cdf)
+arrays and the per-probe index. Its element and quantile checks run over
+fixed blocks of probes, every element block before any quantile block.
+query_set gathers per-probe answers from that result. The identity round
+expands nothing per probe: it hands complete() the distinct pdfs plus
+the index past its first s_tail entries, and, only when the tail is
+sampled, the reference samples' pdfs read through those first s_tail
+entries.
 
 The arrays of an identity round as long as its batch are the query
 message, the reply's probe index and the plan's probes during the
@@ -88,7 +88,6 @@ from .wire import (
     ProbeKind,
     QuerySet,
     Reason,
-    RecordMatrix,
     SessionTranscript,
     Verdict,
 )
@@ -222,7 +221,7 @@ class HonestProver:
             b = elements[s : s + CHECK_BLOCK]
             b[:] = rank[b]
         rows = cm.open_batch(distinct, self.digest, self.aux)
-        return OpeningBatch(RecordMatrix(rows), elements, self.digest.depth)
+        return OpeningBatch(rows, elements, self.digest.depth)
 
     def backend_payload(self, select: BackendSelect) -> BackendData:
         from .argument import honest_backend_payload
@@ -319,7 +318,7 @@ class VerifiedOracleSession:
             if len(batch) != len(qs) or batch.depth != self.digest.depth:
                 raise ValueError("batch of another length or depth")
             rows, index = batch._rows(), batch._index()
-        except Exception:  # e.g. a proof without an encoding, a float index
+        except Exception:  # e.g. records that are not a matrix, a float index
             raise SessionRejected(Reason.MALFORMED)
         # refusal, or an index past the distinct records
         if len(qs) and (index.min() < 0 or index.max() >= rows.shape[0]):

@@ -11,13 +11,11 @@ answer a query set positionally.
 An opening batch repeats each probe's record in full but holds only its
 distinct openings, as a record matrix: a (k, record_len) uint8 matrix
 whose rows are the distinct records, plus an int64 index that picks each
-probe's row (-1 for a refusal, sent as a zeroed record). The honest prover
-builds the matrix with commitment.open_batch, and decoding builds it
-straight from the payload; an adversary or a test may instead build a
-batch from a list of OpeningProof, and _rows() then encodes them into
-that matrix. Either way _rows() and _index() are the batch as the
-verifier reads it. Read as `proofs`, a matrix is a sequence of openings
-whose length is its row count and whose items are decoded on access.
+probe's row (-1 for a refusal, sent as a zeroed record). The matrix is the
+batch's one form: the honest prover builds it with commitment.open_batch,
+decoding builds it straight from the payload, and an adversary edits a
+copy of one. _rows() and _index() are the batch as the verifier reads it,
+and anything else in their place is refused.
 
 One gather routine fills any run of probes' records from the rows with a
 numpy take into a caller's buffer. payload() runs it once, straight into
@@ -38,7 +36,6 @@ from __future__ import annotations
 import itertools
 import struct
 from collections import defaultdict
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -167,38 +164,20 @@ def _dedup_rows(blocks, rec: int) -> tuple[np.ndarray, np.ndarray]:
     return np.frombuffer(distinct, dtype=np.uint8).reshape(len(number), rec), index
 
 
-class RecordMatrix(Sequence):
-    """Distinct openings held as the rows of a (k, record_len) uint8 record
-    matrix. As a sequence it reads as OpeningProofs: its length is the row
-    count, and an item (an integer position) is decoded on access."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i) -> OpeningProof:
-        return OpeningProof.from_bytes(self.rows[i].tobytes())
-
-
 class OpeningBatch:
     """Positional answers to a QuerySet.
 
-    Stored deduplicated: `proofs` holds the distinct openings, a list of
-    OpeningProof or a RecordMatrix, and `index[i]` picks the one answering
-    probe i. The wire encoding repeats each record in full, so byte counts
-    match per-probe framing; refusals are encoded as a zeroed record and
-    index -1.
+    Stored deduplicated: `proofs` is the record matrix of the distinct
+    openings, and `index[i]` picks the row answering probe i. The wire
+    encoding repeats each record in full, so byte counts match per-probe
+    framing; refusals are encoded as a zeroed record and index -1.
     """
 
     TYPE = MsgType.OPENING_BATCH
 
     def __init__(self, proofs, index: np.ndarray, depth: int):
         self.proofs = proofs
-        self.index = np.asarray(index, dtype=np.int64)
+        self.index = np.asarray(index)
         self.depth = depth
 
     def __len__(self) -> int:
@@ -212,26 +191,12 @@ class OpeningBatch:
 
     def _rows(self) -> np.ndarray:
         """The distinct records as a C-contiguous (k, record_len) uint8
-        matrix: a record matrix's own rows, which must pass check_records,
-        or the proofs encoded, each an OpeningProof with integer fields and
-        the batch's depth. ValueError otherwise."""
-        rec = self.record_len()
-        if isinstance(self.proofs, RecordMatrix):
-            rows = np.ascontiguousarray(self.proofs.rows)
-            if rows.dtype != np.uint8 or rows.shape[1:] != (rec,):
-                raise ValueError("records are not a uint8 matrix of the batch's record length")
-            check_records(rows, self.depth)
-            return rows
-        encoded = []
-        for p in self.proofs:
-            if not isinstance(p, OpeningProof) or not all(
-                isinstance(v, (int, np.integer)) for v in (p.element, p.claimed_pdf, p.claimed_cdf)
-            ):
-                raise ValueError("not an opening with integer fields")
-            encoded.append(p.to_bytes())
-            if len(encoded[-1]) != rec:
-                raise ValueError("inconsistent opening depth in batch")
-        return np.frombuffer(b"".join(encoded), dtype=np.uint8).reshape(len(encoded), rec)
+        matrix that passes check_records; ValueError otherwise."""
+        rows = np.ascontiguousarray(self.proofs)
+        if rows.dtype != np.uint8 or rows.shape[1:] != (self.record_len(),):
+            raise ValueError("records are not a uint8 matrix of the batch's record length")
+        check_records(rows, self.depth)
+        return rows
 
     def _index(self) -> np.ndarray:
         """The index as a 1-D int64 array; ValueError for another shape or
@@ -291,7 +256,7 @@ class OpeningBatch:
         if len(index) != count:
             raise ValueError("opening batch length mismatch")
         check_records(rows, depth)
-        return cls(RecordMatrix(rows), index, depth)
+        return cls(rows, index, depth)
 
 
 @dataclass(frozen=True)

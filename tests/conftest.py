@@ -10,10 +10,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 
+from vdo.commitment import OpeningProof
 from vdo.dist import GrainDistribution
 from vdo.rngutil import rng_from
+from vdo.wire import OpeningBatch
 
 
 def tv_oracle(p: GrainDistribution, q: GrainDistribution) -> Fraction:
@@ -70,6 +73,32 @@ def support_distance_oracle(q: GrainDistribution, s_bound: int) -> Fraction:
         frac = Fraction(removed, q.grains)
         best = frac if best is None else min(best, frac)
     return best
+
+
+# -- opening batches: read a record matrix's rows, edit a copy of it -----------------
+
+DEPTH_BYTE = 24  # a record's depth byte, after its element, pdf and cdf
+
+
+def direction_byte(level: int) -> int:
+    """The column of a record's direction byte at path level `level`."""
+    return DEPTH_BYTE + 1 + 41 * level + 40
+
+
+def openings(batch) -> list[OpeningProof]:
+    """The distinct openings of a batch: each row of its record matrix
+    decoded with OpeningProof.from_bytes, the reference codec."""
+    return [OpeningProof.from_bytes(row.tobytes()) for row in batch.proofs]
+
+
+def edited(batch, *edits, index=None) -> OpeningBatch:
+    """A batch with a writable copy of batch's record matrix, changed in
+    place by each edit(rows) in turn, and a copy of batch's index (or of
+    `index`)."""
+    rows = np.array(batch.proofs)
+    for edit in edits:
+        edit(rows)
+    return OpeningBatch(rows, np.array(batch.index if index is None else index), batch.depth)
 
 
 @pytest.fixture

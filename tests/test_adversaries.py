@@ -15,6 +15,8 @@ from vdo.rngutil import rng_from
 from vdo.testers import DSampler, identity_d_budget, tail_sample_budget
 from vdo.wire import QuerySet, Reason
 
+from conftest import openings
+
 N = 16
 EPS = F(1, 2)
 
@@ -53,7 +55,8 @@ class TestInconsistentOpening:
         key = gen(128, N, rng_from(7, "k"))
         adv.receive_key(key)
         batch = adv.answer_queries(QuerySet.elements(np.arange(1, N + 1)))
-        flipped = [batch.proofs[j] for j in batch.index]
+        proofs = openings(batch)
+        flipped = [proofs[j] for j in batch.index]
         assert all(not verify_opening(p.element, p, key, adv.digest) for p in flipped)
 
     def test_zero_flip_prob_is_honest(self):

@@ -210,9 +210,26 @@ class TestCli:
             (["--mode", "oracle-session", "--q-dist", "file:/no/such/file"], "No such file"),
             (["--mode", "oracle-session", "--adversary", "inconsistent-opening",
               "--adversary-param", "x"], "Invalid literal for Fraction"),
+            (["--mode", "label-invariant", "--property", "support-size",
+              "--property-param", "3", "--property-param", "7"],
+             "property support-size: wrong number of parameters"),
+            (["--mode", "label-invariant", "--property", "uniformity", "--property-param", "9"],
+             "property uniformity: wrong number of parameters"),
+            (["--mode", "label-invariant", "--property", "support-size",
+              "--property-param", "-3"], "support-size bound -3 is negative"),
+            (["--mode", "oracle-session", "--adversary", "far-commit",
+              "--adversary-param", "1/2"], "adversary takes at most 0 parameter(s), got 1"),
+            (["--mode", "oracle-session", "--adversary", "inconsistent-opening",
+              "--adversary-param", "1/2", "--adversary-param", "1/3"],
+             "adversary takes at most 1 parameter(s), got 2"),
+            (["--mode", "general-argument", "--adversary", "backend-swap",
+              "--adversary-param", "uniform", "--adversary-param", "point:1"],
+             "adversary takes at most 1 parameter(s), got 2"),
         ],
         ids=["kappa", "n", "grains", "d-dist", "target", "property-param", "trials", "file",
-             "adversary-param"],
+             "adversary-param", "support-size-two-params", "uniformity-one-param",
+             "support-size-negative", "far-commit-one-param", "inconsistent-opening-two-params",
+             "backend-swap-two-params"],
     )
     def test_flags_no_trial_can_run_with_are_usage_errors(
         self, monkeypatch, capsys, flags, message

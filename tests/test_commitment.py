@@ -25,6 +25,8 @@ from vdo.protocol import HonestProver
 from vdo.rngutil import rng_from
 from vdo.wire import QuerySet
 
+from conftest import openings
+
 KEY = HashKey(bytes(range(16)), 128)
 SMALL = GrainDistribution(4, 16, (4, 4, 8, 0))
 
@@ -521,7 +523,8 @@ def _quantile_openings(q: GrainDistribution, grains: list[int]):
     prover = HonestProver(q)
     d = prover.receive_key(KEY).digest
     batch = prover.answer_queries(QuerySet.quantiles(np.asarray(grains)))
-    return d, [batch.proofs[j] for j in batch.index]
+    proofs = openings(batch)
+    return d, [proofs[j] for j in batch.index]
 
 
 def _covers(g: int, p) -> bool:

@@ -53,6 +53,8 @@ from vdo.wire import (
     frame_len,
 )
 
+from conftest import DEPTH_BYTE, direction_byte, edited, openings
+
 
 class TestWire:
     def test_queryset_roundtrip(self):
@@ -73,7 +75,8 @@ class TestWire:
         assert len(payload) == batch.payload_len()
         back = OpeningBatch.from_payload(payload, batch.depth)
         assert back.payload() == payload
-        assert [back.proofs[j].element for j in back.index] == [1, 3, 1, 2]
+        proofs = openings(back)
+        assert [proofs[j].element for j in back.index] == [1, 3, 1, 2]
 
     def test_refusal_slot_roundtrip(self):
         q = GrainDistribution(4, 16, (4, 4, 8, 0))
@@ -256,22 +259,16 @@ class TestSession:
         assert 0 < res.transcript.d_samples <= identity_d_budget(64, F(1, 2))
 
 
-def _proofs_batch(batch):
-    """The batch rebuilt through the constructor from its decoded proofs, so
-    that its proofs form a list a test can edit in place."""
-    return OpeningBatch(list(batch.proofs), batch.index, batch.depth)
-
-
 class _BatchTamper(HonestProver):
-    """Honest prover whose opening batches, rebuilt from their proofs, pass
-    through tamper(batch)."""
+    """Honest prover whose opening batches, rebuilt from a copy of their
+    record matrix and index, pass through tamper(batch)."""
 
     def __init__(self, q, tamper):
         super().__init__(q)
         self.tamper = tamper
 
     def answer_queries(self, qs):
-        batch = _proofs_batch(super().answer_queries(qs))
+        batch = edited(super().answer_queries(qs))
         self.tamper(batch)
         return batch
 
@@ -280,17 +277,25 @@ def _set_last_index_past_proofs(batch):
     batch.index[-1] = len(batch.proofs)
 
 
-def _set_first_proof_none(batch):
-    batch.proofs[0] = None
+def _listed(edit):
+    """A tamper: the batch's proofs become its rows decoded to a list of
+    OpeningProof, with the first replaced by edit(first). A list is not a
+    record matrix, whatever it holds."""
+
+    def tamper(batch):
+        proofs = openings(batch)
+        batch.proofs = [edit(proofs[0]), *proofs[1:]]
+
+    return tamper
 
 
-def _set_first_path_one_level_short(batch):
-    batch.proofs[0] = dataclasses.replace(batch.proofs[0], path=batch.proofs[0].path[41:])
+_set_first_proof_none = _listed(lambda p: None)
+# a path that is not bytes: verify_opening itself would raise on it
+_set_first_path_entry_unpackable = _listed(lambda p: dataclasses.replace(p, path=None))
 
 
-def _set_first_path_entry_unpackable(batch):
-    # a path that is not bytes: verify_opening itself raises on it
-    batch.proofs[0] = dataclasses.replace(batch.proofs[0], path=None)
+def _set_first_depth_byte_short(batch):
+    batch.proofs[0, DEPTH_BYTE] -= 1
 
 
 class TestMalformedBatch:
@@ -300,6 +305,8 @@ class TestMalformedBatch:
     @pytest.mark.parametrize(
         "tamper",
         [_set_last_index_past_proofs, _set_first_proof_none, _set_first_path_entry_unpackable],
+        ids=["_set_last_index_past_proofs", "_set_first_proof_none",
+             "_set_first_path_entry_unpackable"],
     )
     def test_rejected_as_malformed(self, tamper):
         n = 64
@@ -327,11 +334,12 @@ def _counting_verify(monkeypatch) -> list[bytes]:
 def _batch_records(res) -> list[set[bytes]]:
     """The distinct records of each opening batch of a session (or session
     result) recorded with payloads."""
-    return [
-        {p.to_bytes() for p in OpeningBatch.from_payload(bytes(e.payload), res.digest.depth).proofs}
+    batches = [
+        OpeningBatch.from_payload(bytes(e.payload), res.digest.depth)
         for e in res.transcript.entries
         if e.msg_type == MsgType.OPENING_BATCH
     ]
+    return [{row.tobytes() for row in batch.proofs} for batch in batches]
 
 
 def _over_socketpair(prover, session):
@@ -354,24 +362,22 @@ def _over_socketpair(prover, session):
     return res
 
 
-def _on_second_batch(edit, originals: list):
-    """A _BatchTamper tamper: the second batch's first proof becomes
-    edit(proof), and the proof it replaced goes to `originals`."""
+def _on_second_batch(tamper, originals: list):
+    """A _BatchTamper tamper: the second batch passes through tamper(batch),
+    and its first opening before that goes to `originals`."""
     batches = []
 
-    def tamper(batch):
+    def on_second(batch):
         batches.append(batch)
         if len(batches) == 2:
-            originals.append(batch.proofs[0])
-            batch.proofs[0] = edit(batch.proofs[0])
+            originals.append(openings(batch)[0])
+            tamper(batch)
 
-    return tamper
+    return on_second
 
 
-def _flip_path_byte(p):
-    path = bytearray(p.path)
-    path[10] ^= 1  # a byte of the first sibling's hash
-    return dataclasses.replace(p, path=bytes(path))
+def _flip_path_byte(batch):
+    batch.proofs[0, DEPTH_BYTE + 1 + 10] ^= 1  # a byte of the first sibling's hash
 
 
 class TestVerifiedOpenings:
@@ -406,20 +412,23 @@ class TestVerifiedOpenings:
         "edit, reason",
         [
             (_flip_path_byte, Reason.INVALID_OPENING),
-            (lambda p: dataclasses.replace(p, element=[p.element]), Reason.MALFORMED),
-            (lambda p: dataclasses.replace(p, claimed_cdf=[p.claimed_cdf]), Reason.MALFORMED),
-            (lambda p: dataclasses.replace(p, element=float(p.element)), Reason.MALFORMED),
-            (lambda p: dataclasses.replace(p, path=None), Reason.MALFORMED),
-            (lambda p: dataclasses.replace(p, path=bytearray(p.path)), Reason.ACCEPT),
-            (lambda p: dataclasses.replace(p, element=np.int64(p.element)), Reason.ACCEPT),
+            (_listed(lambda p: dataclasses.replace(p, element=[p.element])), Reason.MALFORMED),
+            (_listed(lambda p: dataclasses.replace(p, claimed_cdf=[p.claimed_cdf])),
+             Reason.MALFORMED),
+            (_listed(lambda p: dataclasses.replace(p, element=float(p.element))),
+             Reason.MALFORMED),
+            (_listed(lambda p: dataclasses.replace(p, path=None)), Reason.MALFORMED),
+            (_listed(lambda p: dataclasses.replace(p, path=bytearray(p.path))), Reason.MALFORMED),
+            (_listed(lambda p: dataclasses.replace(p, element=np.int64(p.element))),
+             Reason.MALFORMED),
         ],
         ids=["path-byte-flipped", "unhashable-element", "unhashable-cdf", "float-element",
              "path-none", "path-bytearray", "int64-element"],
     )
     def test_second_batch_reasons(self, edit, reason):
-        # the edited record's claim was accepted in the identity batch; only
-        # an int/int/int/bytes record equal to it skips verify_opening. A
-        # rejected record that cannot be encoded is MALFORMED in either mode.
+        # the edited record's claim was accepted in the identity batch. A
+        # flipped path byte goes to verify_opening; a batch whose proofs are
+        # a list is MALFORMED in either mode, whatever the list holds.
         for record_payloads in (False, True):
             originals = []
             prover = _BatchTamper(uniform(self.N), _on_second_batch(edit, originals))
@@ -429,9 +438,9 @@ class TestVerifiedOpenings:
             assert (p.element, p.claimed_pdf, p.claimed_cdf) in res.verified_openings
 
     def test_accepted_record_with_unhashable_field_is_malformed(self):
-        # a 0-d array element passes verify_opening but cannot key the map:
-        # the session rejects instead of raising out of it
-        edit = lambda p: dataclasses.replace(p, element=np.array(p.element))  # noqa: E731
+        # a 0-d array element would pass verify_opening but cannot key the
+        # map; in a list, the session rejects it before any walk
+        edit = _listed(lambda p: dataclasses.replace(p, element=np.array(p.element)))
         prover = _BatchTamper(uniform(self.N), _on_second_batch(edit, []))
         assert self._label_session(prover, record_payloads=False).reason == Reason.MALFORMED
 
@@ -463,7 +472,8 @@ class _VerifyEverySession(VerifiedOracleSession):
     (element, pdf, cdf) per probe and checked under full-length masks. It
     returns the per-probe arrays as the table, with the identity index, and
     its identity round reads them per probe. As when payloads are logged, a
-    batch without an encoding is MALFORMED before any record is walked. The
+    batch without an encoding is MALFORMED before any record is walked; the
+    records are then decoded one by one with OpeningProof.from_bytes. The
     reference of TestVerifiedOpeningsDifferential and
     TestLeanRoundDifferential."""
 
@@ -482,13 +492,14 @@ class _VerifyEverySession(VerifiedOracleSession):
             batch.payload()
         except Exception:
             raise SessionRejected(Reason.MALFORMED)
-        for p in batch.proofs:
+        proofs = openings(batch)
+        for p in proofs:
             if not cm.verify_opening(p.element, p, self.key, self.digest):
                 raise SessionRejected(Reason.INVALID_OPENING)
             self.verified_openings.add((p.element, p.claimed_pdf, p.claimed_cdf))
-        pe = np.asarray([p.element for p in batch.proofs], dtype=np.int64)
-        ppdf = np.asarray([p.claimed_pdf for p in batch.proofs], dtype=np.int64)
-        pcdf = np.asarray([p.claimed_cdf for p in batch.proofs], dtype=np.int64)
+        pe = np.asarray([p.element for p in proofs], dtype=np.int64)
+        ppdf = np.asarray([p.claimed_pdf for p in proofs], dtype=np.int64)
+        pcdf = np.asarray([p.claimed_cdf for p in proofs], dtype=np.int64)
         elems = pe[batch.index]
         pdfs = ppdf[batch.index]
         cdfs = pcdf[batch.index]
@@ -529,71 +540,67 @@ class _VerifyEverySession(VerifiedOracleSession):
         return res.accept
 
 
-def _edited(kind, p, variant, sent):
-    """Proof p under one edit; `sent` holds every proof sent before."""
-    if kind in ("flip-path", "flip-path-in-place"):
-        path = bytearray(p.path)
-        path[variant % len(path)] ^= 1 << (variant % 8)
-        if kind == "flip-path":
-            return dataclasses.replace(p, path=bytes(path))
-        object.__setattr__(p, "path", bytes(path))  # the proof in `sent` too
-        return p
-    if kind == "pdf+1":
-        return dataclasses.replace(p, claimed_pdf=p.claimed_pdf + 1)
-    if kind == "cdf+1":
-        return dataclasses.replace(p, claimed_cdf=p.claimed_cdf + 1)
-    if kind == "other-element":
-        return dataclasses.replace(p, element=p.element % 16 + 1)
+def _edited_row(kind, rows, which, variant, sent):
+    """A new record for row `which` of the record matrix rows under one
+    edit; `sent` lists the record matrices sent before."""
     if kind == "replay":
-        return sent[variant % len(sent)]
-    if kind == "equal-copy":
-        return dataclasses.replace(p)
-    if kind == "bytearray-path":
-        return dataclasses.replace(p, path=bytearray(p.path))
-    if kind == "none-path":
-        return dataclasses.replace(p, path=None)
-    if kind == "float-element":
-        return dataclasses.replace(p, element=float(p.element))
-    if kind == "int64-element":
-        return dataclasses.replace(p, element=np.int64(p.element))
-    if kind == "list-element":
-        return dataclasses.replace(p, element=[p.element])
-    assert kind == "list-cdf"
-    return dataclasses.replace(p, claimed_cdf=[p.claimed_cdf])
+        pool = np.concatenate([*sent, rows])
+        return pool[variant % len(pool)].copy()
+    if kind == "flip-sent-in-place" and sent and len(sent[-1]):
+        # a row of the matrix sent last, edited there after it was sent
+        row = sent[-1][which % len(sent[-1])]
+    else:
+        row = rows[which].copy()
+    head = cm.record_heads(row[None])[0]
+    if kind in ("flip-path", "flip-sent-in-place"):
+        row[DEPTH_BYTE + 1 + variant % (len(row) - DEPTH_BYTE - 1)] ^= 1 << (variant % 8)
+    elif kind == "pdf+1":
+        head[1] += 1
+    elif kind == "cdf+1":
+        head[2] += 1
+    elif kind == "other-element":
+        head[0] = head[0] % 16 + 1
+    elif kind == "direction-2":
+        row[direction_byte(variant % ((len(row) - DEPTH_BYTE - 1) // 41))] = 2
+    elif kind in ("depth+1", "depth-1"):
+        row[DEPTH_BYTE] = (int(row[DEPTH_BYTE]) + (1 if kind == "depth+1" else -1)) % 256
+    else:
+        assert kind == "equal-copy"
+    return row.copy()
 
 
 _EDIT_KINDS = (
-    "flip-path", "flip-path-in-place", "pdf+1", "cdf+1", "other-element", "replay",
-    "equal-copy", "bytearray-path", "none-path", "float-element", "int64-element",
-    "list-element", "list-cdf",
+    "flip-path", "flip-sent-in-place", "pdf+1", "cdf+1", "other-element", "replay",
+    "equal-copy", "direction-2", "depth+1", "depth-1",
 )
 
 
 class _ScriptedProver(HonestProver):
     """Honest prover whose k-th batch gets edits[k]: each (kind, which,
-    variant, extra) edits proof `which`, in place or (extra) as an added
-    proof that every other probe answered by `which` points to."""
+    variant, extra) edits record `which`, in place or (extra) as an added
+    row that every other probe answered by `which` points to."""
 
     def __init__(self, q, edits):
         super().__init__(q)
         self.edits = list(edits)
-        self.sent: list[OpeningProof] = []
+        self.sent: list[np.ndarray] = []
 
     def answer_queries(self, qs):
-        batch = _proofs_batch(super().answer_queries(qs))
+        batch = edited(super().answer_queries(qs))
         edits = self.edits.pop(0) if self.edits else []
         for kind, which, variant, extra in edits:
-            if not batch.proofs:
+            rows = batch.proofs
+            if not len(rows):
                 break
-            which %= len(batch.proofs)
-            p = _edited(kind, batch.proofs[which], variant, self.sent or batch.proofs)
+            which %= len(rows)
+            row = _edited_row(kind, rows, which, variant, self.sent)
             if extra:
                 at = np.flatnonzero(batch.index == which)[::2]
-                batch.index[at] = len(batch.proofs)
-                batch.proofs.append(p)
+                batch.index[at] = len(rows)
+                batch.proofs = np.concatenate([rows, row[None]])
             else:
-                batch.proofs[which] = p
-        self.sent += batch.proofs
+                rows[which] = row
+        self.sent.append(batch.proofs)
         return batch
 
 
@@ -606,7 +613,7 @@ def _batch_edits(kinds):
 
 
 # edits whose batch the verifier still accepts, so a second batch follows
-_KEPT = ("equal-copy", "bytearray-path", "int64-element")
+_KEPT = ("equal-copy",)
 
 
 class TestVerifiedOpeningsDifferential:
@@ -909,7 +916,7 @@ class TestDedup:
             )
         distinct, inverse = np.unique(prover.resolve_queries(qs), return_inverse=True)
         batch = prover.answer_queries(qs)
-        assert [p.element for p in batch.proofs] == distinct.tolist()
+        assert [p.element for p in openings(batch)] == distinct.tolist()
         assert batch.index.tolist() == inverse.tolist()
 
     @pytest.mark.parametrize("element", [0, N + 1, -1])
@@ -961,7 +968,7 @@ def _honest_records(n: int) -> tuple[int, tuple[bytes, ...]]:
     prover = HonestProver(random_distribution(n, rng_from(n, "records")))
     prover.receive_key(HashKey(bytes(16), 128))
     batch = prover.answer_queries(QuerySet.elements(np.arange(1, n + 1)))
-    return batch.depth, tuple(p.to_bytes() for p in batch.proofs)
+    return batch.depth, tuple(row.tobytes() for row in batch.proofs)
 
 
 _WELL_FORMED = ("honest",) * 4 + ("blank", "other-path", "zero-head")
@@ -1045,8 +1052,7 @@ class TestBatchCodecDifferential:
         if got is not None:
             proofs, index = ref
             assert got.index.tolist() == index.tolist()
-            assert len(got.proofs) == len(proofs)
-            assert list(got.proofs) == proofs
+            assert openings(got) == proofs
             assert got.payload() == payload
 
     @settings(max_examples=300, deadline=None)
@@ -1095,7 +1101,7 @@ class TestBatchCodecDifferential:
 
         def decode():
             batch = OpeningBatch.from_payload(count, depth, blocks)
-            return batch.proofs, batch.index
+            return openings(batch), batch.index
 
         assert _decoded(decode) == ref
         assert next(blocks, None) is None
@@ -1111,11 +1117,11 @@ class TestBatchCodecDifferential:
     @example(5, [], 7, 1)  # an empty batch
     def test_frame_matches_reference(self, n, picks, seq, block_records):
         depth, records = _honest_records(n)
-        proofs = [OpeningProof.from_bytes(r) for r in records]
-        proofs.append(proofs[0])  # a prover may list one opening twice
-        index = [j if j < 0 else j % len(proofs) for j in picks]  # -1, -2: refusals
-        batch = OpeningBatch(proofs, np.asarray(index, dtype=np.int64), depth)
-        expected = _reference_frame(seq, proofs, index, depth)
+        rows = np.frombuffer(b"".join(records), dtype=np.uint8).reshape(len(records), -1)
+        rows = np.concatenate([rows, rows[:1]])  # a prover may list one opening twice
+        index = [j if j < 0 else j % len(rows) for j in picks]  # -1, -2: refusals
+        batch = OpeningBatch(rows, np.asarray(index, dtype=np.int64), depth)
+        expected = _reference_frame(seq, openings(batch), index, depth)
         assert frame(seq, batch) == expected
         assert batch.payload() == expected[HEADER_LEN:]
         # streamed: the header and count, then blocks of block_records records
@@ -1141,7 +1147,7 @@ class TestBatchCodecDifferential:
         got = OpeningBatch.from_payload(payload, depth)
         proofs, index = _reference_from_payload(payload, depth)
         assert got.index.tolist() == index.tolist()
-        assert [p.to_bytes() for p in got.proofs] == [p.to_bytes() for p in proofs]
+        assert openings(got) == proofs
 
 
 def _honest_encodings() -> dict:
@@ -1154,13 +1160,14 @@ def _honest_encodings() -> dict:
         QuerySet.quantiles(np.asarray([1, 3, 7])), QuerySet.elements(np.asarray([2, 2, 9]))
     )
     batch = prover.answer_queries(qs)
+    empty = OpeningBatch(batch.proofs[:0], batch.index[:0], depth)
     return {
         "HashKey": (HashKey.from_bytes, [key.to_bytes()]),
         "Digest": (cm.Digest.from_bytes, [digest.to_bytes()]),
         "OpeningProof": (OpeningProof.from_bytes, list(records[:3]) + [_honest_records(1)[1][0]]),
         "OpeningBatch": (
             lambda data: OpeningBatch.from_payload(data, depth),
-            [bytes(batch.payload()), bytes(OpeningBatch([], np.empty(0), depth).payload())],
+            [bytes(batch.payload()), bytes(empty.payload())],
         ),
         "QuerySet": (QuerySet.from_payload, [qs.payload(), QuerySet.elements([]).payload()]),
         "BackendSelect": (BackendSelect.from_payload, [BackendSelect(2, b"xy").payload()]),
@@ -1808,7 +1815,7 @@ class TestServeProverFailsClosed:
         assert _served(frame(0, _PROBES) + frame(1, _PROBES)) == []
 
     def test_reply_that_cannot_be_encoded(self):
-        # the batch's first proof is one level short, so its depths mix
-        prover = _BatchTamper(uniform(16), _set_first_path_one_level_short)
+        # the batch's first record has a depth byte one short
+        prover = _BatchTamper(uniform(16), _set_first_depth_byte_short)
         requests = _KEY_FRAME + frame(1, _PROBES) + frame(2, _PROBES)
         assert _served(requests, prover) == [(0, MsgType.DIGEST)]

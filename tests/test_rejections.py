@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from vdo import commitment as cm
 from vdo.adversaries import (
     BackendSwapAdversary,
     FarCommitAdversary,
@@ -30,10 +31,12 @@ from vdo.wire import (
     MsgType,
     OpeningBatch,
     ProbeKind,
+    QuerySet,
     Reason,
-    RecordMatrix,
     Verdict,
 )
+
+from conftest import DEPTH_BYTE, direction_byte, edited, openings
 
 N = 64
 T = random_distribution(N, rng_from(1, "T"), grains=N * N * 5)
@@ -150,34 +153,6 @@ class _StrBlob(HonestProver):
         return BackendData("x" * 600)
 
 
-class _EditedProofs(HonestProver):
-    """Honest prover whose opening batches' proofs pass through each
-    edit(proofs) in turn."""
-
-    def __init__(self, q, *edits):
-        super().__init__(q)
-        self.edits = edits
-
-    def answer_queries(self, qs):
-        batch = super().answer_queries(qs)
-        batch = OpeningBatch(list(batch.proofs), batch.index, batch.depth)  # editable proofs
-        for edit in self.edits:
-            edit(batch.proofs)
-        return batch
-
-
-class _ProofInEmptyBatch(HonestProver):
-    """Answers an empty query set with a batch that lists an unencodable
-    proof all the same."""
-
-    def answer_queries(self, qs):
-        batch = super().answer_queries(qs)
-        if not len(qs):
-            proof = dataclasses.replace(self._proof_for(1), element=-1)
-            batch = OpeningBatch([proof], batch.index, batch.depth)
-        return batch
-
-
 class _EditedBatch(HonestProver):
     """Honest prover whose batches (each holding a record matrix) pass
     through edit(batch), which returns the batch to send."""
@@ -192,11 +167,12 @@ class _EditedBatch(HonestProver):
 
 def _replaced(of_proofs=False, **change):
     """edit(batch): each attribute a of the batch replaced by change[a](old),
-    after the batch is rebuilt from its proofs when of_proofs is set."""
+    after the batch is rebuilt from a copy of its record matrix when
+    of_proofs is set."""
 
     def edit(batch):
         if of_proofs:
-            batch = OpeningBatch(list(batch.proofs), batch.index, batch.depth)
+            batch = edited(batch)
         for attr, new in change.items():
             setattr(batch, attr, new(getattr(batch, attr)))
         return batch
@@ -204,64 +180,113 @@ def _replaced(of_proofs=False, **change):
     return edit
 
 
+def _sending(edit):
+    """run(record): a session against honest batches passed through
+    edit(batch), which returns the batch to send."""
+    return lambda record: _oracle(_EditedBatch(uniform(N), edit), record=record)
+
+
 def _edited_records(**change):
-    return lambda record: _oracle(_EditedBatch(uniform(N), _replaced(**change)), record=record)
+    return _sending(_replaced(**change))
 
 
-def _bad_depth_byte(records):
-    rows = records.rows.copy()
-    rows[:, 24] += 1
-    return RecordMatrix(rows)
+def _edited_batch(*edits):
+    """run(record): the batches' record matrices edited in place by edits."""
+    return _sending(lambda batch: edited(batch, *edits))
 
 
-def _edit(i, **change):
-    """edit(proofs): proof i with each field f replaced by change[f](old)."""
+def _constructed(change):
+    """run(record): each batch rebuilt through the constructor with its
+    index replaced by change(index)."""
+    return _sending(lambda batch: OpeningBatch(batch.proofs, change(batch.index), batch.depth))
 
-    def edit(proofs):
+
+def _proof_list(i=0, **change):
+    """run(record): each batch's `proofs` replaced by its rows decoded to a
+    list of OpeningProof, proof i with each field f replaced by
+    change[f](old); a list is not a record matrix, whatever its proofs."""
+
+    def edit(batch):
+        proofs = openings(batch)
         p = proofs[i]
         proofs[i] = dataclasses.replace(p, **{f: g(getattr(p, f)) for f, g in change.items()})
+        batch.proofs = proofs
+        return batch
+
+    return _sending(edit)
+
+
+def _set_head(i: int, field: int, change):
+    """edit(rows): head field `field` of row i (0 the element, 1 the pdf, 2
+    the cdf) set to change(old) modulo 2^64."""
+
+    def edit(rows):
+        heads = cm.record_heads(rows)
+        heads[i, field] = change(int(heads[i, field])) % (1 << 64)
 
     return edit
 
 
-def _edited_batch(*edits):
-    return lambda record: _oracle(_EditedProofs(uniform(N), *edits), record=record)
+def _set_byte(i: int, column: int, value: int):
+    """edit(rows): byte `column` of row i set to value."""
+
+    def edit(rows):
+        rows[i, column] = value
+
+    return edit
 
 
-_BAD_PDF = _edit(0, claimed_pdf=lambda pdf: pdf + 1)  # encodable, fails verification
+class _RowInEmptyBatch(HonestProver):
+    """Answers an empty query set with a batch that holds one record, with a
+    direction byte of 2, all the same."""
+
+    def answer_queries(self, qs):
+        batch = super().answer_queries(qs)
+        if not len(qs):
+            one = super().answer_queries(QuerySet.elements(np.asarray([1])))
+            batch = edited(one, _set_byte(0, direction_byte(0), 2), index=batch.index)
+        return batch
+
+
+def _bad_depth_byte(rows):
+    rows[:, DEPTH_BYTE] += 1
+
+
+_BAD_PDF = _set_head(0, 1, lambda pdf: pdf + 1)  # fails verification
 
 # case -> (reason in either mode, run(record))
 PARITY = {
     "honest": (Reason.ACCEPT, _edited_batch()),
-    "path-one-level-short": (Reason.MALFORMED, _edited_batch(_edit(0, path=lambda b: b[41:]))),
-    "path-one-level-long": (Reason.MALFORMED, _edited_batch(_edit(0, path=lambda b: b + b[:41]))),
-    "element-minus-1": (Reason.MALFORMED, _edited_batch(_edit(0, element=lambda x: -1))),
-    "element-2^64": (Reason.MALFORMED, _edited_batch(_edit(0, element=lambda x: 1 << 64))),
-    "float-cdf-that-verifies": (Reason.MALFORMED, _edited_batch(_edit(0, claimed_cdf=float))),
+    "element-minus-1": (Reason.INVALID_OPENING, _edited_batch(_set_head(0, 0, lambda x: -1))),
+    # a list of OpeningProof is not a record matrix, however its proofs encode
+    "honest-proof-list": (Reason.MALFORMED, _proof_list()),
+    "path-one-level-short": (Reason.MALFORMED, _proof_list(path=lambda b: b[41:])),
+    "path-one-level-long": (Reason.MALFORMED, _proof_list(path=lambda b: b + b[:41])),
+    "element-2^64": (Reason.MALFORMED, _proof_list(element=lambda x: 1 << 64)),
+    "float-cdf-that-verifies": (Reason.MALFORMED, _proof_list(claimed_cdf=float)),
     "invalid-encodable": (Reason.INVALID_OPENING, _edited_batch(_BAD_PDF)),
     "invalid-ahead-of-unencodable": (
-        Reason.MALFORMED, _edited_batch(_BAD_PDF, _edit(1, path=lambda b: b[41:])),
+        Reason.MALFORMED,
+        _edited_batch(_BAD_PDF, _set_byte(1, direction_byte(0), 2)),
     ),
     "float-index": (Reason.MALFORMED, _edited_records(index=lambda i: i.astype(float))),
     "float-index-of-proofs": (
         Reason.MALFORMED, _edited_records(of_proofs=True, index=lambda i: i.astype(float)),
     ),
+    "float-index-via-constructor": (Reason.MALFORMED, _constructed(lambda i: i + 0.5)),
+    "uint64-index-via-constructor": (
+        Reason.MALFORMED, _constructed(lambda i: i.astype(np.uint64)),
+    ),
     "2-d-index": (Reason.MALFORMED, _edited_records(index=lambda i: i.reshape(-1, 1))),
     "uint64-index": (Reason.MALFORMED, _edited_records(index=lambda i: i.astype(np.uint64))),
     "int32-index": (Reason.ACCEPT, _edited_records(index=lambda i: i.astype(np.int32))),
-    "fortran-order-rows": (
-        Reason.ACCEPT, _edited_records(proofs=lambda r: RecordMatrix(np.asfortranarray(r.rows))),
-    ),
-    "int64-rows": (
-        Reason.MALFORMED, _edited_records(proofs=lambda r: RecordMatrix(r.rows.astype(np.int64))),
-    ),
-    "rows-one-level-short": (
-        Reason.MALFORMED, _edited_records(proofs=lambda r: RecordMatrix(r.rows[:, :-41])),
-    ),
-    "rows-bad-depth-byte": (Reason.MALFORMED, _edited_records(proofs=_bad_depth_byte)),
+    "fortran-order-rows": (Reason.ACCEPT, _edited_records(proofs=np.asfortranarray)),
+    "int64-rows": (Reason.MALFORMED, _edited_records(proofs=lambda r: r.astype(np.int64))),
+    "rows-one-level-short": (Reason.MALFORMED, _edited_records(proofs=lambda r: r[:, :-41])),
+    "rows-bad-depth-byte": (Reason.MALFORMED, _edited_batch(_bad_depth_byte)),
     "proof-in-empty-batch": (
         Reason.MALFORMED,
-        lambda record: _oracle(_ProofInEmptyBatch(uniform(N)), record=record, probes=0),
+        lambda record: _oracle(_RowInEmptyBatch(uniform(N)), record=record, probes=0),
     ),
     "root-mass-minus-1": (
         Reason.MALFORMED, lambda record: _oracle(_NegativeRootMass(uniform(N)), record=record),
@@ -274,10 +299,16 @@ PARITY = {
     ),
 }
 
-
 @pytest.mark.parametrize("record", [False, True], ids=["counters-only", "record-payloads"])
 @pytest.mark.parametrize("case", list(PARITY))
 def test_verdict_does_not_depend_on_record_payloads(case, record):
     reason, run = PARITY[case]
     res = run(record)
     assert (res.accept, res.reason) == (reason == Reason.ACCEPT, reason)
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["counters-only", "record-payloads"])
+def test_malformed_row_behind_an_invalid_one_walks_no_row(record):
+    # the malformed row rejects the whole batch before row 0 is walked
+    res = PARITY["invalid-ahead-of-unencodable"][1](record)
+    assert res.reason == Reason.MALFORMED and not res.verified_openings
