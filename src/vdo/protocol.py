@@ -56,11 +56,25 @@ record, the key and the digest. Every other row, a repeated claim with a
 changed path included, goes to verify_opening, looked up at call time, in
 row order, as an OpeningProof built from its fields and a copy of its path.
 
+One row walker (_RowWalker) per batch does that walk. In process it runs
+over the whole matrix once the batch has passed its checks, and adds the
+rows it accepts to the map. A prover over a stream that offers
+answer_walked (streams.RemoteProver) is handed the walker when no payload
+is recorded, and its decoder walks each block's new distinct rows as they
+arrive; after a refusal or the first invalid opening it stops numbering
+rows, and only checks and counts the rest. Those rows are staged apart
+and kept only once the whole batch has passed its checks, so a MALFORMED
+batch leaves the map as it was. The verdict is the same either way:
+MALFORMED for a count field, record or refusal anywhere in the batch that
+a full decode rejects, otherwise INVALID_OPENING at the first distinct row
+that fails, after the same walks in the same order.
+
 A verdict does not depend on whether the transcript records payloads:
 _receive encodes every prover message but an opening batch in either mode,
 and MALFORMED is its verdict on a message without an encoding; a batch's
 encoding is its record matrix and index, which _exchange_distinct reads in
-either mode.
+either mode. With payloads recorded, a streamed batch is decoded whole
+before it is walked, so its logged payload is the frame's.
 
 Rejection is immediate and terminal per message. All randomness comes from
 streams derived from the session seed, so a session replays byte-exactly.
@@ -252,6 +266,41 @@ class SessionRejected(Exception):
         self.reason = reason
 
 
+class _RowWalker:
+    """walk(rows): verify the distinct rows of one batch's record matrix, in
+    row order, over one or more calls, and return whether every row passed.
+    A row equal to one the session accepted earlier is accepted unwalked,
+    since verify_opening's verdict depends only on the record, the key and
+    the digest; every other row goes to verify_opening, looked up at call
+    time, as an OpeningProof built from its fields and a copy of its path.
+    The first row that fails ends the walk: failed is set, and later calls
+    walk nothing. Each accepted row's claim and path go to staged, first
+    path first: the session's map itself when the batch passed its checks
+    before the walk, or a dict of their own that the session merges once the
+    batch is known to be well formed."""
+
+    def __init__(self, key: cm.HashKey, digest: cm.Digest, verified: dict, staged: dict):
+        self.key, self.digest, self.verified, self.staged = key, digest, verified, staged
+        self.failed = False
+
+    def __call__(self, rows: np.ndarray) -> bool:
+        if self.failed:
+            return False
+        key, digest, verified, staged = self.key, self.digest, self.verified, self.staged
+        heads, rec = cm.record_heads(rows), rows.shape[1]
+        records = memoryview(rows.reshape(-1))  # the rows, end to end
+        starts = range(_PATH_START, _PATH_START + rows.size, rec)
+        for x, pdf, cdf, start in zip(*heads.T.tolist(), starts):
+            path = records[start : start + rec - _PATH_START].tobytes()
+            if verified.get((x, pdf, cdf)) == path:
+                continue
+            if not cm.verify_opening(x, cm.OpeningProof(x, pdf, cdf, path), key, digest):
+                self.failed = True
+                return False
+            staged.setdefault((x, pdf, cdf), path)
+        return True
+
+
 class VerifiedOracleSession:
     """Verifier-side session driver: establish(), then query_set()/backend
     exchanges, then conclude(), in the order run_session keeps. Every
@@ -313,30 +362,39 @@ class VerifiedOracleSession:
         distinct verified (element, pdf, cdf) arrays and the probe index:
         probe i is answered by entry index[i]."""
         self.transcript.q_probes += len(qs)
-        batch = self._ask(qs, lambda: self.prover.answer_queries(qs), OpeningBatch)
+        verified = self.verified_openings
+        # a prover over a stream hands walk each block's new rows as it
+        # decodes them, unless the whole batch is to be logged; those rows
+        # are staged apart until the last block has passed its checks
+        streamed = not self.config.record_payloads and getattr(self.prover, "answer_walked", None)
+        walk = _RowWalker(self.key, self.digest, verified, {} if streamed else verified)
+        batch = self._ask(
+            qs,
+            lambda: streamed(qs, walk) if streamed else self.prover.answer_queries(qs),
+            OpeningBatch,
+        )
         try:
             if len(batch) != len(qs) or batch.depth != self.digest.depth:
                 raise ValueError("batch of another length or depth")
             rows, index = batch._rows(), batch._index()
         except Exception:  # e.g. records that are not a matrix, a float index
             raise SessionRejected(Reason.MALFORMED)
-        # refusal, or an index past the distinct records
-        if len(qs) and (index.min() < 0 or index.max() >= rows.shape[0]):
+        if len(qs) and index.min() < 0:  # a refusal
             raise SessionRejected(Reason.MALFORMED)
-        heads, rec = cm.record_heads(rows), rows.shape[1]
-        records = memoryview(rows.reshape(-1))  # the rows, end to end
-        verified = self.verified_openings
-        for x, pdf, cdf, start in zip(*heads.T.tolist(), range(_PATH_START, rows.size, rec)):
-            path = records[start : start + rec - _PATH_START].tobytes()
-            # verify_opening's verdict depends only on the record, the key
-            # and the digest: a row equal to one verified earlier is accepted
-            if verified.get((x, pdf, cdf)) == path:
-                continue
-            if not cm.verify_opening(x, cm.OpeningProof(x, pdf, cdf, path), self.key, self.digest):
-                raise SessionRejected(Reason.INVALID_OPENING)
-            verified.setdefault((x, pdf, cdf), path)
+        # a streamed batch whose walk failed points its unnumbered records
+        # past its rows
+        if not walk.failed:
+            if len(qs) and index.max() >= rows.shape[0]:
+                raise SessionRejected(Reason.MALFORMED)
+            if not streamed:
+                walk(rows)
+        if streamed:
+            for claim, path in walk.staged.items():
+                verified.setdefault(claim, path)
+        if walk.failed:
+            raise SessionRejected(Reason.INVALID_OPENING)
         # every record verified, so each field is at most max(N, G) < 2^63
-        pe, ppdf, pcdf = heads.astype(np.int64).T
+        pe, ppdf, pcdf = cm.record_heads(rows).astype(np.int64).T
         kinds = np.asarray(qs.kinds)
         values = np.asarray(qs.values, dtype=np.int64)
         blocks = [slice(s, s + CHECK_BLOCK) for s in range(0, len(qs), CHECK_BLOCK)]

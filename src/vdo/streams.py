@@ -15,7 +15,10 @@ An opening batch, nearly all of a session's bytes, is never held whole on
 either side: write_frame gathers its records block by block into one
 reused buffer of at most 1 MiB, and RemoteProver checks the batch's header,
 then reads the body in blocks of whole records of at most 1 MiB and feeds
-them to OpeningBatch.from_payload as they arrive.
+them to OpeningBatch.from_payload as they arrive. A session that logs no
+payloads asks through answer_walked and hands it its row walker, so each
+block's new rows are verified as they arrive, and after the first invalid
+opening the rest of the body is only checked and counted.
 """
 
 from __future__ import annotations
@@ -190,11 +193,22 @@ class RemoteProver:
         """The batch's body is read in blocks of whole records as the
         decoder consumes them; it consumes every block, even when the count
         field or a record is bad, so the stream stays at a frame boundary."""
+        return self.answer_walked(qs, None)
+
+    def answer_walked(self, qs: QuerySet, walk) -> OpeningBatch:
+        """answer_queries, with walk, when given, handed each block's new
+        distinct rows as they are decoded (OpeningBatch.from_payload): once
+        it returns False, the rest of the body is only checked and counted.
+        A count field other than the query's length fails decoding whatever
+        the records hold, so then no row is walked."""
         depth = self._digest.depth
         rec = OpeningProof.encoded_len(depth)
         self._roundtrip(qs, MsgType.OPENING_BATCH, 4 + len(qs) * rec)
         count = int.from_bytes(_read_exact(self.reader, 4, 4), "little")
-        return OpeningBatch.from_payload(count, depth, _record_blocks(self.reader, len(qs), rec))
+        blocks = _record_blocks(self.reader, len(qs), rec)
+        return OpeningBatch.from_payload(
+            count, depth, blocks, walk=walk if count == len(qs) else None
+        )
 
     def backend_payload(self, select: BackendSelect) -> BackendData:
         """The backend's blob, no longer than the honest blob for the N and

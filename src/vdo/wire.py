@@ -23,8 +23,13 @@ the payload's own buffer, and frame() prefixes the header to that payload
 as for any other message; streams.write_frame, the path a served batch
 takes, runs it block by block into one reused buffer. Decoding numbers
 the rows in one streaming dictionary pass over whole records, which may
-arrive as a sequence of blocks, stacks the distinct rows into the matrix
-and checks its depth and direction bytes with commitment.check_records.
+arrive as a sequence of blocks, checks each block's new distinct rows'
+depth and direction bytes with commitment.check_records and stacks them
+into the matrix. Given a row walker, the verifier's, it hands it each
+block's new distinct rows as they are numbered; after a refusal or the
+first row the walker rejects, it stops numbering, and the remaining
+records are only checked and counted, since the verdict can then no
+longer be an accept.
 
 Transcripts record direction, framing and counters. Payload retention can
 be disabled for bulk runs; byte counters are exact either way because every
@@ -150,18 +155,72 @@ class QuerySet:
         )
 
 
-def _dedup_rows(blocks, rec: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact dedup of the rec-byte rows of a sequence of blocks of whole
-    records, in one streaming dictionary pass that consumes every block:
-    the distinct non-blank rows in first-occurrence order, as a matrix, and
-    each row's number among them (-1 for an all-zero row, a refusal)."""
+# a record's depth byte, after its element, pdf and cdf
+_DEPTH_BYTE = OpeningProof.encoded_len(0) - 1
+
+
+def _blank_rows(rows: np.ndarray) -> np.ndarray:
+    """Mask of the all-zero rows (refusals) of a record matrix; only rows
+    whose depth byte is 0 are read whole."""
+    blank = rows[:, _DEPTH_BYTE] == 0
+    if blank.any():
+        blank[blank] = ~rows[blank].any(axis=1)
+    return blank
+
+
+def _number_rows(blocks, depth: int, count: int, walk=None):
+    """Exact dedup of the records of a sequence of blocks of whole records,
+    in one streaming dictionary pass that consumes every block: the
+    distinct non-blank rows in first-occurrence order, as a matrix, and each
+    record's number among them (-1 for an all-zero record, a refusal). Each
+    block's new distinct rows are checked with check_records as they are
+    numbered, and after the first error the remaining blocks are only
+    counted. ValueError, raised once every block is consumed, for a number
+    of records other than count, or else for that first error.
+
+    walk(rows), when given, is handed each block's new distinct rows in
+    order once they pass. Numbering stops after a block that holds a
+    refusal (whose rows are not walked) or whose walk returns False: later
+    records are only checked (check_records on the non-blank ones) and
+    counted, numbered -1 if blank and len(distinct rows) otherwise."""
+    rec = OpeningProof.encoded_len(depth)
     blank = (bytes(rec),)
     number = defaultdict(itertools.count().__next__, {blank: -1})
-    rows = itertools.chain.from_iterable(map(struct.Struct(f"{rec}s").iter_unpack, blocks))
-    index = np.fromiter(map(number.__getitem__, rows), dtype=np.int64)
-    del number[blank]
-    distinct = b"".join(row for (row,) in number)
-    return np.frombuffer(distinct, dtype=np.uint8).reshape(len(number), rec), index
+    unpack = struct.Struct(f"{rec}s").iter_unpack
+    distinct, parts, total, error, numbering = [], [], 0, None, True
+    for block in blocks:
+        size = len(block) // rec
+        total += size
+        if error is not None:
+            continue
+        try:
+            if numbering:
+                seen = len(number)
+                part = np.fromiter(map(number.__getitem__, unpack(block)), dtype=np.int64)
+                new = b"".join(row for (row,) in itertools.islice(number, seen, None))
+                rows = np.frombuffer(new, dtype=np.uint8).reshape(-1, rec)
+                check_records(rows, depth)
+            else:
+                rows = np.frombuffer(block, dtype=np.uint8).reshape(size, rec)
+                refused = _blank_rows(rows)
+                check_records(rows[~refused] if refused.any() else rows, depth)
+                part = np.full(size, len(number) - 1, dtype=np.int64)
+                part[refused] = -1
+        except ValueError as exc:
+            error = exc
+            continue
+        parts.append(part)
+        if numbering:
+            distinct.append(rows)
+            if walk is not None:
+                numbering = not (size and part.min() < 0) and walk(rows)
+        del block, rows  # freed before the next block is read
+    if total != count:
+        raise ValueError("opening batch length mismatch")
+    if error is not None:
+        raise error
+    rows = np.concatenate([np.empty((0, rec), dtype=np.uint8), *distinct])
+    return rows, np.concatenate([np.empty(0, dtype=np.int64), *parts])
 
 
 class OpeningBatch:
@@ -235,15 +294,23 @@ class OpeningBatch:
         return out
 
     @classmethod
-    def from_payload(cls, data, depth: int, blocks=None) -> "OpeningBatch":
+    def from_payload(cls, data, depth: int, blocks=None, walk=None) -> "OpeningBatch":
         """Decode a payload, or, with blocks given, a payload whose count
         field is data (an int) and whose records follow as the iterable
         blocks, each a bytes-like run of whole records. Deduplicates the
-        rows into a record matrix and checks it. ValueError for a record
-        count other than the count field, or with OpeningProof.from_bytes's
-        message for the first distinct record it would reject; either is
-        raised only after every block has been consumed, so a stream read
-        through blocks is left at the frame's end."""
+        rows into a record matrix, checking them block by block. ValueError
+        for a record count other than the count field, or with
+        OpeningProof.from_bytes's message for the first distinct record it
+        would reject; either is raised only after every block has been
+        consumed, so a stream read through blocks is left at the frame's
+        end.
+
+        With walk given, each block's new distinct rows go to walk(rows) as
+        they are numbered, and after a refusal or a walk that returns False
+        the remaining records are checked and counted but not numbered:
+        such a batch holds a refusal (index -1), or its index points past
+        its rows, and it is good only for its length and those two facts
+        (see _number_rows)."""
         rec = OpeningProof.encoded_len(depth)
         if blocks is None:
             count = int.from_bytes(data[:4], "little")
@@ -252,11 +319,7 @@ class OpeningBatch:
             blocks = (memoryview(data)[4:],)
         else:
             count = data
-        rows, index = _dedup_rows(blocks, rec)
-        if len(index) != count:
-            raise ValueError("opening batch length mismatch")
-        check_records(rows, depth)
-        return cls(rows, index, depth)
+        return cls(*_number_rows(blocks, depth, count, walk), depth)
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,66 @@ def test_traced_sessions_count_hashes_and_decode_spans(tracing):
     assert len(decode_spans) >= 2  # the prover's query sets and the verifier's batch
 
 
+def test_traced_streamed_session_that_stops_early(tracing, monkeypatch):
+    """A socketpair session at N = 64 against the inconsistent-opening
+    adversary, its identity batch crossing in blocks of 64 records, run
+    under the Tracer twice: with counters only, where the verifier walks
+    each block's new rows as they arrive and stops numbering rows after the
+    first invalid opening, and with payloads recorded, where it decodes the
+    whole batch before it walks a row. Both count the hashes of the closed
+    form and walk the same records, fewer than the batch's distinct ones."""
+    from fractions import Fraction as F
+
+    from vdo.adversaries import InconsistentOpeningAdversary
+    from vdo.commitment import OpeningProof
+    from vdo.protocol import VerifierConfig, run_oracle_session
+    from vdo.testers import DSampler
+    from vdo.wire import MsgType, OpeningBatch, Reason
+
+    n = 64
+    q = tracing.bench.make_dist(("random", 1.0), n, None, 3)
+    rec = OpeningProof.encoded_len(6)
+    monkeypatch.setattr(tracing.streams, "_READ_CHUNK", 64 * rec)
+    tracer = tracing.Tracer("verifier")
+    tracer.install()
+    results = []
+    try:
+        for trial, record in enumerate((False, True)):
+            tracer.begin(trial)
+            left, right = socket.socketpair()
+            lr, lw = left.makefile("rb"), left.makefile("wb")
+            rr, rw = right.makefile("rb"), right.makefile("wb")
+            adversary = InconsistentOpeningAdversary(q, F(1, 20), seed=3)
+            server = threading.Thread(
+                target=tracing.streams.serve_prover, args=(rr, rw, adversary), daemon=True
+            )
+            server.start()
+            try:
+                remote = tracing.RemoteProver(lr, lw)
+                cfg = VerifierConfig(n, F(1, 2), record_payloads=record)
+                results.append(run_oracle_session(cfg, remote, DSampler(q), 3))
+                remote.close()
+                server.join(timeout=5)
+            finally:
+                for f in (lr, lw, rr, rw, left, right):
+                    f.close()
+    finally:
+        tracer.restore()
+    assert [r.reason for r in results] == [Reason.INVALID_OPENING] * 2
+    assert results[0].transcript.total_bytes() == results[1].transcript.total_bytes()
+    (payload,) = [
+        e.payload for e in results[1].transcript.entries if e.msg_type == MsgType.OPENING_BATCH
+    ]
+    assert len(payload) > 3 * 64 * rec  # more than three blocks
+    distinct = len(OpeningBatch.from_payload(payload, 6).proofs)
+
+    spans, counters = tracing.merge([tracer.export()])
+    table = tracing.per_trial(spans, counters, {0: 1.0, 1: 1.0})
+    assert tracing.check_hashes(table, [0, 1]) == []
+    calls = [table[t]["commitment.verify.calls"] for t in (0, 1)]
+    assert calls[0] == calls[1] < distinct
+
+
 def test_traced_label_session_records_property_spans(tracing):
     """One label-invariant argument at N = 64 run under the Tracer records
     the wrapped properties.estimate_histogram and uniformity_decide as

@@ -1423,10 +1423,27 @@ def _refuse_last_record(data, rec):
     data[i : i + rec] = bytes(rec)
 
 
+def _bump_pdf_of_last_record(data, rec):
+    data[_row(data, rec, -1) + 8] ^= 1
+
+
+def _add_to_field(data, at, delta):
+    """Add delta to the little-endian u64 at byte `at` of data, modulo 2^64."""
+    value = (int.from_bytes(data[at : at + 8], "little") + delta) % (1 << 64)
+    data[at : at + 8] = value.to_bytes(8, "little")
+
+
+def _bump_every_claim(data, rec):
+    for at in range(HEADER_LEN + 4, len(data), rec):
+        _add_to_field(data, at + 8, 1)  # pdf
+        _add_to_field(data, at + 16, 1)  # cdf
+
+
 class TestDecodeTimeRejection:
     """A record the decoder rejects ends the session in MALFORMED even when
-    it sits after the first invalid opening: every distinct record is checked
-    when the batch is decoded, not when the verifier reaches it."""
+    it sits after the first invalid opening: the verifier stops walking and
+    numbering records there, but checks the format of every record of the
+    batch before it gives its verdict."""
 
     @pytest.mark.parametrize(
         "edits, reason",
@@ -1473,10 +1490,147 @@ def _count_field_one_more(data, rec):
     data[HEADER_LEN : HEADER_LEN + 4] = (count + 1).to_bytes(4, "little")
 
 
+def _two_sessions(q, cfg, seed, edit, chunk):
+    """Two oracle sessions at cfg and seed, one after another over one
+    socketpair, each against an honest prover of q served as a prover
+    process serves them: the first session's batch frames pass through
+    edit(frame, record_len) on their way. Batch bodies cross in blocks of
+    whole records of at most chunk bytes."""
+    left, right = socket.socketpair()
+    left.settimeout(10)  # a verifier left mid-frame fails instead of hanging
+    lr, lw = left.makefile("rb"), left.makefile("wb")
+    rr, rw = right.makefile("rb"), right.makefile("wb")
+
+    def serve():
+        serve_prover(rr, _EditingWriter(rw, edit), HonestProver(q))
+        serve_prover(rr, rw, HonestProver(q))
+
+    server = threading.Thread(target=serve, daemon=True)
+    results = []
+    with mock.patch.object(streams, "_READ_CHUNK", chunk):
+        server.start()
+        try:
+            for _ in range(2):
+                remote = RemoteProver(lr, lw)
+                results.append(run_oracle_session(cfg, remote, DSampler(q), seed))
+                remote.close()
+            server.join(timeout=5)
+        finally:
+            for f in (lr, lw, left):  # hang up, so a server blocked in a write stops
+                f.close()
+            server.join(timeout=5)
+            for f in (rr, rw, right):
+                f.close()
+    assert not server.is_alive()
+    return results
+
+
+def _first_batch_only(*edits):
+    """An _EditingWriter edit that changes only the first batch frame, by
+    each edit(frame, rec) in turn; its `payloads` lists that frame's
+    payload as it was and as it was sent."""
+    payloads = []
+
+    def edit(data, rec):
+        if not payloads:
+            original = bytes(data[HEADER_LEN:])
+            for e in edits:
+                e(data, rec)
+            payloads.extend([original, bytes(data[HEADER_LEN:])])
+
+    edit.payloads = payloads
+    return edit
+
+
+class _ReplayProver(HonestProver):
+    """Honest prover that answers its first query set with a recorded batch
+    payload, decoded whole by the per-row reference decoder; a payload that
+    decoder rejects makes the prover raise, so the session ends MALFORMED."""
+
+    def __init__(self, q, payload):
+        super().__init__(q)
+        self.payload = payload
+
+    def answer_queries(self, qs):
+        if self.payload is None:
+            return super().answer_queries(qs)
+        payload, self.payload = self.payload, None
+        depth = self.digest.depth
+        proofs, index = _reference_from_payload(payload, depth)
+        rows = np.frombuffer(b"".join(p.to_bytes() for p in proofs), dtype=np.uint8)
+        rows = rows.reshape(len(proofs), OpeningProof.encoded_len(depth))
+        return OpeningBatch(rows, index, depth)
+
+
+def _full_decode_reference(q, cfg, seed, payload):
+    """The session at cfg and seed whose first batch is `payload`, read by
+    a full decode: the whole payload decoded by the per-row reference
+    decoder, then every record walked by the verify-every-record session."""
+    with mock.patch.object(protocol, "VerifiedOracleSession", _VerifyEverySession):
+        return run_oracle_session(cfg, _ReplayProver(q, payload), DSampler(q), seed)
+
+
+def _assert_same_session(got, ref):
+    assert (got.accept, got.reason) == (ref.accept, ref.reason)
+    assert got.verified_openings == ref.verified_openings
+    assert got.transcript.to_text() == ref.transcript.to_text()
+    assert (got.transcript.bytes_sent, got.transcript.bytes_received) == (
+        ref.transcript.bytes_sent, ref.transcript.bytes_received
+    )
+
+
+_FRAME_EDITS = (
+    "pdf+1", "cdf+1", "flip-path-bit", "depth-byte", "direction-byte", "zeroed",
+    "conflicting-duplicate", "count-field",
+)
+
+
+def _frame_edit(kind, where, offset, variant, block):
+    """edit(frame, rec): one edit of an opening-batch frame whose body
+    crosses in blocks of `block` records, to the record at `offset` (modulo
+    the block) within its first, a middle or its last block; `variant`
+    picks the byte, bit or value."""
+
+    def edit(data, rec):
+        count = (len(data) - HEADER_LEN - 4) // rec
+        start = {"first": 0, "middle": (count - 1) // block // 2, "last": (count - 1) // block}
+        i = min(start[where] * block + offset % block, count - 1)
+        at = HEADER_LEN + 4 + i * rec
+        depth = (rec - DEPTH_BYTE - 1) // 41
+        if kind == "pdf+1":
+            _add_to_field(data, at + 8, 1)
+        elif kind == "cdf+1":
+            _add_to_field(data, at + 16, 1)
+        elif kind == "flip-path-bit":  # a sibling's mass or hash, or a direction byte
+            data[at + DEPTH_BYTE + 1 + variant % (rec - DEPTH_BYTE - 1)] ^= 1 << variant % 8
+        elif kind == "depth-byte":
+            data[at + DEPTH_BYTE] = (depth + 1 + variant % 255) % 256
+        elif kind == "direction-byte":  # the other direction, or a value past 1
+            column = at + direction_byte(variant % depth)
+            data[column] = data[column] ^ 1 if variant % 2 else 2 + variant % 254
+        elif kind == "zeroed":
+            data[at : at + rec] = bytes(rec)
+        elif kind == "conflicting-duplicate":  # another record's claim, this path
+            other = HEADER_LEN + 4 + (i + 1 + variant % (count - 1)) % count * rec
+            data[at : at + DEPTH_BYTE] = data[other : other + DEPTH_BYTE]
+        else:
+            assert kind == "count-field"
+            delta = (-1, 1, 2, 1 << 31)[variant % 4]
+            data[HEADER_LEN : HEADER_LEN + 4] = ((count + delta) % (1 << 32)).to_bytes(4, "little")
+
+    return edit
+
+
+# N = 1, G = 1: a record has depth 0 and no path
+_ONE = GrainDistribution(1, 1, (1,))
+
+
 class TestStreamedBatch:
     """An opening batch crosses the stream in blocks of whole records: a
     faulty batch ends its session with the stream at a frame boundary, and
-    neither end of a session holds the whole frame."""
+    neither end of a session holds the whole frame. The verifier walks each
+    block's new rows as they arrive and, after the first invalid opening,
+    only checks and counts the records, with the verdict of a full decode."""
 
     @pytest.mark.parametrize(
         "fault",
@@ -1484,38 +1638,94 @@ class TestStreamedBatch:
         ids=["count-field", "direction-byte-2", "refusal"],
     )
     def test_next_session_starts_at_a_frame_boundary(self, fault):
-        n = 16
-        left, right = socket.socketpair()
-        left.settimeout(10)  # a verifier left mid-frame fails instead of hanging
-        lr, lw = left.makefile("rb"), left.makefile("wb")
-        rr, rw = right.makefile("rb"), right.makefile("wb")
-
-        def serve():  # two sessions, one after another, as a prover process does
-            serve_prover(rr, _EditingWriter(rw, fault), HonestProver(uniform(n)))
-            serve_prover(rr, rw, HonestProver(uniform(n)))
-
-        server = threading.Thread(target=serve, daemon=True)
-        cfg = VerifierConfig(n, F(1, 2), generator=quantile_sampling_generator(10))
-        results = []
         # blocks of 5 records at depth 4, so the body spans many blocks
-        with mock.patch.object(streams, "_READ_CHUNK", 1000):
-            server.start()
-            try:
-                for _ in range(2):
-                    remote = RemoteProver(lr, lw)
-                    results.append(run_oracle_session(cfg, remote, DSampler(uniform(n)), seed=5))
-                    remote.close()
-                server.join(timeout=5)
-            finally:
-                for f in (lr, lw, left):  # hang up, so a server blocked in a write stops
-                    f.close()
-                server.join(timeout=5)
-                for f in (rr, rw, right):
-                    f.close()
-        assert not server.is_alive()
+        n = 16
+        cfg = VerifierConfig(n, F(1, 2), generator=quantile_sampling_generator(10))
+        results = _two_sessions(uniform(n), cfg, 5, fault, 1000)
         assert [(r.accept, r.reason) for r in results] == [
             (False, Reason.MALFORMED), (True, Reason.ACCEPT)
         ]
+
+    def test_count_field_mismatch_walks_no_record(self, monkeypatch):
+        # the count field alone makes the batch MALFORMED, so none of its
+        # records is worth a walk
+        calls = _counting_verify(monkeypatch)
+        n = 16
+        cfg = VerifierConfig(n, F(1, 2), generator=quantile_sampling_generator(10))
+        first, second = _two_sessions(uniform(n), cfg, 5, _count_field_one_more, 1000)
+        assert (first.reason, second.reason) == (Reason.MALFORMED, Reason.ACCEPT)
+        assert len(calls) == len(second.verified_openings)  # the second session's walks
+
+    @pytest.mark.parametrize("record", [False, True], ids=["counters-only", "record-payloads"])
+    @pytest.mark.parametrize(
+        "n, edits, reason",
+        [
+            (16, (_bump_pdf_of_record_1, _direction_byte_2_in_last_record), Reason.MALFORMED),
+            (16, (_bump_pdf_of_record_1, _depth_byte_off_in_last_record), Reason.MALFORMED),
+            (16, (_bump_pdf_of_record_1, _refuse_last_record), Reason.MALFORMED),
+            (16, (_bump_pdf_of_record_1, _count_field_one_more), Reason.MALFORMED),
+            (16, (_bump_pdf_of_last_record,), Reason.INVALID_OPENING),
+            (1, (_bump_pdf_of_record_1, _depth_byte_off_in_last_record), Reason.MALFORMED),
+            (1, (_bump_pdf_of_record_1, _refuse_last_record), Reason.MALFORMED),
+            (1, (_bump_pdf_of_record_1, _count_field_one_more), Reason.MALFORMED),
+            (1, (_bump_pdf_of_last_record,), Reason.INVALID_OPENING),
+            (1, (_bump_every_claim,), Reason.INVALID_OPENING),
+        ],
+        ids=["then-direction-byte-2", "then-depth-byte-off", "then-refusal",
+             "then-count-field", "last-invalid", "n1-then-depth-byte-off", "n1-then-refusal",
+             "n1-then-count-field", "n1-last-invalid", "n1-every-claim-bumped"],
+    )
+    def test_invalid_opening_in_a_multi_block_batch(self, n, edits, reason, record):
+        # 16 records to a block; the first invalid opening is record 1 or
+        # the last record, and a format fault sits in the last block
+        q = _ONE if n == 1 else uniform(n)
+        cfg = VerifierConfig(
+            n, F(1, 2), generator=quantile_sampling_generator(10), record_payloads=record
+        )
+        edit = _first_batch_only(*edits)
+        rec = OpeningProof.encoded_len((n - 1).bit_length())
+        first, second = _two_sessions(q, cfg, 5, edit, 16 * rec)
+        _, sent = edit.payloads
+        assert len(sent) > 3 * 16 * rec  # the batch spans more than three blocks
+        assert (first.accept, first.reason) == (False, reason)
+        if reason == Reason.MALFORMED:
+            assert not first.verified_openings
+        _assert_same_session(first, _full_decode_reference(q, cfg, 5, sent))
+        assert second.accept
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(["uniform", "random"]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(_FRAME_EDITS),
+                st.sampled_from(["first", "middle", "last"]),
+                st.integers(0, 10**6),
+                st.integers(0, 10**6),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.booleans(),
+        st.integers(0, 3),
+    )
+    def test_edited_batch_matches_full_decode(self, dist, edits, record, seed):
+        """An honest identity batch at N = 16 crosses in blocks of 16
+        records, with edits placed in its first, a middle and its last
+        block: the session ends as the full-decode reference does, never
+        accepts a changed batch, and leaves the stream where the next
+        session accepts."""
+        n, block = 16, 16
+        q = uniform(n) if dist == "uniform" else random_distribution(n, rng_from(seed, "q"))
+        cfg = VerifierConfig(
+            n, F(1, 2), generator=quantile_sampling_generator(10), record_payloads=record
+        )
+        edit = _first_batch_only(*(_frame_edit(*e, block) for e in edits))
+        first, second = _two_sessions(q, cfg, seed, edit, block * OpeningProof.encoded_len(4))
+        original, sent = edit.payloads
+        _assert_same_session(first, _full_decode_reference(q, cfg, seed, sent))
+        assert sent == original or not first.accept
+        assert second.accept
 
     @pytest.mark.parametrize(
         "cut", [HEADER_LEN + 2, HEADER_LEN + 4 + 5 * 189, -1],

@@ -15,7 +15,7 @@ from vdo.adversaries import (
 )
 from vdo.argument import FullRevealBackend, SpotCheckBackend, run_general_argument
 from vdo.commitment import NodeLabel
-from vdo.dist import point_mass, random_distribution, uniform
+from vdo.dist import GrainDistribution, point_mass, random_distribution, uniform
 from vdo.properties import make_fixed_target
 from vdo.protocol import (
     HonestProver,
@@ -82,7 +82,7 @@ class _StuckQuantile(HonestProver):
 
 def _oracle(prover, d=None, record=True, probes=20):
     cfg = VerifierConfig(
-        N, F(1, 2), generator=quantile_sampling_generator(probes), record_payloads=record
+        prover.q.n, F(1, 2), generator=quantile_sampling_generator(probes), record_payloads=record
     )
     return run_oracle_session(cfg, prover, DSampler(d or prover.q), 7)
 
@@ -180,10 +180,10 @@ def _replaced(of_proofs=False, **change):
     return edit
 
 
-def _sending(edit):
-    """run(record): a session against honest batches passed through
-    edit(batch), which returns the batch to send."""
-    return lambda record: _oracle(_EditedBatch(uniform(N), edit), record=record)
+def _sending(edit, q=None):
+    """run(record): a session against honest batches of q (uniform(N) by
+    default) passed through edit(batch), which returns the batch to send."""
+    return lambda record: _oracle(_EditedBatch(q or uniform(N), edit), record=record)
 
 
 def _edited_records(**change):
@@ -254,6 +254,14 @@ def _bad_depth_byte(rows):
 
 _BAD_PDF = _set_head(0, 1, lambda pdf: pdf + 1)  # fails verification
 
+
+def _bump_every_claim(rows):
+    cm.record_heads(rows)[:, 1:] += 1  # pdf and cdf
+
+
+# N = 1, G = 1: a record has depth 0 and no path
+ONE = GrainDistribution(1, 1, (1,))
+
 # case -> (reason in either mode, run(record))
 PARITY = {
     "honest": (Reason.ACCEPT, _edited_batch()),
@@ -265,6 +273,11 @@ PARITY = {
     "element-2^64": (Reason.MALFORMED, _proof_list(element=lambda x: 1 << 64)),
     "float-cdf-that-verifies": (Reason.MALFORMED, _proof_list(claimed_cdf=float)),
     "invalid-encodable": (Reason.INVALID_OPENING, _edited_batch(_BAD_PDF)),
+    # the batch's one distinct record, walked like any other
+    "n1-every-claim-bumped": (
+        Reason.INVALID_OPENING,
+        _sending(lambda batch: edited(batch, _bump_every_claim), q=ONE),
+    ),
     "invalid-ahead-of-unencodable": (
         Reason.MALFORMED,
         _edited_batch(_BAD_PDF, _set_byte(1, direction_byte(0), 2)),
