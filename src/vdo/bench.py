@@ -338,17 +338,22 @@ def measure_scaling(
 # -- calibration ---------------------------------------------------------------------------
 
 
+# the distance parameter calibrate() sets the tester coefficients at
+CALIBRATION_EPSILON = Fraction(1, 4)
+
+
 def calibrate(
     n: int = 1000,
-    epsilon: Fraction = Fraction(1, 4),
+    epsilon: Fraction = CALIBRATION_EPSILON,
     trials: int = 200,
     far_delta: Fraction = Fraction(3, 10),
     candidates=(2, 4, 6, 8, 12, 16),
     seed: int = 77,
     jobs: int | None = None,
-) -> tuple[Constants, list[dict]]:
+) -> tuple[Constants | None, list[dict]]:
     """Pick the smallest tester coefficient meeting the accept/reject targets
-    with margin, and return the constants to commit."""
+    with margin, and return the constants to commit (None when no candidate
+    meets them) and every candidate's rates."""
     grains = 10 * (1 << 17)  # divisible by 10 so far_delta*G is integral
     from dataclasses import replace
 
@@ -368,10 +373,8 @@ def calibrate(
         row = {"c": c, "accept_rate": comp, "reject_rate": 1 - sound}
         history.append(row)
         if comp >= margin and (1 - sound) >= margin and chosen is None:
-            chosen = cons
-    if chosen is None:
-        chosen = replace(base, c_id=max(candidates), c_unif=max(candidates))
-    return replace(chosen, version=base.version + 1), history
+            chosen = replace(cons, version=base.version + 1)
+    return chosen, history
 
 
 def _calibration_trial(args) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -16,6 +17,7 @@ from functools import partial
 from .adversaries import ADVERSARIES, AdversarySpec
 from .argument import BACKENDS
 from .bench import (
+    CALIBRATION_EPSILON,
     GeneralTrialSpec,
     LabelTrialSpec,
     OracleTrialSpec,
@@ -91,6 +93,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@contextmanager
+def _usage_errors():
+    """Checks of flags that no trial can run with: a ValueError or OSError
+    they raise is a usage error (exit 2) before any trial runs."""
+    try:
+        yield
+    except (ValueError, OSError) as e:
+        raise argparse.ArgumentError(None, str(e)) from e
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"--trials {trials}: need at least one trial")
+
+
 # A session mode's setup(args, q_spec, adversary) returns its parameters and
 # further config lines, each as (key, value) pairs, and its trial spec with
 # seed 0; the runner sets each trial's seed.
@@ -131,16 +148,13 @@ def _session_mode(trial, setup, q_default, args) -> Report:
     distribution's spec without --q-dist (None: the --d-dist one)."""
     report = Report(args.mode)
     q_spec = args.q_dist or q_default or args.d_dist
-    try:  # flags no trial can run with: build what the first trial builds
+    with _usage_errors():  # build what the first trial builds
         adv = parse_adversary(args.adversary, args.adversary_param)
         params, extra, spec = setup(args, q_spec, adv)
+        _check_trials(args.trials)
         specs = [replace(spec, seed=trial_seed(args.seed, i)) for i in range(args.trials)]
-        if not specs:
-            raise ValueError(f"--trials {args.trials}: need at least one trial")
         check_epsilon(spec.n, spec.epsilon)
         specs[0].inputs()
-    except (ValueError, OSError) as e:
-        raise argparse.ArgumentError(None, str(e)) from e
     for k, v in (
         ("n", args.n), *params, ("seed", args.seed), ("trials", args.trials), *extra,
         ("d_dist", args.d_dist), ("q_dist", q_spec), ("adversary", adv.strategy),
@@ -169,6 +183,9 @@ def _session_mode(trial, setup, q_default, args) -> Report:
 
 
 def cmd_calibrate(args) -> Report:
+    with _usage_errors():
+        _check_trials(args.trials)
+        check_epsilon(args.n, CALIBRATION_EPSILON)
     report = Report("calibrate")
     report.config("n", args.n)
     report.config("trials", args.trials)
@@ -185,17 +202,21 @@ def cmd_calibrate(args) -> Report:
                 "reject_rate": f"{float(row['reject_rate']):.4f}",
             },
         )
-    report.summary("chosen_c_id", cons.c_id)
-    report.summary("chosen_c_unif", cons.c_unif)
-    report.summary("constants", cons.to_text().replace("\n", "; "))
-    report.check("calibration-found", cons is not None)
-    if args.out:
+    found = cons is not None  # some candidate met both targets with the margin
+    if found:
+        report.summary("chosen_c_id", cons.c_id)
+        report.summary("chosen_c_unif", cons.c_unif)
+        report.summary("constants", cons.to_text().replace("\n", "; "))
+    report.check("calibration-found", found)
+    if args.out and found:
         with open(args.out + ".constants", "w", encoding="utf-8") as fh:
             fh.write(cons.to_text())
     return report
 
 
 def cmd_scaling(args) -> Report:
+    with _usage_errors():
+        _check_trials(args.trials)
     report = Report("scaling")
     report.config("seed", args.seed)
     report.config("trials", args.trials)

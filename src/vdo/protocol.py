@@ -27,21 +27,27 @@ integers castable to int64) is MALFORMED before any record is walked.
 Element, pdf and cdf are read as the matrix's little-endian uint64
 columns. The step returns the distinct verified (element, pdf, cdf)
 arrays and the per-probe index. Its element and quantile checks run over
-fixed blocks of probes, every element block before any quantile block.
+fixed blocks of probes, every element block before any quantile block; a
+block gathers each field it reads once, reads it under its kind's mask,
+and is skipped when it holds no probe of that kind.
 query_set gathers per-probe answers from that result. The identity round
 expands nothing per probe: it hands complete() the distinct pdfs plus
 the index past its first s_tail entries, and, only when the tail is
 sampled, the reference samples' pdfs read through those first s_tail
 entries.
 
-The arrays of an identity round as long as its batch are the query
-message, the reply's probe index and the plan's probes during the
-exchange, and the index, the probes and the pair arrays during the pair
-lifting; the message is gone by then. The honest prover resolves
-quantile probes into one copy of the probe values and writes each
-element's rank over that copy, both in blocks of CHECK_BLOCK probes, and
-the copy becomes the reply's index. The verifier's checks and the pair
-lifting run over blocks of the same length; dist defines it.
+An identity round holds one int64 values buffer, [quantile grains |
+element probes], which plan() fills and which is the query message's
+values; the message's kinds live until the exchange ends, and the reply's
+probe index from then on. The honest prover resolves quantile probes into
+one copy of the values (a block of quantile probes alone in place) and
+writes each element's rank over that copy, both in blocks of CHECK_BLOCK
+probes, and the copy becomes the reply's index. After the exchange the
+query has been sent, logged and checked, and complete() overwrites the
+buffer's mixed part with the pair keys; the keep mask and the collision
+count's sorted copy of the keys come and go within it. The verifier's
+checks, the pair lifting and the collision count run over blocks of the
+same length; dist defines it.
 
 run_session is the one skeleton behind all three protocols: establish,
 the second phase, conclude. Every exchange that rejects raises
@@ -205,13 +211,15 @@ class HonestProver:
         """Element answered at each probe position, as a fresh int64 array
         that answer_queries overwrites with the batch's index; an override
         edits and returns super()'s array. Quantile probes resolve block by
-        block into it."""
+        block into it, a block of quantile probes alone in place."""
         out = np.array(qs.values, dtype=np.int64)
         kinds = np.asarray(qs.kinds)
         for s in range(0, out.shape[0], CHECK_BLOCK):
             b = out[s : s + CHECK_BLOCK]
             quant = kinds[s : s + CHECK_BLOCK] == ProbeKind.QUANTILE
-            if quant.any():
+            if quant.all():
+                b[:] = self.q.quantile_grain_batch(b)
+            elif quant.any():
                 b[quant] = self.q.quantile_grain_batch(b[quant])
         return out
 
@@ -398,17 +406,21 @@ class VerifiedOracleSession:
         kinds = np.asarray(qs.kinds)
         values = np.asarray(qs.values, dtype=np.int64)
         blocks = [slice(s, s + CHECK_BLOCK) for s in range(0, len(qs), CHECK_BLOCK)]
-        # every element probe is checked before any quantile probe
+        # every element probe is checked before any quantile probe; a block
+        # gathers each field it reads once over the whole block, reads it
+        # under its kind's mask, and is skipped when it holds no probe of
+        # that kind
         for b in blocks:
             is_elem = kinds[b] == ProbeKind.ELEMENT
-            if (pe[index[b][is_elem]] != values[b][is_elem]).any():
+            if is_elem.any() and (is_elem & (pe[index[b]] != values[b])).any():
                 raise SessionRejected(Reason.INVALID_OPENING)
         plo = pcdf - ppdf
         for b in blocks:
             is_quant = kinds[b] == ProbeKind.QUANTILE
-            at, g = index[b][is_quant], values[b][is_quant]
-            if ((g <= plo[at]) | (g > pcdf[at])).any():
-                raise SessionRejected(Reason.QUANTILE_INVALID)
+            if is_quant.any():
+                at, g = index[b], values[b]
+                if (is_quant & ((g <= plo[at]) | (g > pcdf[at]))).any():
+                    raise SessionRejected(Reason.QUANTILE_INVALID)
         return pe, ppdf, pcdf, index
 
     # -- phase 1 ------------------------------------------------------------------
@@ -435,18 +447,17 @@ class VerifiedOracleSession:
             rng_from(self.seed, "pairs", rep),
         )
         s_tail = run.s_tail
-        # the batch is built and sent in one expression, so neither it nor
-        # its parts outlive the exchange
-        _, pdfs, _, index = self._exchange_distinct(
-            QuerySet.concat(
-                QuerySet.quantiles(
-                    rng_from(self.seed, "qgrains", rep).integers(
-                        1, g + 1, size=s_tail, dtype=np.int64
-                    )
-                ),
-                QuerySet.elements(run.plan(self.d_sampler, rng_from(self.seed, "mix", rep))),
-            )
+        # one values buffer, [quantile grains | element probes]; complete()
+        # writes the pair keys over its mixed part once the exchange is over
+        values = run.plan(
+            self.d_sampler,
+            rng_from(self.seed, "mix", rep),
+            rng_from(self.seed, "qgrains", rep).integers(1, g + 1, size=s_tail, dtype=np.int64),
         )
+        kinds = np.full(values.shape[0], ProbeKind.ELEMENT, dtype="u1")
+        kinds[:s_tail] = ProbeKind.QUANTILE
+        _, pdfs, _, index = self._exchange_distinct(QuerySet(kinds, values))
+        del kinds
         self.transcript.q_samples += s_tail
         # an exact tail reads no reference sample
         q_pdfs = np.empty(0, dtype=np.int64) if run.tail_exact else pdfs[index[:s_tail]]

@@ -15,12 +15,15 @@ its distinct verified openings and the batch's probe index, so no
 per-probe pdf array is built; identity_test passes the counts of an
 in-memory GrainDistribution, indexed by element - 1.
 
-The arrays of a round as long as its batch are the probes plan() returns,
-the probe index, the two pair arrays and the keep mask. plan() keeps its
-mixed samples as a view into the probes it returns, so the caller must not
-write that array; complete() drops the view once the pairs are drawn. The
-pair lifting gathers bounds and draws over blocks of CHECK_BLOCK samples,
-the block length the protocol's per-probe steps share.
+A round holds one int64 values buffer as long as its batch: plan() returns
+[quantile grains | tail probes | mixed D-samples], the grains being the
+ones its caller passes, and draws the mixture straight into it. Beside it
+the round holds the probe index, the pair lifting's keep mask, the
+collision count's sorted copy of the keys (32-bit when they lie in
+[0, 2^31)) and temporaries of at most CHECK_BLOCK samples, the block
+length the protocol's per-probe steps share. complete() owns the buffer's
+mixed part: it writes each pair's key over its sample, so the caller reads
+the buffer only until then and never writes it.
 """
 
 from __future__ import annotations
@@ -51,14 +54,28 @@ class DSampler:
 # -- mixing and granularization ------------------------------------------------
 
 
-def mixed_sample_batch(d_sampler: DSampler, n: int, k: int, rng: Generator) -> np.ndarray:
+def mixed_sample_batch(
+    d_sampler: DSampler, n: int, k: int, rng: Generator, out: np.ndarray | None = None
+) -> np.ndarray:
     """k draws from the half-uniform mixture of D: a fair coin per draw picks
-    a D-sample or a uniform element of [N]."""
-    coins = rng.integers(0, 2, size=k) == 1
-    take = int(np.count_nonzero(coins))
-    out = rng.integers(1, n + 1, size=k, dtype=np.int64)
-    if take:
-        out[coins] = d_sampler.draw_batch(take, rng)
+    a D-sample or a uniform element of [N]. They are written into out, k
+    int64 entries, when it is given, and returned.
+
+    The stream is that of one call per kind over all k draws: the coins,
+    then the uniform elements, then one D-sample per coin of 1. Each kind is
+    drawn over blocks of CHECK_BLOCK draws straight into out, since
+    consecutive scalar-bound calls continue one stream."""
+    out = np.empty(k, dtype=np.int64) if out is None else out
+    blocks = [out[s : s + CHECK_BLOCK] for s in range(0, k, CHECK_BLOCK)]
+    for b in blocks:
+        b[:] = rng.integers(0, 2, size=b.shape[0])
+    for b in blocks:
+        b ^= 1  # a coin of 1 leaves 0, the mark of a D-sample to come
+        b *= rng.integers(1, n + 1, size=b.shape[0], dtype=np.int64)
+    for b in blocks:
+        take = np.flatnonzero(b == 0)
+        if take.size:
+            b[take] = d_sampler.draw_batch(take.size, rng)
     return out
 
 
@@ -77,14 +94,17 @@ def _granular_pairs(
     grains: int,
     tail_slots: int,
     rng: Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Granular filter and pair lifting of mixture samples xs: (element,
-    slot) per sample. Sample i's reference pdf, in grains, is
-    pdf_table[index[i]], so the per-pdf arithmetic runs once per table entry.
+) -> np.ndarray:
+    """Granular filter and pair lifting of mixture samples xs, in place: each
+    sample becomes the key element*(m + 2) + slot of its pair (element,
+    slot), m = 6N, and xs is returned. Sample i's reference pdf, in grains,
+    is pdf_table[index[i]], so the per-pdf arithmetic runs once per table
+    entry.
 
     x is kept with probability theta(x) = slots(x)*G / (3*(N*c + G)) and gets
     a uniform slot in [1, slots(x)]; otherwise it becomes the overflow
-    element N+1 with a uniform slot in [1, max(1, tail_slots)].
+    element N+1 with a uniform slot in [1, max(1, tail_slots)]. Every slot
+    is at most m, so distinct pairs have distinct keys.
     """
     c = np.asarray(pdf_table, dtype=np.int64)
     denom = 3 * (n * c + grains)
@@ -97,14 +117,17 @@ def _granular_pairs(
     kept = np.empty(index.shape[0], dtype=bool)
     for b in blocks:
         kept[b] = rng.integers(0, denom[index[b]]) < keep_below[index[b]]
-    elements = np.where(kept, xs, n + 1)
-    slot = np.empty(index.shape[0], dtype=np.int64)
+    width = 6 * n + 2
     for b in blocks:
         bound = slots[index[b]]
-        bound[~kept[b]] = max(1, tail_slots)
-        slot[b] = rng.integers(0, bound)
-    slot += 1
-    return elements, slot
+        dropped = ~kept[b]
+        bound[dropped] = max(1, tail_slots)
+        key = xs[b]
+        key[dropped] = n + 1
+        key *= width
+        key += rng.integers(0, bound)
+        key += 1
+    return xs
 
 
 def exact_tail_slots(pdf_grains_all: np.ndarray, n: int, grains: int) -> int:
@@ -140,13 +163,32 @@ def uniformity_test(samples, m: int, epsilon: Fraction) -> UniformityResult:
     s = arr.shape[0]
     if s < 2:
         raise ValueError("need at least two samples")
-    _, cnt = np.unique(arr, return_counts=True)
-    cnt = cnt[cnt > 1]
-    collisions = int((cnt * (cnt - 1) // 2).sum())
+    collisions = _collisions(arr)
     total_pairs = s * (s - 1) // 2
     stat = Fraction(collisions, total_pairs)
     threshold = (1 + epsilon**2 / 2) / m
     return UniformityResult(stat <= threshold, s, collisions, stat, threshold)
+
+
+def _collisions(arr: np.ndarray) -> int:
+    """Pairs of equal integer samples: the sum of c*(c - 1)/2 over the run
+    lengths c of a sorted copy, which is 32-bit when every sample lies in
+    [0, 2^31). The runs are cut over blocks of CHECK_BLOCK samples."""
+    narrow = arr.min() >= 0 and arr.max() < 1 << 31
+    ordered = arr.astype(np.int32 if narrow else np.int64)
+    ordered.sort()
+    s = ordered.shape[0]
+    collisions, start = 0, 0  # start: the first sample of the open run
+    for lo in range(1, s, CHECK_BLOCK):
+        hi = min(lo + CHECK_BLOCK, s)
+        cuts = np.flatnonzero(ordered[lo:hi] != ordered[lo - 1 : hi - 1])
+        if cuts.size:
+            cuts += lo  # the first sample of each run that starts here
+            runs = np.diff(cuts, prepend=start)
+            collisions += int((runs * (runs - 1) // 2).sum())
+            start = int(cuts[-1])
+    last = s - start
+    return collisions + last * (last - 1) // 2
 
 
 # -- identity test ----------------------------------------------------------------
@@ -200,8 +242,9 @@ class IdentityTestRun:
     """One identity-test execution, split into plan and completion.
 
     plan() fixes every probe before any reference answer is consumed, so a
-    protocol can ship all probes in one batch: the element-probe list is
-    [uniform tail draws | exact-tail sweep | mixed D-samples]. complete()
+    protocol can ship all probes in one batch: the query's values are
+    [quantile grains | tail probes (uniform draws, or the exact-tail sweep)
+    | mixed D-samples]. complete()
     consumes the probes' pdf answers, as a table and a per-probe index into
     it, plus the step-1 quantile samples (with their pdfs) and produces the
     verdict; it runs once per plan().
@@ -226,8 +269,15 @@ class IdentityTestRun:
         self.tail_exact = self.s_tail >= n
         self._planned = False
 
-    def plan(self, d_sampler: DSampler, rng_mix: Generator) -> np.ndarray:
-        """Element-probe list; consumes exactly s_d draws from the sampler."""
+    def plan(
+        self, d_sampler: DSampler, rng_mix: Generator, grains: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The query's values as one int64 array, [grains | tail probes |
+        mixed D-samples], where grains, the quantile grains that lead the
+        query, are none by default; consumes exactly s_d draws from the
+        sampler. The mixed D-samples are drawn straight into the array, and
+        complete() writes the pair keys over them: the caller reads the
+        array, and must not write it, only until then."""
         n = self.n
         if self.tail_exact:
             tail_xs = np.arange(1, n + 1, dtype=np.int64)
@@ -238,9 +288,13 @@ class IdentityTestRun:
             tail_xs = self.rng_tail.integers(
                 1, n + 1, size=int((coins == 0).sum()), dtype=np.int64
             )
-        k = self._tail_probe_count = tail_xs.shape[0]
-        probes = np.concatenate([tail_xs, mixed_sample_batch(d_sampler, n, self.s_d, rng_mix)])
-        self._mixed = probes[k:]  # a view: the caller must not write the probes
+        k = self._tail_probe_count = tail_xs.shape[0]  # at most N
+        lead = 0 if grains is None else grains.shape[0]
+        probes = np.empty(lead + k + self.s_d, dtype=np.int64)
+        if lead:
+            probes[:lead] = grains
+        probes[lead : lead + k] = tail_xs
+        self._mixed = mixed_sample_batch(d_sampler, n, self.s_d, rng_mix, probes[lead + k :])
         self._planned = True
         return probes
 
@@ -280,17 +334,13 @@ class IdentityTestRun:
             tail = self._sampled_tail(tail_pdfs, q_sample_pdfs, grains)
             tail_slots = int(tail * m)
 
-        keys, pair_slot = _granular_pairs(
+        # the pair keys overwrite the mixed samples; the pair stream is
+        # drawn, so the run cannot complete again
+        keys = _granular_pairs(
             self._mixed, pdf_table, probe_index[k:], n, grains, tail_slots, self.rng_pairs
         )
-        # the probes are not held through the collision count's sort; the
-        # pair stream is drawn, so the run cannot complete again
         self._mixed = None
         self._planned = False
-        keys *= m + 2  # the pair (element, slot) as one int64 key, in place
-        keys += pair_slot
-        del pair_slot  # not held through the collision count's sort
-
         unif = uniformity_test(keys, m, self.epsilon / 3)
         return IdentityResult(unif.accept, unif, tail, counters)
 

@@ -147,13 +147,6 @@ class QuerySet:
         gs = np.asarray(grains, dtype=np.int64)
         return cls(np.full(gs.shape[0], ProbeKind.QUANTILE, dtype="u1"), gs)
 
-    @classmethod
-    def concat(cls, *sets: "QuerySet") -> "QuerySet":
-        return cls(
-            np.concatenate([s.kinds for s in sets]),
-            np.concatenate([s.values for s in sets]),
-        )
-
 
 # a record's depth byte, after its element, pdf and cdf
 _DEPTH_BYTE = OpeningProof.encoded_len(0) - 1

@@ -16,7 +16,7 @@ import pytest
 from vdo.commitment import OpeningProof
 from vdo.dist import GrainDistribution
 from vdo.rngutil import rng_from
-from vdo.wire import OpeningBatch
+from vdo.wire import OpeningBatch, QuerySet
 
 
 def tv_oracle(p: GrainDistribution, q: GrainDistribution) -> Fraction:
@@ -73,6 +73,14 @@ def support_distance_oracle(q: GrainDistribution, s_bound: int) -> Fraction:
         frac = Fraction(removed, q.grains)
         best = frac if best is None else min(best, frac)
     return best
+
+
+def concat(*sets: QuerySet) -> QuerySet:
+    """The query sets one after another, as one query set."""
+    return QuerySet(
+        np.concatenate([s.kinds for s in sets]),
+        np.concatenate([s.values for s in sets]),
+    )
 
 
 # -- opening batches: read a record matrix's rows, edit a copy of it -----------------

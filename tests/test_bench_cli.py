@@ -1,8 +1,10 @@
 import argparse
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,8 @@ from vdo.bench import (
     run_trials,
     trial_seed,
 )
+import vdo
+import vdo.bench as bench
 import vdo.cli as cli
 from vdo.cli import main, parse_dist_spec
 from vdo.constants import Constants, parse_constants, reset_cache
@@ -225,11 +229,16 @@ class TestCli:
             (["--mode", "general-argument", "--adversary", "backend-swap",
               "--adversary-param", "uniform", "--adversary-param", "point:1"],
              "adversary takes at most 1 parameter(s), got 2"),
+            (["--mode", "calibrate", "--trials", "0"], "need at least one trial"),
+            (["--mode", "calibrate", "--trials", "-2"], "need at least one trial"),
+            (["--mode", "calibrate", "--n", "0"], "domain size must be positive"),
+            (["--mode", "scaling", "--trials", "0"], "need at least one trial"),
         ],
         ids=["kappa", "n", "grains", "d-dist", "target", "property-param", "trials", "file",
              "adversary-param", "support-size-two-params", "uniformity-one-param",
              "support-size-negative", "far-commit-one-param", "inconsistent-opening-two-params",
-             "backend-swap-two-params"],
+             "backend-swap-two-params", "calibrate-trials", "calibrate-negative-trials",
+             "calibrate-n", "scaling-trials"],
     )
     def test_flags_no_trial_can_run_with_are_usage_errors(
         self, monkeypatch, capsys, flags, message
@@ -242,6 +251,27 @@ class TestCli:
             main(["--n", "64", "--trials", "1", "--jobs", "1"] + flags)
         assert exit_.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "accept, reject, found",
+        [(F(1), F(1), True), (F(23, 25), F(1), False), (F(1), F(23, 25), False)],
+        ids=["met", "accept-below-margin", "reject-below-margin"],
+    )
+    def test_calibration_found_only_when_a_candidate_meets_both_targets(
+        self, monkeypatch, tmp_path, capsys, accept, reject, found
+    ):
+        # no trial runs: every candidate reads the patched rates
+        def rates(n, epsilon, trials, far_delta, *rest):
+            return accept if far_delta is None else 1 - reject
+
+        monkeypatch.setattr(bench, "_calibration_rates", rates)
+        out = tmp_path / "cal.txt"
+        code = main(["--mode", "calibrate", "--trials", "3", "--jobs", "1", "--out", str(out)])
+        text = capsys.readouterr().out
+        assert code == (0 if found else 1)
+        assert f"check calibration-found {'PASS' if found else 'FAIL'}" in text
+        assert ("chosen_c_id=2" in text) == found
+        assert (tmp_path / "cal.txt.constants").exists() == found
 
     def test_oracle_session_mode(self, tmp_path, capsys):
         out = tmp_path / "report.txt"
@@ -280,10 +310,13 @@ class TestCli:
         assert code == 1
 
     def test_console_entry_point(self):
+        # the child imports the vdo this test imported, from a checkout too
+        path = [str(Path(vdo.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
         proc = subprocess.run(
             [sys.executable, "-m", "vdo", "--mode", "oracle-session", "--n", "16",
              "--eps", "1/2", "--trials", "2", "--seed", "1", "--jobs", "1"],
             capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         )
         assert proc.returncode == 0
         assert "result PASS" in proc.stdout

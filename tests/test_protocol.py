@@ -53,12 +53,12 @@ from vdo.wire import (
     frame_len,
 )
 
-from conftest import DEPTH_BYTE, direction_byte, edited, openings
+from conftest import DEPTH_BYTE, concat, direction_byte, edited, openings
 
 
 class TestWire:
     def test_queryset_roundtrip(self):
-        qs = QuerySet.concat(
+        qs = concat(
             QuerySet.quantiles(np.asarray([5, 7])), QuerySet.elements(np.asarray([1, 2, 3]))
         )
         back = QuerySet.from_payload(qs.payload())
@@ -97,7 +97,7 @@ class TestWire:
         assert fk.hex() == (
             "000000000114000000000102030405060708090a0b0c0d0e0f80000000"
         )
-        qs = QuerySet.concat(
+        qs = concat(
             QuerySet.quantiles(np.asarray([3])), QuerySet.elements(np.asarray([7]))
         )
         assert frame(2, qs).hex() == (
@@ -529,7 +529,7 @@ class _VerifyEverySession(VerifiedOracleSession):
             1, g + 1, size=s_tail, dtype=np.int64
         )
         element_probes = run.plan(self.d_sampler, rng_from(self.seed, "mix", rep))
-        qs = QuerySet.concat(QuerySet.quantiles(q_grains), QuerySet.elements(element_probes))
+        qs = concat(QuerySet.quantiles(q_grains), QuerySet.elements(element_probes))
         _, pdfs, _, _ = self._exchange_distinct(qs)  # one entry per probe
         self.transcript.q_samples += s_tail
         per_probe = np.arange(element_probes.shape[0])
@@ -856,20 +856,20 @@ class TestBlockedRoundDifferential:
 class TestRoundMemory:
     def test_heap_peak_within_the_round_arrays(self):
         # an honest identity round at general-256's sizes holds, beside
-        # blocks of at most CHECK_BLOCK probes, only the arrays of one of
-        # its two phases: the exchange (the message, the reply's index and
-        # the plan's probes) or the pair lifting (the index, the probes,
-        # both pair arrays and the keep mask)
+        # blocks of at most CHECK_BLOCK probes, one int64 values buffer (the
+        # query's, whose mixed part becomes the pair keys), its kinds until
+        # the exchange ends, the reply's index, and then the keep mask or
+        # the collision count's 32-bit sorted copy of the keys
         n, grains, eps = 256, 81920, F(3, 50)
         q = random_distribution(n, rng_from(1, "memory"), grains)
         cfg = VerifierConfig(n, eps)
         run = IdentityTestRun(n, eps, rng_from(0, "tail"), rng_from(0, "pairs"))
         assert run.tail_exact
         probes = run.s_tail + n + run.s_d
-        plan = n + run.s_d
-        exchange = 9 * probes + 8 * probes + 8 * plan
-        lifting = 8 * probes + 8 * plan + 2 * 8 * run.s_d + run.s_d
-        bound = max(exchange, lifting) + (2 << 20)
+        exchange = 8 * probes + probes + 8 * probes
+        lifting = 8 * probes + 8 * probes + run.s_d
+        count = 8 * probes + 8 * probes + 4 * run.s_d
+        bound = max(exchange, lifting, count) + (2 << 20)
 
         def session(seed):
             return VerifiedOracleSession(cfg, HonestProver(q), DSampler(q), seed)
@@ -885,6 +885,7 @@ class TestRoundMemory:
             tracemalloc.stop()
         assert s.identity.accept
         assert peak < bound, f"{peak / 2**20:.1f} MiB against {bound / 2**20:.1f} MiB"
+        assert peak < 20 * probes, f"{peak / probes:.1f} B per probe"
 
 
 class TestDedup:
@@ -910,7 +911,7 @@ class TestDedup:
         elif case == "full-domain":
             qs = QuerySet.elements(rng.permutation(np.arange(1, n + 1)))
         else:
-            qs = QuerySet.concat(
+            qs = concat(
                 QuerySet.quantiles(rng.integers(1, g + 1, size=200)),
                 QuerySet.elements(rng.integers(1, n + 1, size=200)),
             )
@@ -1156,7 +1157,7 @@ def _honest_encodings() -> dict:
     prover = HonestProver(random_distribution(16, rng_from(16, "records")))
     key = HashKey(bytes(range(16)), 128)
     digest = prover.receive_key(key).digest
-    qs = QuerySet.concat(
+    qs = concat(
         QuerySet.quantiles(np.asarray([1, 3, 7])), QuerySet.elements(np.asarray([2, 2, 9]))
     )
     batch = prover.answer_queries(qs)

@@ -95,6 +95,48 @@ class TestMixing:
         assert pval > 1e-3
 
 
+def _one_call_mixture(d, n, k, rng):
+    """The mixture mixed_sample_batch draws block by block, as one call per
+    kind over all k draws: the coins, the uniform elements, then one
+    D-sample per coin of 1. Returns the draws and the number of D-samples."""
+    coins = rng.integers(0, 2, size=k) == 1
+    take = int(np.count_nonzero(coins))
+    out = rng.integers(1, n + 1, size=k, dtype=np.int64)
+    if take:
+        out[coins] = d.sample_batch(take, rng)
+    return out, take
+
+
+class TestMixtureBuffer:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([1, 7, 2**16]),
+        st.integers(0, 3),
+        st.sampled_from(["uniform", "random", "point"]),
+        st.integers(0, 2**32),
+    )
+    def test_buffer_equals_the_one_call_reference(self, block, extra, dist, seed):
+        n = 12
+        d = {
+            "uniform": uniform(n),
+            "random": random_distribution(n, rng_from(seed, "d")),
+            "point": point_mass(n, 5, 64),
+        }[dist]
+        k = 3 * block + 1 + extra if block < 2**16 else block + 1 + extra  # not a multiple
+        buf = np.full(k + 2, -7, dtype=np.int64)
+        rng, ref_rng = rng_from(seed, "mix"), rng_from(seed, "mix")
+        sampler = DSampler(d)
+        with mock.patch.object(testers, "CHECK_BLOCK", block):
+            got = mixed_sample_batch(sampler, n, k, rng, buf[1:-1])
+        ref, take = _one_call_mixture(d, n, k, ref_rng)
+        assert np.shares_memory(got, buf)
+        assert got.tolist() == ref.tolist()
+        assert buf[0] == buf[-1] == -7  # nothing written past the buffer
+        assert sampler.draws == take
+        # the generator ends where the reference's does
+        assert rng.integers(0, 2**62, size=4).tolist() == ref_rng.integers(0, 2**62, size=4).tolist()
+
+
 class TestGranularityRatio:
     def test_exact_multiple_gives_one(self):
         # N = 2, G = 4, c = 1: q' = 3/8 is not a multiple of 1/12; c = 2 is
@@ -244,11 +286,13 @@ class TestTailEstimate:
 
 
 def _pairs(xs, pdfs, n, g, tail_slots, rng):
-    """The per-sample call: the table holds each sample's pdf, in order."""
+    """The per-sample call: the table holds each sample's pdf, in order. The
+    keys it writes over the samples, as (elements, slots)."""
     pdfs = np.asarray(pdfs, dtype=np.int64)
-    return _granular_pairs(
-        np.asarray(xs, dtype=np.int64), pdfs, np.arange(pdfs.shape[0]), n, g, tail_slots, rng
+    keys = _granular_pairs(
+        np.array(xs, dtype=np.int64), pdfs, np.arange(pdfs.shape[0]), n, g, tail_slots, rng
     )
+    return np.divmod(keys, 6 * n + 2)
 
 
 def _per_sample_pairs(xs, pdfs, n, g, tail_slots, rng):
@@ -284,13 +328,18 @@ class TestPairMap:
         index = rng.integers(0, table.shape[0], size=count)
         xs = rng.integers(1, n + 1, size=count, dtype=np.int64)
         tail_slots = [0, 1, 6 * n, int(rng.integers(0, 6 * n + 1))][tail_case]
+        samples = xs.copy()
         with mock.patch.object(testers, "CHECK_BLOCK", block):
-            got = _granular_pairs(xs, table, index, n, g, tail_slots, rng_from(seed, "pairs"))
+            got = _granular_pairs(samples, table, index, n, g, tail_slots, rng_from(seed, "pairs"))
+        assert got is samples  # the keys are written over the samples
+        assert got.dtype == np.int64
         per_sample = _pairs(xs, table[index], n, g, tail_slots, rng_from(seed, "pairs"))
         ref = _per_sample_pairs(xs, table[index], n, g, tail_slots, rng_from(seed, "pairs"))
-        for a, b, r in zip(got, per_sample, ref):
-            assert a.tolist() == b.tolist() == r.tolist()
-            assert a.dtype == np.int64
+        for elements, slots in (per_sample, ref):
+            assert elements.dtype == slots.dtype == np.int64
+            assert (elements * (6 * n + 2) + slots).tolist() == got.tolist()
+        for a, r in zip(per_sample, ref):
+            assert a.tolist() == r.tolist()
 
     def test_single_slot(self):
         # pdf 0 on [2] with G = 4: q' = 1/4, three slots, always kept
@@ -334,7 +383,44 @@ class TestPairMap:
             assert all(p == F(1, m) for p in total)
 
 
+def _unique_collisions(samples) -> int:
+    """The collision count uniformity_test's run lengths replaced: np.unique's
+    counts of the distinct samples."""
+    _, cnt = np.unique(np.asarray(samples), return_counts=True)
+    cnt = cnt[cnt > 1]
+    return int((cnt * (cnt - 1) // 2).sum())
+
+
 class TestUniformityTest:
+    # keys below 2^31 are sorted as 32-bit, the rest as 64-bit; runs are cut
+    # over blocks of `block` samples
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.integers(0, 5), min_size=2, max_size=400),  # heavy repeats
+            st.lists(st.integers(0, 2**31 - 1), min_size=2, max_size=60),
+            st.lists(st.integers(2**31 - 3, 2**31 + 3), min_size=2, max_size=60),
+            st.lists(st.integers(-(2**63), 2**63 - 1), min_size=2, max_size=60),
+            # keys equal mod 2^32 or 2^31, so a narrowed copy would merge them
+            st.lists(
+                st.sampled_from([0, 1, 2**31 - 1, 2**31, 2**32, 2**32 + 1, 2**40, 2**40 + 1]),
+                min_size=2,
+                max_size=60,
+            ),
+            st.lists(st.sampled_from([-1, 0, 2**31, 2**63 - 1]), min_size=2, max_size=60),
+            st.lists(st.integers(0, 3), min_size=2, max_size=2),  # exactly two samples
+        ),
+        st.sampled_from([1, 2, 7, testers.CHECK_BLOCK]),
+    )
+    def test_collisions_equal_the_unique_count(self, samples, block):
+        arr = np.asarray(samples, dtype=np.int64)
+        sent = arr.copy()
+        with mock.patch.object(testers, "CHECK_BLOCK", block):
+            res = uniformity_test(arr, 16, F(1, 2))
+        assert res.collisions == _unique_collisions(sent)
+        assert res.statistic == F(res.collisions, len(samples) * (len(samples) - 1) // 2)
+        assert arr.tolist() == sent.tolist()  # the samples are not sorted in place
+
     def test_statistic_example(self):
         res = uniformity_test(np.asarray([1, 2, 1, 3]), m=10, epsilon=F(1, 2))
         assert res.collisions == 1
