@@ -87,9 +87,11 @@ class InconsistentOpeningAdversary(AdversaryScript):
         draws = rng.integers(0, p.denominator, size=count)
         return draws < p.numerator
 
-    def _perturb(self, proof: cm.OpeningProof) -> cm.OpeningProof:
-        bump = proof.claimed_pdf + 1
-        return cm.OpeningProof(proof.element, bump, proof.claimed_cdf + 1, proof.path)
+    def _perturb(self, record: bytes) -> bytes:
+        """record with its pdf and cdf bumped by one grain, path untouched."""
+        row = np.frombuffer(record, dtype=np.uint8).reshape(1, -1).copy()
+        cm.record_heads(row)[:, 1:] += 1
+        return row.tobytes()
 
     def answer_queries(self, qs: QuerySet) -> OpeningBatch:
         batch = super().answer_queries(qs)
@@ -106,11 +108,9 @@ class InconsistentOpeningAdversary(AdversaryScript):
         return OpeningBatch(np.concatenate([rows, bumped]), index, batch.depth)
 
     def opening_run(self, run_index: int):
-        proofs = super().opening_run(run_index)
-        mask = self._flip_mask(len(proofs), f"run{run_index}")
-        return [
-            self._perturb(p) if flip else p for p, flip in zip(proofs, mask)
-        ]
+        records = super().opening_run(run_index)
+        mask = self._flip_mask(len(records), f"run{run_index}")
+        return [self._perturb(r) if flip else r for r, flip in zip(records, mask)]
 
 
 class SelectiveRefusalAdversary(AdversaryScript):
@@ -141,9 +141,9 @@ class SelectiveRefusalAdversary(AdversaryScript):
 
     def opening_run(self, run_index: int):
         return [
-            p
-            for p in super().opening_run(run_index)
-            if p.element not in self.blocked
+            r
+            for r in super().opening_run(run_index)
+            if int.from_bytes(r[:8], "little") not in self.blocked
         ]
 
 

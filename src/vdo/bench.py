@@ -340,21 +340,24 @@ def measure_scaling(
 
 # the distance parameter calibrate() sets the tester coefficients at
 CALIBRATION_EPSILON = Fraction(1, 4)
+_CALIBRATION_GRAINS = 10 * (1 << 17)  # divisible by 10 so far_delta*G is integral
+_FAR_DELTA = Fraction(3, 10)
+_CANDIDATES = (2, 4, 6, 8, 12, 16)
 
 
 def calibrate(
     n: int = 1000,
     epsilon: Fraction = CALIBRATION_EPSILON,
     trials: int = 200,
-    far_delta: Fraction = Fraction(3, 10),
-    candidates=(2, 4, 6, 8, 12, 16),
+    far_delta: Fraction = _FAR_DELTA,
+    candidates=_CANDIDATES,
     seed: int = 77,
     jobs: int | None = None,
 ) -> tuple[Constants | None, list[dict]]:
     """Pick the smallest tester coefficient meeting the accept/reject targets
     with margin, and return the constants to commit (None when no candidate
     meets them) and every candidate's rates."""
-    grains = 10 * (1 << 17)  # divisible by 10 so far_delta*G is integral
+    grains = _CALIBRATION_GRAINS
     from dataclasses import replace
 
     base = get_constants()
@@ -377,13 +380,23 @@ def calibrate(
     return chosen, history
 
 
+def _calibration_dists(n, far_delta, grains, s) -> tuple:
+    """(Q, D) of one calibration trial: D is Q with far_delta of its mass
+    moved, or Q itself when far_delta is None."""
+    q = make_dist(("two-level",), n, grains, s)
+    return q, q if far_delta is None else shift_mass(q, far_delta, rng_from(s, "far"))
+
+
+def first_far_dist(n: int, seed: int) -> GrainDistribution:
+    """D of the first soundness trial of calibrate(n=n, seed=seed);
+    ValueError when it cannot be built at n."""
+    s = derive_key(derive_key(seed, "sound", _CANDIDATES[0]), 0)
+    return _calibration_dists(n, _FAR_DELTA, _CALIBRATION_GRAINS, s)[1]
+
+
 def _calibration_trial(args) -> bool:
     n, epsilon, far_delta, grains, cons, s = args
-    q = make_dist(("two-level",), n, grains, s)
-    if far_delta is None:
-        d = q
-    else:
-        d = shift_mass(q, far_delta, rng_from(s, "far"))
+    q, d = _calibration_dists(n, far_delta, grains, s)
     res = identity_test(
         q, DSampler(d), n, epsilon, rng_from(s, "cal"), cons
     )

@@ -24,6 +24,7 @@ from .bench import (
     Report,
     accept_rate,
     calibrate,
+    first_far_dist,
     general_trial,
     label_trial,
     measure_scaling,
@@ -34,7 +35,7 @@ from .bench import (
 )
 from .bruteforce import run_brute_force_suite
 from .properties import LABEL_INVARIANT
-from .testers import check_epsilon
+from .testers import check_epsilon, max_grains
 
 
 def parse_dist_spec(text: str) -> tuple:
@@ -154,7 +155,10 @@ def _session_mode(trial, setup, q_default, args) -> Report:
         _check_trials(args.trials)
         specs = [replace(spec, seed=trial_seed(args.seed, i)) for i in range(args.trials)]
         check_epsilon(spec.n, spec.epsilon)
-        specs[0].inputs()
+        g = specs[0].inputs()[-1].q.grains  # the prover's committed denominator
+        if g > max_grains(spec.n):
+            raise ValueError(f"committed denominator {g} exceeds max_grains({spec.n}) = "
+                             f"{max_grains(spec.n)}")
     for k, v in (
         ("n", args.n), *params, ("seed", args.seed), ("trials", args.trials), *extra,
         ("d_dist", args.d_dist), ("q_dist", q_spec), ("adversary", adv.strategy),
@@ -186,6 +190,7 @@ def cmd_calibrate(args) -> Report:
     with _usage_errors():
         _check_trials(args.trials)
         check_epsilon(args.n, CALIBRATION_EPSILON)
+        first_far_dist(args.n, args.seed)
     report = Report("calibrate")
     report.config("n", args.n)
     report.config("trials", args.trials)

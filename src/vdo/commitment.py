@@ -17,15 +17,15 @@ Nodes are heap-indexed: node 1 is the root, node i has children 2i and
 2i+1, and element x's leaf is node padded + x - 1. A node label has one
 form, its 40-byte encoding. TreeAux keeps every label digest builds as one
 row of a (2 * padded, 40) uint8 label matrix, beside an int64 column of the
-masses. An opening's record is its wire encoding: element, pdf, cdf and
-depth, then per level the sibling's label and a direction byte.
-open_element builds one record by walking up the tree; open_batch builds
-the records of many elements at once as the rows of a record matrix,
-gathering each level's sibling rows with one fancy index, and its rows are
-byte-identical to open_element's records. check_records validates a
-record matrix as from_bytes validates one record.
+masses. An opening has one form, its record, which is also its wire
+encoding: element, pdf and cdf (u64 each) and a depth byte, then per level,
+leaf to root, the sibling's label and a direction byte (1 when the sibling
+is the left child). open_batch builds the records of many elements at once
+as the rows of a record matrix, gathering each level's sibling rows with
+one fancy index; open_element is open_batch of one element.
+check_records checks the depth and direction bytes of a record matrix.
 
-Verification and extraction share one walk per opening: the leaf hash,
+Verification and extraction share one walk per record: the leaf hash,
 one node hash per level, then the header hash once the mass and cdf checks
 pass; extraction keeps the labels that walk pins, by heap index. A
 committed tree costs 2 * padded hashes (padded leaves, padded - 1 nodes,
@@ -145,41 +145,9 @@ _HEAD_FIELDS = 24  # the element, pdf and cdf of an encoded opening; the depth b
 _MASS = struct.Struct("<Q")  # a label's mass
 
 
-@dataclass(frozen=True)
-class OpeningProof:
-    """Authenticated pdf/cdf claim for one element.
-
-    path is the encoded sibling path, leaf to root: per level the sibling's
-    encoded label and a direction byte, 1 when the sibling is the left child.
-    Left siblings' masses accumulate into the cdf.
-    """
-
-    element: int
-    claimed_pdf: int
-    claimed_cdf: int
-    path: bytes
-
-    def to_bytes(self) -> bytes:
-        depth = len(self.path) // _LEVEL_LEN
-        return _OPENING_HEAD.pack(self.element, self.claimed_pdf, self.claimed_cdf, depth) + self.path
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "OpeningProof":
-        """Decode one record (ValueError if malformed): check the length
-        and the direction bytes, then slice off the path."""
-        if len(data) < _OPENING_HEAD.size:
-            raise ValueError("truncated opening")
-        element, pdf, cdf, depth = _OPENING_HEAD.unpack_from(data)
-        if len(data) != cls.encoded_len(depth):
-            raise ValueError("opening length mismatch")
-        path = bytes(data[_OPENING_HEAD.size :])
-        if path[_LABEL_LEN::_LEVEL_LEN].translate(None, b"\x00\x01"):
-            raise ValueError("bad direction byte")
-        return cls(element, pdf, cdf, path)
-
-    @staticmethod
-    def encoded_len(depth: int) -> int:
-        return _OPENING_HEAD.size + depth * _LEVEL_LEN
+def record_len(depth: int) -> int:
+    """Length of an opening's record at the given depth."""
+    return _OPENING_HEAD.size + depth * _LEVEL_LEN
 
 
 class TreeAux:
@@ -237,33 +205,19 @@ def digest(key: HashKey, q: GrainDistribution) -> tuple[Digest, TreeAux]:
     return d, TreeAux(padded, matrix, np.asarray(masses, dtype=np.int64))
 
 
-def open_element(x: int, key: HashKey, d: Digest, aux: TreeAux) -> OpeningProof:
-    """Opening for element x: pdf, cdf and the sibling path."""
-    if not 1 <= x <= d.domain_size:
-        raise ValueError(f"element {x} outside [1, {d.domain_size}]")
-    labels, masses = aux.labels, aux.masses
-    idx = aux.padded + x - 1
-    pdf = cdf = int(masses[idx])
-    path = []
-    while idx > 1:
-        if idx & 1:  # the sibling is the left child
-            cdf += int(masses[idx - 1])
-            path += (labels[idx - 1].tobytes(), b"\x01")
-        else:
-            path += (labels[idx + 1].tobytes(), b"\x00")
-        idx >>= 1
-    return OpeningProof(x, pdf, cdf, b"".join(path))
+def open_element(x: int, key: HashKey, d: Digest, aux: TreeAux) -> bytes:
+    """Record of element x's opening: pdf, cdf and the sibling path."""
+    return open_batch(np.asarray([x]), d, aux)[0].tobytes()
 
 
 def open_batch(xs: np.ndarray, d: Digest, aux: TreeAux) -> np.ndarray:
     """Records of the openings of elements xs (a 1-D integer array) as a
-    (len(xs), record_len) uint8 matrix: row i is
-    open_element(xs[i]).to_bytes(). Each level's sibling labels are gathered
-    for every element at once."""
+    (len(xs), record_len) uint8 matrix, row i the record of xs[i]. Each
+    level's sibling labels are gathered for every element at once."""
     xs = np.asarray(xs, dtype=np.int64)
     if xs.size and (xs.min() < 1 or xs.max() > d.domain_size):
         raise ValueError(f"element outside [1, {d.domain_size}]")
-    rows = np.empty((xs.shape[0], OpeningProof.encoded_len(d.depth)), dtype=np.uint8)
+    rows = np.empty((xs.shape[0], record_len(d.depth)), dtype=np.uint8)
     node = xs + (aux.padded - 1)
     cdf = aux.masses[node]
     head = record_heads(rows)
@@ -289,8 +243,8 @@ def record_heads(rows: np.ndarray) -> np.ndarray:
 
 def check_records(rows: np.ndarray, depth: int) -> None:
     """ValueError unless every row of the record matrix rows carries the
-    depth byte depth and direction bytes in {0, 1}; the message is the one
-    from_bytes gives for the first row it rejects."""
+    depth byte depth and direction bytes in {0, 1}; the message, "opening
+    length mismatch" or "bad direction byte", names the first row's fault."""
     bad_depth = rows[:, _HEAD_FIELDS] != depth
     bad = bad_depth | (rows[:, _OPENING_HEAD.size + _LABEL_LEN :: _LEVEL_LEN] > 1).any(axis=1)
     if bad.any():
@@ -303,38 +257,38 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII binary digits to bytes 0 an
 
 @functools.cache
 def _level_unpackers(depth: int):
-    """Unpackers of a depth-level path: its sibling labels, their masses."""
+    """Unpackers of a depth-level path from an offset: its sibling labels,
+    their masses."""
     labels, masses = f"{_LABEL_LEN}sx" * depth, f"Q{HASH_LEN}xx" * depth
-    return struct.Struct("<" + labels).unpack, struct.Struct("<" + masses).unpack
+    return struct.Struct("<" + labels).unpack_from, struct.Struct("<" + masses).unpack_from
 
 
 def _walk(
-    x: int, proof: OpeningProof, key: HashKey, d: Digest, pinned: list[bytes] | None = None
+    x: int, record: bytes, key: HashKey, d: Digest, pinned: list[bytes] | None = None
 ) -> bool:
-    """The checks and hashes of verify_opening, on the encoded path: any bytes
-    path gets a verdict, never an exception (a well-formed digest keeps
-    every running mass within 8 bytes). Given a list `pinned`, the walk also
-    appends the encoded labels the path pins, leaf to root: the running
-    node, then its sibling, at each level, and last the root before the
-    header hash; they hold only if the walk accepts. verify_opening passes
-    no list: collecting the labels on every verification made it about 7 %
-    slower."""
-    denom = d.denominator
-    if not d.well_formed() or not 1 <= x <= d.domain_size or proof.element != x:
+    """The checks and hashes of verify_opening: any bytes record gets a
+    verdict, never an exception (a well-formed digest keeps every running
+    mass within 8 bytes). Given a list `pinned`, the walk also appends the
+    encoded labels the path pins, leaf to root: the running node, then its
+    sibling, at each level, and last the root before the header hash; they
+    hold only if the walk accepts. verify_opening passes no list:
+    collecting the labels on every verification made it about 7 % slower."""
+    denom, depth = d.denominator, d.depth
+    if not d.well_formed() or not 1 <= x <= d.domain_size or len(record) != record_len(depth):
         return False
-    path = proof.path
-    depth = d.depth
-    if len(path) != depth * _LEVEL_LEN or not 0 <= proof.claimed_pdf <= denom:
+    element, mass, claimed_cdf, depth_byte = _OPENING_HEAD.unpack_from(record)
+    if element != x or depth_byte != depth or mass > denom:
         return False
     # the direction bytes must spell the element's position, low bit first
-    sides = path[_LABEL_LEN::_LEVEL_LEN]
+    sides = record[_OPENING_HEAD.size + _LABEL_LEN :: _LEVEL_LEN]
     if sides != format(x - 1, f"0{depth}b")[::-1][:depth].encode().translate(_BITS):
         return False
     sibs, masses = _level_unpackers(depth)
     salt = key.salt
-    mass = cdf = proof.claimed_pdf
+    cdf = mass
     node = _MASS.pack(mass) + _hash_leaf(salt, mass)
-    for sib, sib_mass, sib_is_left in zip(sibs(path), masses(path), sides):
+    levels = zip(sibs(record, _OPENING_HEAD.size), masses(record, _OPENING_HEAD.size), sides)
+    for sib, sib_mass, sib_is_left in levels:
         if sib_mass > denom:
             return False
         if pinned is not None:
@@ -345,22 +299,24 @@ def _walk(
             node = _MASS.pack(mass) + _hash_node(salt, sib, node)
         else:
             node = _MASS.pack(mass) + _hash_node(salt, node, sib)
-    if mass != d.root.mass or cdf != proof.claimed_cdf:
+    if mass != d.root.mass or cdf != claimed_cdf:
         return False
     if pinned is not None:
         pinned.append(node)
     return _hash_header(salt, d.domain_size, denom, d.padded_size, node[8:]) == d.root.digest
 
 
-def verify_opening(x: int, proof: OpeningProof, key: HashKey, d: Digest) -> bool:
-    """Accept iff the path reproduces the digest, every level is mass-additive,
-    and the claimed cdf equals the leaf mass plus all left-sibling masses.
+def verify_opening(x: int, record: bytes, key: HashKey, d: Digest) -> bool:
+    """Accept iff the record claims element x at the digest's depth, its
+    path reproduces the digest, every level is mass-additive, and the
+    claimed cdf equals the leaf mass plus all left-sibling masses.
 
     Hashes the leaf, one node per level, and the header only once the root
     mass and cdf checks pass: depth + 2 hashes to accept, depth + 1 for a
-    mass or cdf rejection.
+    mass or cdf rejection, and none for a record whose length, depth byte,
+    element, pdf or direction bytes fail the checks before the leaf hash.
     """
-    return _walk(x, proof, key, d)
+    return _walk(x, record, key, d)
 
 
 # -- extraction ----------------------------------------------------------------
@@ -398,7 +354,8 @@ def extract(
     """Recover the unique distribution a replayable opener is bound to.
 
     Runs the adversary ceil(c_ext*N/eta) times with fresh run indices, keeps
-    openings that verify, and stores the encoded labels their walks pin, by
+    the records (bytes; anything else is skipped) that verify at the
+    element they name, and stores the encoded labels their walks pin, by
     heap index. Mass of maximal subtrees that were never pinned is spread
     evenly over their in-range leaves (leftmost leaves take the remainder;
     subtrees consisting only of padding give their mass to element N).
@@ -410,18 +367,19 @@ def extract(
     runs = frac_ceil(Fraction(get_constants().c_ext * n) / Fraction(eta))
     known: dict[int, bytes] = {}
     seen = 0
-    processed: set[OpeningProof] = set()
+    processed: set[bytes] = set()
     try:
         for r in range(runs):
-            for proof in adversary.opening_run(r):
-                if not isinstance(proof, OpeningProof) or proof in processed:
+            for record in adversary.opening_run(r):
+                if not isinstance(record, bytes) or record in processed:
                     continue
-                processed.add(proof)
+                processed.add(record)
                 labels: list[bytes] = []
-                if not _walk(proof.element, proof, key, d, labels):
+                x = int.from_bytes(record[:8], "little")
+                if not _walk(x, record, key, d, labels):
                     continue
                 seen += 1
-                leaf = padded + proof.element - 1
+                leaf = padded + x - 1
                 for j, label in enumerate(labels):
                     # labels[2l] is the path's node at level l, labels[2l+1]
                     # its sibling; the last one is the root

@@ -55,12 +55,12 @@ SessionRejected with a Reason, and run_session alone catches it and
 concludes, so each session ends in exactly one verdict.
 
 A record is walked once per session. The session maps each accepted
-(element, pdf, cdf) to the path that proved it; a later row equal to an
-accepted one, that is, with the same fields and path, is accepted without
-walking its path again, since verify_opening's verdict depends only on the
-record, the key and the digest. Every other row, a repeated claim with a
-changed path included, goes to verify_opening, looked up at call time, in
-row order, as an OpeningProof built from its fields and a copy of its path.
+(element, pdf, cdf) to the record that proved it; a later row equal to an
+accepted record is accepted without walking its path again, since
+verify_opening's verdict depends only on the record, the key and the
+digest. Every other row, a repeated claim with a changed path included,
+goes to verify_opening, looked up at call time, in row order, as a copy of
+its bytes.
 
 One row walker (_RowWalker) per batch does that walk. In process it runs
 over the whole matrix once the batch has passed its checks, and adds the
@@ -116,20 +116,12 @@ from .wire import (
 # (N, eps, denominator, rng) -> the query-phase probe list
 QueryGenerator = Callable[[int, Fraction, int, Generator], QuerySet]
 
-# where an encoded opening's path starts: after element, pdf, cdf and depth
-_PATH_START = cm.OpeningProof.encoded_len(0)
-
 # verified (elements, pdf_grains, cdf_grains) per probe, as int64 arrays
 Answers = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # verified (elements, pdf_grains, cdf_grains) per distinct opening, plus the
 # per-probe index into them, as int64 arrays
 DistinctAnswers = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def element_generator(xs) -> QueryGenerator:
-    fixed = np.asarray(xs, dtype=np.int64)
-    return lambda n, e, g, rng: QuerySet.elements(fixed)
 
 
 def quantile_sampling_generator(count: int) -> QueryGenerator:
@@ -189,23 +181,13 @@ class HonestProver:
         self.key: cm.HashKey | None = None
         self.digest: cm.Digest | None = None
         self.aux: cm.TreeAux | None = None
-        self._opened: dict[int, cm.OpeningProof] = {}
+        self._records: list[bytes] | None = None  # every element's record, once opened
 
     def receive_key(self, key: cm.HashKey) -> DigestMsg:
         self.key = key
         self.digest, self.aux = cm.digest(key, self.q)
-        self._opened = {}
+        self._records = None
         return DigestMsg(self.digest)
-
-    # -- opening helpers -----------------------------------------------------
-
-    def _proof_for(self, x: int) -> cm.OpeningProof:
-        """Element x's opening for the extraction interface, opened once."""
-        p = self._opened.get(x)
-        if p is None:
-            p = cm.open_element(x, self.key, self.digest, self.aux)
-            self._opened[x] = p
-        return p
 
     def resolve_queries(self, qs: QuerySet) -> np.ndarray:
         """Element answered at each probe position, as a fresh int64 array
@@ -225,7 +207,7 @@ class HonestProver:
 
     def answer_queries(self, qs: QuerySet) -> OpeningBatch:
         """The batch holds the record matrix of the distinct elements,
-        gathered by open_batch; no OpeningProof is built."""
+        gathered by open_batch."""
         elements = self.resolve_queries(qs)
         n = self.q.n
         if elements.size and (elements.min() < 1 or elements.max() > n):
@@ -253,17 +235,18 @@ class HonestProver:
     # -- extraction interface --------------------------------------------------
 
     def opening_run(self, run_index: int):
-        """Replayable opening oracle: run r opens a deterministic window of
-        OPENING_RUN elements, cycling through the whole domain across runs."""
+        """Replayable opening oracle: run r lists the records of a
+        deterministic window of OPENING_RUN elements, cycling through the
+        whole domain across runs. The first run after a key opens every
+        element in one open_batch."""
         if self.digest is None:
             return []
         n = self.q.n
+        if self._records is None:
+            rows = cm.open_batch(np.arange(1, n + 1), self.digest, self.aux)
+            self._records = [row.tobytes() for row in rows]
         start = (run_index * OPENING_RUN) % n
-        out = []
-        for i in range(min(OPENING_RUN, n)):
-            x = 1 + (start + i) % n
-            out.append(self._proof_for(x))
-        return out
+        return [self._records[(start + i) % n] for i in range(min(OPENING_RUN, n))]
 
 
 class SessionRejected(Exception):
@@ -280,12 +263,12 @@ class _RowWalker:
     A row equal to one the session accepted earlier is accepted unwalked,
     since verify_opening's verdict depends only on the record, the key and
     the digest; every other row goes to verify_opening, looked up at call
-    time, as an OpeningProof built from its fields and a copy of its path.
-    The first row that fails ends the walk: failed is set, and later calls
-    walk nothing. Each accepted row's claim and path go to staged, first
-    path first: the session's map itself when the batch passed its checks
-    before the walk, or a dict of their own that the session merges once the
-    batch is known to be well formed."""
+    time, as a copy of its bytes. The first row that fails ends the walk:
+    failed is set, and later calls walk nothing. Each accepted row's claim
+    and record go to staged, first record first: the session's map itself
+    when the batch passed its checks before the walk, or a dict of their
+    own that the session merges once the batch is known to be well
+    formed."""
 
     def __init__(self, key: cm.HashKey, digest: cm.Digest, verified: dict, staged: dict):
         self.key, self.digest, self.verified, self.staged = key, digest, verified, staged
@@ -295,17 +278,17 @@ class _RowWalker:
         if self.failed:
             return False
         key, digest, verified, staged = self.key, self.digest, self.verified, self.staged
-        heads, rec = cm.record_heads(rows), rows.shape[1]
+        rec = rows.shape[1]
         records = memoryview(rows.reshape(-1))  # the rows, end to end
-        starts = range(_PATH_START, _PATH_START + rows.size, rec)
-        for x, pdf, cdf, start in zip(*heads.T.tolist(), starts):
-            path = records[start : start + rec - _PATH_START].tobytes()
-            if verified.get((x, pdf, cdf)) == path:
+        starts = range(0, rows.size, rec)
+        for x, pdf, cdf, start in zip(*cm.record_heads(rows).T.tolist(), starts):
+            record = records[start : start + rec].tobytes()
+            if verified.get((x, pdf, cdf)) == record:
                 continue
-            if not cm.verify_opening(x, cm.OpeningProof(x, pdf, cdf, path), key, digest):
+            if not cm.verify_opening(x, record, key, digest):
                 self.failed = True
                 return False
-            staged.setdefault((x, pdf, cdf), path)
+            staged.setdefault((x, pdf, cdf), record)
         return True
 
 
@@ -330,7 +313,7 @@ class VerifiedOracleSession:
         self.digest: cm.Digest | None = None
         self.identity: IdentityResult | None = None
         # every (element, pdf, cdf) that passed verification this session,
-        # with the path that proved it
+        # with the record that proved it
         self.verified_openings: dict[tuple[int, int, int], bytes] = {}
 
     # -- low-level exchange -----------------------------------------------------
@@ -397,8 +380,8 @@ class VerifiedOracleSession:
             if not streamed:
                 walk(rows)
         if streamed:
-            for claim, path in walk.staged.items():
-                verified.setdefault(claim, path)
+            for claim, record in walk.staged.items():
+                verified.setdefault(claim, record)
         if walk.failed:
             raise SessionRejected(Reason.INVALID_OPENING)
         # every record verified, so each field is at most max(N, G) < 2^63

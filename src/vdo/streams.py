@@ -14,7 +14,8 @@ decode, answer or encode.
 An opening batch, nearly all of a session's bytes, is never held whole on
 either side: write_frame gathers its records block by block into one
 reused buffer of at most 1 MiB, and RemoteProver checks the batch's header,
-then reads the body in blocks of whole records of at most 1 MiB and feeds
+then reads the body in blocks of whole records (commitment.record_len
+bytes each, the openings' one form) of at most 1 MiB and feeds
 them to OpeningBatch.from_payload as they arrive. A session that logs no
 payloads asks through answer_walked and hands it its row walker, so each
 block's new rows are verified as they arrive, and after the first invalid
@@ -24,7 +25,7 @@ opening the rest of the body is only checked and counted.
 from __future__ import annotations
 
 from .argument import backend_by_id
-from .commitment import Digest, HashKey, OpeningProof
+from .commitment import Digest, HashKey, record_len
 from .wire import (
     HEADER_LEN,
     BackendData,
@@ -202,7 +203,7 @@ class RemoteProver:
         A count field other than the query's length fails decoding whatever
         the records hold, so then no row is walked."""
         depth = self._digest.depth
-        rec = OpeningProof.encoded_len(depth)
+        rec = record_len(depth)
         self._roundtrip(qs, MsgType.OPENING_BATCH, 4 + len(qs) * rec)
         count = int.from_bytes(_read_exact(self.reader, 4, 4), "little")
         blocks = _record_blocks(self.reader, len(qs), rec)

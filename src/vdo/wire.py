@@ -8,14 +8,16 @@ All integers are little-endian. Quantile probes carry a grain index g
 (the probed mass is g/G for the committed denominator G); batched replies
 answer a query set positionally.
 
-An opening batch repeats each probe's record in full but holds only its
-distinct openings, as a record matrix: a (k, record_len) uint8 matrix
-whose rows are the distinct records, plus an int64 index that picks each
-probe's row (-1 for a refusal, sent as a zeroed record). The matrix is the
-batch's one form: the honest prover builds it with commitment.open_batch,
-decoding builds it straight from the payload, and an adversary edits a
-copy of one. _rows() and _index() are the batch as the verifier reads it,
-and anything else in their place is refused.
+An opening is its record (commitment.record_len bytes: element, pdf, cdf,
+depth byte, path), on the wire as everywhere else. An opening batch
+repeats each probe's record in full but holds only its distinct records,
+as a record matrix: a (k, record_len) uint8 matrix whose rows are the
+distinct records, plus an int64 index that picks each probe's row (-1 for
+a refusal, sent as a zeroed record). The matrix is the batch's one form:
+the honest prover builds it with commitment.open_batch, decoding builds it
+straight from the payload, and an adversary edits a copy of one. _rows()
+and _index() are the batch as the verifier reads it, and anything else in
+their place is refused.
 
 One gather routine fills any run of probes' records from the rows with a
 numpy take into a caller's buffer. payload() runs it once, straight into
@@ -46,7 +48,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .commitment import Digest, HashKey, OpeningProof, check_records
+from .commitment import Digest, HashKey, check_records, record_len
 
 HEADER_LEN = 9
 
@@ -149,7 +151,7 @@ class QuerySet:
 
 
 # a record's depth byte, after its element, pdf and cdf
-_DEPTH_BYTE = OpeningProof.encoded_len(0) - 1
+_DEPTH_BYTE = record_len(0) - 1
 
 
 def _blank_rows(rows: np.ndarray) -> np.ndarray:
@@ -176,7 +178,7 @@ def _number_rows(blocks, depth: int, count: int, walk=None):
     refusal (whose rows are not walked) or whose walk returns False: later
     records are only checked (check_records on the non-blank ones) and
     counted, numbered -1 if blank and len(distinct rows) otherwise."""
-    rec = OpeningProof.encoded_len(depth)
+    rec = record_len(depth)
     blank = (bytes(rec),)
     number = defaultdict(itertools.count().__next__, {blank: -1})
     unpack = struct.Struct(f"{rec}s").iter_unpack
@@ -236,7 +238,7 @@ class OpeningBatch:
         return int(self.index.shape[0])
 
     def record_len(self) -> int:
-        return OpeningProof.encoded_len(self.depth)
+        return record_len(self.depth)
 
     def payload_len(self) -> int:
         return 4 + len(self) * self.record_len()
@@ -293,8 +295,8 @@ class OpeningBatch:
         blocks, each a bytes-like run of whole records. Deduplicates the
         rows into a record matrix, checking them block by block. ValueError
         for a record count other than the count field, or with
-        OpeningProof.from_bytes's message for the first distinct record it
-        would reject; either is raised only after every block has been
+        check_records' message for the first distinct record it rejects;
+        either is raised only after every block has been
         consumed, so a stream read through blocks is left at the frame's
         end.
 
@@ -304,7 +306,7 @@ class OpeningBatch:
         such a batch holds a refusal (index -1), or its index points past
         its rows, and it is good only for its length and those two facts
         (see _number_rows)."""
-        rec = OpeningProof.encoded_len(depth)
+        rec = record_len(depth)
         if blocks is None:
             count = int.from_bytes(data[:4], "little")
             if len(data) != 4 + count * rec:

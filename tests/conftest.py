@@ -7,13 +7,14 @@ enumeration, or closed forms, never from the code paths under test.
 
 from __future__ import annotations
 
+import struct
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from vdo.commitment import OpeningProof
 from vdo.dist import GrainDistribution
 from vdo.rngutil import rng_from
 from vdo.wire import OpeningBatch, QuerySet
@@ -75,6 +76,13 @@ def support_distance_oracle(q: GrainDistribution, s_bound: int) -> Fraction:
     return best
 
 
+def element_generator(xs):
+    """A query-phase generator that probes the elements xs, whatever the
+    session."""
+    fixed = np.asarray(xs, dtype=np.int64)
+    return lambda n, e, g, rng: QuerySet.elements(fixed)
+
+
 def concat(*sets: QuerySet) -> QuerySet:
     """The query sets one after another, as one query set."""
     return QuerySet(
@@ -83,9 +91,62 @@ def concat(*sets: QuerySet) -> QuerySet:
     )
 
 
-# -- opening batches: read a record matrix's rows, edit a copy of it -----------------
+# -- openings: the reference opener and decoder ---------------------------------------
 
 DEPTH_BYTE = 24  # a record's depth byte, after its element, pdf and cdf
+_HEAD = struct.Struct("<QQQB")  # element, pdf, cdf, depth byte
+_LEVEL = 41  # a path level: the sibling's mass and hash, a direction byte
+
+
+@dataclass(frozen=True)
+class Opening:
+    """An opening's record decoded into its fields; path is the encoded
+    sibling path, leaf to root."""
+
+    element: int
+    claimed_pdf: int
+    claimed_cdf: int
+    path: bytes
+
+    def to_bytes(self) -> bytes:
+        depth = len(self.path) // _LEVEL
+        return _HEAD.pack(self.element, self.claimed_pdf, self.claimed_cdf, depth) + self.path
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "Opening":
+        """The reference decoder of one record (ValueError if malformed):
+        check the length and the direction bytes, then slice off the path."""
+        if len(data) < _HEAD.size:
+            raise ValueError("truncated opening")
+        element, pdf, cdf, depth = _HEAD.unpack_from(data)
+        if len(data) != _HEAD.size + depth * _LEVEL:
+            raise ValueError("opening length mismatch")
+        path = bytes(data[_HEAD.size :])
+        if path[_LEVEL - 1 :: _LEVEL].translate(None, b"\x00\x01"):
+            raise ValueError("bad direction byte")
+        return cls(element, pdf, cdf, path)
+
+
+def open_reference(x: int, d, aux) -> bytes:
+    """The reference opener: element x's record, built by walking up the
+    tree one level at a time."""
+    if not 1 <= x <= d.domain_size:
+        raise ValueError(f"element {x} outside [1, {d.domain_size}]")
+    labels, masses = aux.labels, aux.masses
+    idx = aux.padded + x - 1
+    pdf = cdf = int(masses[idx])
+    path = []
+    while idx > 1:
+        if idx & 1:  # the sibling is the left child
+            cdf += int(masses[idx - 1])
+            path += (labels[idx - 1].tobytes(), b"\x01")
+        else:
+            path += (labels[idx + 1].tobytes(), b"\x00")
+        idx >>= 1
+    return Opening(x, pdf, cdf, b"".join(path)).to_bytes()
+
+
+# -- opening batches: read a record matrix's rows, edit a copy of it -----------------
 
 
 def direction_byte(level: int) -> int:
@@ -93,10 +154,10 @@ def direction_byte(level: int) -> int:
     return DEPTH_BYTE + 1 + 41 * level + 40
 
 
-def openings(batch) -> list[OpeningProof]:
+def openings(batch) -> list[Opening]:
     """The distinct openings of a batch: each row of its record matrix
-    decoded with OpeningProof.from_bytes, the reference codec."""
-    return [OpeningProof.from_bytes(row.tobytes()) for row in batch.proofs]
+    decoded with Opening.from_bytes, the reference decoder."""
+    return [Opening.from_bytes(row.tobytes()) for row in batch.proofs]
 
 
 def edited(batch, *edits, index=None) -> OpeningBatch:

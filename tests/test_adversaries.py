@@ -57,7 +57,7 @@ class TestInconsistentOpening:
         batch = adv.answer_queries(QuerySet.elements(np.arange(1, N + 1)))
         proofs = openings(batch)
         flipped = [proofs[j] for j in batch.index]
-        assert all(not verify_opening(p.element, p, key, adv.digest) for p in flipped)
+        assert all(not verify_opening(p.element, p.to_bytes(), key, adv.digest) for p in flipped)
 
     def test_zero_flip_prob_is_honest(self):
         q = uniform(N)

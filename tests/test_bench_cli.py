@@ -25,6 +25,7 @@ import vdo.cli as cli
 from vdo.cli import main, parse_dist_spec
 from vdo.constants import Constants, parse_constants, reset_cache
 from vdo.dist import uniform
+from vdo.testers import max_grains
 
 
 class TestMakeDist:
@@ -233,12 +234,19 @@ class TestCli:
             (["--mode", "calibrate", "--trials", "-2"], "need at least one trial"),
             (["--mode", "calibrate", "--n", "0"], "domain size must be positive"),
             (["--mode", "scaling", "--trials", "0"], "need at least one trial"),
+            (["--mode", "calibrate", "--n", "1"], "no receiver elements available"),
+            # uniform pads both past max_grains(8): no honest session could pass
+            (["--mode", "oracle-session", "--n", "8", "--grains", str(max_grains(8))],
+             "exceeds max_grains(8)"),
+            (["--mode", "oracle-session", "--n", "8", "--grains", str(max_grains(8) + 1)],
+             "exceeds max_grains(8)"),
         ],
         ids=["kappa", "n", "grains", "d-dist", "target", "property-param", "trials", "file",
              "adversary-param", "support-size-two-params", "uniformity-one-param",
              "support-size-negative", "far-commit-one-param", "inconsistent-opening-two-params",
              "backend-swap-two-params", "calibrate-trials", "calibrate-negative-trials",
-             "calibrate-n", "scaling-trials"],
+             "calibrate-n", "scaling-trials", "calibrate-n-one", "grains-max",
+             "grains-max-plus-one"],
     )
     def test_flags_no_trial_can_run_with_are_usage_errors(
         self, monkeypatch, capsys, flags, message

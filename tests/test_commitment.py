@@ -11,13 +11,15 @@ from vdo.commitment import (
     Digest,
     HashKey,
     NodeLabel,
-    OpeningProof,
     canonical_distribution,
+    check_records,
     digest,
     extract,
     gen,
     open_batch,
     open_element,
+    record_heads,
+    record_len,
     verify_opening,
 )
 from vdo.dist import GrainDistribution, random_distribution, uniform
@@ -25,7 +27,7 @@ from vdo.protocol import HonestProver
 from vdo.rngutil import rng_from
 from vdo.wire import QuerySet
 
-from conftest import openings
+from conftest import DEPTH_BYTE, Opening, open_reference, openings
 
 KEY = HashKey(bytes(range(16)), 128)
 SMALL = GrainDistribution(4, 16, (4, 4, 8, 0))
@@ -89,21 +91,27 @@ class TestDigest:
             assert verify_opening(x, open_element(x, KEY, d, aux), KEY, d)
 
 
+def _opened(x, key, d, aux) -> Opening:
+    """Element x's record from open_element, decoded into its fields."""
+    return Opening.from_bytes(open_element(x, key, d, aux))
+
+
 class TestOpenVerify:
     def test_open_examples(self):
         d, aux = digest(KEY, SMALL)
-        p3 = open_element(3, KEY, d, aux)
+        p3 = _opened(3, KEY, d, aux)
         assert (p3.claimed_pdf, p3.claimed_cdf) == (8, 16)
-        p4 = open_element(4, KEY, d, aux)
+        p4 = _opened(4, KEY, d, aux)
         assert (p4.claimed_pdf, p4.claimed_cdf) == (0, 16)
-        p1 = open_element(1, KEY, d, aux)
+        p1 = _opened(1, KEY, d, aux)
         assert p1.claimed_cdf == p1.claimed_pdf
 
     def test_golden_opening(self):
         d, aux = digest(KEY, SMALL)
-        blob = open_element(3, KEY, d, aux).to_bytes()
-        assert blob.hex() == GOLDEN_OPEN_3
-        assert OpeningProof.from_bytes(blob) == open_element(3, KEY, d, aux)
+        blob = open_element(3, KEY, d, aux)
+        assert type(blob) is bytes and blob.hex() == GOLDEN_OPEN_3
+        assert blob == open_reference(3, d, aux)
+        assert Opening.from_bytes(blob).to_bytes() == blob
 
     def test_honest_completeness_all_elements(self):
         rng = rng_from(17, "c")
@@ -112,42 +120,41 @@ class TestOpenVerify:
             key = gen(128, n, rng)
             d, aux = digest(key, q)
             for x in range(1, n + 1):
-                p = open_element(x, key, d, aux)
-                assert verify_opening(x, p, key, d)
+                assert verify_opening(x, open_element(x, key, d, aux), key, d)
+                p = _opened(x, key, d, aux)
                 assert p.claimed_pdf == q.pdf_grains(x)
                 assert p.claimed_cdf == q.cdf_grains(x)
 
     def test_cdf_off_by_one_grain_rejected(self):
         d, aux = digest(KEY, SMALL)
-        p = open_element(2, KEY, d, aux)
-        bad = OpeningProof(2, p.claimed_pdf, p.claimed_cdf + 1, p.path)
-        assert not verify_opening(2, bad, KEY, d)
+        p = _opened(2, KEY, d, aux)
+        bad = Opening(2, p.claimed_pdf, p.claimed_cdf + 1, p.path)
+        assert not verify_opening(2, bad.to_bytes(), KEY, d)
 
     def test_out_of_range_rejected(self):
         d, aux = digest(KEY, SMALL)
-        p = open_element(2, KEY, d, aux)
-        assert not verify_opening(5, OpeningProof(5, p.claimed_pdf, p.claimed_cdf, p.path), KEY, d)
+        p = _opened(2, KEY, d, aux)
+        bad = Opening(5, p.claimed_pdf, p.claimed_cdf, p.path)
+        assert not verify_opening(5, bad.to_bytes(), KEY, d)
 
     def test_wrong_element_rejected(self):
         d, aux = digest(KEY, SMALL)
-        p = open_element(2, KEY, d, aux)
-        assert not verify_opening(1, p, KEY, d)
-        assert not verify_opening(1, OpeningProof(1, p.claimed_pdf, p.claimed_cdf, p.path), KEY, d)
+        p = _opened(2, KEY, d, aux)
+        assert not verify_opening(1, p.to_bytes(), KEY, d)
+        bad = Opening(1, p.claimed_pdf, p.claimed_cdf, p.path)
+        assert not verify_opening(1, bad.to_bytes(), KEY, d)
 
     def test_single_bit_mutations_rejected(self):
         d, aux = digest(KEY, SMALL)
-        p = open_element(2, KEY, d, aux)
-        blob = bytearray(p.to_bytes())
+        blob = bytearray(open_element(2, KEY, d, aux))
         rng = rng_from(23, "mut")
         for _ in range(300):
             i = int(rng.integers(0, len(blob)))
             b = int(rng.integers(0, 8))
             blob[i] ^= 1 << b
-            try:
-                mutated = OpeningProof.from_bytes(bytes(blob))
-                assert not verify_opening(mutated.element, mutated, KEY, d)
-            except ValueError:
-                pass  # malformed encodings reject by construction
+            # checked at the element it names, a malformed record included
+            x = int.from_bytes(blob[:8], "little")
+            assert not verify_opening(x, bytes(blob), KEY, d)
             blob[i] ^= 1 << b
 
     def test_digest_bit_mutations_rejected(self):
@@ -173,13 +180,13 @@ class TestOpenVerify:
             p = open_element(1, KEY, d, aux)
             depth = d.padded_size.bit_length() - 1
             node_record = 8 + 32 + 1
-            assert len(p.to_bytes()) <= (1 + depth) * node_record + 25
+            assert len(p) == record_len(depth) <= (1 + depth) * node_record + 25
 
 
 class TestOpenBatch:
     """open_batch, which gathers each level's sibling rows of many elements
-    at once from the label matrix, against open_element's walk up the
-    tree, one element at a time."""
+    at once from the label matrix, against the reference opener's walk up
+    the tree, one element at a time."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 300), st.integers(0, 2**32), st.booleans())
@@ -190,9 +197,9 @@ class TestOpenBatch:
         xs = np.arange(1, n + 1)
         rows = open_batch(xs, d, aux)
         assert rows.dtype == np.uint8
-        assert rows.shape == (n, OpeningProof.encoded_len(d.depth))
+        assert rows.shape == (n, record_len(d.depth))
         for x, row in zip(xs.tolist(), rows):
-            assert row.tobytes() == open_element(x, KEY, d, aux).to_bytes()
+            assert row.tobytes() == open_reference(x, d, aux) == open_element(x, KEY, d, aux)
         # any order, with repeats
         picks = rng_from(seed, "picks").integers(1, n + 1, size=7)
         assert [r.tobytes() for r in open_batch(picks, d, aux)] == [
@@ -215,9 +222,9 @@ class TestOpenBatch:
             open_batch(np.asarray([1, x]), d, aux)
 
 
-def _reference_from_bytes(data: bytes) -> OpeningProof:
-    """A field-by-field opening decoder; its results and its ValueErrors
-    are the reference for OpeningProof.from_bytes."""
+def _reference_from_bytes(data: bytes) -> Opening:
+    """A field-by-field record decoder; its results and its ValueErrors
+    are the reference for Opening.from_bytes."""
     if len(data) < 25:
         raise ValueError("truncated opening")
     element = int.from_bytes(data[0:8], "little")
@@ -230,7 +237,7 @@ def _reference_from_bytes(data: bytes) -> OpeningProof:
     for off in range(25, len(data), rec):
         if data[off + 40] not in (0, 1):
             raise ValueError("bad direction byte")
-    return OpeningProof(element, pdf, cdf, bytes(data[25:]))
+    return Opening(element, pdf, cdf, bytes(data[25:]))
 
 
 def _object_path(path: bytes) -> tuple:
@@ -243,14 +250,20 @@ def _object_path(path: bytes) -> tuple:
     )
 
 
-def _reference_walk(x, proof, key, d, pinned=None) -> bool:
+def _reference_walk(x, record, key, d, pinned=None) -> bool:
     """The walk over (NodeLabel, sibling_is_left) path tuples that
-    commitment._walk replaced; its verdict, its pinned labels and its hash
-    calls (through the module's hash functions) are the reference."""
+    commitment._walk replaced, on the record as the field-by-field decoder
+    reads it (a record it rejects is rejected unwalked); its verdict, its
+    pinned labels and its hash calls (through the module's hash functions)
+    are the reference."""
+    try:
+        proof = _reference_from_bytes(record)
+    except ValueError:
+        return False
     denom = d.denominator
     if not d.well_formed() or not 1 <= x <= d.domain_size or proof.element != x:
         return False
-    path = proof.path
+    path = _object_path(proof.path)
     if len(path) != d.depth or not 0 <= proof.claimed_pdf <= denom:
         return False
     leaf_pos = x - 1
@@ -282,9 +295,9 @@ def _reference_walk(x, proof, key, d, pinned=None) -> bool:
 
 
 def _decode_both(blob: bytes):
-    """(proof or ValueError message) from the decoder and the reference."""
+    """(opening or ValueError message) from the decoder and the reference."""
     out = []
-    for decode in (OpeningProof.from_bytes, _reference_from_bytes):
+    for decode in (Opening.from_bytes, _reference_from_bytes):
         try:
             out.append(decode(blob))
         except ValueError as e:
@@ -294,34 +307,61 @@ def _decode_both(blob: bytes):
 
 @functools.lru_cache
 def _honest_tree(n: int):
-    """(digest, aux, every element's encoded opening) of a random tree."""
+    """(digest, aux, every element's record) of a random tree."""
     q = random_distribution(n, rng_from(n, "decode"))
     d, aux = digest(KEY, q)
-    return d, aux, [open_element(x, KEY, d, aux).to_bytes() for x in range(1, n + 1)]
+    return d, aux, [open_element(x, KEY, d, aux) for x in range(1, n + 1)]
 
 
 def _honest_blobs(n: int) -> list[bytes]:
     return _honest_tree(n)[2]
 
 
+def _assert_package_agrees(blob: bytes, n: int, reference) -> None:
+    """The package on a record that the reference decoder decodes to
+    `reference` (an Opening, or its ValueError message), against the
+    digest of _honest_tree(n): verify_opening rejects it, at the element
+    it names, whenever the reference rejects it; and a one-row record
+    matrix of the digest's record length fails check_records with the
+    reference's message, or passes when the reference decodes it."""
+    d = _honest_tree(n)[0]
+    if isinstance(reference, str):
+        assert not verify_opening(int.from_bytes(blob[:8], "little"), blob, KEY, d)
+    if len(blob) == record_len(d.depth):
+        try:
+            check_records(np.frombuffer(blob, dtype=np.uint8).reshape(1, -1), d.depth)
+            got = None
+        except ValueError as e:
+            got = str(e)
+        assert got == (reference if isinstance(reference, str) else None)
+
+
 class TestOpeningDecode:
-    """OpeningProof.from_bytes (one header unpack, one check of the
-    direction bytes, one slice) against to_bytes round trips and the
-    field-by-field reference."""
+    """Records against the reference decoder Opening.from_bytes (one
+    header unpack, one check of the direction bytes, one slice), its
+    to_bytes round trips and the field-by-field reference; the package's
+    record checks, check_records and verify_opening, reject exactly what
+    the reference rejects, with its message."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 33, 1024])
     def test_round_trip_byte_for_byte(self, n):
-        for blob in _honest_blobs(n):
-            p = OpeningProof.from_bytes(blob)
+        d, aux, blobs = _honest_tree(n)
+        heads = record_heads(open_batch(np.arange(1, n + 1), d, aux)).tolist()
+        for x, blob in enumerate(blobs, 1):
+            p = Opening.from_bytes(blob)
             assert p.to_bytes() == blob
             assert p == _reference_from_bytes(blob)
             assert type(p.path) is bytes
+            assert [p.element, p.claimed_pdf, p.claimed_cdf] == heads[x - 1]
+            assert verify_opening(x, blob, KEY, d)
+            _assert_package_agrees(blob, n, p)
 
     @pytest.mark.parametrize("size", [0, 1, 24])
     def test_truncated(self, size):
         blob = _honest_blobs(16)[3][:size]
         with pytest.raises(ValueError, match="truncated opening"):
-            OpeningProof.from_bytes(blob)
+            Opening.from_bytes(blob)
+        _assert_package_agrees(blob, 16, "truncated opening")
 
     @pytest.mark.parametrize(
         "edit",
@@ -335,8 +375,10 @@ class TestOpeningDecode:
         ids=["trailing-byte", "short-by-one", "depth-plus-one", "depth-minus-one", "head-only"],
     )
     def test_length_mismatch(self, edit):
+        blob = edit(_honest_blobs(16)[3])
         with pytest.raises(ValueError, match="opening length mismatch"):
-            OpeningProof.from_bytes(edit(_honest_blobs(16)[3]))
+            Opening.from_bytes(blob)
+        _assert_package_agrees(blob, 16, "opening length mismatch")
 
     @pytest.mark.parametrize("level", [0, 3])
     @pytest.mark.parametrize("side", [2, 255])
@@ -344,15 +386,16 @@ class TestOpeningDecode:
         blob = bytearray(_honest_blobs(16)[3])
         blob[25 + 41 * level + 40] = side
         with pytest.raises(ValueError, match="bad direction byte"):
-            OpeningProof.from_bytes(bytes(blob))
+            Opening.from_bytes(bytes(blob))
+        _assert_package_agrees(bytes(blob), 16, "bad direction byte")
 
     def test_shared_levels(self):
-        # one encoding from commit to verify: every decoded path level is
-        # the committed tree's encoded label of that sibling, byte for byte,
-        # and a direction byte saying which child the sibling is
+        # one encoding from commit to verify: every path level of a record
+        # is the committed tree's encoded label of that sibling, byte for
+        # byte, and a direction byte saying which child the sibling is
         d, aux, blobs = _honest_tree(16)
         for x, blob in enumerate(blobs, 1):
-            path = OpeningProof.from_bytes(blob).path
+            path = Opening.from_bytes(blob).path
             node = d.padded_size + x - 1
             for off in range(0, 41 * d.depth, 41):
                 assert path[off : off + 40] == aux.labels[node ^ 1].tobytes()
@@ -375,6 +418,7 @@ class TestOpeningDecode:
             blob = blob[:cut] if cut >= 0 else blob + b"\x01"
         decoded, reference = _decode_both(bytes(blob))
         assert decoded == reference
+        _assert_package_agrees(bytes(blob), n, reference)
 
 
 def _count_hashes(monkeypatch) -> dict[str, int]:
@@ -393,7 +437,8 @@ def _count_hashes(monkeypatch) -> dict[str, int]:
 
 class TestHashCount:
     """Hashes computed per call: 2 * padded per digest, depth + 2 per
-    accepted opening, depth + 1 when the root-mass or cdf check rejects."""
+    accepted record, depth + 1 when the root-mass or cdf check rejects, and
+    none for a record of another element, depth byte or length."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 64, 100])
     def test_closed_form(self, monkeypatch, n):
@@ -404,16 +449,27 @@ class TestHashCount:
         depth = padded.bit_length() - 1
         assert counts == {"leaf": padded, "node": padded - 1, "header": 1}
         for x in range(1, n + 1):
-            p = open_element(x, KEY, d, aux)
+            record = open_element(x, KEY, d, aux)
+            p = Opening.from_bytes(record)
             pdf = p.claimed_pdf + 1 if p.claimed_pdf < q.grains else p.claimed_pdf - 1
             # the inconsistent-opening adversary's flip: the root mass is off
             mass_off = dataclasses.replace(p, claimed_pdf=pdf, claimed_cdf=p.claimed_cdf + 1)
             cdf_off = dataclasses.replace(p, claimed_cdf=p.claimed_cdf + 1)
-            cases = ((p, True, depth + 2), (mass_off, False, depth + 1), (cdf_off, False, depth + 1))
-            for proof, verdict, hashes in cases:
+            element_off = dataclasses.replace(p, element=x + 1)
+            depth_off = record[:DEPTH_BYTE] + bytes([depth + 1]) + record[DEPTH_BYTE + 1 :]
+            cases = (
+                (record, True, depth + 2),
+                (mass_off.to_bytes(), False, depth + 1),
+                (cdf_off.to_bytes(), False, depth + 1),
+                (element_off.to_bytes(), False, 0),
+                (depth_off, False, 0),
+                (record + b"\x00", False, 0),
+                (record[:-1], False, 0),
+            )
+            for blob, verdict, hashes in cases:
                 for kind in counts:
                     counts[kind] = 0
-                assert verify_opening(x, proof, KEY, d) is verdict
+                assert verify_opening(x, blob, KEY, d) is verdict
                 assert sum(counts.values()) == hashes
                 assert counts["header"] == (1 if verdict else 0)
 
@@ -438,21 +494,29 @@ class TestVerifyProperty:
         n = data.draw(st.sampled_from(sorted(_PROP_TREES)), label="n")
         d, aux = _PROP_TREES[n]
         x = data.draw(st.integers(1, n), label="x")
-        honest = open_element(x, _PROP_KEY, d, aux)
+        record = open_element(x, _PROP_KEY, d, aux)
+        honest = Opening.from_bytes(record)
         path = bytearray(honest.path)
-        kinds = ["pdf", "cdf", "element", "length"]
+        kinds = ["pdf", "cdf", "element", "element-field", "length", "depth", "whole-length"]
         if path:
             kinds += ["mass", "hash", "side"]
         kind = data.draw(st.sampled_from(kinds), label="kind")
         if kind == "pdf":
-            mutated = dataclasses.replace(honest, claimed_pdf=data.draw(_near(honest.claimed_pdf)))
+            edit = dataclasses.replace(honest, claimed_pdf=data.draw(_near(honest.claimed_pdf)))
         elif kind == "cdf":
-            mutated = dataclasses.replace(honest, claimed_cdf=data.draw(_near(honest.claimed_cdf)))
+            edit = dataclasses.replace(honest, claimed_cdf=data.draw(_near(honest.claimed_cdf)))
         elif kind == "element":
-            mutated = dataclasses.replace(honest, element=data.draw(st.integers(0, n + 1)))
-        elif kind == "length":  # any length, most of them not a whole number of levels
+            edit = dataclasses.replace(honest, element=data.draw(st.integers(0, n + 1)))
+        elif kind == "element-field":  # any 64-bit element
+            edit = dataclasses.replace(honest, element=data.draw(_near(x)))
+        elif kind == "length":  # the path at any length, most of them not a whole number of levels
             size = data.draw(st.integers(0, len(path) + 2 * 41))
-            mutated = dataclasses.replace(honest, path=bytes(path + bytes(size))[:size])
+            edit = record[:25] + bytes(path + bytes(size))[:size]  # the head kept
+        elif kind == "depth":
+            edit = record[:DEPTH_BYTE] + bytes([data.draw(st.integers(0, 255))]) + record[25:]
+        elif kind == "whole-length":  # the record cut short or padded with zeros
+            size = data.draw(st.integers(0, len(record) + 2 * 41))
+            edit = (record + bytes(size))[:size]
         else:
             off = 41 * data.draw(st.integers(0, len(path) // 41 - 1), label="level")
             if kind == "mass":
@@ -462,8 +526,17 @@ class TestVerifyProperty:
                 path[off + data.draw(st.integers(8, 39))] = data.draw(st.integers(0, 255))
             else:
                 path[off + 40] = data.draw(st.integers(0, 255))
-            mutated = dataclasses.replace(honest, path=bytes(path))
-        assert verify_opening(x, mutated, _PROP_KEY, d) == (mutated == honest)
+            edit = dataclasses.replace(honest, path=bytes(path))
+        mutated = edit if isinstance(edit, bytes) else edit.to_bytes()
+        assert verify_opening(x, mutated, _PROP_KEY, d) == (mutated == record)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(sorted(_PROP_TREES)), st.integers(-1, 66), st.binary(max_size=400))
+    def test_any_bytes_get_a_verdict(self, n, x, blob):
+        # bytes of any length, at any element: a verdict, never an exception
+        d, aux = _PROP_TREES[n]
+        honest = open_element(x, _PROP_KEY, d, aux) if 1 <= x <= n else None
+        assert verify_opening(x, blob, _PROP_KEY, d) is (blob == honest)
 
     @pytest.mark.parametrize("n", [2, 4, 1024])
     def test_masses_past_eight_bytes_reject(self, n):
@@ -471,23 +544,23 @@ class TestVerifyProperty:
         # formed, so the walk rejects before it would have to encode one
         q = GrainDistribution(n, 16, [16] + [0] * (n - 1))
         d, aux = digest(KEY, q)
-        p = open_element(2, KEY, d, aux)
+        p = Opening.from_bytes(open_element(2, KEY, d, aux))
         g = 2**64 - 1
         big = Digest(NodeLabel(g, d.root.digest), d.padded_size, n, g)
         assert not big.well_formed()
-        assert not verify_opening(2, OpeningProof(2, g, g, p.path), KEY, big)
+        assert not verify_opening(2, Opening(2, g, g, p.path).to_bytes(), KEY, big)
 
 
 class TestWalkDifferential:
     def test_matches_object_walk(self, monkeypatch):
-        # on mutated honest records, the walk over the encoded path agrees
+        # on edited honest records, the walk over the record's bytes agrees
         # with the object walk on the verdict, the pinned labels and the
         # hash calls by kind
         counts = _count_hashes(monkeypatch)
 
-        def walk(fn, x, proof, d, pinned):
+        def walk(fn, x, record, d, pinned):
             counts.update(dict.fromkeys(counts, 0))
-            return fn(x, proof, _PROP_KEY, d, pinned), pinned, dict(counts)
+            return fn(x, record, _PROP_KEY, d, pinned), pinned, dict(counts)
 
         @settings(max_examples=400, deadline=None)
         @given(
@@ -498,21 +571,23 @@ class TestWalkDifferential:
                 max_size=3,
             ),
             st.one_of(st.none(), st.integers(0, 65)),
+            st.one_of(st.none(), st.integers(0, 255)),
+            st.one_of(st.none(), st.integers(0, 400)),
         )
-        def check(n, which, edits, at):
+        def check(n, which, edits, at, depth_byte, size):
             d, aux = _PROP_TREES[n]
-            blob = bytearray(open_element(1 + which % n, _PROP_KEY, d, aux).to_bytes())
+            blob = bytearray(open_element(1 + which % n, _PROP_KEY, d, aux))
             for pos, value in edits:
                 blob[pos % len(blob)] = value
-            try:
-                proof = OpeningProof.from_bytes(bytes(blob))
-            except ValueError:
-                return
-            x = proof.element if at is None else at
-            ref = dataclasses.replace(proof, path=_object_path(proof.path))
-            expected = walk(_reference_walk, x, ref, d, [])
-            assert walk(cm._walk, x, proof, d, []) == expected
-            verdict_and_hashes = walk(lambda *a: verify_opening(*a[:4]), x, proof, d, None)[::2]
+            if depth_byte is not None:
+                blob[DEPTH_BYTE] = depth_byte
+            if size is not None:  # the record cut short or padded with zeros
+                blob = (blob + bytes(size))[:size]
+            record = bytes(blob)
+            x = int.from_bytes(record[:8], "little") if at is None else at
+            expected = walk(_reference_walk, x, record, d, [])
+            assert walk(cm._walk, x, record, d, []) == expected
+            verdict_and_hashes = walk(lambda *a: verify_opening(*a[:4]), x, record, d, None)[::2]
             assert verdict_and_hashes == expected[::2]
 
         check()
@@ -536,7 +611,7 @@ class TestQuantileOpen:
     def test_example(self):
         d, (p,) = _quantile_openings(SMALL, [5])
         assert p.element == 2
-        assert verify_opening(2, p, KEY, d)
+        assert verify_opening(2, p.to_bytes(), KEY, d)
         assert _covers(5, p)
 
     def test_mu_one_last_positive(self):
@@ -547,7 +622,7 @@ class TestQuantileOpen:
         q = GrainDistribution(6, 24, (3, 0, 9, 6, 0, 6))
         d, proofs = _quantile_openings(q, list(range(1, 25)))
         for g, p in zip(range(1, 25), proofs):
-            assert verify_opening(p.element, p, KEY, d)
+            assert verify_opening(p.element, p.to_bytes(), KEY, d)
             assert _covers(g, p)
             assert q.pdf_grains(p.element) > 0
 
@@ -595,6 +670,17 @@ class TestExtract:
         assert out.counts[2] + out.counts[3] == 8  # spread of the unopened subtree
         assert out.counts[2] == 4 and out.counts[3] == 4
 
+    def test_only_bytes_are_walked(self):
+        # an opener hands out records; anything else, a decoded opening or
+        # a bytearray of a record included, is skipped unwalked, and a
+        # record listed twice is walked once
+        d, aux = digest(KEY, SMALL)
+        p1 = open_element(1, KEY, d, aux)
+        runs = [[Opening.from_bytes(p1), bytearray(p1), None, 7, p1, p1]]
+        report = extract(_ScriptedOpener(runs), KEY, d, eta=1)
+        assert report.openings_seen == 1
+        assert report.distribution == extract(_ScriptedOpener([[p1]]), KEY, d, eta=1).distribution
+
     def test_never_opening_gives_canonical(self):
         d, aux = digest(KEY, SMALL)
         report = extract(_ScriptedOpener([[]]), KEY, d, eta=1)
@@ -608,8 +694,9 @@ class TestExtract:
         prover.receive_key(key)
         report = extract(prover, key, prover.digest, eta=1)
         for x in range(1, 9):
-            p = prover._proof_for(x)
-            assert verify_opening(x, p, key, prover.digest)
+            record = open_element(x, key, prover.digest, prover.aux)
+            assert verify_opening(x, record, key, prover.digest)
+            p = Opening.from_bytes(record)
             assert p.claimed_pdf == report.distribution.pdf_grains(x)
             assert p.claimed_cdf == report.distribution.cdf_grains(x)
 

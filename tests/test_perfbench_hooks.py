@@ -92,14 +92,14 @@ def test_traced_streamed_session_that_stops_early(tracing, monkeypatch):
     from fractions import Fraction as F
 
     from vdo.adversaries import InconsistentOpeningAdversary
-    from vdo.commitment import OpeningProof
+    from vdo.commitment import record_len
     from vdo.protocol import VerifierConfig, run_oracle_session
     from vdo.testers import DSampler
     from vdo.wire import MsgType, OpeningBatch, Reason
 
     n = 64
     q = tracing.bench.make_dist(("random", 1.0), n, None, 3)
-    rec = OpeningProof.encoded_len(6)
+    rec = record_len(6)
     monkeypatch.setattr(tracing.streams, "_READ_CHUNK", 64 * rec)
     tracer = tracing.Tracer("verifier")
     tracer.install()
@@ -177,15 +177,12 @@ def test_traced_label_session_records_property_spans(tracing):
     assert table[0]["commitment.verify.calls"] == len(result.session.verified_openings)
 
 
-def test_traced_in_process_session_codes_no_record(tracing, monkeypatch):
-    """The traced run reads len(result.proofs) of every honest batch. The
-    honest prover's batch holds a record matrix, so a traced in-process
-    session neither decodes nor encodes a single record, and the hashes
-    counted still equal the closed form."""
-    from collections import Counter
+def test_traced_in_process_session_codes_no_record(tracing):
+    """The traced run reads len(result.proofs) of every honest batch, a
+    record matrix, and the hashes counted in a traced in-process session
+    still equal the closed form."""
     from fractions import Fraction as F
 
-    from vdo.commitment import OpeningProof
     from vdo.protocol import (
         HonestProver,
         VerifierConfig,
@@ -194,19 +191,6 @@ def test_traced_in_process_session_codes_no_record(tracing, monkeypatch):
     )
     from vdo.testers import DSampler
 
-    calls = Counter()
-    from_bytes, to_bytes = OpeningProof.from_bytes.__func__, OpeningProof.to_bytes
-
-    def counted_from_bytes(cls, data):
-        calls["from_bytes"] += 1
-        return from_bytes(cls, data)
-
-    def counted_to_bytes(self):
-        calls["to_bytes"] += 1
-        return to_bytes(self)
-
-    monkeypatch.setattr(OpeningProof, "from_bytes", classmethod(counted_from_bytes))
-    monkeypatch.setattr(OpeningProof, "to_bytes", counted_to_bytes)
     n = 64
     q = tracing.bench.make_dist(("random", 1.0), n, None, 3)
     cfg = VerifierConfig(n, F(1, 2), generator=quantile_sampling_generator(40))
@@ -218,7 +202,6 @@ def test_traced_in_process_session_codes_no_record(tracing, monkeypatch):
     finally:
         tracer.restore()
     assert res.accept
-    assert calls == Counter()
 
     spans, counters = tracing.merge([tracer.export()])
     table = tracing.per_trial(spans, counters, {0: 1.0})

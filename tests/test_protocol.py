@@ -21,7 +21,7 @@ from vdo.adversaries import (
     SelectiveRefusalAdversary,
 )
 from vdo.argument import FullRevealBackend, SpotCheckBackend, run_general_argument
-from vdo.commitment import Digest, HashKey, NodeLabel, OpeningProof
+from vdo.commitment import Digest, HashKey, NodeLabel
 from vdo.dist import GrainDistribution, point_mass, random_distribution, uniform
 from vdo.properties import make_fixed_target, make_uniformity, run_label_invariant_argument
 from vdo.protocol import (
@@ -29,7 +29,6 @@ from vdo.protocol import (
     SessionRejected,
     VerifiedOracleSession,
     VerifierConfig,
-    element_generator,
     quantile_sampling_generator,
     run_oracle_session,
 )
@@ -53,7 +52,15 @@ from vdo.wire import (
     frame_len,
 )
 
-from conftest import DEPTH_BYTE, concat, direction_byte, edited, openings
+from conftest import (
+    DEPTH_BYTE,
+    Opening,
+    concat,
+    direction_byte,
+    edited,
+    element_generator,
+    openings,
+)
 
 
 class TestWire:
@@ -279,7 +286,7 @@ def _set_last_index_past_proofs(batch):
 
 def _listed(edit):
     """A tamper: the batch's proofs become its rows decoded to a list of
-    OpeningProof, with the first replaced by edit(first). A list is not a
+    Opening, with the first replaced by edit(first). A list is not a
     record matrix, whatever it holds."""
 
     def tamper(batch):
@@ -290,7 +297,7 @@ def _listed(edit):
 
 
 _set_first_proof_none = _listed(lambda p: None)
-# a path that is not bytes: verify_opening itself would raise on it
+# an opening whose path is not bytes: it has no record to verify
 _set_first_path_entry_unpackable = _listed(lambda p: dataclasses.replace(p, path=None))
 
 
@@ -323,9 +330,9 @@ def _counting_verify(monkeypatch) -> list[bytes]:
     calls: list[bytes] = []
     verify = cm.verify_opening
 
-    def counted(x, proof, key, d):
-        calls.append(proof.to_bytes())
-        return verify(x, proof, key, d)
+    def counted(x, record, key, d):
+        calls.append(bytes(record))
+        return verify(x, record, key, d)
 
     monkeypatch.setattr(cm, "verify_opening", counted)
     return calls
@@ -450,10 +457,7 @@ class TestVerifiedOpenings:
         cfg = VerifierConfig(n, (df - dc) / 10, record_payloads=True)
         session = VerifiedOracleSession(cfg, HonestProver(q), DSampler(q), 3)
         session.establish()
-        accepted = {
-            OpeningProof(*claim, path).to_bytes()
-            for claim, path in session.verified_openings.items()
-        }
+        accepted = set(session.verified_openings.values())
         calls = _counting_verify(monkeypatch)
         backend = SpotCheckBackend()
         out = backend.verify(
@@ -473,7 +477,7 @@ class _VerifyEverySession(VerifiedOracleSession):
     returns the per-probe arrays as the table, with the identity index, and
     its identity round reads them per probe. As when payloads are logged, a
     batch without an encoding is MALFORMED before any record is walked; the
-    records are then decoded one by one with OpeningProof.from_bytes. The
+    records are then decoded one by one with Opening.from_bytes. The
     reference of TestVerifiedOpeningsDifferential and
     TestLeanRoundDifferential."""
 
@@ -494,7 +498,7 @@ class _VerifyEverySession(VerifiedOracleSession):
             raise SessionRejected(Reason.MALFORMED)
         proofs = openings(batch)
         for p in proofs:
-            if not cm.verify_opening(p.element, p, self.key, self.digest):
+            if not cm.verify_opening(p.element, p.to_bytes(), self.key, self.digest):
                 raise SessionRejected(Reason.INVALID_OPENING)
             self.verified_openings.add((p.element, p.claimed_pdf, p.claimed_cdf))
         pe = np.asarray([p.element for p in proofs], dtype=np.int64)
@@ -929,12 +933,12 @@ class TestDedup:
 def _reference_from_payload(data: bytes, depth: int):
     """The per-row dictionary decoder that OpeningBatch.from_payload
     replaced: (distinct proofs in first-occurrence order, index)."""
-    rec = OpeningProof.encoded_len(depth)
+    rec = cm.record_len(depth)
     count = int.from_bytes(data[:4], "little")
     if len(data) != 4 + count * rec:
         raise ValueError("opening batch length mismatch")
     blank = b"\x00" * rec
-    proofs: list[OpeningProof] = []
+    proofs: list[Opening] = []
     index = np.empty(count, dtype=np.int64)
     seen: dict[bytes, int] = {}
     for i in range(count):
@@ -946,14 +950,14 @@ def _reference_from_payload(data: bytes, depth: int):
         if j is None:
             j = len(proofs)
             seen[chunk] = j
-            proofs.append(OpeningProof.from_bytes(chunk))
+            proofs.append(Opening.from_bytes(chunk))
         index[i] = j
     return proofs, index
 
 
 def _reference_frame(seq: int, proofs, index, depth: int) -> bytes:
     """The join-based encoder that frame/payload replaced."""
-    blank = b"\x00" * OpeningProof.encoded_len(depth)
+    blank = b"\x00" * cm.record_len(depth)
     encoded = [p.to_bytes() for p in proofs]
     body = b"".join(encoded[j] if j >= 0 else blank for j in index)
     payload = len(index).to_bytes(4, "little") + body
@@ -1060,7 +1064,7 @@ class TestBatchCodecDifferential:
     @given(_payloads())
     def test_record_matrix_matches_row_decode(self, case):
         """from_payload's record matrix and index against a per-row
-        OpeningProof.from_bytes decode of the same payload: the rows are
+        Opening.from_bytes decode of the same payload: the rows are
         the decoded records re-encoded, or both raise the same ValueError."""
         depth, payload = case
         try:
@@ -1074,7 +1078,7 @@ class TestBatchCodecDifferential:
         else:
             rows, index = got
             assert rows.dtype == np.uint8
-            assert rows.shape == (len(ref[0]), OpeningProof.encoded_len(depth))
+            assert rows.shape == (len(ref[0]), cm.record_len(depth))
             assert [row.tobytes() for row in rows] == ref[0]
             assert index.dtype == np.int64 and index.tolist() == ref[1]
 
@@ -1090,7 +1094,7 @@ class TestBatchCodecDifferential:
         from_payload gives what the reference gives for the same bytes, and
         takes every block, also when it raises."""
         depth, payload = case
-        rec = OpeningProof.encoded_len(depth)
+        rec = cm.record_len(depth)
         body = payload[4:]
         body = body[: len(body) // rec * rec]  # a streamed body is whole records
         count = (int.from_bytes(payload[:4], "little") + shift) % (1 << 32)
@@ -1165,7 +1169,8 @@ def _honest_encodings() -> dict:
     return {
         "HashKey": (HashKey.from_bytes, [key.to_bytes()]),
         "Digest": (cm.Digest.from_bytes, [digest.to_bytes()]),
-        "OpeningProof": (OpeningProof.from_bytes, list(records[:3]) + [_honest_records(1)[1][0]]),
+        # one record, through the reference decoder of the test helpers
+        "OpeningProof": (Opening.from_bytes, list(records[:3]) + [_honest_records(1)[1][0]]),
         "OpeningBatch": (
             lambda data: OpeningBatch.from_payload(data, depth),
             [bytes(batch.payload()), bytes(empty.payload())],
@@ -1559,7 +1564,7 @@ class _ReplayProver(HonestProver):
         depth = self.digest.depth
         proofs, index = _reference_from_payload(payload, depth)
         rows = np.frombuffer(b"".join(p.to_bytes() for p in proofs), dtype=np.uint8)
-        rows = rows.reshape(len(proofs), OpeningProof.encoded_len(depth))
+        rows = rows.reshape(len(proofs), cm.record_len(depth))
         return OpeningBatch(rows, index, depth)
 
 
@@ -1684,7 +1689,7 @@ class TestStreamedBatch:
             n, F(1, 2), generator=quantile_sampling_generator(10), record_payloads=record
         )
         edit = _first_batch_only(*edits)
-        rec = OpeningProof.encoded_len((n - 1).bit_length())
+        rec = cm.record_len((n - 1).bit_length())
         first, second = _two_sessions(q, cfg, 5, edit, 16 * rec)
         _, sent = edit.payloads
         assert len(sent) > 3 * 16 * rec  # the batch spans more than three blocks
@@ -1722,7 +1727,7 @@ class TestStreamedBatch:
             n, F(1, 2), generator=quantile_sampling_generator(10), record_payloads=record
         )
         edit = _first_batch_only(*(_frame_edit(*e, block) for e in edits))
-        first, second = _two_sessions(q, cfg, seed, edit, block * OpeningProof.encoded_len(4))
+        first, second = _two_sessions(q, cfg, seed, edit, block * cm.record_len(4))
         original, sent = edit.payloads
         _assert_same_session(first, _full_decode_reference(q, cfg, seed, sent))
         assert sent == original or not first.accept

@@ -203,7 +203,7 @@ def _constructed(change):
 
 def _proof_list(i=0, **change):
     """run(record): each batch's `proofs` replaced by its rows decoded to a
-    list of OpeningProof, proof i with each field f replaced by
+    list of decoded openings (conftest.Opening), proof i with each field f replaced by
     change[f](old); a list is not a record matrix, whatever its proofs."""
 
     def edit(batch):
@@ -266,7 +266,7 @@ ONE = GrainDistribution(1, 1, (1,))
 PARITY = {
     "honest": (Reason.ACCEPT, _edited_batch()),
     "element-minus-1": (Reason.INVALID_OPENING, _edited_batch(_set_head(0, 0, lambda x: -1))),
-    # a list of OpeningProof is not a record matrix, however its proofs encode
+    # a list of decoded openings is not a record matrix, however they encode
     "honest-proof-list": (Reason.MALFORMED, _proof_list()),
     "path-one-level-short": (Reason.MALFORMED, _proof_list(path=lambda b: b[41:])),
     "path-one-level-long": (Reason.MALFORMED, _proof_list(path=lambda b: b + b[:41])),
