@@ -7,6 +7,7 @@ They measure soundness against fixed strategies; no collision search.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,6 +18,9 @@ from .dist import GrainDistribution
 from .protocol import HonestProver
 from .rngutil import rng_from
 from .wire import BackendData, BackendSelect, OpeningBatch, QuerySet
+
+
+_PDF_CDF = struct.Struct("<QQ")  # a record's pdf and cdf, after its u64 element
 
 
 def _at_most(args: list[str], k: int) -> None:
@@ -88,10 +92,10 @@ class InconsistentOpeningAdversary(AdversaryScript):
         return draws < p.numerator
 
     def _perturb(self, record: bytes) -> bytes:
-        """record with its pdf and cdf bumped by one grain, path untouched."""
-        row = np.frombuffer(record, dtype=np.uint8).reshape(1, -1).copy()
-        cm.record_heads(row)[:, 1:] += 1
-        return row.tobytes()
+        """record with its pdf and cdf bumped by one grain, path untouched;
+        a bump wraps mod 2^64, as answer_queries' uint64 bump does."""
+        pdf, cdf = _PDF_CDF.unpack_from(record, 8)
+        return record[:8] + _PDF_CDF.pack((pdf + 1) % 2**64, (cdf + 1) % 2**64) + record[24:]
 
     def answer_queries(self, qs: QuerySet) -> OpeningBatch:
         batch = super().answer_queries(qs)

@@ -10,6 +10,9 @@ sibling path.
 Hashing is domain-separated: 0x00 for leaf labels, 0x01 for internal
 nodes, 0x02 for the digest header, with the session salt prepended. An
 internal node hashes its children's encoded labels (mass, then hash).
+Each HashKey builds its three prefix states, sha256(salt + tag), once;
+a hash copies its state and adds the rest of its input, so every hash
+reads the same bytes as a one-shot sha256(salt + tag + ...).
 The cdf is not hashed anywhere; it is checked arithmetically against the
 masses of left siblings on the path, which the hashes do bind.
 
@@ -23,7 +26,8 @@ leaf to root, the sibling's label and a direction byte (1 when the sibling
 is the left child). open_batch builds the records of many elements at once
 as the rows of a record matrix, gathering each level's sibling rows with
 one fancy index; open_element is open_batch of one element.
-check_records checks the depth and direction bytes of a record matrix.
+check_records checks the width, depth and direction bytes of a record
+matrix.
 
 Verification and extraction share one walk per record: the leaf hash,
 one node hash per level, then the header hash once the mass and cdf checks
@@ -37,7 +41,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -66,16 +70,21 @@ class CollisionEvidence(Exception):
 
 @dataclass(frozen=True)
 class HashKey:
-    """Session hash key: a fresh salt chosen by the verifier."""
+    """Session hash key: a fresh salt chosen by the verifier. prefixes, its
+    leaf, node and header prefix states, take no part in equality, repr or
+    the encoding."""
 
     salt: bytes
     security_param: int = 128
+    prefixes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.salt) != 16:
             raise ValueError("salt must be 16 bytes")
         if self.security_param < 128:
             raise ValueError("security parameter below 128 bits")
+        states = tuple(hashlib.sha256(self.salt + t) for t in (_LEAF_TAG, _NODE_TAG, _HEAD_TAG))
+        object.__setattr__(self, "prefixes", states)
 
     def to_bytes(self) -> bytes:
         return self.salt + self.security_param.to_bytes(4, "little")
@@ -166,18 +175,23 @@ class TreeAux:
         self.masses = masses
 
 
-def _hash_leaf(salt: bytes, mass: int) -> bytes:
-    return hashlib.sha256(salt + _LEAF_TAG + mass.to_bytes(8, "little")).digest()
+def _hash_leaf(state, mass: int) -> bytes:
+    h = state.copy()
+    h.update(mass.to_bytes(8, "little"))
+    return h.digest()
 
 
-def _hash_node(salt: bytes, left: bytes, right: bytes) -> bytes:
+def _hash_node(state, left: bytes, right: bytes) -> bytes:
     """Hash of an internal node from its children's encoded labels."""
-    return hashlib.sha256(salt + _NODE_TAG + left + right).digest()
+    h = state.copy()
+    h.update(left + right)
+    return h.digest()
 
 
-def _hash_header(salt: bytes, n: int, grains: int, padded: int, root_hash: bytes) -> bytes:
-    geometry = struct.pack("<QQQ", n, grains, padded)
-    return hashlib.sha256(salt + _HEAD_TAG + geometry + root_hash).digest()
+def _hash_header(state, n: int, grains: int, padded: int, root_hash: bytes) -> bytes:
+    h = state.copy()
+    h.update(struct.pack("<QQQ", n, grains, padded) + root_hash)
+    return h.digest()
 
 
 def gen(kappa: int, n: int, rng: Generator) -> HashKey:
@@ -189,16 +203,16 @@ def gen(kappa: int, n: int, rng: Generator) -> HashKey:
 def digest(key: HashKey, q: GrainDistribution) -> tuple[Digest, TreeAux]:
     """Commit to q. Deterministic in (key, q); aux holds every node label."""
     padded = 1 << (q.n - 1).bit_length()
-    salt = key.salt
+    leaf_state, node_state, head_state = key.prefixes
     masses = [0] * padded + list(q.counts) + [0] * (padded - q.n)  # slot 0 unused
     for i in range(padded - 1, 0, -1):
         masses[i] = masses[2 * i] + masses[2 * i + 1]
     labels = list(map(_MASS.pack, masses))
     for i in range(padded, 2 * padded):
-        labels[i] += _hash_leaf(salt, masses[i])
+        labels[i] += _hash_leaf(leaf_state, masses[i])
     for i in range(padded - 1, 0, -1):
-        labels[i] += _hash_node(salt, labels[2 * i], labels[2 * i + 1])
-    root_hash = _hash_header(salt, q.n, q.grains, padded, labels[1][8:])
+        labels[i] += _hash_node(node_state, labels[2 * i], labels[2 * i + 1])
+    root_hash = _hash_header(head_state, q.n, q.grains, padded, labels[1][8:])
     d = Digest(NodeLabel(masses[1], root_hash), padded, q.n, q.grains)
     labels[0] = bytes(_LABEL_LEN)
     matrix = np.frombuffer(b"".join(labels), dtype=np.uint8).reshape(2 * padded, _LABEL_LEN)
@@ -242,9 +256,12 @@ def record_heads(rows: np.ndarray) -> np.ndarray:
 
 
 def check_records(rows: np.ndarray, depth: int) -> None:
-    """ValueError unless every row of the record matrix rows carries the
-    depth byte depth and direction bytes in {0, 1}; the message, "opening
-    length mismatch" or "bad direction byte", names the first row's fault."""
+    """ValueError unless the record matrix rows is record_len(depth) wide
+    and every row carries the depth byte depth and direction bytes in
+    {0, 1}; the message, "opening length mismatch" or "bad direction byte",
+    names the first row's fault."""
+    if rows.shape[1] != record_len(depth):
+        raise ValueError("opening length mismatch")
     bad_depth = rows[:, _HEAD_FIELDS] != depth
     bad = bad_depth | (rows[:, _OPENING_HEAD.size + _LABEL_LEN :: _LEVEL_LEN] > 1).any(axis=1)
     if bad.any():
@@ -284,9 +301,9 @@ def _walk(
     if sides != format(x - 1, f"0{depth}b")[::-1][:depth].encode().translate(_BITS):
         return False
     sibs, masses = _level_unpackers(depth)
-    salt = key.salt
+    leaf_state, node_state, head_state = key.prefixes
     cdf = mass
-    node = _MASS.pack(mass) + _hash_leaf(salt, mass)
+    node = _MASS.pack(mass) + _hash_leaf(leaf_state, mass)
     levels = zip(sibs(record, _OPENING_HEAD.size), masses(record, _OPENING_HEAD.size), sides)
     for sib, sib_mass, sib_is_left in levels:
         if sib_mass > denom:
@@ -296,14 +313,14 @@ def _walk(
         mass += sib_mass
         if sib_is_left:
             cdf += sib_mass
-            node = _MASS.pack(mass) + _hash_node(salt, sib, node)
+            node = _MASS.pack(mass) + _hash_node(node_state, sib, node)
         else:
-            node = _MASS.pack(mass) + _hash_node(salt, node, sib)
+            node = _MASS.pack(mass) + _hash_node(node_state, node, sib)
     if mass != d.root.mass or cdf != claimed_cdf:
         return False
     if pinned is not None:
         pinned.append(node)
-    return _hash_header(salt, d.domain_size, denom, d.padded_size, node[8:]) == d.root.digest
+    return _hash_header(head_state, d.domain_size, denom, d.padded_size, node[8:]) == d.root.digest
 
 
 def verify_opening(x: int, record: bytes, key: HashKey, d: Digest) -> bool:

@@ -98,7 +98,14 @@ from numpy.random import Generator
 from . import commitment as cm
 from .dist import GrainDistribution
 from .rngutil import rng_from
-from .testers import CHECK_BLOCK, DSampler, IdentityResult, IdentityTestRun, max_grains
+from .testers import (
+    CHECK_BLOCK,
+    DSampler,
+    IdentityResult,
+    IdentityTestRun,
+    check_domain,
+    max_grains,
+)
 from .wire import (
     BackendData,
     BackendSelect,
@@ -146,8 +153,7 @@ class VerifierConfig:
     record_payloads: bool = False
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("domain size must be positive")
+        check_domain(self.n)
         self.epsilon = Fraction(self.epsilon)
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0,1)")

@@ -86,6 +86,22 @@ def _slot_counts(pdf_grains: np.ndarray, n: int, grains: int) -> np.ndarray:
     return (3 * (n * c + grains)) // grains
 
 
+# The largest N whose pair keys fit in int64. _granular_pairs writes each
+# sample's key, element * (6N + 2) + slot, in place over the int64 values
+# buffer; the keys of element e <= N + 1 lie in [e * (6N + 2), e * (6N + 2)
+# + 6N + 1], so the largest is (N + 1) * (6N + 2) + 6N + 1, which is at most
+# 2^63 - 1 exactly when N <= MAX_DOMAIN.
+MAX_DOMAIN = 1_239_850_261
+
+
+def check_domain(n: int) -> None:
+    """ValueError unless 1 <= n <= MAX_DOMAIN."""
+    if n < 1:
+        raise ValueError("domain size must be positive")
+    if n > MAX_DOMAIN:
+        raise ValueError(f"domain size {n} exceeds MAX_DOMAIN = {MAX_DOMAIN} (int64 pair keys)")
+
+
 def _granular_pairs(
     xs: np.ndarray,
     pdf_table: np.ndarray,
@@ -223,8 +239,7 @@ def tail_sample_budget(epsilon: Fraction, constants: Constants | None = None) ->
 
 
 def check_epsilon(n: int, epsilon: Fraction, constants: Constants | None = None) -> None:
-    if n < 1:
-        raise ValueError("domain size must be positive")
+    check_domain(n)
     cons = constants or get_constants()
     eps = Fraction(epsilon)
     if not 0 < eps < 1:

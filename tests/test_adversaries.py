@@ -8,6 +8,7 @@ from vdo.adversaries import (
     InconsistentOpeningAdversary,
     SelectiveRefusalAdversary,
 )
+import vdo.commitment as cm
 from vdo.commitment import extract, gen, verify_opening
 from vdo.dist import point_mass, random_distribution, uniform
 from vdo.protocol import VerifierConfig, empty_generator, run_oracle_session
@@ -58,6 +59,26 @@ class TestInconsistentOpening:
         proofs = openings(batch)
         flipped = [proofs[j] for j in batch.index]
         assert all(not verify_opening(p.element, p.to_bytes(), key, adv.digest) for p in flipped)
+
+    def test_perturb_equals_the_uint64_bump(self):
+        # the numpy body _perturb replaced: pdf and cdf bumped through the
+        # uint64 view of record_heads, so a field at 2^64 - 1 wraps to 0
+        def reference(record):
+            row = np.frombuffer(record, dtype=np.uint8).reshape(1, -1).copy()
+            cm.record_heads(row)[:, 1:] += 1
+            return row.tobytes()
+
+        q = random_distribution(N, rng_from(9, "q"))
+        adv = InconsistentOpeningAdversary(q, F(1), seed=4)
+        adv.receive_key(gen(128, N, rng_from(9, "k")))
+        rows = cm.open_batch(np.arange(1, N + 1), adv.digest, adv.aux)
+        honest = [row.tobytes() for row in rows]
+        top = (2**64 - 1).to_bytes(8, "little")
+        edges = [r[:8] + top + r[16:] for r in honest[:2]]  # pdf at the top
+        edges += [r[:16] + top + r[24:] for r in honest[:2]]  # cdf at the top
+        edges.append(honest[0][:8] + top + top + honest[0][24:])
+        for record in honest + edges:
+            assert adv._perturb(record) == reference(record)
 
     def test_zero_flip_prob_is_honest(self):
         q = uniform(N)

@@ -25,7 +25,7 @@ import vdo.cli as cli
 from vdo.cli import main, parse_dist_spec
 from vdo.constants import Constants, parse_constants, reset_cache
 from vdo.dist import uniform
-from vdo.testers import max_grains
+from vdo.testers import MAX_DOMAIN, max_grains
 
 
 class TestMakeDist:
@@ -206,6 +206,7 @@ class TestCli:
         [
             (["--mode", "oracle-session", "--kappa", "64"], "security parameter below 128 bits"),
             (["--mode", "oracle-session", "--n", "0"], "domain size must be positive"),
+            (["--mode", "oracle-session", "--n", str(MAX_DOMAIN + 1)], "exceeds MAX_DOMAIN"),
             (["--mode", "oracle-session", "--grains", "0"], "denominator must lie in"),
             (["--mode", "oracle-session", "--d-dist", "point:99"], "atom outside domain"),
             (["--mode", "general-argument", "--target", "point:99"], "atom outside domain"),
@@ -241,7 +242,7 @@ class TestCli:
             (["--mode", "oracle-session", "--n", "8", "--grains", str(max_grains(8) + 1)],
              "exceeds max_grains(8)"),
         ],
-        ids=["kappa", "n", "grains", "d-dist", "target", "property-param", "trials", "file",
+        ids=["kappa", "n", "n-max-plus-one", "grains", "d-dist", "target", "property-param", "trials", "file",
              "adversary-param", "support-size-two-params", "uniformity-one-param",
              "support-size-negative", "far-commit-one-param", "inconsistent-opening-two-params",
              "backend-swap-two-params", "calibrate-trials", "calibrate-negative-trials",

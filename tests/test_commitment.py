@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -43,6 +45,39 @@ GOLDEN_OPEN_3 = (
     "08000000000000007c0d0753d775da875c2074ae53f7687236bf87b5d31d92ca7f"
     "636190a8b681dc01"
 )
+
+
+class TestPrefixStates:
+    """Each hash copies one of its key's prefix states, sha256(salt + tag)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        salt=st.binary(min_size=16, max_size=16),
+        mass=st.integers(0, 2**64 - 1),
+        left=st.binary(min_size=40, max_size=40),
+        right=st.binary(min_size=40, max_size=40),
+        geometry=st.tuples(*[st.integers(0, 2**64 - 1)] * 3),
+        root=st.binary(min_size=32, max_size=32),
+    )
+    def test_hashes_equal_one_shot_sha256(self, salt, mass, left, right, geometry, root):
+        leaf, node, head = HashKey(salt, 128).prefixes
+        leaf_in = salt + b"\x00" + mass.to_bytes(8, "little")
+        node_in = salt + b"\x01" + left + right
+        head_in = salt + b"\x02" + struct.pack("<QQQ", *geometry) + root
+        # twice in a row: a state updated in place would change the second digest
+        for _ in range(2):
+            assert cm._hash_leaf(leaf, mass) == hashlib.sha256(leaf_in).digest()
+            assert cm._hash_node(node, left, right) == hashlib.sha256(node_in).digest()
+            assert cm._hash_header(head, *geometry, root) == hashlib.sha256(head_in).digest()
+
+    def test_states_take_no_part_in_equality_hash_or_encoding(self):
+        a, b = HashKey(bytes(range(16)), 128), HashKey(bytes(range(16)), 128)
+        assert a.prefixes[0] is not b.prefixes[0]
+        assert a == b and hash(a) == hash(b)
+        assert a.to_bytes() == b.to_bytes() == bytes(range(16)) + (128).to_bytes(4, "little")
+        assert HashKey.from_bytes(a.to_bytes()) == a
+        assert "prefixes" not in repr(a)
+        assert a != HashKey(bytes(16), 128)
 
 
 class TestKeyGen:
@@ -270,9 +305,9 @@ def _reference_walk(x, record, key, d, pinned=None) -> bool:
     for level, (_, sib_is_left) in enumerate(path):
         if sib_is_left != ((leaf_pos >> level) & 1 == 1):
             return False
-    salt = key.salt
+    leaf_state, node_state, head_state = key.prefixes
     mass = cdf = proof.claimed_pdf
-    node_hash = cm._hash_leaf(salt, mass)
+    node_hash = cm._hash_leaf(leaf_state, mass)
     for label, sib_is_left in path:
         sib_mass = label.mass
         if not 0 <= sib_mass <= denom:
@@ -283,15 +318,16 @@ def _reference_walk(x, record, key, d, pinned=None) -> bool:
             pinned += (cur, sib)
         if sib_is_left:
             cdf += sib_mass
-            node_hash = cm._hash_node(salt, sib, cur)
+            node_hash = cm._hash_node(node_state, sib, cur)
         else:
-            node_hash = cm._hash_node(salt, cur, sib)
+            node_hash = cm._hash_node(node_state, cur, sib)
         mass += sib_mass
     if mass != d.root.mass or cdf != proof.claimed_cdf:
         return False
     if pinned is not None:
         pinned.append(mass.to_bytes(8, "little") + node_hash)
-    return cm._hash_header(salt, d.domain_size, denom, d.padded_size, node_hash) == d.root.digest
+    header = cm._hash_header(head_state, d.domain_size, denom, d.padded_size, node_hash)
+    return header == d.root.digest
 
 
 def _decode_both(blob: bytes):

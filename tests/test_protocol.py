@@ -35,7 +35,7 @@ from vdo.protocol import (
 from vdo.representation import RepresentationString, build_representation
 from vdo.rngutil import rng_from
 from vdo.streams import RemoteProver, read_frame, read_header, serve_prover, write_frame
-from vdo.testers import DSampler, IdentityTestRun, max_grains
+from vdo.testers import MAX_DOMAIN, DSampler, IdentityTestRun, max_grains
 from vdo.wire import (
     HEADER_LEN,
     BackendSelect,
@@ -193,6 +193,17 @@ class TestSession:
     def test_domain_size_below_one_rejected(self, n):
         with pytest.raises(ValueError, match="domain size must be positive"):
             VerifierConfig(n, F(1, 2))
+
+    def test_domain_size_bounded_by_int64_pair_keys(self):
+        # the largest pair key, (N + 1)(6N + 2) + 6N + 1, fits in int64 at
+        # MAX_DOMAIN and not one above; no session runs
+        def largest_key(n):
+            return (n + 1) * (6 * n + 2) + 6 * n + 1
+
+        assert largest_key(MAX_DOMAIN) <= 2**63 - 1 < largest_key(MAX_DOMAIN + 1)
+        assert VerifierConfig(MAX_DOMAIN, F(1, 2)).n == MAX_DOMAIN
+        with pytest.raises(ValueError, match="exceeds MAX_DOMAIN"):
+            VerifierConfig(MAX_DOMAIN + 1, F(1, 2))
 
     def test_denominator_beyond_int64_bound_rejected(self):
         # N = 2^21 at G = 2^42: 3*G*(N+1) overflows int64. The
@@ -1157,20 +1168,39 @@ class TestBatchCodecDifferential:
 
 def _honest_encodings() -> dict:
     """decoder name -> (decoder, honest encodings it accepts)."""
-    depth, records = _honest_records(16)
     prover = HonestProver(random_distribution(16, rng_from(16, "records")))
     key = HashKey(bytes(range(16)), 128)
     digest = prover.receive_key(key).digest
+    depth = digest.depth
     qs = concat(
         QuerySet.quantiles(np.asarray([1, 3, 7])), QuerySet.elements(np.asarray([2, 2, 9]))
     )
     batch = prover.answer_queries(qs)
     empty = OpeningBatch(batch.proofs[:0], batch.index[:0], depth)
+
+    def check_record(data: bytes) -> bool:
+        """One record through package code: verify_opening gives any bytes
+        a verdict and never raises, and check_records on the record as a
+        one-row matrix, at the depth its depth byte names, raises only
+        ValueError."""
+        x = int.from_bytes(data[:8], "little")
+        try:
+            verdict = cm.verify_opening(x, data, key, digest)
+        except ValueError as exc:  # not the ValueError the contract allows
+            raise AssertionError("verify_opening raised") from exc
+        assert isinstance(verdict, bool)
+        named = data[DEPTH_BYTE] if len(data) > DEPTH_BYTE else depth
+        cm.check_records(np.frombuffer(data, dtype=np.uint8).reshape(1, -1), named)
+        return verdict
+
     return {
         "HashKey": (HashKey.from_bytes, [key.to_bytes()]),
         "Digest": (cm.Digest.from_bytes, [digest.to_bytes()]),
-        # one record, through the reference decoder of the test helpers
-        "OpeningProof": (Opening.from_bytes, list(records[:3]) + [_honest_records(1)[1][0]]),
+        # one record, at this digest's depth and at depth 0
+        "OpeningProof": (
+            check_record,
+            [row.tobytes() for row in batch.proofs[:3]] + [_honest_records(1)[1][0]],
+        ),
         "OpeningBatch": (
             lambda data: OpeningBatch.from_payload(data, depth),
             [bytes(batch.payload()), bytes(empty.payload())],
