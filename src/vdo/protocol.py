@@ -54,33 +54,22 @@ the second phase, conclude. Every exchange that rejects raises
 SessionRejected with a Reason, and run_session alone catches it and
 concludes, so each session ends in exactly one verdict.
 
-A record is walked once per session. The session maps each accepted
-(element, pdf, cdf) to the record that proved it; a later row equal to an
-accepted record is accepted without walking its path again, since
-verify_opening's verdict depends only on the record, the key and the
-digest. Every other row, a repeated claim with a changed path included,
-goes to verify_opening, looked up at call time, in row order, as a copy of
-its bytes.
-
-One row walker (_RowWalker) per batch does that walk. In process it runs
-over the whole matrix once the batch has passed its checks, and adds the
-rows it accepts to the map. A prover over a stream that offers
-answer_walked (streams.RemoteProver) is handed the walker when no payload
-is recorded, and its decoder walks each block's new distinct rows as they
-arrive; after a refusal or the first invalid opening it stops numbering
-rows, and only checks and counts the rest. Those rows are staged apart
-and kept only once the whole batch has passed its checks, so a MALFORMED
-batch leaves the map as it was. The verdict is the same either way:
-MALFORMED for a count field, record or refusal anywhere in the batch that
-a full decode rejects, otherwise INVALID_OPENING at the first distinct row
-that fails, after the same walks in the same order.
-
-A verdict does not depend on whether the transcript records payloads:
-_receive encodes every prover message but an opening batch in either mode,
-and MALFORMED is its verdict on a message without an encoding; a batch's
-encoding is its record matrix and index, which _exchange_distinct reads in
-either mode. With payloads recorded, a streamed batch is decoded whole
-before it is walked, so its logged payload is the frame's.
+A row of an opening batch counts as verified only when the session's own
+walk (_RowWalker) accepts it: _exchange_distinct walks the batch's whole
+record matrix once the batch has passed its checks, in every transport
+and payload mode, and maps each accepted (element, pdf, cdf) to the record
+that proved it, so a record is walked once per session. Over a stream
+with no payload recorded, the decoder is handed the same walker only so
+that it stops numbering rows at the first invalid opening; the rows it
+walks are staged, merged once the batch has passed its checks, and not
+walked again. In every mode the verdict is MALFORMED for a count field,
+record or refusal anywhere in the batch that a full decode rejects, or
+for any other prover message without an encoding, and otherwise
+INVALID_OPENING at the first distinct row that fails. With payloads
+recorded, a streamed batch is decoded whole, so its logged payload is the
+frame's. The rule bounds what a prover's replies and calls can do; a
+prover in process shares the verifier's interpreter, and could as well
+write into the walker's maps or rebind commitment.verify_opening.
 
 Rejection is immediate and terminal per message. All randomness comes from
 streams derived from the session seed, so a session replays byte-exactly.
@@ -88,6 +77,7 @@ streams derived from the session seed, so a session replays byte-exactly.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -264,17 +254,16 @@ class SessionRejected(Exception):
 
 
 class _RowWalker:
-    """walk(rows): verify the distinct rows of one batch's record matrix, in
-    row order, over one or more calls, and return whether every row passed.
-    A row equal to one the session accepted earlier is accepted unwalked,
-    since verify_opening's verdict depends only on the record, the key and
-    the digest; every other row goes to verify_opening, looked up at call
-    time, as a copy of its bytes. The first row that fails ends the walk:
-    failed is set, and later calls walk nothing. Each accepted row's claim
-    and record go to staged, first record first: the session's map itself
-    when the batch passed its checks before the walk, or a dict of their
-    own that the session merges once the batch is known to be well
-    formed."""
+    """walk(rows): verify rows of one batch's record matrix in row order,
+    over one or more calls, and return whether every row passed. A row
+    whose record equals the one already held for its claim, in the
+    session's map or in staged, is accepted unwalked, since verify_opening's
+    verdict depends only on the record, the key and the digest; every other
+    row goes to verify_opening, looked up at call time, as a copy of its
+    bytes. The first row that fails ends the walk: failed is set, and later
+    calls walk nothing. Each accepted row's claim and record go to staged,
+    first record first: the session's map itself in process, or a dict of
+    their own over a stream."""
 
     def __init__(self, key: cm.HashKey, digest: cm.Digest, verified: dict, staged: dict):
         self.key, self.digest, self.verified, self.staged = key, digest, verified, staged
@@ -288,13 +277,13 @@ class _RowWalker:
         records = memoryview(rows.reshape(-1))  # the rows, end to end
         starts = range(0, rows.size, rec)
         for x, pdf, cdf, start in zip(*cm.record_heads(rows).T.tolist(), starts):
-            record = records[start : start + rec].tobytes()
-            if verified.get((x, pdf, cdf)) == record:
+            claim, record = (x, pdf, cdf), records[start : start + rec].tobytes()
+            if verified.get(claim) == record or staged.get(claim) == record:
                 continue
             if not cm.verify_opening(x, record, key, digest):
                 self.failed = True
                 return False
-            staged.setdefault((x, pdf, cdf), record)
+            staged.setdefault(claim, record)
         return True
 
 
@@ -360,9 +349,9 @@ class VerifiedOracleSession:
         probe i is answered by entry index[i]."""
         self.transcript.q_probes += len(qs)
         verified = self.verified_openings
-        # a prover over a stream hands walk each block's new rows as it
-        # decodes them, unless the whole batch is to be logged; those rows
-        # are staged apart until the last block has passed its checks
+        # a prover over a stream gets the walker for its decoder, unless the
+        # whole batch is to be logged; the rows walk accepts are staged
+        # apart until the batch has passed its checks
         streamed = not self.config.record_payloads and getattr(self.prover, "answer_walked", None)
         walk = _RowWalker(self.key, self.digest, verified, {} if streamed else verified)
         batch = self._ask(
@@ -378,13 +367,11 @@ class VerifiedOracleSession:
             raise SessionRejected(Reason.MALFORMED)
         if len(qs) and index.min() < 0:  # a refusal
             raise SessionRejected(Reason.MALFORMED)
-        # a streamed batch whose walk failed points its unnumbered records
-        # past its rows
-        if not walk.failed:
-            if len(qs) and index.max() >= rows.shape[0]:
-                raise SessionRejected(Reason.MALFORMED)
-            if not streamed:
-                walk(rows)
+        # a batch whose decoder stopped numbering at a failed walk points
+        # its unnumbered records past its rows
+        if not walk.failed and len(qs) and index.max() >= rows.shape[0]:
+            raise SessionRejected(Reason.MALFORMED)
+        walk(rows)
         if streamed:
             for claim, record in walk.staged.items():
                 verified.setdefault(claim, record)
@@ -473,11 +460,12 @@ class VerifiedOracleSession:
     def conclude(self, accept: bool, reason: Reason, answers: Answers | None) -> SessionResult:
         verdict = Verdict(accept, reason)
         self._send(verdict)
-        # a prover over a stream sends the verdict on; one in process needs
-        # no such method
-        tell = getattr(self.prover, "receive_verdict", None)
-        if tell is not None:
-            tell(verdict)
+        # a prover over a stream sends the verdict on, one in process needs
+        # no such method; whatever the hook does, the verdict stands
+        with suppress(Exception):
+            tell = getattr(self.prover, "receive_verdict", None)
+            if tell is not None:
+                tell(verdict)
         self.transcript.d_samples = self.d_sampler.draws
         return SessionResult(
             accept,

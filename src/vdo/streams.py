@@ -16,10 +16,7 @@ either side: write_frame gathers its records block by block into one
 reused buffer of at most 1 MiB, and RemoteProver checks the batch's header,
 then reads the body in blocks of whole records (commitment.record_len
 bytes each, the openings' one form) of at most 1 MiB and feeds
-them to OpeningBatch.from_payload as they arrive. A session that logs no
-payloads asks through answer_walked and hands it its row walker, so each
-block's new rows are verified as they arrive, and after the first invalid
-opening the rest of the body is only checked and counted.
+them to OpeningBatch.from_payload as they arrive.
 """
 
 from __future__ import annotations
@@ -197,11 +194,11 @@ class RemoteProver:
         return self.answer_walked(qs, None)
 
     def answer_walked(self, qs: QuerySet, walk) -> OpeningBatch:
-        """answer_queries, with walk, when given, handed each block's new
-        distinct rows as they are decoded (OpeningBatch.from_payload): once
-        it returns False, the rest of the body is only checked and counted.
-        A count field other than the query's length fails decoding whatever
-        the records hold, so then no row is walked."""
+        """answer_queries, with the session's row walker, when given,
+        passed to the decoder (OpeningBatch.from_payload), which stops
+        numbering rows once it returns False. A count field other than the
+        query's length fails decoding whatever the records hold, so then no
+        row is walked."""
         depth = self._digest.depth
         rec = record_len(depth)
         self._roundtrip(qs, MsgType.OPENING_BATCH, 4 + len(qs) * rec)

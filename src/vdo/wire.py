@@ -27,11 +27,8 @@ takes, runs it block by block into one reused buffer. Decoding numbers
 the rows in one streaming dictionary pass over whole records, which may
 arrive as a sequence of blocks, checks each block's new distinct rows'
 depth and direction bytes with commitment.check_records and stacks them
-into the matrix. Given a row walker, the verifier's, it hands it each
-block's new distinct rows as they are numbered; after a refusal or the
-first row the walker rejects, it stops numbering, and the remaining
-records are only checked and counted, since the verdict can then no
-longer be an accept.
+into the matrix, up to a refusal or a row the session's walker rejects
+(_number_rows).
 
 Transcripts record direction, framing and counters. Payload retention can
 be disabled for bulk runs; byte counters are exact either way because every
@@ -175,9 +172,10 @@ def _number_rows(blocks, depth: int, count: int, walk=None):
 
     walk(rows), when given, is handed each block's new distinct rows in
     order once they pass. Numbering stops after a block that holds a
-    refusal (whose rows are not walked) or whose walk returns False: later
-    records are only checked (check_records on the non-blank ones) and
-    counted, numbered -1 if blank and len(distinct rows) otherwise."""
+    refusal (whose rows are not walked) or whose walk returns False, since
+    the verdict can then no longer be an accept: later records are only
+    checked (check_records on the non-blank ones) and counted, numbered -1
+    if blank and len(distinct rows) otherwise."""
     rec = record_len(depth)
     blank = (bytes(rec),)
     number = defaultdict(itertools.count().__next__, {blank: -1})
@@ -298,14 +296,9 @@ class OpeningBatch:
         check_records' message for the first distinct record it rejects;
         either is raised only after every block has been
         consumed, so a stream read through blocks is left at the frame's
-        end.
-
-        With walk given, each block's new distinct rows go to walk(rows) as
-        they are numbered, and after a refusal or a walk that returns False
-        the remaining records are checked and counted but not numbered:
-        such a batch holds a refusal (index -1), or its index points past
-        its rows, and it is good only for its length and those two facts
-        (see _number_rows)."""
+        end. A batch whose numbering stopped at a refusal or at a row walk
+        rejected (see _number_rows) is good only for its length: it holds a
+        refusal (index -1), or its index points past its rows."""
         rec = record_len(depth)
         if blocks is None:
             count = int.from_bytes(data[:4], "little")

@@ -270,6 +270,15 @@ class TestSession:
         types = [e.msg_type for e in res.transcript.entries]
         assert types.count(MsgType.QUERY_SET) == 4  # 3 reps + query phase
 
+    def test_raising_verdict_hook_leaves_the_verdict(self):
+        class Prover(HonestProver):
+            def receive_verdict(self, verdict):
+                raise RuntimeError("verdict hook")
+
+        res = _session(n=16, prover=Prover(uniform(16)))
+        assert res.accept and res.reason == Reason.ACCEPT
+        assert res.transcript.entries[-1].msg_type == MsgType.VERDICT
+
     def test_d_samples_counted_only_via_sampler(self):
         res = _session(seed=11)
         from vdo.testers import identity_d_budget
@@ -412,19 +421,22 @@ class TestVerifiedOpenings:
             record_payloads=record_payloads,
         ).session
 
-    @pytest.mark.parametrize("transport", ["in-process", "socketpair"])
+    @pytest.mark.parametrize("transport", ["in-process", "socketpair", "socketpair-no-payloads"])
     def test_each_distinct_record_verified_once(self, monkeypatch, transport):
         calls = _counting_verify(monkeypatch)
         prover = HonestProver(uniform(self.N))
-        if transport == "in-process":
-            res = self._label_session(prover)
-        else:
-            res = _over_socketpair(prover, self._label_session)
-        assert res.accept
-        identity, query = _batch_records(res)
-        assert identity & query  # the query phase repeats accepted records
-        assert sorted(calls) == sorted(identity | query)
-        assert len(res.verified_openings) == len(calls)
+        # with no payload recorded, the decoder walks each block as it
+        # arrives, and the session's walk passes over those rows
+        session = functools.partial(
+            self._label_session, record_payloads=transport != "socketpair-no-payloads"
+        )
+        res = session(prover) if transport == "in-process" else _over_socketpair(prover, session)
+        assert res.accept and calls
+        assert len(calls) == len(set(calls)) == len(res.verified_openings)
+        if res.transcript.record_payloads:
+            identity, query = _batch_records(res)
+            assert identity & query  # the query phase repeats accepted records
+            assert sorted(calls) == sorted(identity | query)
 
     @pytest.mark.parametrize(
         "edit, reason",
@@ -478,6 +490,54 @@ class TestVerifiedOpenings:
         identity, spot = _batch_records(session)
         assert identity == accepted and spot & accepted
         assert sorted(calls) == sorted(spot - accepted)
+
+
+class _WalkForger(HonestProver):
+    """Commits to a point mass on uniform's grains, and answers every batch
+    from an honest prover of uniform under the same key. Its answer_walked
+    hands the session's walker nothing, or, with walk_own_rows, the rows of
+    its committed tree's honest answer, and returns the other batch."""
+
+    def __init__(self, n, walk_own_rows):
+        other = uniform(n)
+        super().__init__(point_mass(n, 1, other.grains))
+        self.other, self.walk_own_rows = HonestProver(other), walk_own_rows
+
+    def receive_key(self, key):
+        self.other.receive_key(key)
+        return super().receive_key(key)
+
+    def answer_queries(self, qs):
+        return self.other.answer_queries(qs)
+
+    def answer_walked(self, qs, walk):
+        if self.walk_own_rows:
+            assert walk(super().answer_queries(qs).proofs)
+        return self.other.answer_queries(qs)
+
+
+class TestWalkTrust:
+    """A row of a batch counts as verified only through the session's own
+    walk of the batch it returned: a prover that offers answer_walked and
+    skips the walker, or feeds it other rows, gains nothing by it."""
+
+    N = 64
+
+    @pytest.mark.parametrize("record_payloads", [False, True], ids=["no-payloads", "payloads"])
+    @pytest.mark.parametrize("walk_own_rows", [False, True], ids=["never-walks", "walks-own-rows"])
+    def test_forged_batch_is_an_invalid_opening(self, walk_own_rows, record_payloads):
+        prover = _WalkForger(self.N, walk_own_rows)
+        cfg = VerifierConfig(
+            self.N, F(1, 2), generator=quantile_sampling_generator(20),
+            record_payloads=record_payloads,
+        )
+        res = run_oracle_session(cfg, prover, DSampler(uniform(self.N)), 7)
+        assert not res.accept and res.reason == Reason.INVALID_OPENING
+        q = prover.q  # the committed distribution
+        assert all((pdf, cdf) == (q.pdf_grains(x), q.cdf_grains(x))
+                   for x, pdf, cdf in res.verified_openings)
+        # the rows the forger walked itself are true claims, and kept
+        assert bool(res.verified_openings) == (walk_own_rows and not record_payloads)
 
 
 class _VerifyEverySession(VerifiedOracleSession):
@@ -1475,24 +1535,60 @@ def _bump_every_claim(data, rec):
         _add_to_field(data, at + 16, 1)  # cdf
 
 
+_decode_time_cases = pytest.mark.parametrize(
+    "edits, reason",
+    [
+        ((_bump_pdf_of_record_1,), Reason.INVALID_OPENING),
+        ((_bump_pdf_of_record_1, _direction_byte_2_in_last_record), Reason.MALFORMED),
+        ((_bump_pdf_of_record_1, _depth_byte_off_in_last_record), Reason.MALFORMED),
+        ((_bump_pdf_of_record_1, _refuse_last_record), Reason.MALFORMED),
+        ((_refuse_last_record,), Reason.MALFORMED),
+    ],
+    ids=["invalid-opening", "then-direction-byte-2", "then-depth-byte-off",
+         "then-refusal", "refusal"],
+)
+
+
+class _FrameEditProver(HonestProver):
+    """Honest prover whose batches are the records of their frames after
+    edit(frame, record_len), one row per probe, handed over in process."""
+
+    def __init__(self, q, edit):
+        super().__init__(q)
+        self.edit = edit
+
+    def answer_queries(self, qs):
+        batch = super().answer_queries(qs)
+        data = bytearray(frame(0, batch))
+        self.edit(data, batch.record_len())
+        rows = np.frombuffer(data, dtype=np.uint8, offset=HEADER_LEN + 4)
+        return OpeningBatch(rows.reshape(len(qs), -1), np.arange(len(qs)), batch.depth)
+
+
 class TestDecodeTimeRejection:
     """A record the decoder rejects ends the session in MALFORMED even when
     it sits after the first invalid opening: the verifier stops walking and
     numbering records there, but checks the format of every record of the
-    batch before it gives its verdict."""
+    batch before it gives its verdict. In process, the batch's whole record
+    matrix is checked before any row is walked, so the verdicts agree (a
+    refusal is a zeroed row there, whose depth byte is wrong)."""
 
-    @pytest.mark.parametrize(
-        "edits, reason",
-        [
-            ((_bump_pdf_of_record_1,), Reason.INVALID_OPENING),
-            ((_bump_pdf_of_record_1, _direction_byte_2_in_last_record), Reason.MALFORMED),
-            ((_bump_pdf_of_record_1, _depth_byte_off_in_last_record), Reason.MALFORMED),
-            ((_bump_pdf_of_record_1, _refuse_last_record), Reason.MALFORMED),
-            ((_refuse_last_record,), Reason.MALFORMED),
-        ],
-        ids=["invalid-opening", "then-direction-byte-2", "then-depth-byte-off",
-             "then-refusal", "refusal"],
-    )
+    @_decode_time_cases
+    @pytest.mark.parametrize("record_payloads", [False, True], ids=["no-payloads", "payloads"])
+    def test_in_process_batch(self, edits, reason, record_payloads):
+        def edit(data, rec):
+            for e in edits:
+                e(data, rec)
+
+        n = 16
+        cfg = VerifierConfig(
+            n, F(1, 2), generator=quantile_sampling_generator(10), record_payloads=record_payloads
+        )
+        prover = _FrameEditProver(uniform(n), edit)
+        res = run_oracle_session(cfg, prover, DSampler(uniform(n)), seed=5)
+        assert not res.accept and res.reason == reason
+
+    @_decode_time_cases
     def test_served_batch(self, edits, reason):
         def edit(data, rec):
             for e in edits:
