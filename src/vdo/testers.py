@@ -121,27 +121,40 @@ def _granular_pairs(
     a uniform slot in [1, slots(x)]; otherwise it becomes the overflow
     element N+1 with a uniform slot in [1, max(1, tail_slots)]. Every slot
     is at most m, so distinct pairs have distinct keys.
+
+    When the table holds one pdf, a block whose samples share a bound draws
+    with that scalar bound: numpy gives the same stream as the array-bound
+    call over equal bounds (tests/test_testers.py, TestScalarBoundStream).
     """
     c = np.asarray(pdf_table, dtype=np.int64)
+    # c <= G <= max_grains(N), so denom <= 3G(N+1) < 2^63: exact in int64
     denom = 3 * (n * c + grains)
     slots = denom // grains  # _slot_counts, from the denominators at hand
     keep_below = slots * grains
+    one_pdf = c.shape[0] > 0 and c.min() == c.max()
     # both passes draw over consecutive blocks of samples: consecutive
     # array-bounded draws give the stream of one call over the whole batch,
     # and the gathered bounds exist only per block
     blocks = [slice(s, s + CHECK_BLOCK) for s in range(0, index.shape[0], CHECK_BLOCK)]
     kept = np.empty(index.shape[0], dtype=bool)
     for b in blocks:
-        kept[b] = rng.integers(0, denom[index[b]]) < keep_below[index[b]]
+        if one_pdf:
+            kept[b] = rng.integers(0, denom[0], size=kept[b].shape[0]) < keep_below[0]
+        else:
+            kept[b] = rng.integers(0, denom[index[b]]) < keep_below[index[b]]
     width = 6 * n + 2
+    tail_bound = max(1, tail_slots)
     for b in blocks:
-        bound = slots[index[b]]
-        dropped = ~kept[b]
-        bound[dropped] = max(1, tail_slots)
         key = xs[b]
+        dropped = ~kept[b]
+        if one_pdf and (slots[0] == tail_bound or not dropped.any()):
+            bound = slots[0]
+        else:
+            bound = slots[index[b]]
+            bound[dropped] = tail_bound
         key[dropped] = n + 1
         key *= width
-        key += rng.integers(0, bound)
+        key += rng.integers(0, bound, size=key.shape[0])
         key += 1
     return xs
 

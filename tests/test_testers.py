@@ -11,6 +11,7 @@ from vdo import testers
 from vdo.dist import GrainDistribution, point_mass, random_distribution, uniform
 from vdo.rngutil import rng_from
 from vdo.testers import (
+    MAX_DOMAIN,
     DSampler,
     _granular_pairs,
     _slot_counts,
@@ -306,10 +307,21 @@ def _per_sample_pairs(xs, pdfs, n, g, tail_slots, rng):
     return elements, 1 + rng.integers(0, bound)
 
 
+def _state(rng) -> dict:
+    """The generator's state, with its arrays as lists so that == compares it."""
+
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+
+    return plain(rng.bit_generator.state)
+
+
 class TestPairMap:
     # the draws run over blocks of `block` samples: consecutive array-bounded
     # draws must give the stream of the one call over all samples
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=160, deadline=None)
     @given(
         st.integers(1, 256),
         st.data(),
@@ -319,27 +331,38 @@ class TestPairMap:
     )
     def test_table_and_index_equal_the_per_sample_call(self, n, data, tail_case, seed, block):
         g = data.draw(st.sampled_from([1, n, 1000, max_grains(n)]), label="grains")
-        table = np.asarray(
-            data.draw(st.lists(st.integers(0, g), min_size=1, max_size=8), label="table"),
-            dtype=np.int64,
-        )
+        # a table of one pdf, 2 to 8 times over, takes the scalar-bound draws;
+        # the pdf (g - 1) // 3n drops about a quarter of the samples when g >> n
+        shapes = ["mixed", "one pdf", "one pdf, tail at its slots"]
+        shape = data.draw(st.sampled_from(shapes), label="shape")
+        if shape == "mixed":
+            table = data.draw(st.lists(st.integers(0, g), min_size=1, max_size=8), label="table")
+        else:
+            pdf = data.draw(st.integers(0, g) | st.just((g - 1) // (3 * n)), label="pdf")
+            table = [pdf] * data.draw(st.integers(2, 8), label="entries")
+        table = np.asarray(table, dtype=np.int64)
         count = data.draw(st.integers(0, 300), label="samples")
         rng = rng_from(seed, "table")
         index = rng.integers(0, table.shape[0], size=count)
         xs = rng.integers(1, n + 1, size=count, dtype=np.int64)
         tail_slots = [0, 1, 6 * n, int(rng.integers(0, 6 * n + 1))][tail_case]
+        if shape == "one pdf, tail at its slots":
+            tail_slots = _slots(pdf, g, n)
         samples = xs.copy()
+        rngs = [rng_from(seed, "pairs") for _ in range(3)]
         with mock.patch.object(testers, "CHECK_BLOCK", block):
-            got = _granular_pairs(samples, table, index, n, g, tail_slots, rng_from(seed, "pairs"))
+            got = _granular_pairs(samples, table, index, n, g, tail_slots, rngs[0])
         assert got is samples  # the keys are written over the samples
         assert got.dtype == np.int64
-        per_sample = _pairs(xs, table[index], n, g, tail_slots, rng_from(seed, "pairs"))
-        ref = _per_sample_pairs(xs, table[index], n, g, tail_slots, rng_from(seed, "pairs"))
+        per_sample = _pairs(xs, table[index], n, g, tail_slots, rngs[1])
+        ref = _per_sample_pairs(xs, table[index], n, g, tail_slots, rngs[2])
         for elements, slots in (per_sample, ref):
             assert elements.dtype == slots.dtype == np.int64
             assert (elements * (6 * n + 2) + slots).tolist() == got.tolist()
         for a, r in zip(per_sample, ref):
             assert a.tolist() == r.tolist()
+        # a draw too many or too few leaves the generator elsewhere
+        assert _state(rngs[0]) == _state(rngs[1]) == _state(rngs[2])
 
     def test_single_slot(self):
         # pdf 0 on [2] with G = 4: q' = 1/4, three slots, always kept
@@ -381,6 +404,32 @@ class TestPairMap:
                 total.append(tail / m_tail)
             assert len(total) == m
             assert all(p == F(1, m) for p in total)
+
+
+class TestScalarBoundStream:
+    # the numpy property _granular_pairs' one-pdf path relies on: an
+    # array-bound draw over equal bounds gives the scalar-bound stream, and
+    # consecutive scalar-bound calls continue one stream; the bounds reach
+    # 3*max_grains(N)*(N + 1), the largest denominator of the granular filter
+    BOUNDS = [1, 2, 7, 2**31 + 5, 2**32, 2**32 + 1] + [
+        3 * max_grains(n) * (n + 1) for n in (1, 1024, MAX_DOMAIN)
+    ]
+
+    @pytest.mark.parametrize("k", [1, 1001])
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_equal_bounds_give_the_scalar_stream(self, bound, k):
+        array, scalar = rng_from(1, "bound"), rng_from(1, "bound")
+        got = array.integers(0, np.full(k, bound, dtype=np.int64))
+        assert got.tolist() == scalar.integers(0, bound, size=k).tolist()
+        assert _state(array) == _state(scalar)
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_split_scalar_calls_continue_one_stream(self, bound):
+        whole, split = rng_from(2, "bound"), rng_from(2, "bound")
+        cuts = [0, 1, 8, 71, 1001]
+        got = [split.integers(0, bound, size=hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+        assert np.concatenate(got).tolist() == whole.integers(0, bound, size=1001).tolist()
+        assert _state(whole) == _state(split)
 
 
 def _unique_collisions(samples) -> int:
