@@ -1,8 +1,12 @@
 """General-property arguments over a committed distribution.
 
-After the oracle session establishes a committed distribution close to the
-sampled one, a proximity backend checks that the committed distribution is
-close to the property. Two reference backends ship:
+A general property is its distance function, from an explicit distribution
+to a Fraction. After the oracle session establishes a committed
+distribution close to the sampled one, a backend checks that the committed
+distribution is close to the property: it accepts iff the distance it
+measures is at most distance_threshold, the midpoint
+delta_c + (delta_f - delta_c)/2. Two backends ship, both with linear
+communication:
 
   full-reveal  — the prover sends the whole distribution; the verifier
                  recomputes the digest (binding it to the committed one)
@@ -11,35 +15,32 @@ close to the property. Two reference backends ship:
                  the verifier probes random blocks against verified
                  quantile openings, then decides on the sent string.
 
-Both have linear communication; the interface accepts sublinear backends
-with the same message shapes. The acceptance threshold for the committed
-distance is the midpoint delta_c + (delta_f - delta_c)/2.
+A backend's verify() may only learn about the committed distribution
+through the session's verified openings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
-from numpy.random import Generator
 
 from . import commitment as cm
 from .constants import get_constants
 from .dist import GrainDistribution
 from .exactmath import frac_ceil
-from .properties import GeneralProperty
 from .protocol import (
     SessionRejected,
     SessionResult,
-    VerifiedOracleSession,
     VerifierConfig,
     run_session,
 )
 from .representation import (
     RepresentationString,
     build_representation,
-    representation_test,
+    reconstruct_distribution,
 )
 from .rngutil import rng_from
 from .rscode import element_code
@@ -55,53 +56,23 @@ class BackendOutcome:
     probe_mismatch: bool = False
 
 
-class ProximityBackend:
-    """Verifier side of a proximity check against the committed distribution.
-
-    verify() may only learn about the committed distribution through the
-    session's verified openings.
-    """
-
-    backend_id: int  # wire code in BackendSelect
-    name: str
-
-    def __init__(self, probe_budget: int | None = None):
-        self.probe_budget = probe_budget  # query probes to spend; None: the default
-
-    def select_msg(self) -> BackendSelect:
-        return BackendSelect(self.backend_id)
-
-    def honest_blob(self, q: GrainDistribution) -> bytes:
-        raise NotImplementedError
-
-    def blob_len(self, n: int, grains: int) -> int:
-        """Length of the honest blob for a distribution over [n] with
-        denominator grains."""
-        raise NotImplementedError
-
-    def verify(
-        self,
-        blob: bytes,
-        session: VerifiedOracleSession,
-        prop: GeneralProperty,
-        delta_c: Fraction,
-        delta_f: Fraction,
-        rng: Generator,
-    ) -> BackendOutcome:
-        raise NotImplementedError
-
-
 def distance_threshold(delta_c: Fraction, delta_f: Fraction) -> Fraction:
     return Fraction(delta_c) + (Fraction(delta_f) - Fraction(delta_c)) / 2
 
 
+def _decide(delta: Fraction, delta_c: Fraction, delta_f: Fraction) -> BackendOutcome:
+    """Both backends' decision on the committed distribution's distance."""
+    ok = delta <= distance_threshold(delta_c, delta_f)
+    return BackendOutcome(ok, Reason.ACCEPT if ok else Reason.BACKEND_REJECT, delta)
+
+
 def backend_slack(delta_c: Fraction, delta_f: Fraction) -> Fraction:
-    """(delta_f - delta_c)/20: the distance approximator's slack rho, and
-    the block-error rate the spot-check's probe budget is sized for."""
+    """(delta_f - delta_c)/20: the block-error rate the spot-check's probe
+    budget is sized for."""
     return (Fraction(delta_f) - Fraction(delta_c)) / 20
 
 
-class FullRevealBackend(ProximityBackend):
+class FullRevealBackend:
     backend_id = 1
     name = "full-reveal"
 
@@ -121,14 +92,10 @@ class FullRevealBackend(ProximityBackend):
         recomputed, _ = cm.digest(session.key, q)
         if recomputed != session.digest:
             return BackendOutcome(False, Reason.BACKEND_MISMATCH)
-        delta = prop.dist(q.n, q, backend_slack(delta_c, delta_f))
-        ok = delta <= distance_threshold(delta_c, delta_f)
-        return BackendOutcome(
-            ok, Reason.ACCEPT if ok else Reason.BACKEND_REJECT, delta
-        )
+        return _decide(prop(q), delta_c, delta_f)
 
 
-class SpotCheckBackend(ProximityBackend):
+class SpotCheckBackend:
     """Probes k random blocks of the sent representation string against the
     committed distribution, then decides on the sent string. A string that
     disagrees with the committed representation on a fraction f of blocks
@@ -136,6 +103,9 @@ class SpotCheckBackend(ProximityBackend):
 
     backend_id = 2
     name = "spot-check"
+
+    def __init__(self, probe_budget: int | None = None):
+        self.probe_budget = probe_budget  # query probes to spend; None: sized by budget()
 
     def budget(self, delta_c: Fraction, delta_f: Fraction) -> int:
         if self.probe_budget is not None:
@@ -168,25 +138,19 @@ class SpotCheckBackend(ProximityBackend):
         sent = rep.blocks[probes - 1]
         if (opened != sent).any():
             return BackendOutcome(False, Reason.BACKEND_MISMATCH, probe_mismatch=True)
-        rho = backend_slack(delta_c, delta_f)
-        ok, delta = representation_test(
-            rep.blocks,
-            code,
-            n,
-            grains,
-            lambda q: prop.dist(n, q, rho),
-            distance_threshold(delta_c, delta_f),
-        )
-        return BackendOutcome(ok, Reason.ACCEPT if ok else Reason.BACKEND_REJECT, delta)
+        q = reconstruct_distribution(rep)
+        if q is None:
+            return BackendOutcome(False, Reason.BACKEND_REJECT)
+        return _decide(prop(q), delta_c, delta_f)
 
 
-# name -> backend class; constructed as cls(), or cls(probe_budget) to fix the budget
-BACKENDS: dict[str, type[ProximityBackend]] = {
+# name -> backend class, constructed as cls()
+BACKENDS: dict[str, type[FullRevealBackend | SpotCheckBackend]] = {
     cls.name: cls for cls in (FullRevealBackend, SpotCheckBackend)
 }
 
 
-def backend_by_id(backend_id: int) -> ProximityBackend:
+def backend_by_id(backend_id: int) -> FullRevealBackend | SpotCheckBackend:
     for cls in BACKENDS.values():
         if cls.backend_id == backend_id:
             return cls()
@@ -218,13 +182,13 @@ def general_argument_epsilon(delta_c: Fraction, delta_f: Fraction) -> Fraction:
 
 
 def run_general_argument(
-    prop: GeneralProperty,
+    prop: Callable[[GrainDistribution], Fraction],
     n: int,
     delta_c: Fraction,
     delta_f: Fraction,
     d_sampler: DSampler,
     prover,
-    backend: ProximityBackend,
+    backend: FullRevealBackend | SpotCheckBackend,
     seed: int,
     record_payloads: bool = False,
 ) -> GeneralArgumentResult:
@@ -234,7 +198,7 @@ def run_general_argument(
     config = VerifierConfig(n, epsilon, record_payloads=record_payloads)
 
     def check(session):
-        data = session.backend_exchange(backend.select_msg())
+        data = session.backend_exchange(BackendSelect(backend.backend_id))
         outcome = backend.verify(
             data.blob, session, prop, delta_c, delta_f, rng_from(seed, "backend")
         )

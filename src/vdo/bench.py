@@ -43,8 +43,7 @@ def make_dist(spec, n: int, grains: int | None, seed: int) -> GrainDistribution:
     """Build a distribution from a declarative spec tuple.
 
     ("uniform",) | ("point", x) | ("random", spread) | ("two-level",)
-    | ("shift", base_spec, delta) | ("explicit", counts, grains)
-    | ("file", path)
+    | ("shift", base_spec, delta) | ("file", path)
     """
     kind = spec[0]
     if kind == "uniform":
@@ -64,8 +63,6 @@ def make_dist(spec, n: int, grains: int | None, seed: int) -> GrainDistribution:
     if kind == "shift":
         base = make_dist(spec[1], n, grains, seed)
         return shift_mass(base, Fraction(spec[2]), rng_from(seed, "shift", spec))
-    if kind == "explicit":
-        return GrainDistribution(n, int(spec[2]), spec[1])
     if kind == "file":
         with open(spec[1], "rb") as fh:
             return GrainDistribution.from_bytes(fh.read())
@@ -366,7 +363,7 @@ def calibrate(
     # require headroom over the 0.9 target so the choice transfers across regimes
     margin = Fraction(24, 25)
     for c in candidates:
-        cons = replace(base, c_id=c, c_unif=c)
+        cons = replace(base, c_id=c)
         comp = _calibration_rates(
             n, epsilon, trials, None, grains, cons, derive_key(seed, "comp", c), jobs
         )

@@ -2,12 +2,11 @@
 
 These run exact identities over enumerated grain distributions: the
 sorted-grain Hamming bound, the mixing/granularization identities, and the
-histogram decision bands of any label-invariant decision (band_check, which
-the tests call too; band_sweep runs band_checks, one pass per (N, G, tau),
-for uniformity and bounded support size). Domain sizes are small enough to
-enumerate; the pair-level mixing identity is additionally verified
-coordinate-wise, which covers the whole family because mixing acts on one
-coordinate at a time.
+histogram decision bands of any label-invariant decision (band_checks;
+band_sweep runs it once per (N, G, tau) for uniformity and bounded support
+size). Domain sizes are small enough to enumerate; the pair-level mixing
+identity is additionally verified coordinate-wise, which covers the whole
+family because mixing acts on one coordinate at a time.
 """
 
 from __future__ import annotations
@@ -148,19 +147,15 @@ def _random_counts(n: int, grains: int, rng) -> GrainDistribution:
 # -- histogram decision bands --------------------------------------------------------------
 
 
-def band_check(n: int, grains: int, tau: Fraction, decide, distance) -> dict:
-    """Group every distribution over [n] with denominator grains by exact
-    histogram at tau. decide(hist) must accept each class that has a member
-    q within tau of the property (distance(q) <= tau) and may reject only
-    classes whose members all lie beyond 2*tau. The histogram and the
-    distance to a label-invariant property are both label-invariant, so one
-    member per permutation orbit gives the same classes and distances."""
-    return band_checks(n, grains, tau, [(decide, distance)])[0]
-
-
 def band_checks(n: int, grains: int, tau: Fraction, checks) -> list[dict]:
-    """band_check of each (decide, distance) pair in checks, from one pass
-    over the orbits: each orbit's histogram is computed once for all."""
+    """Group every distribution over [n] with denominator grains by exact
+    histogram at tau. For each (decide, distance) pair in checks,
+    decide(hist) must accept each class that has a member q within tau of
+    the property (distance(q) <= tau) and may reject only classes whose
+    members all lie beyond 2*tau. The histogram and the distance to a
+    label-invariant property are both label-invariant, so one member per
+    permutation orbit gives the same classes and distances; each orbit's
+    histogram is computed once for all checks."""
     closest: dict[tuple, list] = {}  # masses -> [histogram, least distance per check]
     for counts in combinations_with_replacement(range(grains, -1, -1), n):
         if sum(counts) != grains:  # one nonincreasing count vector per orbit

@@ -8,6 +8,7 @@ give a byte-identical report.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -34,6 +35,7 @@ from .bench import (
     trial_seed,
 )
 from .bruteforce import run_brute_force_suite
+from .constants import get_constants
 from .properties import LABEL_INVARIANT
 from .testers import check_epsilon, max_grains
 
@@ -107,6 +109,22 @@ def _usage_errors():
 def _check_trials(trials: int) -> None:
     if trials < 1:
         raise ValueError(f"--trials {trials}: need at least one trial")
+
+
+def _check_out(args) -> None:
+    """OSError unless every file the mode may write (--out, and calibrate's
+    <out>.constants) can be created or overwritten."""
+    if not args.out:
+        return
+    paths = [args.out, args.out + ".constants"] if args.mode == "calibrate" else [args.out]
+    for path in paths:
+        folder = os.path.dirname(path) or "."
+        if (
+            not os.path.isdir(folder)
+            or os.path.isdir(path)
+            or not os.access(path if os.path.exists(path) else folder, os.W_OK)
+        ):
+            raise OSError(f"--out: cannot write {path}")
 
 
 # A session mode's setup(args, q_spec, adversary) returns its parameters and
@@ -210,7 +228,6 @@ def cmd_calibrate(args) -> Report:
     found = cons is not None  # some candidate met both targets with the margin
     if found:
         report.summary("chosen_c_id", cons.c_id)
-        report.summary("chosen_c_unif", cons.c_unif)
         report.summary("constants", cons.to_text().replace("\n", "; "))
     report.check("calibration-found", found)
     if args.out and found:
@@ -261,6 +278,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        with _usage_errors():  # the constants every mode reads, the files it writes
+            get_constants()
+            _check_out(args)
         report = MODES[args.mode](args)
     except argparse.ArgumentError as e:
         parser.error(str(e))

@@ -1,8 +1,8 @@
 """Calibrated tester constants, loaded from a key=value text file.
 
 The committed file ships with the package; VDO_CONSTANTS overrides the
-path. Values are parsed as exact rationals where they feed protocol
-arithmetic.
+path. A file names every field. Values are parsed as exact rationals where
+they feed protocol arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ _ENV_VAR = "VDO_CONSTANTS"
 class Constants:
     version: int = 0
     c_id: int = 16  # identity tester D-sample coefficient
-    c_unif: int = 16  # uniformity tester sample coefficient
     c_tail: int = 4  # tail-estimate sample coefficient (per eps^-4)
     c_hist: int = 4  # histogram sample coefficient (per log^3 N / tau^4)
     c_spot: int = 4  # spot-check probe coefficient (per 1/eps')
@@ -49,6 +48,9 @@ def parse_constants(text: str) -> Constants:
         if key not in types:
             raise ValueError(f"unknown constants key: {key}")
         kw[key] = Fraction(val) if "Fraction" in str(types[key]) else int(val)
+    missing = [key for key in types if key not in kw]
+    if missing:
+        raise ValueError(f"constants file lacks {', '.join(missing)}")
     return Constants(**kw)
 
 
@@ -56,20 +58,17 @@ _cached: Constants | None = None
 
 
 def get_constants() -> Constants:
-    """Constants from VDO_CONSTANTS, the packaged file, or defaults."""
+    """Constants from VDO_CONSTANTS, or else the packaged file."""
     global _cached
     if _cached is not None:
         return _cached
     path = os.environ.get(_ENV_VAR)
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            _cached = parse_constants(fh.read())
-        return _cached
-    try:
+            text = fh.read()
+    else:
         text = resources.files("vdo").joinpath("constants.txt").read_text()
-        _cached = parse_constants(text)
-    except (FileNotFoundError, ModuleNotFoundError):
-        _cached = Constants()
+    _cached = parse_constants(text)
     return _cached
 
 

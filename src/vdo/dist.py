@@ -97,31 +97,11 @@ class GrainDistribution:
     def pdf(self, x: int) -> Fraction:
         return Fraction(self.pdf_grains(x), self.grains)
 
-    def cdf(self, x: int) -> Fraction:
-        return Fraction(self.cdf_grains(x), self.grains)
-
-    def probabilities(self) -> list[Fraction]:
-        return [Fraction(c, self.grains) for c in self.counts]
-
     def _check_element(self, x: int) -> None:
         if not 1 <= x <= self.n:
             raise ValueError(f"element {x} outside [1, {self.n}]")
 
     # -- quantile & sampling ----------------------------------------------
-
-    def quantile(self, mu: Fraction) -> int:
-        """Smallest x with cdf(x) >= mu; never returns a zero-mass element."""
-        mu = Fraction(mu)
-        if not 0 < mu <= 1:
-            raise ValueError("quantile argument must lie in (0, 1]")
-        g = frac_ceil(mu * self.grains)
-        return self.quantile_grain(g)
-
-    def quantile_grain(self, g: int) -> int:
-        """Quantile of the grain-grid mass g/G, for g in [1, G]."""
-        if not 1 <= g <= self.grains:
-            raise ValueError("grain index out of range")
-        return int(self.quantile_grain_batch(np.array([g], dtype=np.int64))[0])
 
     def sample_batch(self, k: int, rng: Generator) -> np.ndarray:
         """k draws: one rng.integers call draws every key, and the keys are
@@ -132,7 +112,8 @@ class GrainDistribution:
         return gs
 
     def quantile_grain_batch(self, gs: np.ndarray) -> np.ndarray:
-        """quantile_grain of each grain index in the 1-D int64 array gs.
+        """Quantile of the grain-grid mass g/G (the smallest x with
+        cdf_grains(x) >= g) of each grain index g in the 1-D int64 array gs.
 
         Unchecked, and exact for every int64 key: the answer is
         searchsorted(cum, g, "left") + 1, so a key g <= 0 answers 1 and a

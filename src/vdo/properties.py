@@ -1,10 +1,9 @@
 """Distribution properties and the label-invariant verification layer.
 
-Label-invariant properties ship a histogram decision rule (accept when some
-distribution with the observed bucket histogram is tau-close, reject when
-every one is far) that reads only the histogram and the BucketGrid it
-carries. General properties ship a distance approximator evaluated on
-explicit distributions.
+A label-invariant property is its decision rule, a function of a bucket
+histogram alone (accept when some distribution with that histogram is
+tau-close, reject when every one is far). A general property is its
+distance function, a function of an explicit distribution.
 
 The label-invariant argument runs the oracle session with a quantile
 sampling generator, assembles the empirical bucket histogram on the grid of
@@ -39,23 +38,6 @@ from .protocol import (
 )
 from .testers import DSampler
 from .wire import Reason
-
-
-@dataclass(frozen=True)
-class LabelInvariantProperty:
-    """decide(hist) -> bool, read from the histogram and its grid alone."""
-
-    name: str
-    decide: Callable[[BucketHistogram], bool]
-
-
-@dataclass(frozen=True)
-class GeneralProperty:
-    """dist(n, q, rho) -> rational within rho of the true distance to the
-    property (instances here are exact and ignore rho)."""
-
-    name: str
-    dist: Callable[[int, GrainDistribution, Fraction], Fraction]
 
 
 # -- histogram estimation --------------------------------------------------------
@@ -110,12 +92,9 @@ def uniformity_find(d: GrainDistribution) -> GrainDistribution:
     return uniform(d.n, d.grains)
 
 
-def make_uniformity() -> LabelInvariantProperty:
-    return LabelInvariantProperty(
-        "uniformity",
-        # looked up at call time, so a wrapper installed on the module applies
-        lambda hist: uniformity_decide(hist),
-    )
+def make_uniformity() -> Callable[[BucketHistogram], bool]:
+    # looked up at call time, so a wrapper installed on the module applies
+    return lambda hist: uniformity_decide(hist)
 
 
 # -- bounded support size --------------------------------------------------------------
@@ -169,39 +148,25 @@ def support_size_exact_distance(d: GrainDistribution, s_bound: int) -> Fraction:
     return Fraction(sum(ordered[s_bound:]), d.grains)
 
 
-def make_support_size(s_bound: int) -> LabelInvariantProperty:
+def make_support_size(s_bound: int) -> Callable[[BucketHistogram], bool]:
     if s_bound < 0:
         raise ValueError(f"support-size bound {s_bound} is negative")
-    return LabelInvariantProperty(
-        f"support-size-{s_bound}",
-        lambda hist: support_size_decide(hist, s_bound),
-    )
+    return lambda hist: support_size_decide(hist, s_bound)
 
 
 # -- fixed target (general property) --------------------------------------------------
 
 
-def fixed_target_dist(
-    n: int, q: GrainDistribution, target: GrainDistribution, rho: Fraction = Fraction(0)
-) -> Fraction:
-    """Exact TV distance to a fixed target distribution (rho unused)."""
-    if q.n != n or target.n != n:
-        raise ValueError("domain mismatch")
-    return tv_distance(q, target)
-
-
-def make_fixed_target(target: GrainDistribution) -> GeneralProperty:
-    return GeneralProperty(
-        "fixed-target",
-        lambda n, q, rho: fixed_target_dist(n, q, target, rho),
-    )
+def make_fixed_target(target: GrainDistribution) -> Callable[[GrainDistribution], Fraction]:
+    """The exact TV distance to target."""
+    return lambda q: tv_distance(q, target)
 
 
 # -- the label-invariant property table ---------------------------------------------------
 
 # name -> constructor from the property's parameters (strings or values)
-LABEL_INVARIANT: dict[str, Callable[..., LabelInvariantProperty]] = {
-    "uniformity": lambda: make_uniformity(),
+LABEL_INVARIANT: dict[str, Callable[..., Callable[[BucketHistogram], bool]]] = {
+    "uniformity": make_uniformity,
     "support-size": lambda s_bound: make_support_size(int(s_bound)),
 }
 
@@ -227,7 +192,7 @@ def argument_parameters(delta_c: Fraction, delta_f: Fraction) -> tuple[Fraction,
 
 
 def run_label_invariant_argument(
-    prop: LabelInvariantProperty,
+    prop: Callable[[BucketHistogram], bool],
     n: int,
     delta_c: Fraction,
     delta_f: Fraction,
@@ -251,7 +216,7 @@ def run_label_invariant_argument(
     def decide(session):
         answers = query_phase(session)
         hist = estimate_histogram(answers[1], session.digest.denominator, grid)
-        ok = prop.decide(hist)
+        ok = prop(hist)
         return ok, Reason.ACCEPT if ok else Reason.PROPERTY_REJECT, answers, hist
 
     result, hist = run_session(config, prover, d_sampler, seed, decide)

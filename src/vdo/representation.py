@@ -134,26 +134,3 @@ def hamming_symbol_distance(a: RepresentationString, b: RepresentationString) ->
     diff = int((a.blocks != b.blocks).sum())
     return Fraction(diff, a.grains * a.code.codeword_symbols)
 
-
-def representation_test(
-    blocks: np.ndarray,
-    code: BlockCode,
-    n: int,
-    grains: int,
-    dist_fn,
-    threshold: Fraction,
-) -> tuple[bool, Fraction | None]:
-    """Decision over an alleged representation string.
-
-    Rejects unless every block decodes to an element of [1, n] and decoded
-    elements are nondecreasing; otherwise reconstructs the distribution and
-    accepts iff dist_fn(q) <= threshold. Returns (verdict, measured distance
-    or None).
-    """
-    if blocks.shape != (grains, code.codeword_symbols):
-        return False, None
-    q = reconstruct_distribution(RepresentationString(n, grains, code, blocks))
-    if q is None:
-        return False, None
-    delta = dist_fn(q)
-    return delta <= threshold, delta

@@ -177,11 +177,6 @@ class UniformityResult:
     threshold: Fraction
 
 
-def uniformity_sample_budget(m: int, epsilon: Fraction, constants: Constants | None = None) -> int:
-    c = (constants or get_constants()).c_unif
-    return ceil_mul_sqrt(Fraction(c) / (Fraction(epsilon) ** 2), m)
-
-
 def uniformity_test(samples, m: int, epsilon: Fraction) -> UniformityResult:
     """Collision-count uniformity test over a domain of size m.
 

@@ -24,7 +24,7 @@ import vdo.bench as bench
 import vdo.cli as cli
 from vdo.cli import main, parse_dist_spec
 from vdo.constants import Constants, parse_constants, reset_cache
-from vdo.dist import uniform
+from vdo.dist import exact_histogram, uniform
 from vdo.testers import MAX_DOMAIN, max_grains
 
 
@@ -111,6 +111,21 @@ class TestConstants:
         with pytest.raises(ValueError):
             parse_constants("nonsense=1\n")
 
+    def test_file_must_name_every_field(self, tmp_path, monkeypatch, capsys):
+        # a file naming c_hist alone would run with the dataclass's c_id and version
+        with pytest.raises(ValueError, match="lacks version, c_id, c_tail"):
+            parse_constants("c_hist=4\n")
+        path = tmp_path / "consts.txt"
+        path.write_text("c_hist=4\n")
+        monkeypatch.setenv("VDO_CONSTANTS", str(path))
+        reset_cache()
+        for mode in (["oracle-session", "--n", "64", "--eps", "1/2", "--seed", "7"], ["scaling"]):
+            with pytest.raises(SystemExit) as exit_:
+                main(["--mode", *mode, "--trials", "2", "--jobs", "1"])
+            assert exit_.value.code == 2
+            assert "constants file lacks version, c_id" in capsys.readouterr().err
+        reset_cache()
+
     def test_env_override(self, tmp_path, monkeypatch):
         path = tmp_path / "consts.txt"
         path.write_text(Constants(version=42).to_text())
@@ -164,7 +179,9 @@ class TestCli:
         from vdo.bench import _label_property
         from vdo.properties import LABEL_INVARIANT
 
-        assert _label_property("support-size", ("3",)).name == "support-size-3"
+        hist = exact_histogram(uniform(4, 16), F(1, 20))
+        assert not _label_property("support-size", ("3",))(hist)  # 1/4 outside 3 elements
+        assert _label_property("support-size", ("4",))(hist)
         with pytest.raises(ValueError):
             _label_property("no-such-property", ())
         for flag, table in (
@@ -241,13 +258,16 @@ class TestCli:
              "exceeds max_grains(8)"),
             (["--mode", "oracle-session", "--n", "8", "--grains", str(max_grains(8) + 1)],
              "exceeds max_grains(8)"),
+            (["--mode", "oracle-session", "--out", "/no/such/dir/report.txt"],
+             "cannot write /no/such/dir/report.txt"),
+            (["--mode", "calibrate", "--out", "/no/such/dir/cal"], "cannot write /no/such/dir/cal"),
         ],
         ids=["kappa", "n", "n-max-plus-one", "grains", "d-dist", "target", "property-param", "trials", "file",
              "adversary-param", "support-size-two-params", "uniformity-one-param",
              "support-size-negative", "far-commit-one-param", "inconsistent-opening-two-params",
              "backend-swap-two-params", "calibrate-trials", "calibrate-negative-trials",
              "calibrate-n", "scaling-trials", "calibrate-n-one", "grains-max",
-             "grains-max-plus-one"],
+             "grains-max-plus-one", "out-dir-missing", "calibrate-out-dir-missing"],
     )
     def test_flags_no_trial_can_run_with_are_usage_errors(
         self, monkeypatch, capsys, flags, message

@@ -86,7 +86,7 @@ class TestTV:
             return
         dab = tv_distance(a, b)
         assert dab == tv_distance(b, a)
-        assert (dab == 0) == (a.probabilities() == b.probabilities())
+        assert (dab == 0) == all(a.pdf(x) == b.pdf(x) for x in range(1, a.n + 1))
         assert dab <= tv_distance(a, c) + tv_distance(c, b)
 
     @given(small_dists(), small_dists())
@@ -99,38 +99,33 @@ class TestTV:
 
 class TestCdfQuantile:
     def test_cdf_examples(self, small_dist):
-        assert small_dist.cdf(2) == F(8, 16)
-        assert small_dist.cdf(4) == 1
-        assert small_dist.cdf(3) == F(16, 16)
+        assert small_dist.cdf_grains(2) == 8
+        assert small_dist.cdf_grains(4) == 16
+        assert small_dist.cdf_grains(3) == 16
         with pytest.raises(ValueError):
-            small_dist.cdf(5)
+            small_dist.cdf_grains(5)
 
     def test_quantile_examples(self, small_dist):
-        assert small_dist.quantile(F(5, 16)) == 2
-        assert small_dist.quantile(F(1)) == 3  # last positive-mass element
-        assert small_dist.quantile(F(4, 16)) == 1  # boundary hits cdf exactly
-        with pytest.raises(ValueError):
-            small_dist.quantile(F(0))
-        with pytest.raises(ValueError):
-            small_dist.quantile(F(17, 16))
+        # grain 16 answers the last positive-mass element; grain 4 hits cdf exactly
+        gs = np.array([5, 16, 4], dtype=np.int64)
+        assert small_dist.quantile_grain_batch(gs).tolist() == [2, 3, 1]
 
     @given(small_dists())
     @settings(max_examples=100, deadline=None)
     def test_quantile_cdf_consistency(self, d):
-        # for every positive-mass x, any mass inside its grain run maps back to x
+        # for every positive-mass x, the first and last grain of its run map back to x
         for x in range(1, d.n + 1):
             if d.pdf_grains(x) == 0:
                 continue
-            lo = d.cdf(x) - d.pdf(x)
-            for num in (1, d.pdf_grains(x)):
-                mu = lo + F(num, d.grains)
-                assert d.quantile(mu) == x
+            lo = d.cdf_grains(x) - d.pdf_grains(x)
+            gs = np.array([lo + 1, lo + d.pdf_grains(x)], dtype=np.int64)
+            assert d.quantile_grain_batch(gs).tolist() == [x, x]
 
     @given(small_dists())
     @settings(max_examples=50, deadline=None)
     def test_quantile_never_returns_zero_mass(self, d):
-        for g in range(1, d.grains + 1):
-            assert d.pdf_grains(d.quantile_grain(g)) > 0
+        xs = d.quantile_grain_batch(np.arange(1, d.grains + 1, dtype=np.int64))
+        assert all(d.pdf_grains(int(x)) > 0 for x in xs)
 
     @given(small_dists())
     @settings(max_examples=50, deadline=None)

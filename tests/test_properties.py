@@ -17,8 +17,8 @@ from vdo.dist import (
 from vdo.properties import (
     argument_parameters,
     estimate_histogram,
-    fixed_target_dist,
     histogram_sample_budget,
+    make_fixed_target,
     make_support_size,
     make_uniformity,
     run_label_invariant_argument,
@@ -30,7 +30,7 @@ from vdo.properties import (
     uniformity_distance_estimate,
     uniformity_find,
 )
-from vdo.bruteforce import band_check
+from vdo.bruteforce import band_checks
 from vdo.exactmath import geometric_mean
 from vdo.protocol import HonestProver
 from vdo.rngutil import rng_from
@@ -49,7 +49,7 @@ def check_bands(n, grains, tau, decide, distance):
     """decide(hist) accepts every (n, grains) histogram class with a
     tau-close member and rejects only classes whose members are all beyond
     2*tau, with distances from the reference oracle."""
-    assert band_check(n, grains, tau, decide, distance)["violations"] == []
+    assert band_checks(n, grains, tau, [(decide, distance)])[0]["violations"] == []
 
 
 class TestEstimateHistogram:
@@ -220,17 +220,17 @@ class TestBucketReadings:
 class TestFixedTarget:
     def test_equal_zero(self):
         t = uniform(8)
-        assert fixed_target_dist(8, t, t) == 0
+        assert make_fixed_target(t)(t) == 0
 
     def test_disjoint_one(self):
-        assert fixed_target_dist(2, point_mass(2, 1, 4), point_mass(2, 2, 4)) == 1
+        assert make_fixed_target(point_mass(2, 2, 4))(point_mass(2, 1, 4)) == 1
 
     @given(st.integers(0, 5000))
     @settings(max_examples=30, deadline=None)
     def test_matches_tv(self, seed):
         a = random_distribution(8, rng_from(seed, "a"), grains=64)
         b = random_distribution(8, rng_from(seed, "b"), grains=64)
-        assert fixed_target_dist(8, a, b) == tv_oracle(a, b)
+        assert make_fixed_target(b)(a) == tv_oracle(a, b)
 
 
 class TestParameters:

@@ -3,16 +3,21 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from vdo.dist import GrainDistribution, point_mass, tv_distance, uniform
+from vdo.argument import SpotCheckBackend
+from vdo.dist import GrainDistribution, point_mass, uniform
+from vdo.properties import make_fixed_target
+from vdo.protocol import HonestProver, VerifiedOracleSession, VerifierConfig
 from vdo.representation import (
     RepresentationString,
     build_representation,
     hamming_block_distance,
     hamming_symbol_distance,
     reconstruct_distribution,
-    representation_test,
 )
+from vdo.rngutil import rng_from
 from vdo.rscode import element_code
+from vdo.testers import DSampler
+from vdo.wire import Reason
 
 from conftest import enum_dists, tv_oracle
 
@@ -109,59 +114,56 @@ class TestHamming:
 
 
 class TestRepresentationTest:
-    def _dist_to(self, target):
-        return lambda q: tv_distance(q, target)
+    """The spot-check backend decides on the string it was sent: a string
+    that does not decode to a sorted element sequence is no distribution,
+    and a decoded one is accepted iff its distance is at most the
+    threshold."""
+
+    @staticmethod
+    def _spot_check(q, target, delta_f):
+        # an honest session committed to q, then q's honest string; at
+        # delta_c = 0 the backend's threshold is delta_f / 2
+        session = VerifiedOracleSession(VerifierConfig(q.n, F(1, 2)), HonestProver(q), DSampler(q), 3)
+        session.establish()
+        backend = SpotCheckBackend()
+        return backend.verify(
+            backend.honest_blob(q), session, make_fixed_target(target), F(0), delta_f,
+            rng_from(3, "backend"),
+        )
 
     def test_member_accepts(self):
         u = uniform(8, 64)
-        rep = build_representation(u)
-        ok, delta = representation_test(
-            rep.blocks, rep.code, 8, 64, self._dist_to(u), F(0) + F(1, 10)
-        )
-        assert ok and delta == 0
+        out = self._spot_check(u, u, F(1, 5))
+        assert out.accept and out.reason == Reason.ACCEPT and out.measured == 0
 
     def test_unsorted_rejected(self):
-        u = uniform(4, 16)
-        rep = build_representation(u)
+        rep = build_representation(uniform(4, 16))
         blocks = rep.blocks.copy()
         blocks[[0, -1]] = blocks[[-1, 0]]  # swap first and last block
-        ok, delta = representation_test(
-            blocks, rep.code, 4, 16, self._dist_to(u), F(0) + F(1, 10)
-        )
-        assert not ok and delta is None
+        assert reconstruct_distribution(RepresentationString(4, 16, rep.code, blocks)) is None
 
     def test_corrupted_block_rejected(self):
-        u = uniform(4, 16)
-        rep = build_representation(u)
+        rep = build_representation(uniform(4, 16))
         blocks = rep.blocks.copy()
         blocks[3, -1] ^= 0xFF
-        ok, delta = representation_test(
-            blocks, rep.code, 4, 16, self._dist_to(u), F(0) + F(1, 10)
-        )
-        assert not ok and delta is None
+        assert reconstruct_distribution(RepresentationString(4, 16, rep.code, blocks)) is None
 
     def test_out_of_domain_element_rejected(self):
         code = element_code(4)
         bad = np.tile(np.frombuffer(code.encode_int(4 + 1), dtype=np.uint8), (16, 1))
-        ok, delta = representation_test(
-            bad, code, 4, 16, self._dist_to(uniform(4, 16)), F(0) + F(1, 10)
-        )
-        assert not ok
+        assert reconstruct_distribution(RepresentationString(4, 16, code, bad)) is None
 
     def test_far_distribution_rejected_deterministically(self):
         u = uniform(4, 16)
         far = point_mass(4, 1, 16)
-        rep = build_representation(far)
-        ok, delta = representation_test(
-            rep.blocks, rep.code, 4, 16, self._dist_to(u), F(0) + F(1, 10)
-        )
-        assert not ok and delta == tv_oracle(far, u)
+        out = self._spot_check(far, u, F(1, 5))
+        assert not out.accept and out.reason == Reason.BACKEND_REJECT
+        assert out.measured == tv_oracle(far, u) and not out.probe_mismatch
 
     def test_threshold_knob(self):
         u = uniform(4, 16)
-        near = GrainDistribution(4, 16, (5, 4, 4, 3))
-        rep = build_representation(near)
-        dist_fn = self._dist_to(u)
-        ok_tight, _ = representation_test(rep.blocks, rep.code, 4, 16, dist_fn, F(0) + F(1, 100))
-        ok_loose, _ = representation_test(rep.blocks, rep.code, 4, 16, dist_fn, F(1, 4))
-        assert not ok_tight and ok_loose
+        near = GrainDistribution(4, 16, (5, 4, 4, 3))  # at distance 1/16 from u
+        tight = self._spot_check(near, u, F(1, 50))  # threshold 1/100
+        loose = self._spot_check(near, u, F(1, 2))  # threshold 1/4
+        assert tight.reason == Reason.BACKEND_REJECT and tight.measured == F(1, 16)
+        assert loose.accept and loose.measured == F(1, 16)

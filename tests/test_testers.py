@@ -480,10 +480,7 @@ class TestUniformityTest:
             uniformity_test(np.asarray([1]), 4, F(1, 2))
 
     def test_uniform_accept_rate(self):
-        m, eps, trials = 1024, F(1, 4), 200
-        from vdo.testers import uniformity_sample_budget
-
-        s = uniformity_sample_budget(m, eps)
+        m, eps, trials, s = 1024, F(1, 4), 200, 3072  # s = 6 * sqrt(m) / eps^2
         accepts = 0
         for i in range(trials):
             xs = rng_from(i, "u").integers(0, m, size=s)
@@ -492,10 +489,7 @@ class TestUniformityTest:
 
     def test_far_reject_rate(self):
         # half the domain at double mass: TV distance 1/2 from uniform
-        m, eps, trials = 1024, F(1, 4), 200
-        from vdo.testers import uniformity_sample_budget
-
-        s = uniformity_sample_budget(m, eps)
+        m, eps, trials, s = 1024, F(1, 4), 200, 3072  # s = 6 * sqrt(m) / eps^2
         rejects = 0
         weights = np.zeros(m)
         weights[: m // 2] = 2 / m  # half the domain at double mass, rest empty
