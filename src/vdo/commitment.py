@@ -27,7 +27,7 @@ is the left child). open_batch builds the records of many elements at once
 as the rows of a record matrix, gathering each level's sibling rows with
 one fancy index; open_element is open_batch of one element.
 check_records checks the width, depth and direction bytes of a record
-matrix.
+matrix, a clean one in records_clean's one flat pass.
 
 Verification and extraction share one walk per record: the leaf hash,
 one node hash per level, then the header hash once the mass and cdf checks
@@ -233,6 +233,9 @@ def open_batch(xs: np.ndarray, d: Digest, aux: TreeAux) -> np.ndarray:
         raise ValueError(f"element outside [1, {d.domain_size}]")
     rows = np.empty((xs.shape[0], record_len(d.depth)), dtype=np.uint8)
     node = xs + (aux.padded - 1)
+    # Each running sum is the mass of disjoint subtrees of leaves 1..x, so
+    # it is at most cdf(x) <= G < 2^63 (GrainDistribution's bound): the
+    # int64 sums are exact, and each non-negative sum fits the uint64 head.
     cdf = aux.masses[node]
     head = record_heads(rows)
     head[:, 0] = xs
@@ -255,18 +258,32 @@ def record_heads(rows: np.ndarray) -> np.ndarray:
     return rows[:, :_HEAD_FIELDS].view("<u8")
 
 
+def records_clean(rows: np.ndarray, depth: int) -> bool:
+    """Whether the record matrix rows passes check_records, in one flat
+    pass: one compare over the depth column, one max over the direction
+    columns."""
+    return (
+        rows.shape[1] == record_len(depth)
+        and bool((rows[:, _HEAD_FIELDS] == depth).all())
+        and int(rows[:, _OPENING_HEAD.size + _LABEL_LEN :: _LEVEL_LEN].max(initial=0)) <= 1
+    )
+
+
 def check_records(rows: np.ndarray, depth: int) -> None:
     """ValueError unless the record matrix rows is record_len(depth) wide
     and every row carries the depth byte depth and direction bytes in
     {0, 1}; the message, "opening length mismatch" or "bad direction byte",
-    names the first row's fault."""
+    names the first row's fault. A clean matrix is answered by
+    records_clean's one pass; the per-row masks are built only to name the
+    first fault."""
+    if records_clean(rows, depth):
+        return
     if rows.shape[1] != record_len(depth):
         raise ValueError("opening length mismatch")
     bad_depth = rows[:, _HEAD_FIELDS] != depth
     bad = bad_depth | (rows[:, _OPENING_HEAD.size + _LABEL_LEN :: _LEVEL_LEN] > 1).any(axis=1)
-    if bad.any():
-        first = int(bad.argmax())
-        raise ValueError("opening length mismatch" if bad_depth[first] else "bad direction byte")
+    first = int(bad.argmax())
+    raise ValueError("opening length mismatch" if bad_depth[first] else "bad direction byte")
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII binary digits to bytes 0 and 1

@@ -17,15 +17,15 @@ _ENV_VAR = "VDO_CONSTANTS"
 
 @dataclass(frozen=True)
 class Constants:
-    version: int = 0
-    c_id: int = 16  # identity tester D-sample coefficient
-    c_tail: int = 4  # tail-estimate sample coefficient (per eps^-4)
-    c_hist: int = 4  # histogram sample coefficient (per log^3 N / tau^4)
-    c_spot: int = 4  # spot-check probe coefficient (per 1/eps')
-    c_ext: int = 8  # extractor replay coefficient (per N/eta)
-    eps_floor_coeff: Fraction = Fraction(3, 20)  # eps must exceed this / N^(1/4)
-    hist_probe_cap: int = 4096  # protocol-side cap on histogram probes
-    decide_margin: Fraction = Fraction(3, 2)  # accept threshold = margin * tau
+    version: int
+    c_id: int  # identity tester D-sample coefficient
+    c_tail: int  # tail-estimate sample coefficient (per eps^-4)
+    c_hist: int  # histogram sample coefficient (per log^3 N / tau^4)
+    c_spot: int  # spot-check probe coefficient (per 1/eps')
+    c_ext: int  # extractor replay coefficient (per N/eta)
+    eps_floor_coeff: Fraction  # eps must exceed this / N^(1/4)
+    hist_probe_cap: int  # protocol-side cap on histogram probes
+    decide_margin: Fraction  # accept threshold = margin * tau
 
     def to_text(self) -> str:
         lines = ["# vdo calibration constants"]

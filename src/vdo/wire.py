@@ -45,7 +45,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .commitment import Digest, HashKey, check_records, record_len
+from .commitment import Digest, HashKey, check_records, record_len, records_clean
 
 HEADER_LEN = 9
 
@@ -174,8 +174,9 @@ def _number_rows(blocks, depth: int, count: int, walk=None):
     order once they pass. Numbering stops after a block that holds a
     refusal (whose rows are not walked) or whose walk returns False, since
     the verdict can then no longer be an accept: later records are only
-    checked (check_records on the non-blank ones) and counted, numbered -1
-    if blank and len(distinct rows) otherwise."""
+    checked (one records_clean pass per block, check_records on the
+    non-blank ones where that pass fails or the depth is 0) and counted,
+    numbered -1 if blank and len(distinct rows) otherwise."""
     rec = record_len(depth)
     blank = (bytes(rec),)
     number = defaultdict(itertools.count().__next__, {blank: -1})
@@ -195,10 +196,15 @@ def _number_rows(blocks, depth: int, count: int, walk=None):
                 check_records(rows, depth)
             else:
                 rows = np.frombuffer(block, dtype=np.uint8).reshape(size, rec)
-                refused = _blank_rows(rows)
-                check_records(rows[~refused] if refused.any() else rows, depth)
                 part = np.full(size, len(number) - 1, dtype=np.int64)
-                part[refused] = -1
+                # A refusal's depth byte is 0, so at depth >= 1 a block
+                # that passes the flat check holds none. At depth 0 (N = 1)
+                # a refusal passes that check, so the blank rows are
+                # always masked there (case n1-then-refusal).
+                if not (depth and records_clean(rows, depth)):
+                    refused = _blank_rows(rows)
+                    check_records(rows[~refused] if refused.any() else rows, depth)
+                    part[refused] = -1
         except ValueError as exc:
             error = exc
             continue

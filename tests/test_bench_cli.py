@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import os
 import subprocess
 import sys
@@ -23,7 +24,7 @@ import vdo
 import vdo.bench as bench
 import vdo.cli as cli
 from vdo.cli import main, parse_dist_spec
-from vdo.constants import Constants, parse_constants, reset_cache
+from vdo.constants import get_constants, parse_constants, reset_cache
 from vdo.dist import exact_histogram, uniform
 from vdo.testers import MAX_DOMAIN, max_grains
 
@@ -83,8 +84,6 @@ class TestReport:
 
     def test_provenance_embedded(self):
         import vdo
-        from vdo.constants import get_constants
-
         text = Report("demo").to_text()
         assert f"code_revision={vdo.__version__}" in text
         assert f"constants_version={get_constants().version}" in text
@@ -104,7 +103,7 @@ class TestReport:
 
 class TestConstants:
     def test_parse_roundtrip(self):
-        c = Constants(version=3, c_id=7, eps_floor_coeff=F(1, 7))
+        c = dataclasses.replace(get_constants(), version=3, c_id=7, eps_floor_coeff=F(1, 7))
         assert parse_constants(c.to_text()) == c
 
     def test_unknown_key_rejected(self):
@@ -112,7 +111,7 @@ class TestConstants:
             parse_constants("nonsense=1\n")
 
     def test_file_must_name_every_field(self, tmp_path, monkeypatch, capsys):
-        # a file naming c_hist alone would run with the dataclass's c_id and version
+        # a file naming c_hist alone is refused, with the fields it lacks
         with pytest.raises(ValueError, match="lacks version, c_id, c_tail"):
             parse_constants("c_hist=4\n")
         path = tmp_path / "consts.txt"
@@ -128,11 +127,9 @@ class TestConstants:
 
     def test_env_override(self, tmp_path, monkeypatch):
         path = tmp_path / "consts.txt"
-        path.write_text(Constants(version=42).to_text())
+        path.write_text(dataclasses.replace(get_constants(), version=42).to_text())
         monkeypatch.setenv("VDO_CONSTANTS", str(path))
         reset_cache()
-        from vdo.constants import get_constants
-
         assert get_constants().version == 42
         monkeypatch.delenv("VDO_CONSTANTS")
         reset_cache()
@@ -142,8 +139,6 @@ class TestConstants:
 
     def test_packaged_constants_are_calibrated(self):
         reset_cache()
-        from vdo.constants import get_constants
-
         c = get_constants()
         assert c.version >= 1
         assert c.c_id <= 8  # calibration picked a working small coefficient

@@ -29,7 +29,7 @@ from vdo.protocol import HonestProver
 from vdo.rngutil import rng_from
 from vdo.wire import QuerySet
 
-from conftest import DEPTH_BYTE, Opening, open_reference, openings
+from conftest import DEPTH_BYTE, Opening, direction_byte, open_reference, openings
 
 KEY = HashKey(bytes(range(16)), 128)
 SMALL = GrainDistribution(4, 16, (4, 4, 8, 0))
@@ -455,6 +455,56 @@ class TestOpeningDecode:
         decoded, reference = _decode_both(bytes(blob))
         assert decoded == reference
         _assert_package_agrees(bytes(blob), n, reference)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([1, 16, 1024]),
+        st.lists(st.integers(0, 1023), max_size=40),
+        st.lists(
+            st.tuples(
+                st.integers(0, 39),
+                st.sampled_from(["depth", "direction", "both", "zeroed"]),
+                st.sampled_from([-1, 1]),
+                st.integers(0, 9),
+                st.integers(2, 255),
+            ),
+            max_size=4,
+        ),
+    )
+    def test_matrix_names_its_first_bad_row(self, n, picks, faults):
+        """A matrix of honest records at depth 0, 4 or 10, some rows given a
+        depth byte off by one, a direction byte past 1, both, or zeroed:
+        check_records passes it exactly when every row passes alone, and
+        otherwise raises the one-row reference's message for its first bad
+        row; records_clean agrees."""
+        d, _, blobs = _honest_tree(n)
+        rows = [bytearray(blobs[i % n]) for i in picks]
+        for at, kind, sign, level, value in faults:
+            if not rows:
+                break
+            row = rows[at % len(rows)]
+            if kind in ("depth", "both"):
+                row[DEPTH_BYTE] = (d.depth + sign) % 256
+            if kind in ("direction", "both") and d.depth:
+                row[direction_byte(level % d.depth)] = value
+            if kind == "zeroed":
+                row[:] = bytes(len(row))
+        expected = None
+        for row in rows:
+            try:
+                _reference_from_bytes(bytes(row))
+            except ValueError as e:
+                expected = str(e)
+                break
+        matrix = np.frombuffer(b"".join(rows), dtype=np.uint8)
+        matrix = matrix.reshape(len(rows), record_len(d.depth))
+        try:
+            check_records(matrix, d.depth)
+            got = None
+        except ValueError as e:
+            got = str(e)
+        assert got == expected
+        assert cm.records_clean(matrix, d.depth) == (expected is None)
 
 
 def _count_hashes(monkeypatch) -> dict[str, int]:

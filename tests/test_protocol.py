@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vdo import commitment as cm
-from vdo import protocol, streams, testers
+from vdo import protocol, streams, testers, wire
 from vdo.adversaries import (
     FarCommitAdversary,
     InconsistentOpeningAdversary,
@@ -1824,6 +1824,35 @@ class TestStreamedBatch:
             assert not first.verified_openings
         _assert_same_session(first, _full_decode_reference(q, cfg, 5, sent))
         assert second.accept
+
+    @pytest.mark.parametrize("n", [16, 1])
+    def test_clean_blocks_after_the_stop_get_one_flat_check(self, n, monkeypatch):
+        # record 1 fails its walk in the first block; at depth 4 each later
+        # (clean) block passes the flat check and is never searched for
+        # refusals, while at depth 0 a refusal would pass that check, so
+        # every later block is searched
+        calls = {"clean": 0, "blank": 0}
+        for name, kind in (("records_clean", "clean"), ("_blank_rows", "blank")):
+
+            def counted(*args, _raw=getattr(wire, name), _kind=kind):
+                calls[_kind] += 1
+                return _raw(*args)
+
+            monkeypatch.setattr(wire, name, counted)
+        q = _ONE if n == 1 else uniform(n)
+        cfg = VerifierConfig(n, F(1, 2), generator=quantile_sampling_generator(10))
+        rec = cm.record_len((n - 1).bit_length())
+        edit = _first_batch_only(_bump_pdf_of_record_1)
+        first, second = _two_sessions(q, cfg, 5, edit, 16 * rec)
+        _, sent = edit.payloads
+        after_stop = -(-(len(sent) - 4) // (16 * rec)) - 1  # every block but the first
+        assert after_stop >= 3
+        assert (first.accept, first.reason) == (False, Reason.INVALID_OPENING)
+        assert second.accept
+        if n == 16:
+            assert calls == {"clean": after_stop, "blank": 0}
+        else:
+            assert calls == {"clean": 0, "blank": after_stop}
 
     @settings(max_examples=80, deadline=None)
     @given(
