@@ -45,8 +45,9 @@ writes each element's rank over that copy, both in blocks of CHECK_BLOCK
 probes, and the copy becomes the reply's index. After the exchange the
 query has been sent, logged and checked, and complete() overwrites the
 buffer's mixed part with the pair keys; the keep mask and the collision
-count's sorted copy of the keys come and go within it. The verifier's
-checks, the pair lifting and the collision count run over blocks of the
+count's value counts (or, for keys that reach half their count or more,
+its sorted copy of the keys) come and go within it. The verifier's checks,
+the pair lifting and the sorted collision count run over blocks of the
 same length; dist defines it.
 
 run_session is the one skeleton behind all three protocols: establish,

@@ -18,12 +18,14 @@ in-memory GrainDistribution, indexed by element - 1.
 A round holds one int64 values buffer as long as its batch: plan() returns
 [quantile grains | tail probes | mixed D-samples], the grains being the
 ones its caller passes, and draws the mixture straight into it. Beside it
-the round holds the probe index, the pair lifting's keep mask, the
-collision count's sorted copy of the keys (32-bit when they lie in
-[0, 2^31)) and temporaries of at most CHECK_BLOCK samples, the block
-length the protocol's per-probe steps share. complete() owns the buffer's
-mixed part: it writes each pair's key over its sample, so the caller reads
-the buffer only until then and never writes it.
+the round holds the probe index, the pair lifting's keep mask (none when
+every keep coin is certain), the collision count's value counts (np.bincount,
+when the keys lie below half their count) or else its sorted copy of the
+keys (32-bit when they lie in [0, 2^31)), and temporaries of at most
+CHECK_BLOCK samples, the block length the protocol's per-probe steps share.
+complete() owns the buffer's mixed part: it writes each pair's key,
+element*W + slot with W one above the table's largest slot count, over its
+sample, so the caller reads the buffer only until then and never writes it.
 """
 
 from __future__ import annotations
@@ -87,10 +89,15 @@ def _slot_counts(pdf_grains: np.ndarray, n: int, grains: int) -> np.ndarray:
 
 
 # The largest N whose pair keys fit in int64. _granular_pairs writes each
-# sample's key, element * (6N + 2) + slot, in place over the int64 values
-# buffer; the keys of element e <= N + 1 lie in [e * (6N + 2), e * (6N + 2)
-# + 6N + 1], so the largest is (N + 1) * (6N + 2) + 6N + 1, which is at most
-# 2^63 - 1 exactly when N <= MAX_DOMAIN.
+# sample's key, element * W + slot, in place over the int64 values buffer,
+# with W = _key_width(slots) = max slots(x) + 1 over the pdf table. A slot
+# count is 3 + floor(3N*c/G) <= 3N + 3 for c <= G, so W <= 3N + 4, and an
+# overflow slot is at most max(1, tail_slots) <= 6N. The largest key,
+# (N + 1) * W + max(1, tail_slots) <= (N + 1) * (3N + 4) + 6N, is thus below
+# (N + 1) * (6N + 2) + 6N + 1, the largest key of the width 6N + 2 that
+# MAX_DOMAIN was set for, which is at most 2^63 - 1 exactly when
+# N <= MAX_DOMAIN. Every compact key stays within that range, so the bound
+# on N stands as it was.
 MAX_DOMAIN = 1_239_850_261
 
 
@@ -112,19 +119,23 @@ def _granular_pairs(
     rng: Generator,
 ) -> np.ndarray:
     """Granular filter and pair lifting of mixture samples xs, in place: each
-    sample becomes the key element*(m + 2) + slot of its pair (element,
-    slot), m = 6N, and xs is returned. Sample i's reference pdf, in grains,
-    is pdf_table[index[i]], so the per-pdf arithmetic runs once per table
-    entry.
+    sample becomes the key element*W + slot of its pair (element, slot),
+    W = _key_width(slots) over the table's slot counts, and xs is returned.
+    Sample i's reference pdf, in grains, is pdf_table[index[i]], so the
+    per-pdf arithmetic runs once per table entry.
 
     x is kept with probability theta(x) = slots(x)*G / (3*(N*c + G)) and gets
     a uniform slot in [1, slots(x)]; otherwise it becomes the overflow
-    element N+1 with a uniform slot in [1, max(1, tail_slots)]. Every slot
-    is at most m, so distinct pairs have distinct keys.
+    element N+1 with a uniform slot in [1, max(1, tail_slots)]. A kept slot
+    is below W, so a kept element's keys lie in [e*W + 1, e*W + W - 1];
+    N+1 is the largest element, so its keys, from (N+1)*W + 1 on, lie above
+    every kept key whatever tail_slots is: distinct pairs have distinct keys.
 
     When the table holds one pdf, a block whose samples share a bound draws
     with that scalar bound: numpy gives the same stream as the array-bound
     call over equal bounds (tests/test_testers.py, TestScalarBoundStream).
+    When that pdf's keep bound is its denominator, every keep coin is
+    certain: the coins are still drawn, to keep the stream, but not read.
     """
     c = np.asarray(pdf_table, dtype=np.int64)
     # c <= G <= max_grains(N), so denom <= 3G(N+1) < 2^63: exact in int64
@@ -132,31 +143,43 @@ def _granular_pairs(
     slots = denom // grains  # _slot_counts, from the denominators at hand
     keep_below = slots * grains
     one_pdf = c.shape[0] > 0 and c.min() == c.max()
+    all_kept = one_pdf and keep_below[0] == denom[0]
     # both passes draw over consecutive blocks of samples: consecutive
     # array-bounded draws give the stream of one call over the whole batch,
     # and the gathered bounds exist only per block
     blocks = [slice(s, s + CHECK_BLOCK) for s in range(0, index.shape[0], CHECK_BLOCK)]
-    kept = np.empty(index.shape[0], dtype=bool)
+    kept = None if all_kept else np.empty(index.shape[0], dtype=bool)
     for b in blocks:
-        if one_pdf:
+        if all_kept:
+            rng.integers(0, denom[0], size=xs[b].shape[0])  # drawn for the stream only
+        elif one_pdf:
             kept[b] = rng.integers(0, denom[0], size=kept[b].shape[0]) < keep_below[0]
         else:
             kept[b] = rng.integers(0, denom[index[b]]) < keep_below[index[b]]
-    width = 6 * n + 2
+    width = _key_width(slots)
     tail_bound = max(1, tail_slots)
     for b in blocks:
         key = xs[b]
-        dropped = ~kept[b]
-        if one_pdf and (slots[0] == tail_bound or not dropped.any()):
+        if all_kept:
             bound = slots[0]
         else:
-            bound = slots[index[b]]
-            bound[dropped] = tail_bound
-        key[dropped] = n + 1
+            dropped = ~kept[b]
+            if one_pdf and (slots[0] == tail_bound or not dropped.any()):
+                bound = slots[0]
+            else:
+                bound = slots[index[b]]
+                bound[dropped] = tail_bound
+            key[dropped] = n + 1
         key *= width
         key += rng.integers(0, bound, size=key.shape[0])
         key += 1
     return xs
+
+
+def _key_width(slots: np.ndarray) -> int:
+    """W of the pair keys element*W + slot: one above the largest slot count
+    in the table (1 for an empty table)."""
+    return int(slots.max(initial=0)) + 1
 
 
 def exact_tail_slots(pdf_grains_all: np.ndarray, n: int, grains: int) -> int:
@@ -181,12 +204,18 @@ def uniformity_test(samples, m: int, epsilon: Fraction) -> UniformityResult:
     """Collision-count uniformity test over a domain of size m.
 
     Accepts iff the fraction of colliding pairs is at most (1 + eps^2/2)/m.
+    The samples must have an integer dtype: a float or object array is
+    refused rather than truncated, which would merge distinct samples.
     """
     epsilon = Fraction(epsilon)
     arr = np.asarray(samples)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"samples must have an integer dtype, not {arr.dtype}")
     s = arr.shape[0]
     if s < 2:
         raise ValueError("need at least two samples")
+    if s >= 1 << 31:
+        raise ValueError("2^31 or more samples: the collision count's int64 sums could overflow")
     collisions = _collisions(arr)
     total_pairs = s * (s - 1) // 2
     stat = Fraction(collisions, total_pairs)
@@ -195,13 +224,25 @@ def uniformity_test(samples, m: int, epsilon: Fraction) -> UniformityResult:
 
 
 def _collisions(arr: np.ndarray) -> int:
-    """Pairs of equal integer samples: the sum of c*(c - 1)/2 over the run
-    lengths c of a sorted copy, which is 32-bit when every sample lies in
-    [0, 2^31). The runs are cut over blocks of CHECK_BLOCK samples."""
-    narrow = arr.min() >= 0 and arr.max() < 1 << 31
-    ordered = arr.astype(np.int32 if narrow else np.int64)
+    """Pairs of equal integer samples among k < 2^31, from the counts c of
+    the distinct values: the sum of c*(c - 1)/2 = (sum c^2 - k)/2.
+
+    Dense samples, non-negative with 2*max < k, are counted by np.bincount:
+    its max + 1 <= k/2 int64 counts are no larger than a 32-bit copy of the
+    samples. The counts sum to k, so sum c^2 <= k^2 < 2^62: exact in int64.
+    A protocol batch has far fewer samples than 2^31: its frame's u32
+    payload length holds 4 + probes * record_len(depth) >= 25 * probes.
+
+    Other samples are sorted into a copy, 32-bit when every sample lies in
+    [0, 2^31), and counted as run lengths c, each c*(c - 1)/2 <= k^2/2; the
+    runs are cut over blocks of CHECK_BLOCK samples."""
+    s = arr.shape[0]
+    least, most = int(arr.min()), int(arr.max())
+    if least >= 0 and 2 * most < s:
+        counts = np.bincount(arr)
+        return (int(np.dot(counts, counts)) - s) // 2
+    ordered = arr.astype(np.int32 if least >= 0 and most < 1 << 31 else np.int64)
     ordered.sort()
-    s = ordered.shape[0]
     collisions, start = 0, 0  # start: the first sample of the open run
     for lo in range(1, s, CHECK_BLOCK):
         hi = min(lo + CHECK_BLOCK, s)
@@ -396,8 +437,12 @@ def _tail_estimate(pdfs: np.ndarray, n: int, grains: int) -> Fraction:
 
     The sum S of cnt*(d mod G)/d over the distinct counts is bracketed in
     integers: with K = _TAIL_BITS, the sum lo of floor(cnt*(d mod G)*2^K/d)
-    has S*2^K in [lo, lo + terms]. When both ends round to the same
-    multiple, that is the answer; otherwise the exact Fraction sum is."""
+    has S*2^K in [lo, lo + terms], each floor dropping less than 1. The
+    rounded multiple, floor((2*m*x + s*2^K) / (s*2^(K+1))) at x = S*2^K, is
+    non-decreasing in x, so when both ends give the same multiple, that is
+    the answer; otherwise the exact Fraction sum is. Only d is formed in
+    int64 (at most 3G(N+1) < 2^63 for G <= max_grains(N)); the bracket's
+    terms are Python integers, exact at any sample count."""
     m, s = 6 * n, pdfs.shape[0]
     vals, cnts = np.unique(pdfs, return_counts=True)
     denoms = 3 * (n * vals + grains)  # exact in int64 for G <= max_grains(N)

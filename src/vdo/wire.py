@@ -8,6 +8,14 @@ All integers are little-endian. Quantile probes carry a grain index g
 (the probed mass is g/G for the committed denominator G); batched replies
 answer a query set positionally.
 
+The frame's payload_len, and the count field that leads a query set's and
+an opening batch's payload, are u32. A query set's payload is 4 + 9*probes
+bytes and a batch's 4 + probes*record_len(depth), so a batch must keep
+4 + probes*record_len(depth) < 2^32: fewer than 2^32/25 < 2^28 probes,
+as record_len(0) = 25. That bounds a round's probe count, not N; framing
+a longer payload raises OverflowError (int.to_bytes) before a byte is
+written.
+
 An opening is its record (commitment.record_len bytes: element, pdf, cdf,
 depth byte, path), on the wire as everywhere else. An opening batch
 repeats each probe's record in full but holds only its distinct records,

@@ -195,7 +195,7 @@ class TestSession:
             VerifierConfig(n, F(1, 2))
 
     def test_domain_size_bounded_by_int64_pair_keys(self):
-        # the largest pair key, (N + 1)(6N + 2) + 6N + 1, fits in int64 at
+        # the pair keys' bound, (N + 1)(6N + 2) + 6N + 1, fits in int64 at
         # MAX_DOMAIN and not one above; no session runs
         def largest_key(n):
             return (n + 1) * (6 * n + 2) + 6 * n + 1
@@ -934,7 +934,7 @@ class TestRoundMemory:
         # blocks of at most CHECK_BLOCK probes, one int64 values buffer (the
         # query's, whose mixed part becomes the pair keys), its kinds until
         # the exchange ends, the reply's index, and then the keep mask or
-        # the collision count's 32-bit sorted copy of the keys
+        # the collision count's value counts (at most a 32-bit copy's size)
         n, grains, eps = 256, 81920, F(3, 50)
         q = random_distribution(n, rng_from(1, "memory"), grains)
         cfg = VerifierConfig(n, eps)

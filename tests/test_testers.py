@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vdo import testers
@@ -286,6 +286,19 @@ class TestTailEstimate:
             assert overflow >= 0
 
 
+def _width(pdfs, n, g) -> int:
+    """The key width _granular_pairs uses for a pdf table."""
+    return testers._key_width(_slot_counts(np.asarray(pdfs, dtype=np.int64), n, g))
+
+
+def _decode(keys, width, n):
+    """(elements, slots) of pair keys element*width + slot: an element's
+    keys lie in [e*width + 1, e*width + width - 1], except those of the
+    overflow element N+1, whose slots may reach past width."""
+    elements = np.minimum(keys // width, n + 1)
+    return elements, keys - elements * width
+
+
 def _pairs(xs, pdfs, n, g, tail_slots, rng):
     """The per-sample call: the table holds each sample's pdf, in order. The
     keys it writes over the samples, as (elements, slots)."""
@@ -293,7 +306,7 @@ def _pairs(xs, pdfs, n, g, tail_slots, rng):
     keys = _granular_pairs(
         np.array(xs, dtype=np.int64), pdfs, np.arange(pdfs.shape[0]), n, g, tail_slots, rng
     )
-    return np.divmod(keys, 6 * n + 2)
+    return _decode(keys, _width(pdfs, n, g), n)
 
 
 def _per_sample_pairs(xs, pdfs, n, g, tail_slots, rng):
@@ -356,13 +369,47 @@ class TestPairMap:
         assert got.dtype == np.int64
         per_sample = _pairs(xs, table[index], n, g, tail_slots, rngs[1])
         ref = _per_sample_pairs(xs, table[index], n, g, tail_slots, rngs[2])
+        width = _width(table, n, g)
         for elements, slots in (per_sample, ref):
             assert elements.dtype == slots.dtype == np.int64
-            assert (elements * (6 * n + 2) + slots).tolist() == got.tolist()
+            assert (elements * width + slots).tolist() == got.tolist()
         for a, r in zip(per_sample, ref):
             assert a.tolist() == r.tolist()
         # a draw too many or too few leaves the generator elsewhere
         assert _state(rngs[0]) == _state(rngs[1]) == _state(rngs[2])
+
+    @pytest.mark.parametrize("tail_slots", ["0", "1", "6N"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_compact_keys_at_the_widest_slots(self, n, tail_slots):
+        # a point mass (c = G) has the most slots, 3N + 3; pdf 1 at
+        # G = 3N + 1 drops about a quarter of its samples to N + 1, whose
+        # slots reach max(1, tail_slots), past the width when that is 6N
+        g = 3 * n + 1
+        tail_slots = {"0": 0, "1": 1, "6N": 6 * n}[tail_slots]
+        table = np.asarray([g, 0, 1], dtype=np.int64)
+        width = _width(table, n, g)
+        assert _slots(g, g, n) == 3 * n + 3 and width == 3 * n + 4
+        rng = rng_from(n, "compact")
+        index = rng.integers(0, table.shape[0], size=4000)
+        xs = rng.integers(1, n + 1, size=4000, dtype=np.int64)
+        rngs = [rng_from(n, "compact pairs") for _ in range(2)]
+        keys = _granular_pairs(xs.copy(), table, index, n, g, tail_slots, rngs[0])
+        elements, slots = _per_sample_pairs(xs, table[index], n, g, tail_slots, rngs[1])
+        assert (elements * width + slots).tolist() == keys.tolist()
+        assert _state(rngs[0]) == _state(rngs[1])
+        overflow = elements == n + 1
+        assert overflow.any()
+        # at 6N the overflow slots pass the width for N >= 2
+        assert (slots[overflow] >= width).any() == (tail_slots == 6 * n and n >= 2)
+        # keys are a function of the pairs, so as many distinct keys as
+        # distinct pairs means distinct pairs have distinct keys
+        assert len(set(keys.tolist())) == len(set(zip(elements.tolist(), slots.tolist())))
+        largest = (n + 1) * width + max(1, tail_slots)
+        assert int(keys.max()) <= largest <= (n + 1) * (6 * n + 2) + 6 * n + 1
+
+    def test_compact_keys_fit_int64_at_max_domain(self):
+        n = MAX_DOMAIN
+        assert (n + 1) * (3 * n + 4) + 6 * n <= (n + 1) * (6 * n + 2) + 6 * n + 1 <= 2**63 - 1
 
     def test_single_slot(self):
         # pdf 0 on [2] with G = 4: q' = 1/4, three slots, always kept
@@ -432,6 +479,16 @@ class TestScalarBoundStream:
         assert _state(whole) == _state(split)
 
 
+@st.composite
+def _at_the_dense_threshold(draw):
+    """k non-negative samples whose largest, M, has 2M = k - 1 (the last
+    length counted densely), k or k + 1."""
+    most = draw(st.integers(1, 150))
+    k = 2 * most + draw(st.sampled_from([1, 0, -1] if most > 1 else [1, 0]))
+    rest = draw(st.lists(st.integers(0, most), min_size=k - 1, max_size=k - 1))
+    return draw(st.permutations([most] + rest))
+
+
 def _unique_collisions(samples) -> int:
     """The collision count uniformity_test's run lengths replaced: np.unique's
     counts of the distinct samples."""
@@ -441,12 +498,17 @@ def _unique_collisions(samples) -> int:
 
 
 class TestUniformityTest:
-    # keys below 2^31 are sorted as 32-bit, the rest as 64-bit; runs are cut
-    # over blocks of `block` samples
-    @settings(max_examples=150, deadline=None)
+    # non-negative keys below half their count are counted by np.bincount;
+    # the rest are sorted, as 32-bit below 2^31 and as 64-bit otherwise, and
+    # their runs are cut over blocks of `block` samples
+    @settings(max_examples=250, deadline=None)
     @given(
         st.one_of(
             st.lists(st.integers(0, 5), min_size=2, max_size=400),  # heavy repeats
+            st.integers(2, 400).flatmap(  # dense: 2 * max < k
+                lambda k: st.lists(st.integers(0, (k - 1) // 2), min_size=k, max_size=k)
+            ),
+            _at_the_dense_threshold(),
             st.lists(st.integers(0, 2**31 - 1), min_size=2, max_size=60),
             st.lists(st.integers(2**31 - 3, 2**31 + 3), min_size=2, max_size=60),
             st.lists(st.integers(-(2**63), 2**63 - 1), min_size=2, max_size=60),
@@ -457,15 +519,33 @@ class TestUniformityTest:
                 max_size=60,
             ),
             st.lists(st.sampled_from([-1, 0, 2**31, 2**63 - 1]), min_size=2, max_size=60),
+            # negative keys equal to small ones mod 2^32
+            st.lists(
+                st.sampled_from([-(2**32), -(2**31) - 1, 0, 2**31 - 1]), min_size=2, max_size=60
+            ),
             st.lists(st.integers(0, 3), min_size=2, max_size=2),  # exactly two samples
         ),
         st.sampled_from([1, 2, 7, testers.CHECK_BLOCK]),
     )
+    # 2 * max = k - 1 (the last dense length), k and k + 1
+    @example([1, 0, 1], 1)
+    @example([1, 1], 2)
+    @example([2, 0, 2], 7)
+    # distinct keys that a narrower or wrapped sorted copy would merge
+    @example([0, 2**32], 1)
+    @example([1, 2**32 + 1, 2**33 + 1], 2)
+    @example([0, 2**16, 2**31 - 1], 7)
+    @example([-(2**32), 0], 1)
+    @example([-(2**31) - 1, 2**31 - 1], 1)
     def test_collisions_equal_the_unique_count(self, samples, block):
         arr = np.asarray(samples, dtype=np.int64)
         sent = arr.copy()
-        with mock.patch.object(testers, "CHECK_BLOCK", block):
+        with (
+            mock.patch.object(testers, "CHECK_BLOCK", block),
+            mock.patch.object(np, "bincount", wraps=np.bincount) as bincount,
+        ):
             res = uniformity_test(arr, 16, F(1, 2))
+        assert bincount.called == (min(samples) >= 0 and 2 * max(samples) < len(samples))
         assert res.collisions == _unique_collisions(sent)
         assert res.statistic == F(res.collisions, len(samples) * (len(samples) - 1) // 2)
         assert arr.tolist() == sent.tolist()  # the samples are not sorted in place
@@ -475,9 +555,28 @@ class TestUniformityTest:
         assert res.collisions == 1
         assert res.statistic == F(1, 6)
 
+    @pytest.mark.parametrize(
+        "samples", [[0.5, 0.7], [1.0, 1.9, 2.2], np.asarray([1, 2, 2], dtype=object)]
+    )
+    def test_non_integer_samples_refused(self, samples):
+        # truncating them would count 0.5 and 0.7, or 1.0 and 1.9, as a collision
+        with pytest.raises(ValueError, match="integer dtype"):
+            uniformity_test(samples, 16, F(1, 2))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint32, np.uint64])
+    def test_every_integer_dtype_counted(self, dtype):
+        dense, sparse = [0, 1, 0, 1, 0, 0], [3, 1, 3, 0]
+        assert uniformity_test(np.asarray(dense, dtype=dtype), 16, F(1, 2)).collisions == 7
+        assert uniformity_test(np.asarray(sparse, dtype=dtype), 16, F(1, 2)).collisions == 1
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             uniformity_test(np.asarray([1]), 4, F(1, 2))
+
+    def test_too_many_samples(self):
+        # a zero-stride view: 2^31 samples in 8 bytes, refused before counting
+        with pytest.raises(ValueError, match="2\\^31 or more"):
+            uniformity_test(np.broadcast_to(np.int64(0), (1 << 31,)), 4, F(1, 2))
 
     def test_uniform_accept_rate(self):
         m, eps, trials, s = 1024, F(1, 4), 200, 3072  # s = 6 * sqrt(m) / eps^2
